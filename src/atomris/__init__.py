@@ -7,81 +7,3 @@ detection, and seeded Monte-Carlo BER campaigns.
 """
 
 __version__ = "0.1.0"
-
-from .channel import (
-    ChannelSet,
-    LOParams,
-    PhysicalPathParams,
-    effective_channel,
-    gen_lo_vector,
-    gen_physical_channel,
-    gen_user_ris_channel,
-    load_channel_set,
-    save_channel_set,
-)
-from .detect import (
-    DetectorOutput,
-    detect_exhaustive,
-    detect_proposed,
-    detect_zf_known_phase,
-    front_end,
-    received_magnitude,
-)
-from .errors import BudgetExceededError, ConfigError, SingularMatrixError
-from .modem import Constellation, NoiseSpec, demodulate_hard, make_pam, modulate, noise_sigma
-from .risopt import (
-    AdamConfig,
-    ConvergenceTrace,
-    RankOneCache,
-    adam_optimize,
-    brute_force_phases,
-    build_rank_one_cache,
-    gradient,
-    objective,
-    recover_phi_from_chi,
-    signal_domain_objective,
-)
-from .sim import BerRecord, SimConfig, merge_records, run_ber, run_convergence
-
-__all__ = [
-    "__version__",
-    "ChannelSet",
-    "LOParams",
-    "PhysicalPathParams",
-    "effective_channel",
-    "gen_lo_vector",
-    "gen_physical_channel",
-    "gen_user_ris_channel",
-    "load_channel_set",
-    "save_channel_set",
-    "DetectorOutput",
-    "detect_exhaustive",
-    "detect_proposed",
-    "detect_zf_known_phase",
-    "front_end",
-    "received_magnitude",
-    "BudgetExceededError",
-    "ConfigError",
-    "SingularMatrixError",
-    "Constellation",
-    "NoiseSpec",
-    "demodulate_hard",
-    "make_pam",
-    "modulate",
-    "noise_sigma",
-    "AdamConfig",
-    "ConvergenceTrace",
-    "RankOneCache",
-    "adam_optimize",
-    "brute_force_phases",
-    "build_rank_one_cache",
-    "gradient",
-    "objective",
-    "recover_phi_from_chi",
-    "signal_domain_objective",
-    "BerRecord",
-    "SimConfig",
-    "merge_records",
-    "run_ber",
-    "run_convergence",
-]

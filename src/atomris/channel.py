@@ -35,8 +35,6 @@ __all__ = [
     "gen_physical_channel",
     "gen_lo_vector",
     "effective_channel",
-    "save_channel_set",
-    "load_channel_set",
 ]
 
 
@@ -75,6 +73,17 @@ class PhysicalPathParams:
     path_loss_span: tuple[float, float] = (0.1, 1.0)
     normalize: bool = True
 
+    def __post_init__(self):
+        if self.num_paths < 1:
+            raise ValueError("num_paths must be >= 1")
+        _check_coupling_fields(self)
+        if self.normalize:
+            u, v, w = _coupling(self)
+            if np.dot(w, u) ** 2 + np.dot(w, v) ** 2 == 0.0:
+                raise ValueError(
+                    "coupling is parallel to the incidence axis; variance normalization undefined"
+                )
+
 
 @dataclass(frozen=True)
 class LOParams:
@@ -93,6 +102,33 @@ class LOParams:
     hbar: float = 1.0
     incidence_axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
     path_loss_span: tuple[float, float] = (0.5, 1.0)
+
+    def __post_init__(self):
+        if not 0.0 <= self.power < math.inf:
+            raise ValueError(f"power must be finite and nonnegative, got {self.power}")
+        if not math.isfinite(self.reference_symbol):
+            raise ValueError("reference_symbol must be finite")
+        _check_coupling_fields(self)
+
+
+def _check_coupling_fields(params) -> None:
+    """Range checks shared by the channel and LO parameters."""
+    lo, hi = params.path_loss_span
+    if not 0.0 <= lo <= hi < math.inf or (lo == 0.0 < hi):
+        raise ValueError(
+            "path_loss_span (path_loss_min, path_loss_max) must satisfy "
+            f"0 < min <= max < inf, or min = max = 0; got {params.path_loss_span}"
+        )
+    axis = np.asarray(params.incidence_axis, dtype=float)
+    if axis.shape != (3,) or not 0.0 < np.linalg.norm(axis) < math.inf:
+        raise ValueError(
+            f"incidence_axis must be a 3-vector of finite nonzero norm, got {params.incidence_axis}"
+        )
+    dipole = () if params.dipole_moment is None else params.dipole_moment
+    if not np.all(np.isfinite(dipole)) or not math.isfinite(params.coupling_gain):
+        raise ValueError("dipole_moment and coupling_gain must be finite")
+    if not 0.0 < params.hbar < math.inf:
+        raise ValueError(f"hbar must be finite and positive, got {params.hbar}")
 
 
 @dataclass(frozen=True)
@@ -159,10 +195,7 @@ def _circle_basis(axis) -> tuple[np.ndarray, np.ndarray]:
     standard basis vector least aligned with the axis.
     """
     a = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        raise ValueError("incidence axis must be nonzero")
-    a = a / norm
+    a = a / np.linalg.norm(a)
     seed = np.zeros(3)
     seed[np.argmin(np.abs(a))] = 1.0
     u = np.cross(seed, a)
@@ -171,30 +204,23 @@ def _circle_basis(axis) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def _coupling_vector(dipole_moment, hbar: float, coupling_gain: float, u: np.ndarray) -> np.ndarray:
-    """Effective 3-vector dotted with polarizations.
+def _coupling(params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Circle basis (u, v) of the incidence axis and the 3-vector w dotted
+    with polarizations.
 
-    Explicit dipole: dipole / hbar.  Folded: gain along the first in-plane
-    basis vector, so the folded coupling is gain * cos(polarization angle).
+    Explicit dipole: w = dipole / hbar.  Folded: the gain along u, so the
+    folded coupling is gain * cos(polarization angle).
     """
-    if dipole_moment is not None:
-        return np.asarray(dipole_moment, dtype=float) / hbar
-    return coupling_gain * u
-
-
-def _draw_polarization(shape, u: np.ndarray, v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    psi = rng.uniform(0.0, 2.0 * np.pi, shape)
-    return np.cos(psi)[..., None] * u + np.sin(psi)[..., None] * v
+    u, v = _circle_basis(params.incidence_axis)
+    if params.dipole_moment is not None:
+        return u, v, np.asarray(params.dipole_moment, dtype=float) / params.hbar
+    return u, v, params.coupling_gain * u
 
 
 def _draw_path_loss(shape, span, rng: np.random.Generator) -> np.ndarray:
     lo, hi = span
-    if lo < 0 or hi < lo:
-        raise ValueError(f"path_loss_span must satisfy 0 <= lo <= hi, got {span}")
     if lo == hi:
         return np.full(shape, float(lo))
-    if lo == 0:
-        raise ValueError("log-uniform path loss requires a positive lower bound")
     return np.exp(rng.uniform(math.log(lo), math.log(hi), shape))
 
 
@@ -205,10 +231,30 @@ def _log_uniform_second_moment(span) -> float:
     return (hi**2 - lo**2) / (2.0 * (math.log(hi) - math.log(lo)))
 
 
-def _validate_polarization(pol: np.ndarray) -> None:
-    norms = np.linalg.norm(pol, axis=-1)
-    if not np.allclose(norms, 1.0, atol=1e-9):
-        raise ValueError("polarization vectors must have unit norm")
+def _path_terms(shape, params, u, v, rng, polarization, path_loss, phase):
+    """Per-path polarization (``shape`` + (3,)), path loss and phase.
+
+    Each is drawn from ``rng`` unless an override pins it; the draw order
+    is polarization, path loss, phase.
+    """
+    if polarization is None:
+        psi = rng.uniform(0.0, 2.0 * np.pi, shape)
+        pol = np.cos(psi)[..., None] * u + np.sin(psi)[..., None] * v
+    else:
+        pol = np.broadcast_to(np.asarray(polarization, dtype=float), shape + (3,))
+        if not np.allclose(np.linalg.norm(pol, axis=-1), 1.0, atol=1e-9):
+            raise ValueError("polarization vectors must have unit norm")
+    if path_loss is None:
+        rho = _draw_path_loss(shape, params.path_loss_span, rng)
+    else:
+        rho = np.broadcast_to(np.asarray(path_loss, dtype=float), shape)
+        if np.any(rho < 0):
+            raise ValueError("path loss must be nonnegative")
+    if phase is None:
+        phi = rng.uniform(0.0, 2.0 * np.pi, shape)
+    else:
+        phi = np.broadcast_to(np.asarray(phase, dtype=float), shape)
+    return pol, rho, phi
 
 
 def gen_physical_channel(
@@ -236,41 +282,19 @@ def gen_physical_channel(
     if num_cells < 1 or num_cols < 1:
         raise ValueError("matrix dimensions must be >= 1")
     length = params.num_paths
-    if length < 1:
-        raise ValueError("num_paths must be >= 1")
     explicit = polarization is not None or path_loss is not None or phase is not None
     if explicit and params.normalize:
         raise ValueError("explicit per-path overrides require normalize=False")
 
-    u, v = _circle_basis(params.incidence_axis)
+    u, v, w = _coupling(params)
     shape = (num_cells, num_cols, length)
 
-    if polarization is None:
-        pol = _draw_polarization(shape, u, v, rng)
-    else:
-        pol = np.broadcast_to(np.asarray(polarization, dtype=float), shape + (3,))
-        _validate_polarization(pol)
-    if path_loss is None:
-        rho = _draw_path_loss(shape, params.path_loss_span, rng)
-    else:
-        rho = np.broadcast_to(np.asarray(path_loss, dtype=float), shape)
-        if np.any(rho < 0):
-            raise ValueError("path loss must be nonnegative")
-    if phase is None:
-        phi = rng.uniform(0.0, 2.0 * np.pi, shape)
-    else:
-        phi = np.broadcast_to(np.asarray(phase, dtype=float), shape)
-
-    w = _coupling_vector(params.dipole_moment, params.hbar, params.coupling_gain, u)
+    pol, rho, phi = _path_terms(shape, params, u, v, rng, polarization, path_loss, phase)
     coupling = pol @ w
     entries = np.sum(coupling * rho * np.exp(1j * phi), axis=-1)
 
     if params.normalize:
         w_inplane_sq = float(np.dot(w, u) ** 2 + np.dot(w, v) ** 2)
-        if w_inplane_sq == 0.0:
-            raise ValueError(
-                "dipole moment is parallel to the incidence axis; variance normalization undefined"
-            )
         var = length * (w_inplane_sq / 2.0) * _log_uniform_second_moment(params.path_loss_span)
         entries = entries / math.sqrt(var)
     return entries
@@ -293,29 +317,11 @@ def gen_lo_vector(
     """
     if num_cells < 1:
         raise ValueError("num_cells must be >= 1")
-    if params.power < 0:
-        raise ValueError("LO power must be nonnegative")
 
-    u, v = _circle_basis(params.incidence_axis)
+    u, v, w = _coupling(params)
     shape = (num_cells,)
 
-    if polarization is None:
-        pol = _draw_polarization(shape, u, v, rng)
-    else:
-        pol = np.broadcast_to(np.asarray(polarization, dtype=float), shape + (3,))
-        _validate_polarization(pol)
-    if path_loss is None:
-        rho = _draw_path_loss(shape, params.path_loss_span, rng)
-    else:
-        rho = np.broadcast_to(np.asarray(path_loss, dtype=float), shape)
-        if np.any(rho < 0):
-            raise ValueError("path loss must be nonnegative")
-    if phase is None:
-        phi = rng.uniform(0.0, 2.0 * np.pi, shape)
-    else:
-        phi = np.broadcast_to(np.asarray(phase, dtype=float), shape)
-
-    w = _coupling_vector(params.dipole_moment, params.hbar, params.coupling_gain, u)
+    pol, rho, phi = _path_terms(shape, params, u, v, rng, polarization, path_loss, phase)
     coupling = pol @ w
     return params.reference_symbol * coupling * math.sqrt(params.power) * rho * np.exp(1j * phi)
 
@@ -330,52 +336,3 @@ def effective_channel(ch: ChannelSet, theta: np.ndarray) -> np.ndarray:
     if ch.num_elements == 0:
         return ch.h_uv.copy()
     return (ch.h_rv * np.exp(1j * theta)) @ ch.h_ur + ch.h_uv
-
-
-_CHANNEL_FILE_MAGIC = "# atomris-channelset v1"
-
-
-def save_channel_set(ch: ChannelSet, path) -> None:
-    """Write a channel set as self-describing text (dims header, then
-    row-major "re im" pairs for each matrix)."""
-    lines = [
-        _CHANNEL_FILE_MAGIC,
-        f"cells {ch.num_cells}",
-        f"elements {ch.num_elements}",
-        f"users {ch.num_users}",
-    ]
-    for name, mat in (("h_ur", ch.h_ur), ("h_rv", ch.h_rv), ("h_uv", ch.h_uv)):
-        lines.append(f"[{name}]")
-        for row in mat:
-            lines.append(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_channel_set(path) -> ChannelSet:
-    """Read a channel set written by ``save_channel_set``."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != _CHANNEL_FILE_MAGIC:
-        raise ValueError(f"{path}: not a channel-set file")
-    dims = {}
-    idx = 1
-    for _ in range(3):
-        key, val = lines[idx].split()
-        dims[key] = int(val)
-        idx += 1
-    m, n, k = dims["cells"], dims["elements"], dims["users"]
-    mats = {}
-    for name, (rows, cols) in (("h_ur", (n, k)), ("h_rv", (m, n)), ("h_uv", (m, k))):
-        if lines[idx] != f"[{name}]":
-            raise ValueError(f"{path}: expected section [{name}] at line {idx + 1}")
-        idx += 1
-        mat = np.empty((rows, cols), dtype=complex)
-        for r in range(rows):
-            vals = [float(tok) for tok in lines[idx].split()]
-            if len(vals) != 2 * cols:
-                raise ValueError(f"{path}: row {r} of {name} has wrong width")
-            mat[r] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-            idx += 1
-        mats[name] = mat
-    return ChannelSet(**mats)

@@ -92,17 +92,23 @@ def load_phase_solution(path) -> dict:
     if not lines or lines[0] != _PHASE_FILE_MAGIC:
         raise ConfigError(f"{path}: not a phase-solution file")
     out: dict = {}
-    idx = 1
-    for key, conv in (("seed", int), ("cells", int), ("ris_elements", int),
-                      ("users", int), ("objective", float)):
-        name, _, val = lines[idx].partition("=")
+    fields = (("seed", int), ("cells", int), ("ris_elements", int),
+              ("users", int), ("objective", float))
+    for idx, (key, conv) in enumerate(fields, start=1):
+        name, _, val = (lines[idx] if idx < len(lines) else "").partition("=")
         if name.strip() != key:
-            raise ConfigError(f"{path}: expected field {key} at line {idx + 1}")
-        out[key] = conv(val.strip())
-        idx += 1
-    if lines[idx].strip() != "theta =":
-        raise ConfigError(f"{path}: expected theta block at line {idx + 1}")
-    out["theta"] = np.array([float(v) for v in lines[idx + 1:] if v.strip()])
+            raise ConfigError(f"{path}: missing field {key} at line {idx + 1}")
+        try:
+            out[key] = conv(val.strip())
+        except ValueError:
+            raise ConfigError(f"{path}: field {key} has invalid value {val.strip()!r}") from None
+    idx = len(fields) + 1
+    if idx >= len(lines) or lines[idx].strip() != "theta =":
+        raise ConfigError(f"{path}: missing field theta at line {idx + 1}")
+    try:
+        out["theta"] = np.array([float(v) for v in lines[idx + 1:] if v.strip()])
+    except ValueError:
+        raise ConfigError(f"{path}: field theta has a non-numeric phase") from None
     return out
 
 

@@ -68,22 +68,22 @@ def _parse_name_list(raw: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
 
-def _parse_optional_int(raw: str) -> int | None:
-    if raw.strip().lower() in ("none", ""):
-        return None
-    return int(raw)
+def _optional(conv):
+    """Wrap a converter so that "none" (or an empty value) parses as None."""
+
+    def parse(raw: str):
+        return None if raw.strip().lower() in ("none", "") else conv(raw)
+
+    return parse
 
 
-def _parse_optional_float(raw: str) -> float | None:
-    if raw.strip().lower() in ("none", ""):
-        return None
-    return float(raw)
-
-
-def _parse_optional_axis(raw: str) -> tuple[float, float, float] | None:
-    if raw.strip().lower() in ("none", ""):
-        return None
-    return _parse_axis(raw)
+def _section(name: str, cls, **fields):
+    """Build a parameter type, reporting its range checks as ConfigErrors
+    that name the section."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"section [{name}]: {exc}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>") -> SimConfig:
@@ -98,10 +98,11 @@ def parse_config_text(text: str, source: str = "<config>") -> SimConfig:
             raise ConfigError(f"missing required field [{section}] {key}")
 
     defaults = SimConfig()
-    channel = PhysicalPathParams(
+    channel = _section(
+        "channel", PhysicalPathParams,
         num_paths=_get(parser, "channel", "paths", int, defaults.channel.num_paths),
         coupling_gain=_get(parser, "channel", "coupling_gain", float, defaults.channel.coupling_gain),
-        dipole_moment=_get(parser, "channel", "dipole_moment", _parse_optional_axis,
+        dipole_moment=_get(parser, "channel", "dipole_moment", _optional(_parse_axis),
                            defaults.channel.dipole_moment),
         hbar=_get(parser, "channel", "hbar", float, defaults.channel.hbar),
         incidence_axis=_get(parser, "channel", "incidence_axis", _parse_axis,
@@ -112,11 +113,12 @@ def parse_config_text(text: str, source: str = "<config>") -> SimConfig:
         ),
         normalize=_get(parser, "channel", "normalize", _parse_bool, defaults.channel.normalize),
     )
-    lo = LOParams(
+    lo = _section(
+        "lo", LOParams,
         power=_get(parser, "lo", "power", float, defaults.lo.power),
         reference_symbol=_get(parser, "lo", "reference_symbol", float, defaults.lo.reference_symbol),
         coupling_gain=_get(parser, "lo", "coupling_gain", float, defaults.lo.coupling_gain),
-        dipole_moment=_get(parser, "lo", "dipole_moment", _parse_optional_axis,
+        dipole_moment=_get(parser, "lo", "dipole_moment", _optional(_parse_axis),
                            defaults.lo.dipole_moment),
         hbar=_get(parser, "lo", "hbar", float, defaults.lo.hbar),
         incidence_axis=_get(parser, "lo", "incidence_axis", _parse_axis, defaults.lo.incidence_axis),
@@ -125,20 +127,16 @@ def parse_config_text(text: str, source: str = "<config>") -> SimConfig:
             _get(parser, "lo", "path_loss_max", float, defaults.lo.path_loss_span[1]),
         ),
     )
-    try:
-        adam = AdamConfig(
-            max_iters=_get(parser, "adam", "max_iters", int, defaults.adam.max_iters),
-            step=_get(parser, "adam", "step", float, defaults.adam.step),
-            beta1=_get(parser, "adam", "beta1", float, defaults.adam.beta1),
-            beta2=_get(parser, "adam", "beta2", float, defaults.adam.beta2),
-            epsilon=_get(parser, "adam", "epsilon", float, defaults.adam.epsilon),
-            grad_tol=_get(parser, "adam", "grad_tol", _parse_optional_float,
-                          defaults.adam.grad_tol),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"section [adam]: {exc}") from None
+    adam = _section(
+        "adam", AdamConfig,
+        max_iters=_get(parser, "adam", "max_iters", int, defaults.adam.max_iters),
+        step=_get(parser, "adam", "step", float, defaults.adam.step),
+        beta1=_get(parser, "adam", "beta1", float, defaults.adam.beta1),
+        beta2=_get(parser, "adam", "beta2", float, defaults.adam.beta2),
+        epsilon=_get(parser, "adam", "epsilon", float, defaults.adam.epsilon),
+        grad_tol=_get(parser, "adam", "grad_tol", _optional(float),
+                      defaults.adam.grad_tol),
+    )
     return SimConfig(
         num_cells=_get(parser, "system", "cells", int, required=True),
         num_elements=_get(parser, "system", "ris_elements", int, required=True),
@@ -153,7 +151,7 @@ def parse_config_text(text: str, source: str = "<config>") -> SimConfig:
         lo=lo,
         adam=adam,
         master_seed=_get(parser, "sim", "master_seed", int, defaults.master_seed),
-        error_target=_get(parser, "sim", "error_target", _parse_optional_int,
+        error_target=_get(parser, "sim", "error_target", _optional(int),
                           defaults.error_target),
         trial_offset=_get(parser, "sim", "trial_offset", int, defaults.trial_offset),
         exhaustive_budget=_get(parser, "sim", "exhaustive_budget", int,

@@ -10,13 +10,13 @@ phase) and lower-bounds the proposed (linear) detector only: it is zero
 forcing, and on the almost lossless magnitude readout the exhaustive
 maximum-likelihood search beats zero forcing even with known phase.
 
-The scalar operations wrap batched kernels (columns = symbol vectors), so
-per-vector and campaign results agree bit for bit.
+All kernels are batched: columns of ``s``, ``y`` and ``z`` are symbol
+vectors, and every kernel returns one column per observation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from itertools import product
 
 import numpy as np
@@ -25,45 +25,13 @@ from .errors import BudgetExceededError, SingularMatrixError
 from .modem import Constellation, NoiseSpec, slice_to_indices
 
 __all__ = [
-    "DetectorOutput",
-    "received_magnitude",
     "front_end",
     "ls_estimate",
-    "detect_proposed",
-    "detect_exhaustive",
-    "detect_zf_known_phase",
     "detect_proposed_batch",
     "detect_exhaustive_batch",
     "detect_zf_batch",
     "enumerate_symbol_vectors",
 ]
-
-
-@dataclass(frozen=True)
-class DetectorOutput:
-    """Detected symbols (constellation points, one per user) and their
-    concatenated bit labels."""
-
-    symbols: np.ndarray
-    bits: str
-
-
-def received_magnitude(
-    h_eq: np.ndarray, s: np.ndarray, b: np.ndarray, noise: np.ndarray | None = None
-) -> np.ndarray:
-    """Deterministic front-end core: z = |H_eq s + b (+ n)|."""
-    h_eq = np.asarray(h_eq, dtype=complex)
-    s = np.asarray(s, dtype=float)
-    b = np.asarray(b, dtype=complex)
-    m, k = h_eq.shape
-    if s.shape != (k,):
-        raise ValueError(f"s has shape {s.shape}, expected ({k},)")
-    if b.shape != (m,):
-        raise ValueError(f"b has shape {b.shape}, expected ({m},)")
-    y = h_eq @ s + b
-    if noise is not None:
-        y = y + np.asarray(noise, dtype=complex)
-    return np.abs(y)
 
 
 def front_end(
@@ -73,16 +41,26 @@ def front_end(
     noise: NoiseSpec,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Photodetector observation with circularly-symmetric Gaussian noise
-    of total variance ``noise.sigma2`` per cell."""
-    m = np.asarray(h_eq).shape[0]
-    scale = np.sqrt(noise.sigma2 / 2.0)
-    n = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    return received_magnitude(h_eq, s, b, n)
+    """Complex observations y = H_eq s + b + n for symbol vectors ``s``
+    (K, n); the photodetectors report z = |y|.
+
+    The noise is circularly-symmetric Gaussian of total variance
+    ``noise.sigma2`` per cell, drawn as the real (M, n) normals, then the
+    imaginary ones.
+    """
+    m, k = h_eq.shape
+    if s.ndim != 2 or s.shape[0] != k or b.shape != (m,):
+        raise ValueError(f"s {s.shape} and b {b.shape} do not fit a ({m}, {k}) channel")
+    shape = (m, s.shape[1])
+    scale = math.sqrt(noise.sigma2 / 2.0)
+    awgn = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return h_eq @ s + b[:, None] + awgn
 
 
-def _gram_solve(h_eq: np.ndarray, rhs: np.ndarray, cond_threshold: float = 1e12) -> np.ndarray:
-    """Solve the normal equations (H^H H) x = H^H rhs with a condition check."""
+def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray, cond_threshold: float = 1e12) -> np.ndarray:
+    """Pre-slicing least-squares estimate (H^H H)^-1 H^H rhs, solved from
+    the normal equations after a condition check."""
+    h_eq = np.asarray(h_eq, dtype=complex)
     m, k = h_eq.shape
     if k > m:
         raise ValueError(f"more users ({k}) than cells ({m}); least squares undefined")
@@ -92,19 +70,7 @@ def _gram_solve(h_eq: np.ndarray, rhs: np.ndarray, cond_threshold: float = 1e12)
         raise SingularMatrixError(
             f"H^H H is numerically singular (condition number {cond:.3e})"
         )
-    return np.linalg.solve(gram, h_eq.conj().T @ rhs)
-
-
-def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Pre-slicing least-squares estimate (H^H H)^-1 H^H rhs."""
-    rhs = np.asarray(rhs, dtype=complex)
-    return _gram_solve(np.asarray(h_eq, dtype=complex), rhs)
-
-
-def _indices_to_output(idx: np.ndarray, c: Constellation) -> DetectorOutput:
-    return DetectorOutput(
-        symbols=c.points[idx], bits="".join(c.labels[i] for i in idx)
-    )
+    return np.linalg.solve(gram, h_eq.conj().T @ np.asarray(rhs, dtype=complex))
 
 
 def detect_proposed_batch(
@@ -120,16 +86,8 @@ def detect_proposed_batch(
     h_eq = np.asarray(h_eq, dtype=complex)
     b = np.asarray(b, dtype=complex)
     rhs = z * np.exp(1j * np.angle(b))[:, None] - b[:, None]
-    s_hat = _gram_solve(h_eq, rhs).real
+    s_hat = ls_estimate(h_eq, rhs).real
     return slice_to_indices(s_hat, c)
-
-
-def detect_proposed(
-    z: np.ndarray, h_eq: np.ndarray, b: np.ndarray, c: Constellation
-) -> DetectorOutput:
-    """Detect one magnitude observation with the least-squares detector."""
-    idx = detect_proposed_batch(np.asarray(z, dtype=float)[:, None], h_eq, b, c)[:, 0]
-    return _indices_to_output(idx, c)
 
 
 def enumerate_symbol_vectors(c: Constellation, num_users: int) -> np.ndarray:
@@ -175,33 +133,11 @@ def detect_exhaustive_batch(
     return cand_idx[:, best]
 
 
-def detect_exhaustive(
-    z: np.ndarray,
-    h_eq: np.ndarray,
-    b: np.ndarray,
-    c: Constellation,
-    budget: int = 2**20,
-) -> DetectorOutput:
-    """Detect one magnitude observation by exhaustive search."""
-    idx = detect_exhaustive_batch(
-        np.asarray(z, dtype=float)[:, None], h_eq, b, c, budget
-    )[:, 0]
-    return _indices_to_output(idx, c)
-
-
 def detect_zf_batch(
     y: np.ndarray, h_eq: np.ndarray, b: np.ndarray, c: Constellation
 ) -> np.ndarray:
     """Genie zero-forcing on complex observations y = H_eq s + b + n."""
     y = np.asarray(y, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    s_hat = _gram_solve(np.asarray(h_eq, dtype=complex), y - b[:, None]).real
+    s_hat = ls_estimate(h_eq, y - b[:, None]).real
     return slice_to_indices(s_hat, c)
-
-
-def detect_zf_known_phase(
-    y: np.ndarray, h_eq: np.ndarray, b: np.ndarray, c: Constellation
-) -> DetectorOutput:
-    """Detect one complex (known-phase) observation by zero forcing."""
-    idx = detect_zf_batch(np.asarray(y, dtype=complex)[:, None], h_eq, b, c)[:, 0]
-    return _indices_to_output(idx, c)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,11 +11,8 @@ __all__ = [
     "Constellation",
     "NoiseSpec",
     "make_pam",
-    "modulate",
-    "demodulate_hard",
     "slice_to_indices",
     "noise_sigma",
-    "constellation_csv",
     "hamming_table",
 ]
 
@@ -33,10 +30,6 @@ class Constellation:
     order: int
     points: np.ndarray
     labels: tuple[str, ...]
-    _label_to_index: dict = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        self._label_to_index.update({lab: i for i, lab in enumerate(self.labels)})
 
     @property
     def bits_per_symbol(self) -> int:
@@ -71,21 +64,6 @@ def make_pam(order: int) -> Constellation:
     return Constellation(order=order, points=points, labels=labels)
 
 
-def modulate(bits: str, c: Constellation) -> np.ndarray:
-    """Map a bit string to PAM levels, one level per bits_per_symbol group."""
-    nbits = c.bits_per_symbol
-    if len(bits) % nbits:
-        raise ValueError(f"bit string length {len(bits)} not divisible by {nbits}")
-    out = np.empty(len(bits) // nbits)
-    for i in range(out.size):
-        group = bits[i * nbits:(i + 1) * nbits]
-        try:
-            out[i] = c.points[c._label_to_index[group]]
-        except KeyError:
-            raise ValueError(f"invalid bit group {group!r}") from None
-    return out
-
-
 def slice_to_indices(values: np.ndarray, c: Constellation) -> np.ndarray:
     """Nearest-point indices for an array of real values.
 
@@ -105,12 +83,6 @@ def slice_to_indices(values: np.ndarray, c: Constellation) -> np.ndarray:
     return idx + tie
 
 
-def demodulate_hard(values: np.ndarray, c: Constellation) -> str:
-    """Slice real values to the nearest constellation points' labels."""
-    idx = slice_to_indices(np.atleast_1d(values), c)
-    return "".join(c.labels[i] for i in idx)
-
-
 def noise_sigma(eb_n0_db: float, order: int) -> NoiseSpec:
     """Total complex noise variance for a per-user-per-bit Eb/N0 in dB.
 
@@ -120,14 +92,6 @@ def noise_sigma(eb_n0_db: float, order: int) -> NoiseSpec:
         raise ValueError(f"unsupported PAM order {order}")
     bits = order.bit_length() - 1
     return NoiseSpec(1.0 / (bits * 10.0 ** (eb_n0_db / 10.0)))
-
-
-def constellation_csv(c: Constellation) -> str:
-    """Dump the level table as CSV (index, bits, amplitude)."""
-    lines = ["index,bits,amplitude"]
-    for i, (label, point) in enumerate(zip(c.labels, c.points)):
-        lines.append(f"{i},{label},{float(point)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def hamming_table(c: Constellation) -> np.ndarray:

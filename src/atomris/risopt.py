@@ -23,7 +23,8 @@ detection pipeline consumes and what ``signal_domain_objective`` scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,12 +69,12 @@ class AdamConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -90,34 +91,31 @@ class ConvergenceTrace:
 
 @dataclass(frozen=True)
 class RankOneCache:
-    """Stacked rank-one terms V_n = h_rv[:, n] outer h_ur[n, :].
+    """Rank-one terms V_n = h_rv[:, n] outer h_ur[n, :], stored once.
 
-    ``outer`` has shape (N, M, K); the flattened real and imaginary parts
-    are kept contiguous for the BLAS-backed objective/gradient kernels.
+    ``re`` and ``im`` are the contiguous real and imaginary parts, (N, M*K)
+    with row n holding V_n flattened row-major, for the BLAS-backed
+    objective/gradient kernels; ``shape`` is (N, M, K).
     """
 
-    outer: np.ndarray
-    _re_flat: np.ndarray = field(repr=False, compare=False, default=None)
-    _im_flat: np.ndarray = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        n, m, k = self.outer.shape
-        object.__setattr__(self, "_re_flat", np.ascontiguousarray(self.outer.real.reshape(n, m * k)))
-        object.__setattr__(self, "_im_flat", np.ascontiguousarray(self.outer.imag.reshape(n, m * k)))
+    re: np.ndarray
+    im: np.ndarray
+    shape: tuple[int, int, int]
 
     @property
     def num_elements(self) -> int:
-        return self.outer.shape[0]
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.outer.shape
+        return self.shape[0]
 
 
 def build_rank_one_cache(ch: ChannelSet) -> RankOneCache:
     """Precompute all N rank-one products from a channel set."""
     outer = ch.h_rv.T[:, :, None] * ch.h_ur[:, None, :]
-    return RankOneCache(outer=outer)
+    n, m, k = outer.shape
+    return RankOneCache(
+        re=np.ascontiguousarray(outer.real.reshape(n, m * k)),
+        im=np.ascontiguousarray(outer.imag.reshape(n, m * k)),
+        shape=(n, m, k),
+    )
 
 
 def _check_shapes(theta: np.ndarray, cache: RankOneCache, h_uv: np.ndarray) -> None:
@@ -128,13 +126,10 @@ def _check_shapes(theta: np.ndarray, cache: RankOneCache, h_uv: np.ndarray) -> N
         raise ValueError(f"h_uv has shape {h_uv.shape}, expected ({m}, {k})")
 
 
-def _imag_residual(theta, cache: RankOneCache, h_uv) -> np.ndarray:
-    """The M x K matrix Q of imaginary parts of the effective channel."""
-    q = h_uv.imag.reshape(-1).copy()
-    if cache.num_elements:
-        q += np.cos(theta) @ cache._im_flat
-        q += np.sin(theta) @ cache._re_flat
-    return q
+def _imag_residual(cos_t, sin_t, cache: RankOneCache, h_uv) -> np.ndarray:
+    """The M x K matrix Q of imaginary parts of the effective channel,
+    flattened; rows of cos_t / sin_t (one per phase vector) give rows of Q."""
+    return h_uv.imag.reshape(-1) + cos_t @ cache.im + sin_t @ cache.re
 
 
 def objective(theta: np.ndarray, cache: RankOneCache, h_uv: np.ndarray) -> float:
@@ -142,7 +137,7 @@ def objective(theta: np.ndarray, cache: RankOneCache, h_uv: np.ndarray) -> float
     theta = np.asarray(theta, dtype=float)
     h_uv = np.asarray(h_uv, dtype=complex)
     _check_shapes(theta, cache, h_uv)
-    q = _imag_residual(theta, cache, h_uv)
+    q = _imag_residual(np.cos(theta), np.sin(theta), cache, h_uv)
     return float(q @ q)
 
 
@@ -159,13 +154,16 @@ def objective_and_gradient(
     h_uv = np.asarray(h_uv, dtype=complex)
     _check_shapes(theta, cache, h_uv)
     if cache.num_elements == 0:
+        # No RIS: J is the direct channel's.  The dot runs on the strided
+        # view of Im(h_uv); a contiguous copy sums in another order and
+        # moves no-RIS convergence traces by an ulp.
         q = h_uv.imag.reshape(-1)
         return float(q @ q), np.zeros(0)
     cos_t = np.cos(theta)
     sin_t = np.sin(theta)
-    q = h_uv.imag.reshape(-1) + cos_t @ cache._im_flat + sin_t @ cache._re_flat
-    proj_im = cache._im_flat @ q
-    proj_re = cache._re_flat @ q
+    q = _imag_residual(cos_t, sin_t, cache, h_uv)
+    proj_im = cache.im @ q
+    proj_re = cache.re @ q
     grad = 2.0 * (cos_t * proj_re - sin_t * proj_im)
     return float(q @ q), grad
 
@@ -271,23 +269,16 @@ def brute_force_phases(
     Only intended for N <= 3; refuses larger problems with a cost estimate.
     """
     n = cache.num_elements
-    cost = grid_points_per_dim**n if n else 1
+    cost = grid_points_per_dim**n
     if n > 3 or cost > max_evals:
         raise BudgetExceededError(
             f"grid search over N={n} needs {grid_points_per_dim}^{n} = {cost} "
             f"objective evaluations (budget {max_evals})"
         )
     axis = np.arange(grid_points_per_dim) * (2.0 * np.pi / grid_points_per_dim)
-    if n == 0:
-        return np.zeros(0)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    thetas = np.stack([g.reshape(-1) for g in grids], axis=1)
-    # vectorized J over all grid points: Q = Im C + cos @ Vim + sin @ Vre
-    q = (
-        h_uv.imag.reshape(-1)[None, :]
-        + np.cos(thetas) @ cache._im_flat
-        + np.sin(thetas) @ cache._re_flat
-    )
+    # all grid points in row-major (ij) order, one per row; (1, 0) for N = 0
+    thetas = axis[np.indices((grid_points_per_dim,) * n).reshape(n, cost).T]
+    q = _imag_residual(np.cos(thetas), np.sin(thetas), cache, h_uv)
     values = np.sum(q * q, axis=1)
     return thetas[int(np.argmin(values))].copy()
 

@@ -9,11 +9,11 @@ identical observations, so detector comparisons are paired.
 
 Every trial derives its own generator from
 ``SeedSequence(master_seed, spawn_key=(point_key, trial_index))`` where
-``point_key`` is the bit pattern of the Eb/N0 value.  Keying on the value
-rather than the grid position means splitting a grid across runs and
-merging the records reproduces a single run exactly, and any degree of
-parallelism yields bit-identical results.  Early aborts are decided on
-fixed-size trial batches for the same reason.
+``point_key`` is the bit pattern of the Eb/N0 value (-0.0 keyed as 0.0).
+Keying on the value rather than the grid position means splitting a grid
+across runs and merging the records reproduces a single run exactly, and
+any degree of parallelism yields bit-identical results.  Early aborts are
+decided on fixed-size trial batches for the same reason.
 """
 
 from __future__ import annotations
@@ -37,15 +37,17 @@ from .detect import (
     detect_exhaustive_batch,
     detect_proposed_batch,
     detect_zf_batch,
+    front_end,
 )
 from .errors import BudgetExceededError, ConfigError
-from .modem import hamming_table, make_pam, noise_sigma
+from .modem import NoiseSpec, hamming_table, make_pam, noise_sigma
 from .risopt import AdamConfig, ConvergenceTrace, adam_optimize, build_rank_one_cache
 
 __all__ = [
     "SimConfig",
     "BerRecord",
     "DETECTOR_NAMES",
+    "validate_config",
     "trial_seed",
     "draw_channels",
     "optimize_aligned_phases",
@@ -134,6 +136,10 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError(f"mod_order {cfg.mod_order} unsupported")
     if not cfg.eb_n0_grid_db:
         raise ConfigError("eb_n0_grid_db must be nonempty")
+    if not all(math.isfinite(db) for db in cfg.eb_n0_grid_db):
+        raise ConfigError(f"eb_n0_grid_db must be finite, got {cfg.eb_n0_grid_db}")
+    if len(set(cfg.eb_n0_grid_db)) != len(cfg.eb_n0_grid_db):  # -0.0 == 0.0
+        raise ConfigError(f"eb_n0_grid_db repeats a point: {cfg.eb_n0_grid_db}")
     if cfg.trials_per_point < 1:
         raise ConfigError("trials_per_point must be >= 1")
     if cfg.symbols_per_trial < 1:
@@ -158,8 +164,9 @@ def validate_config(cfg: SimConfig) -> None:
 
 def trial_seed(master_seed: int, eb_n0_db: float, trial_index: int) -> np.random.SeedSequence:
     """Splittable per-trial seed, keyed by the Eb/N0 bit pattern so grid
-    partitions reproduce the trials of a single full run."""
-    point_key = int(np.float64(eb_n0_db).view(np.uint64))
+    partitions reproduce the trials of a single full run.  Adding 0.0 maps
+    -0.0 to 0.0, which is the same grid point to the record merge."""
+    point_key = int(np.float64(eb_n0_db + 0.0).view(np.uint64))
     return np.random.SeedSequence(master_seed, spawn_key=(point_key, trial_index))
 
 
@@ -204,7 +211,7 @@ def run_convergence(cfg: SimConfig, theta0: np.ndarray | None = None) -> Converg
 
 
 def _run_trial(
-    cfg: SimConfig, eb_n0_db: float, sigma2: float, trial_index: int, const, lut
+    cfg: SimConfig, eb_n0_db: float, noise: NoiseSpec, trial_index: int, const, lut
 ) -> dict[str, tuple[int, int]]:
     """Execute one trial; returns {detector: (bits_sent, bit_errors)}."""
     rng = np.random.default_rng(trial_seed(cfg.master_seed, eb_n0_db, trial_index))
@@ -216,13 +223,7 @@ def _run_trial(
     k = cfg.num_users
     n_sym = cfg.symbols_per_trial
     sent = rng.integers(0, const.order, size=(k, n_sym))
-    s_mat = const.points[sent]
-    scale = math.sqrt(sigma2 / 2.0)
-    noise = scale * (
-        rng.standard_normal((cfg.num_cells, n_sym))
-        + 1j * rng.standard_normal((cfg.num_cells, n_sym))
-    )
-    y = h_eq @ s_mat + b[:, None] + noise
+    y = front_end(h_eq, const.points[sent], b, noise, rng)
     z = np.abs(y)
 
     bits_per_vector = k * const.bits_per_symbol
@@ -255,7 +256,7 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
     executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         for db in cfg.eb_n0_grid_db:
-            sigma2 = noise_sigma(db, cfg.mod_order).sigma2
+            noise = noise_sigma(db, cfg.mod_order)
             bits = {det: 0 for det in cfg.detectors}
             errors = {det: 0 for det in cfg.detectors}
             reason = "trial_cap"
@@ -263,7 +264,7 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
             last = cfg.trial_offset + cfg.trials_per_point
             for batch_start in range(first, last, _BATCH_SIZE):
                 batch = range(batch_start, min(batch_start + _BATCH_SIZE, last))
-                run = lambda t: _run_trial(cfg, db, sigma2, t, const, lut)
+                run = lambda t: _run_trial(cfg, db, noise, t, const, lut)
                 results = list(executor.map(run, batch)) if executor else [run(t) for t in batch]
                 for res in results:
                     for det, (nb, ne) in res.items():

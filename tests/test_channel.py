@@ -11,8 +11,6 @@ from atomris.channel import (
     gen_lo_vector,
     gen_physical_channel,
     gen_user_ris_channel,
-    load_channel_set,
-    save_channel_set,
 )
 
 
@@ -193,6 +191,37 @@ class TestLOVector:
             gen_lo_vector(4, LOParams(power=-1.0), rng_for(0))
 
 
+class TestParameterValidation:
+    """Range checks run when the parameters are built, before any draw."""
+
+    @pytest.mark.parametrize("cls", [PhysicalPathParams, LOParams])
+    @pytest.mark.parametrize("fields, named", [
+        ({"path_loss_span": (0.0, 1.0)}, "path_loss_span"),
+        ({"path_loss_span": (0.5, 0.2)}, "path_loss_span"),
+        ({"path_loss_span": (-1.0, -1.0)}, "path_loss_span"),
+        ({"incidence_axis": (0.0, 0.0, 0.0)}, "incidence_axis"),
+        ({"incidence_axis": (np.nan, 0.0, 1.0)}, "incidence_axis"),
+        ({"hbar": 0.0}, "hbar"),
+        ({"coupling_gain": np.inf}, "coupling_gain"),
+        ({"dipole_moment": (np.nan, 0.0, 0.0)}, "dipole_moment"),
+    ])
+    def test_shared_fields(self, cls, fields, named):
+        with pytest.raises(ValueError, match=named):
+            cls(**fields)
+
+    def test_degenerate_path_loss_allowed(self):
+        assert LOParams(path_loss_span=(0.0, 0.0)).path_loss_span == (0.0, 0.0)
+
+    def test_normalized_coupling_along_axis_rejected(self):
+        with pytest.raises(ValueError, match="normalization"):
+            PhysicalPathParams(dipole_moment=(0.0, 0.0, 2.0))
+
+    @pytest.mark.parametrize("power", [-1.0, np.inf, np.nan])
+    def test_lo_power(self, power):
+        with pytest.raises(ValueError, match="power"):
+            LOParams(power=power)
+
+
 class TestEffectiveChannel:
     def make_set(self, m, n, k, seed):
         rng = rng_for(seed)
@@ -269,24 +298,3 @@ class TestChannelSetValidation:
         with pytest.raises(ValueError, match="finite"):
             ChannelSet(h_ur=np.zeros((3, 2)), h_rv=np.zeros((4, 3)), h_uv=bad)
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = rng_for(11)
-        ch = ChannelSet(
-            h_ur=gen_user_ris_channel(2, 5, rng),
-            h_rv=gen_user_ris_channel(5, 4, rng),
-            h_uv=gen_user_ris_channel(2, 4, rng),
-        )
-        path = tmp_path / "channels.txt"
-        save_channel_set(ch, path)
-        back = load_channel_set(path)
-        assert np.array_equal(back.h_ur, ch.h_ur)
-        assert np.array_equal(back.h_rv, ch.h_rv)
-        assert np.array_equal(back.h_uv, ch.h_uv)
-
-    def test_rejects_other_files(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("not a channel file\n")
-        with pytest.raises(ValueError):
-            load_channel_set(path)

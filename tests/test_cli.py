@@ -1,9 +1,16 @@
 """Tests for the command-line interface and configuration files."""
 
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from atomris.cli import load_phase_solution, main
+from atomris.channel import LOParams, PhysicalPathParams
+from atomris.cli import load_phase_solution, main, save_phase_solution
 from atomris.config import (
     default_config_text,
     dump_config,
@@ -11,7 +18,8 @@ from atomris.config import (
     parse_config_text,
 )
 from atomris.errors import ConfigError
-from atomris.sim import SimConfig
+from atomris.risopt import AdamConfig
+from atomris.sim import DETECTOR_NAMES, SimConfig
 
 BASE_CONFIG = """\
 [system]
@@ -38,9 +46,76 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.ini"):
     return str(path)
 
 
+def with_field(section, key, value):
+    """BASE_CONFIG with one field set, replacing its line if present."""
+    line = re.compile(rf"^{key} = .*$", re.M)
+    if line.search(BASE_CONFIG):
+        return line.sub(f"{key} = {value}", BASE_CONFIG)
+    return BASE_CONFIG + f"\n[{section}]\n{key} = {value}\n"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-6, max_value=1e6)
+moderate = st.floats(-1e6, 1e6)
+axis = st.tuples(moderate, moderate, moderate).filter(lambda a: sum(x * x for x in a) > 1e-12)
+
+
+@st.composite
+def path_params(draw, cls):
+    lo = draw(positive)
+    fields = dict(
+        coupling_gain=draw(moderate),
+        dipole_moment=draw(st.none() | axis),
+        hbar=draw(positive),
+        incidence_axis=draw(axis),
+        path_loss_span=(lo, lo * draw(st.floats(1.0, 100.0))),
+    )
+    if cls is PhysicalPathParams:
+        fields.update(num_paths=draw(st.integers(1, 64)), normalize=draw(st.booleans()))
+    else:
+        fields.update(power=draw(st.floats(0.0, 1e12)), reference_symbol=draw(finite))
+    try:
+        return cls(**fields)
+    except ValueError:  # e.g. a normalized coupling along the incidence axis
+        assume(False)
+
+
+sim_configs = st.builds(
+    SimConfig,
+    num_cells=st.integers(1, 1000),
+    num_elements=st.integers(0, 1000),
+    num_users=st.integers(1, 16),
+    mod_order=st.sampled_from((2, 4, 8, 16)),
+    eb_n0_grid_db=st.lists(finite, min_size=1, max_size=8).map(tuple),
+    trials_per_point=st.integers(1, 10**6),
+    symbols_per_trial=st.integers(1, 10**4),
+    detectors=st.lists(st.sampled_from(DETECTOR_NAMES), min_size=1, unique=True).map(tuple),
+    channel=path_params(PhysicalPathParams),
+    lo=path_params(LOParams),
+    adam=st.builds(
+        AdamConfig,
+        max_iters=st.integers(1, 10**4),
+        step=positive,
+        beta1=st.floats(0.01, 0.99),
+        beta2=st.floats(0.01, 0.999),
+        epsilon=positive,
+        grad_tol=st.none() | positive,
+    ),
+    master_seed=st.integers(0, 2**63),
+    error_target=st.none() | st.integers(1, 10**6),
+    trial_offset=st.integers(0, 10**6),
+    exhaustive_budget=st.integers(1, 2**40),
+)
+
+
 class TestConfigParsing:
     def test_defaults_round_trip(self):
         cfg = SimConfig()
+        assert parse_config_text(dump_config(cfg)) == cfg
+
+    @settings(deadline=None)
+    @given(sim_configs)
+    def test_any_config_round_trips(self, cfg):
         assert parse_config_text(dump_config(cfg)) == cfg
 
     def test_dump_defaults_parses(self):
@@ -97,6 +172,26 @@ class TestCommands:
         path = write_config(tmp_path, BASE_CONFIG.replace("cells = 8\n", ""))
         assert main(["ber", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
         assert "cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("channel", "paths", "0"),
+        ("channel", "path_loss_min", "0"),
+        ("lo", "path_loss_min", "0"),
+        ("channel", "incidence_axis", "0,0,0"),
+        ("lo", "power", "-1"),
+        ("sim", "eb_n0_grid_db", "nan"),
+        ("sim", "eb_n0_grid_db", "1,1"),
+        ("sim", "eb_n0_grid_db", "-0.0,0.0"),
+    ])
+    def test_invalid_field_is_exit_2(self, tmp_path, capsys, section, key, value):
+        """Rejected before any trial runs, with the field named."""
+        path = write_config(tmp_path, with_field(section, key, value))
+        assert main(["ber", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert key.removesuffix("_min") in err
+        if section != "sim":
+            assert f"[{section}]" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unreadable_config_is_exit_2(self, tmp_path):
         assert main(["ber", "--config", str(tmp_path / "absent.ini"),
@@ -213,3 +308,41 @@ class TestOptimizeCommand:
         sol = load_phase_solution(out)
         initial = float(trace_out.read_text().splitlines()[1].split(",")[1])
         assert sol["objective"] < initial
+
+
+class TestPhaseFile:
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        dims=st.tuples(st.integers(1, 10**4), st.integers(0, 10**4), st.integers(1, 64)),
+        objective=finite,
+        theta=st.lists(finite, max_size=40),
+    )
+    def test_round_trip(self, seed, dims, objective, theta):
+        cfg = SimConfig(num_cells=dims[0], num_elements=dims[1], num_users=dims[2],
+                        master_seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "phases.txt"
+            save_phase_solution(path, cfg, np.array(theta), objective)
+            sol = load_phase_solution(path)
+        assert (sol["seed"], sol["cells"], sol["ris_elements"], sol["users"]) == (
+            seed, *dims)
+        assert sol["objective"] == objective
+        assert np.array_equal(sol["theta"], np.array(theta))
+
+    @pytest.mark.parametrize("keep, missing", [
+        (1, "seed"), (2, "cells"), (4, "users"), (5, "objective"), (6, "theta"),
+    ])
+    def test_truncated_header_names_missing_field(self, tmp_path, keep, missing):
+        path = tmp_path / "phases.txt"
+        save_phase_solution(path, SimConfig(), np.zeros(3), 1.5)
+        path.write_text("".join(path.read_text().splitlines(True)[:keep]))
+        with pytest.raises(ConfigError, match=f"phases.txt: missing field {missing}"):
+            load_phase_solution(path)
+
+    def test_bad_value_named(self, tmp_path):
+        path = tmp_path / "phases.txt"
+        save_phase_solution(path, SimConfig(), np.zeros(3), 1.5)
+        path.write_text(path.read_text().replace("users = 3", "users = three"))
+        with pytest.raises(ConfigError, match="users"):
+            load_phase_solution(path)

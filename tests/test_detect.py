@@ -5,16 +5,12 @@ import pytest
 
 from atomris.channel import ChannelSet, effective_channel, gen_user_ris_channel
 from atomris.detect import (
-    detect_exhaustive,
     detect_exhaustive_batch,
-    detect_proposed,
     detect_proposed_batch,
     detect_zf_batch,
-    detect_zf_known_phase,
     enumerate_symbol_vectors,
     front_end,
     ls_estimate,
-    received_magnitude,
 )
 from atomris.errors import BudgetExceededError, SingularMatrixError
 from atomris.modem import NoiseSpec, make_pam
@@ -32,39 +28,48 @@ def aligned_system(m, k, seed, lo_mag=500.0):
     return h_eq, h_opt, b
 
 
+NOISELESS = NoiseSpec(0.0)
+
+
+def column(x):
+    """One observation or symbol vector as a batch of one column."""
+    return np.asarray(x)[:, None]
+
+
 class TestFrontEnd:
     def test_zero_channel_returns_lo_magnitude(self):
         rng = np.random.default_rng(0)
         b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        z = received_magnitude(np.zeros((5, 2)), np.zeros(2), b)
-        assert np.allclose(z, np.abs(b))
+        z = np.abs(front_end(np.zeros((5, 2)), np.zeros((2, 1)), b, NOISELESS, rng))
+        assert np.allclose(z[:, 0], np.abs(b))
 
     def test_aligned_exact_regime(self):
         """Noiseless aligned channel with a dominant LO: z is exactly
         |b| + h_opt s."""
         h_eq, h_opt, b = aligned_system(6, 2, 1)
         s = np.array([1.2, -0.7])
-        z = received_magnitude(h_eq, s, b)
-        assert np.allclose(z, np.abs(b) + h_opt @ s, atol=1e-9)
+        z = np.abs(front_end(h_eq, column(s), b, NOISELESS, np.random.default_rng(0)))
+        assert np.allclose(z[:, 0], np.abs(b) + h_opt @ s, atol=1e-9)
 
     def test_zero_noise_spec_is_exact(self):
         rng = np.random.default_rng(7)
         h_eq = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        s = rng.standard_normal(2)
-        z = front_end(h_eq, s, b, NoiseSpec(0.0), rng)
-        assert np.array_equal(z, np.abs(h_eq @ s + b))
+        s = rng.standard_normal((2, 3))
+        y = front_end(h_eq, s, b, NOISELESS, rng)
+        assert np.array_equal(np.abs(y), np.abs(h_eq @ s + b[:, None]))
 
     def test_global_phase_invariance(self):
-        """Rotating h_eq, b, and n by a common phase leaves z unchanged."""
+        """Rotating h_eq, b, and n by a common phase leaves z unchanged
+        (a fixed noise draw n enters through the LO argument)."""
         rng = np.random.default_rng(2)
         h_eq = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         n = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        s = rng.standard_normal(2)
+        s = rng.standard_normal((2, 5))
         rot = np.exp(1j * 0.77)
-        z1 = received_magnitude(h_eq, s, b, n)
-        z2 = received_magnitude(rot * h_eq, s, rot * b, rot * n)
+        z1 = np.abs(front_end(h_eq, s, b + n, NOISELESS, rng))
+        z2 = np.abs(front_end(rot * h_eq, s, rot * (b + n), NOISELESS, rng))
         assert np.allclose(z1, z2, atol=1e-12)
 
     def test_noise_variance_split(self):
@@ -72,10 +77,10 @@ class TestFrontEnd:
         component only, strong-LO regime)."""
         m = 20000
         b = np.full(m, 1e4 + 0j)
-        z = front_end(
-            np.zeros((m, 1)), np.zeros(1), b, NoiseSpec(2.0), np.random.default_rng(3)
+        y = front_end(
+            np.zeros((m, 1)), np.zeros((1, 1)), b, NoiseSpec(2.0), np.random.default_rng(3)
         )
-        assert np.var(z - np.abs(b)) == pytest.approx(1.0, rel=0.05)
+        assert np.var(np.abs(y[:, 0]) - np.abs(b)) == pytest.approx(1.0, rel=0.05)
 
     def test_rician_mean_against_quadrature(self):
         """With s = 0, the mean of z matches E|nu + n| computed by
@@ -83,9 +88,9 @@ class TestFrontEnd:
         nu, sigma2 = 5.0, 1.0
         m = 200000
         b = np.full(m, nu + 0j)
-        z = front_end(
-            np.zeros((m, 1)), np.zeros(1), b, NoiseSpec(sigma2), np.random.default_rng(4)
-        )
+        z = np.abs(front_end(
+            np.zeros((m, 1)), np.zeros((1, 1)), b, NoiseSpec(sigma2), np.random.default_rng(4)
+        ))
         nodes, weights = np.polynomial.hermite_e.hermegauss(80)
         sd = np.sqrt(sigma2 / 2.0)
         xs = nu + sd * nodes[:, None]
@@ -97,8 +102,13 @@ class TestFrontEnd:
         assert expected - nu == pytest.approx(sigma2 / (4 * nu), rel=0.05)
 
     def test_dimension_check(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            received_magnitude(np.zeros((3, 2)), np.zeros(3), np.zeros(3, dtype=complex))
+            front_end(np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(3, dtype=complex),
+                      NOISELESS, rng)
+        with pytest.raises(ValueError):  # one symbol vector must be a column
+            front_end(np.zeros((3, 2)), np.zeros(2), np.zeros(3, dtype=complex),
+                      NOISELESS, rng)
 
 
 class TestProposedDetector:
@@ -123,25 +133,15 @@ class TestProposedDetector:
         oracle = np.linalg.lstsq(h_eq, rhs, rcond=None)[0]
         assert np.allclose(ours, oracle, atol=1e-10)
 
-    def test_scalar_wraps_batch(self):
-        h_eq, _, b = aligned_system(6, 2, 12)
-        c = make_pam(4)
-        rng = np.random.default_rng(13)
-        z = np.abs(h_eq @ c.points[rng.integers(0, 4, 2)] + b) + 0.1 * rng.standard_normal(6)
-        single = detect_proposed(z, h_eq, b, c)
-        batch = detect_proposed_batch(z[:, None], h_eq, b, c)[:, 0]
-        assert np.array_equal(np.searchsorted(c.points, single.symbols), batch)
-        assert single.bits == "".join(c.labels[i] for i in batch)
-
     def test_rank_deficient_rejected(self):
         h_eq = np.ones((4, 2), dtype=complex)
         with pytest.raises(SingularMatrixError):
-            detect_proposed(np.ones(4), h_eq, np.ones(4, dtype=complex), make_pam(4))
+            detect_proposed_batch(np.ones((4, 1)), h_eq, np.ones(4, dtype=complex), make_pam(4))
 
     def test_more_users_than_cells_rejected(self):
         with pytest.raises(ValueError, match="users"):
-            detect_proposed(
-                np.ones(2), np.ones((2, 3), dtype=complex), np.ones(2, dtype=complex),
+            detect_proposed_batch(
+                np.ones((2, 1)), np.ones((2, 3), dtype=complex), np.ones(2, dtype=complex),
                 make_pam(4),
             )
 
@@ -154,8 +154,8 @@ class TestExhaustiveDetector:
         c = make_pam(8)
         sent = np.array([5, 2])
         z = np.abs(h_eq @ c.points[sent] + b)
-        got = detect_exhaustive(z, h_eq, b, c)
-        assert np.allclose(got.symbols, c.points[sent])
+        got = detect_exhaustive_batch(column(z), h_eq, b, c)[:, 0]
+        assert np.array_equal(got, sent)
 
     def test_scalar_threshold_equivalence(self):
         """K=1, Q=2, M=1: the decision reduces to a threshold test at the
@@ -169,9 +169,8 @@ class TestExhaustiveDetector:
         near = int(np.argmin(mags))
         far = 1 - near
         for z in rng.uniform(0, 5, 200):
-            got = detect_exhaustive(np.array([z]), h_eq, b, c)
-            want = c.points[near] if z < threshold else c.points[far]
-            assert got.symbols[0] == want
+            got = detect_exhaustive_batch(np.array([[z]]), h_eq, b, c)
+            assert got[0, 0] == (near if z < threshold else far)
 
     def test_lexicographic_tie_break(self):
         """With a zero channel all candidates tie; the first in symbol
@@ -179,14 +178,16 @@ class TestExhaustiveDetector:
         c = make_pam(4)
         h_eq = np.zeros((3, 2), dtype=complex)
         b = np.ones(3, dtype=complex)
-        got = detect_exhaustive(np.abs(b), h_eq, b, c)
-        assert np.allclose(got.symbols, c.points[[0, 0]])
+        got = detect_exhaustive_batch(column(np.abs(b)), h_eq, b, c)
+        assert np.array_equal(got[:, 0], [0, 0])
 
     def test_budget_refusal(self):
         c = make_pam(16)
         h_eq = np.ones((8, 6), dtype=complex)
         with pytest.raises(BudgetExceededError, match="16\\^6"):
-            detect_exhaustive(np.ones(8), h_eq, np.ones(8, dtype=complex), c, budget=10**6)
+            detect_exhaustive_batch(
+                np.ones((8, 1)), h_eq, np.ones(8, dtype=complex), c, budget=10**6
+            )
 
     def test_enumeration_order(self):
         c = make_pam(4)
@@ -205,9 +206,8 @@ class TestZfGenie:
         c = make_pam(16)
         sent = np.array([3, 9, 14])
         y = h_eq @ c.points[sent] + b
-        got = detect_zf_known_phase(y, h_eq, b, c)
-        assert np.allclose(got.symbols, c.points[sent])
-        assert got.bits == "".join(c.labels[i] for i in sent)
+        got = detect_zf_batch(column(y), h_eq, b, c)[:, 0]
+        assert np.array_equal(got, sent)
 
     def test_orthogonal_channel_decouples(self):
         """K = M with orthogonal columns: each user's decision equals the

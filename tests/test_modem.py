@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from atomris.modem import (
-    constellation_csv,
-    demodulate_hard,
-    hamming_table,
-    make_pam,
-    modulate,
-    noise_sigma,
-    slice_to_indices,
-)
+from atomris.modem import hamming_table, make_pam, noise_sigma, slice_to_indices
 
 
 class TestMakePam:
@@ -36,55 +28,41 @@ class TestMakePam:
         for a, b in zip(c.labels, c.labels[1:]):
             assert sum(x != y for x, y in zip(a, b)) == 1
 
+    def test_binary_convention(self):
+        """Label 0 maps to -1, label 1 to +1."""
+        c = make_pam(2)
+        assert c.labels == ("0", "1")
+        assert np.allclose(c.points, [-1.0, 1.0])
+
     @pytest.mark.parametrize("order", [3, 5, 32, 0, -4])
     def test_unsupported_order(self, order):
         with pytest.raises(ValueError):
             make_pam(order)
 
 
-class TestModulate:
-    def test_empty(self):
-        assert modulate("", make_pam(4)).size == 0
-
-    def test_binary_convention(self):
-        """Label 0 maps to -1, label 1 to +1."""
-        assert np.allclose(modulate("01", make_pam(2)), [-1.0, 1.0])
-
-    @pytest.mark.parametrize("order", [2, 4, 8, 16])
-    def test_round_trip_all_labels(self, order):
-        """modulate then hard-demodulate is the identity on clean symbols."""
-        c = make_pam(order)
-        bits = "".join(c.labels)
-        assert demodulate_hard(modulate(bits, c), c) == bits
-
-    def test_ragged_length_rejected(self):
-        with pytest.raises(ValueError, match="divisible"):
-            modulate("010", make_pam(4))
-
-
 class TestDemodulate:
     def test_exact_points(self):
         c = make_pam(8)
-        assert demodulate_hard(c.points, c) == "".join(c.labels)
+        assert np.array_equal(slice_to_indices(c.points, c), np.arange(8))
 
     def test_midpoint_tie_smaller_amplitude(self):
         """Exact midpoints resolve toward the smaller-amplitude level."""
         c = make_pam(4)
         # between -3 and -1 (scaled): smaller amplitude is -1
-        assert demodulate_hard(np.array([-2.0 / np.sqrt(5)]), c) == c.labels[1]
+        assert slice_to_indices(np.array([-2.0 / np.sqrt(5)]), c)[0] == 1
         # between +1 and +3: smaller amplitude is +1
-        assert demodulate_hard(np.array([2.0 / np.sqrt(5)]), c) == c.labels[2]
+        assert slice_to_indices(np.array([2.0 / np.sqrt(5)]), c)[0] == 2
         # zero midpoint: amplitudes tie, negative level by convention
-        assert demodulate_hard(np.array([0.0]), c) == c.labels[1]
+        assert slice_to_indices(np.array([0.0]), c)[0] == 1
 
     @pytest.mark.parametrize("order", [4, 8, 16])
     def test_perturbation_within_half_distance(self, order):
         """Perturbing any point by under half the minimum distance never
-        changes its label (exhaustive sweep)."""
+        changes its index (exhaustive sweep)."""
         c = make_pam(order)
         for delta in (-0.49, -0.2, 0.0, 0.2, 0.49):
             values = c.points + delta * c.min_distance
-            assert demodulate_hard(values, c) == "".join(c.labels)
+            assert np.array_equal(slice_to_indices(values, c), np.arange(order))
 
     def test_nearest_neighbor_rule(self):
         """Output always minimizes |value - point| (random sweep)."""
@@ -96,7 +74,7 @@ class TestDemodulate:
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            demodulate_hard(np.array([np.nan]), make_pam(4))
+            slice_to_indices(np.array([np.nan]), make_pam(4))
 
 
 class TestNoiseSigma:
@@ -111,17 +89,6 @@ class TestNoiseSigma:
         sig = [noise_sigma(db, 8).sigma2 for db in grid]
         assert all(a > b for a, b in zip(sig, sig[1:]))
         assert sig[-1] < 1e-5
-
-
-class TestConstellationCsv:
-    def test_table_contents(self):
-        c = make_pam(4)
-        lines = constellation_csv(c).splitlines()
-        assert lines[0] == "index,bits,amplitude"
-        assert len(lines) == 5
-        idx, bits, amp = lines[1].split(",")
-        assert (idx, bits) == ("0", c.labels[0])
-        assert float(amp) == c.points[0]
 
 
 class TestHammingTable:

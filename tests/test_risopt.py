@@ -41,11 +41,18 @@ def finite_difference(theta, cache, h_uv, step=1e-6):
     return fd
 
 
+def rank_one_terms(cache):
+    """The (N, M, K) complex rank-one terms rebuilt from the stored parts."""
+    return (cache.re + 1j * cache.im).reshape(cache.shape)
+
+
 class TestRankOneCache:
     def test_single_element_outer_product(self):
         ch = random_set(3, 1, 2, 0)
         cache = build_rank_one_cache(ch)
-        v0 = cache.outer[0]
+        assert cache.re.shape == cache.im.shape == (1, 6)
+        assert cache.re.flags.c_contiguous and cache.im.flags.c_contiguous
+        v0 = rank_one_terms(cache)[0]
         assert np.allclose(v0, np.outer(ch.h_rv[:, 0], ch.h_ur[0]))
         assert np.linalg.matrix_rank(v0) <= 1
 
@@ -54,14 +61,14 @@ class TestRankOneCache:
         h_rv = ch.h_rv.copy()
         h_rv[:, 2] = 0
         cache = build_rank_one_cache(ChannelSet(ch.h_ur, h_rv, ch.h_uv))
-        assert np.allclose(cache.outer[2], 0)
+        assert np.allclose(cache.re[2], 0) and np.allclose(cache.im[2], 0)
 
     def test_consistent_with_effective_channel(self):
         """Sum of e^{j theta_n} V_n plus h_uv equals the composed channel."""
         ch = random_set(4, 6, 3, 2)
         cache = build_rank_one_cache(ch)
         theta = np.random.default_rng(3).uniform(0, 2 * np.pi, 6)
-        recomposed = ch.h_uv + np.tensordot(np.exp(1j * theta), cache.outer, axes=1)
+        recomposed = ch.h_uv + np.tensordot(np.exp(1j * theta), rank_one_terms(cache), axes=1)
         assert np.allclose(recomposed, effective_channel(ch, theta), atol=1e-12)
 
 

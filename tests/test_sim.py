@@ -50,6 +50,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="detectors"):
             validate_config(replace(SMALL, detectors=("proposed", "mystery")))
 
+    @pytest.mark.parametrize("grid", [(-20.0, math.nan), (math.inf,), (1.0, 1.0), (-0.0, 0.0)])
+    def test_non_finite_or_repeated_grid_point(self, grid):
+        with pytest.raises(ConfigError, match="eb_n0_grid_db"):
+            validate_config(replace(SMALL, eb_n0_grid_db=grid))
+
     def test_more_users_than_cells(self):
         with pytest.raises(ConfigError, match="users"):
             validate_config(replace(SMALL, num_users=20))
@@ -97,6 +102,12 @@ class TestTrialSeeding:
     def test_keyed_by_value_not_position(self):
         a = trial_seed(1, -20.0, 3).generate_state(4)
         b = trial_seed(1, -20.0, 3).generate_state(4)
+        assert np.array_equal(a, b)
+
+    def test_negative_zero_keyed_as_zero(self):
+        """-0.0 and 0.0 merge under one record key, so they draw one trial."""
+        a = trial_seed(1, -0.0, 3).generate_state(4)
+        b = trial_seed(1, 0.0, 3).generate_state(4)
         assert np.array_equal(a, b)
 
 
