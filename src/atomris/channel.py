@@ -77,11 +77,18 @@ class PhysicalPathParams:
         if self.num_paths < 1:
             raise ValueError("num_paths must be >= 1")
         _check_coupling_fields(self)
+        _check_entry_scale(self, self.num_paths, 1.0, "num_paths")
         if self.normalize:
-            u, v, w = _coupling(self)
-            if np.dot(w, u) ** 2 + np.dot(w, v) ** 2 == 0.0:
+            try:
+                with np.errstate(over="ignore"):
+                    var = _normalization_variance(self)
+            except OverflowError:
+                var = math.inf
+            if not 0.0 < var < math.inf:
                 raise ValueError(
-                    "coupling is parallel to the incidence axis; variance normalization undefined"
+                    f"normalization variance is {var}: the coupling lies along the incidence "
+                    "axis, or coupling_gain, dipole_moment, hbar, num_paths or path_loss_span "
+                    "is out of range"
                 )
 
 
@@ -109,6 +116,10 @@ class LOParams:
         if not math.isfinite(self.reference_symbol):
             raise ValueError("reference_symbol must be finite")
         _check_coupling_fields(self)
+        _check_entry_scale(
+            self, 1, self.power * self.reference_symbol * self.reference_symbol,
+            "power, reference_symbol",
+        )
 
 
 def _check_coupling_fields(params) -> None:
@@ -129,6 +140,19 @@ def _check_coupling_fields(params) -> None:
         raise ValueError("dipole_moment and coupling_gain must be finite")
     if not 0.0 < params.hbar < math.inf:
         raise ValueError(f"hbar must be finite and positive, got {params.hbar}")
+
+
+def _check_entry_scale(params, num_terms: int, factor: float, names: str) -> None:
+    """Reject fields whose worst-case squared entry, (num_terms |w|
+    path_loss_max)^2 times ``factor``, overflows, so no draw overflows."""
+    _, _, w = _coupling(params)
+    with np.errstate(over="ignore"):
+        scale = num_terms * float(np.linalg.norm(w)) * params.path_loss_span[1]
+    if not math.isfinite(scale * scale * factor):
+        raise ValueError(
+            "the worst-case squared entry overflows; reduce coupling_gain, dipole_moment, "
+            f"path_loss_span, {names} or raise hbar"
+        )
 
 
 @dataclass(frozen=True)
@@ -231,19 +255,36 @@ def _log_uniform_second_moment(span) -> float:
     return (hi**2 - lo**2) / (2.0 * (math.log(hi) - math.log(lo)))
 
 
-def _path_terms(shape, params, u, v, rng, polarization, path_loss, phase):
-    """Per-path polarization (``shape`` + (3,)), path loss and phase.
+def _normalization_variance(params: PhysicalPathParams) -> float:
+    """Per-entry variance of the un-normalized draw,
+    L (|in-plane w|^2 / 2) E[path_loss^2]."""
+    u, v, w = _coupling(params)
+    w_inplane_sq = float(np.dot(w, u) ** 2 + np.dot(w, v) ** 2)
+    return params.num_paths * (w_inplane_sq / 2.0) * _log_uniform_second_moment(params.path_loss_span)
+
+
+def _path_terms(shape, params, rng, polarization, path_loss, phase):
+    """Per-path coupling, path loss and phase, each of ``shape``.
 
     Each is drawn from ``rng`` unless an override pins it; the draw order
-    is polarization, path loss, phase.
+    is polarization angle, path loss, phase.  A drawn polarization
+    cos(psi) u + sin(psi) v is never formed: its coupling is
+    cos(psi) (u . w) + sin(psi) (v . w) straight from the angle.  Only a
+    ``polarization`` override goes through the 3-vectors.
     """
+    u, v, w = _coupling(params)
     if polarization is None:
         psi = rng.uniform(0.0, 2.0 * np.pi, shape)
-        pol = np.cos(psi)[..., None] * u + np.sin(psi)[..., None] * v
+        coupling = np.cos(psi) * float(u @ w)
+        v_w = float(v @ w)
+        if v_w != 0.0:  # zero for the folded coupling on an axis-aligned circle
+            coupling += np.sin(psi) * v_w
+        del psi
     else:
         pol = np.broadcast_to(np.asarray(polarization, dtype=float), shape + (3,))
         if not np.allclose(np.linalg.norm(pol, axis=-1), 1.0, atol=1e-9):
             raise ValueError("polarization vectors must have unit norm")
+        coupling = pol @ w
     if path_loss is None:
         rho = _draw_path_loss(shape, params.path_loss_span, rng)
     else:
@@ -254,7 +295,7 @@ def _path_terms(shape, params, u, v, rng, polarization, path_loss, phase):
         phi = rng.uniform(0.0, 2.0 * np.pi, shape)
     else:
         phi = np.broadcast_to(np.asarray(phase, dtype=float), shape)
-    return pol, rho, phi
+    return coupling, rho, phi
 
 
 def gen_physical_channel(
@@ -281,22 +322,18 @@ def gen_physical_channel(
     """
     if num_cells < 1 or num_cols < 1:
         raise ValueError("matrix dimensions must be >= 1")
-    length = params.num_paths
     explicit = polarization is not None or path_loss is not None or phase is not None
     if explicit and params.normalize:
         raise ValueError("explicit per-path overrides require normalize=False")
 
-    u, v, w = _coupling(params)
-    shape = (num_cells, num_cols, length)
-
-    pol, rho, phi = _path_terms(shape, params, u, v, rng, polarization, path_loss, phase)
-    coupling = pol @ w
-    entries = np.sum(coupling * rho * np.exp(1j * phi), axis=-1)
-
+    shape = (num_cells, num_cols, params.num_paths)
+    coupling, rho, phi = _path_terms(shape, params, rng, polarization, path_loss, phase)
+    coupling *= rho
+    rotation = 1j * phi
+    np.exp(rotation, out=rotation)
+    entries = np.sum(coupling * rotation, axis=-1)
     if params.normalize:
-        w_inplane_sq = float(np.dot(w, u) ** 2 + np.dot(w, v) ** 2)
-        var = length * (w_inplane_sq / 2.0) * _log_uniform_second_moment(params.path_loss_span)
-        entries = entries / math.sqrt(var)
+        entries = entries / math.sqrt(_normalization_variance(params))
     return entries
 
 
@@ -318,11 +355,7 @@ def gen_lo_vector(
     if num_cells < 1:
         raise ValueError("num_cells must be >= 1")
 
-    u, v, w = _coupling(params)
-    shape = (num_cells,)
-
-    pol, rho, phi = _path_terms(shape, params, u, v, rng, polarization, path_loss, phase)
-    coupling = pol @ w
+    coupling, rho, phi = _path_terms((num_cells,), params, rng, polarization, path_loss, phase)
     return params.reference_symbol * coupling * math.sqrt(params.power) * rho * np.exp(1j * phi)
 
 

@@ -6,8 +6,11 @@ V_n = h_rv[:, n] outer h_ur[n, :], the imaginary residual decomposes as
 
     Q = Im(h_uv) + sum_n (cos(theta_n) Im(V_n) + sin(theta_n) Re(V_n))
 
-so J = sum(Q^2) and each objective/gradient evaluation costs O(N M K).
-The analytic gradient is
+so J = sum(Q^2) and each objective/gradient evaluation costs O(N M K):
+one product [cos(theta), sin(theta)] @ [Im V; Re V] for Q and one product
+[Im V; Re V] @ Q for the gradient (see ``RankOneCache``).  The optimizer
+runs a batch of independent trials through one loop; a single trial is a
+batch of one.  The analytic gradient is
 
     dJ/dtheta_n = 2 sum_{m,k} Q_{m,k} (cos(theta_n) Re(V_n) - sin(theta_n) Im(V_n))_{m,k}
 
@@ -39,6 +42,8 @@ __all__ = [
     "objective",
     "gradient",
     "objective_and_gradient",
+    "random_phases",
+    "adam_optimize_batch",
     "adam_optimize",
     "multistart_adam",
     "brute_force_phases",
@@ -93,13 +98,14 @@ class ConvergenceTrace:
 class RankOneCache:
     """Rank-one terms V_n = h_rv[:, n] outer h_ur[n, :], stored once.
 
-    ``re`` and ``im`` are the contiguous real and imaginary parts, (N, M*K)
-    with row n holding V_n flattened row-major, for the BLAS-backed
-    objective/gradient kernels; ``shape`` is (N, M, K).
+    ``stacked`` is the real (2N, M*K) matrix [Im V; Re V]: row n holds
+    Im(V_n) and row N + n holds Re(V_n), each flattened row-major.  With
+    it the imaginary residual is one product [cos(theta), sin(theta)] @
+    stacked and the gradient projections are one product stacked @ Q, so
+    an objective+gradient evaluation is two GEMVs.  ``shape`` is (N, M, K).
     """
 
-    re: np.ndarray
-    im: np.ndarray
+    stacked: np.ndarray
     shape: tuple[int, int, int]
 
     @property
@@ -107,15 +113,19 @@ class RankOneCache:
         return self.shape[0]
 
 
-def build_rank_one_cache(ch: ChannelSet) -> RankOneCache:
-    """Precompute all N rank-one products from a channel set."""
+def build_rank_one_cache(ch: ChannelSet, out: np.ndarray | None = None) -> RankOneCache:
+    """Precompute all N rank-one products from a channel set.
+
+    ``out``, when given, is the (2N, M*K) float array the stacked matrix is
+    written into (a slot of a trial batch's buffer); otherwise one is made.
+    """
     outer = ch.h_rv.T[:, :, None] * ch.h_ur[:, None, :]
     n, m, k = outer.shape
-    return RankOneCache(
-        re=np.ascontiguousarray(outer.real.reshape(n, m * k)),
-        im=np.ascontiguousarray(outer.imag.reshape(n, m * k)),
-        shape=(n, m, k),
-    )
+    if out is None:
+        out = np.empty((2 * n, m * k))
+    out[:n] = outer.imag.reshape(n, m * k)
+    out[n:] = outer.real.reshape(n, m * k)
+    return RankOneCache(stacked=out, shape=(n, m, k))
 
 
 def _check_shapes(theta: np.ndarray, cache: RankOneCache, h_uv: np.ndarray) -> None:
@@ -126,19 +136,44 @@ def _check_shapes(theta: np.ndarray, cache: RankOneCache, h_uv: np.ndarray) -> N
         raise ValueError(f"h_uv has shape {h_uv.shape}, expected ({m}, {k})")
 
 
-def _imag_residual(cos_t, sin_t, cache: RankOneCache, h_uv) -> np.ndarray:
-    """The M x K matrix Q of imaginary parts of the effective channel,
-    flattened; rows of cos_t / sin_t (one per phase vector) give rows of Q."""
-    return h_uv.imag.reshape(-1) + cos_t @ cache.im + sin_t @ cache.re
+def _imag_residual(trig: np.ndarray, stacked: np.ndarray, q0: np.ndarray) -> np.ndarray:
+    """The imaginary parts Q of the effective channel, flattened:
+    Q = Im(h_uv) + [cos(theta), sin(theta)] @ [Im V; Re V].
+
+    Rows of ``trig`` (one per phase vector) give rows of Q; leading axes of
+    ``trig``, ``stacked`` and ``q0`` broadcast, so one call serves a batch
+    of trials or a grid of phase vectors."""
+    return q0 + trig @ stacked
+
+
+def _evaluate(theta: np.ndarray, stacked: np.ndarray, q0: np.ndarray):
+    """J (B,) and dJ/dtheta (B, N) of B trials at once.
+
+    ``theta`` is (B, N), ``stacked`` (B, 2N, MK) and ``q0`` (B, MK).  Every
+    product runs per trial (numpy's matmul loops GEMV over the batch axis),
+    so row b is bit-identical to evaluating trial b alone.
+    """
+    n = theta.shape[1]
+    trig = np.concatenate((np.cos(theta), np.sin(theta)), axis=1)[:, None, :]
+    q = _imag_residual(trig, stacked, q0[:, None, :])  # (B, 1, MK)
+    q_col = q.transpose(0, 2, 1)
+    proj = (stacked @ q_col)[:, :, 0]  # (B, 2N): [Im V; Re V] Q
+    grad = 2.0 * (trig[:, 0, :n] * proj[:, n:] - trig[:, 0, n:] * proj[:, :n])
+    return (q @ q_col)[:, 0, 0], grad
+
+
+def _single(theta, cache: RankOneCache, h_uv):
+    """Validated one-trial arguments: theta (1, N), stacked (1, 2N, MK)
+    and Im(h_uv) (1, MK), a batch of one."""
+    theta = np.asarray(theta, dtype=float)
+    h_uv = np.asarray(h_uv, dtype=complex)
+    _check_shapes(theta, cache, h_uv)
+    return theta[None], cache.stacked[None], h_uv.imag.reshape(1, -1)
 
 
 def objective(theta: np.ndarray, cache: RankOneCache, h_uv: np.ndarray) -> float:
     """J(theta) = squared Frobenius norm of Im(H_eq)."""
-    theta = np.asarray(theta, dtype=float)
-    h_uv = np.asarray(h_uv, dtype=complex)
-    _check_shapes(theta, cache, h_uv)
-    q = _imag_residual(np.cos(theta), np.sin(theta), cache, h_uv)
-    return float(q @ q)
+    return objective_and_gradient(theta, cache, h_uv)[0]
 
 
 def gradient(theta: np.ndarray, cache: RankOneCache, h_uv: np.ndarray) -> np.ndarray:
@@ -150,28 +185,15 @@ def objective_and_gradient(
     theta: np.ndarray, cache: RankOneCache, h_uv: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Evaluate J and its gradient in one pass (one gradient evaluation)."""
-    theta = np.asarray(theta, dtype=float)
-    h_uv = np.asarray(h_uv, dtype=complex)
-    _check_shapes(theta, cache, h_uv)
-    if cache.num_elements == 0:
-        # No RIS: J is the direct channel's.  The dot runs on the strided
-        # view of Im(h_uv); a contiguous copy sums in another order and
-        # moves no-RIS convergence traces by an ulp.
-        q = h_uv.imag.reshape(-1)
-        return float(q @ q), np.zeros(0)
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta)
-    q = _imag_residual(cos_t, sin_t, cache, h_uv)
-    proj_im = cache.im @ q
-    proj_re = cache.re @ q
-    grad = 2.0 * (cos_t * proj_re - sin_t * proj_im)
-    return float(q @ q), grad
+    j_val, grad = _evaluate(*_single(theta, cache, h_uv))
+    return float(j_val[0]), grad[0]
 
 
 def gradient_op_count(cache: RankOneCache) -> int:
     """Multiply-add count of one objective_and_gradient call, derived from
-    the cached array sizes (4 length-MK contractions over N plus the
-    elementwise trigonometry and combination work)."""
+    the cached array sizes: two GEMVs over the (2N, MK) stacked matrix
+    (residual and projections, 8 N M K) plus the elementwise trigonometry
+    and combination work."""
     n, m, k = cache.shape
     return 8 * n * m * k + 6 * n + 2 * m * k
 
@@ -181,6 +203,58 @@ def canonicalize_phases(theta: np.ndarray) -> np.ndarray:
     return np.mod(np.asarray(theta, dtype=float), 2.0 * np.pi)
 
 
+def random_phases(num_elements: int, rng: np.random.Generator) -> np.ndarray:
+    """The optimizer's default starting point: phases uniform on [0, 2pi)."""
+    return rng.uniform(0.0, 2.0 * np.pi, num_elements)
+
+
+def adam_optimize_batch(
+    stacked: np.ndarray, q0: np.ndarray, theta0: np.ndarray, cfg: AdamConfig
+) -> tuple[np.ndarray, list[ConvergenceTrace]]:
+    """Momentum gradient descent with bias-corrected first/second moments,
+    for B independent trials in one loop.
+
+    ``stacked`` (B, 2N, MK) holds each trial's ``RankOneCache.stacked``,
+    ``q0`` (B, MK) each Im(h_uv) flattened, ``theta0`` (B, N) the starting
+    phases.  Exactly ``cfg.max_iters`` gradient evaluations are performed
+    per trial; with ``grad_tol`` set, a trial whose gradient infinity norm
+    falls below it stops there and its phases freeze while the others go
+    on.  Every row is bit-identical to running that trial alone (B = 1).
+    Returns the final phases (B, N) and one trace per trial recording J and
+    ||grad||_2 at each evaluated point.
+    """
+    theta = np.array(theta0, dtype=float)
+    batch = theta.shape[0]
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    obj_hist = np.empty((cfg.max_iters, batch))
+    gsq_hist = np.empty_like(obj_hist)
+    evals = np.full(batch, cfg.max_iters)
+    for it in range(1, cfg.max_iters + 1):
+        j_val, g = _evaluate(theta, stacked, q0)
+        obj_hist[it - 1] = j_val
+        gsq_hist[it - 1] = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+        m_hat = m / (1.0 - cfg.beta1**it)
+        v_hat = v / (1.0 - cfg.beta2**it)
+        stepped = theta - cfg.step * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        if cfg.grad_tol is None:
+            theta = stepped
+            continue
+        running = evals == cfg.max_iters
+        theta = np.where(running[:, None], stepped, theta)
+        stops = running & (np.max(np.abs(g), axis=1, initial=-np.inf) < cfg.grad_tol)
+        evals[stops] = it
+        if not (evals == cfg.max_iters).any():
+            break
+    traces = [
+        ConvergenceTrace(obj_hist[:e, b].copy(), np.sqrt(gsq_hist[:e, b]))
+        for b, e in enumerate(evals)
+    ]
+    return theta, traces
+
+
 def adam_optimize(
     cache: RankOneCache,
     h_uv: np.ndarray,
@@ -188,38 +262,17 @@ def adam_optimize(
     rng: np.random.Generator,
     theta0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ConvergenceTrace]:
-    """Momentum gradient descent with bias-corrected first/second moments.
+    """One trial through ``adam_optimize_batch`` (a batch of one).
 
-    The initial phases are uniform on [0, 2pi) from ``rng`` unless
-    ``theta0`` is given.  Exactly ``cfg.max_iters`` gradient evaluations
-    are performed (unless ``grad_tol`` stops the loop early); the trace
-    records J and ||grad||_2 at each evaluated point.
+    The initial phases are ``random_phases`` from ``rng`` unless
+    ``theta0`` is given.
     """
     n = cache.num_elements
     if theta0 is None:
-        theta = rng.uniform(0.0, 2.0 * np.pi, n)
-    else:
-        theta = np.array(theta0, dtype=float, copy=True)
-        if theta.shape != (n,):
-            raise ValueError(f"theta0 has shape {theta.shape}, expected ({n},)")
-    m = np.zeros(n)
-    v = np.zeros(n)
-    obj_hist = np.empty(cfg.max_iters)
-    gnorm_hist = np.empty(cfg.max_iters)
-    evals = 0
-    for it in range(1, cfg.max_iters + 1):
-        j_val, g = objective_and_gradient(theta, cache, h_uv)
-        obj_hist[evals] = j_val
-        gnorm_hist[evals] = np.linalg.norm(g)
-        evals += 1
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / (1.0 - cfg.beta1**it)
-        v_hat = v / (1.0 - cfg.beta2**it)
-        theta = theta - cfg.step * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        if cfg.grad_tol is not None and (g.size == 0 or np.max(np.abs(g)) < cfg.grad_tol):
-            break
-    return theta, ConvergenceTrace(obj_hist[:evals].copy(), gnorm_hist[:evals].copy())
+        theta0 = random_phases(n, rng)
+    theta0, stacked, q0 = _single(theta0, cache, h_uv)
+    theta, traces = adam_optimize_batch(stacked, q0, theta0, cfg)
+    return theta[0], traces[0]
 
 
 _KRONECKER_PRIMES = (2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0)
@@ -278,7 +331,8 @@ def brute_force_phases(
     axis = np.arange(grid_points_per_dim) * (2.0 * np.pi / grid_points_per_dim)
     # all grid points in row-major (ij) order, one per row; (1, 0) for N = 0
     thetas = axis[np.indices((grid_points_per_dim,) * n).reshape(n, cost).T]
-    q = _imag_residual(np.cos(thetas), np.sin(thetas), cache, h_uv)
+    trig = np.hstack((np.cos(thetas), np.sin(thetas)))
+    q = _imag_residual(trig, cache.stacked, np.asarray(h_uv).imag.reshape(-1))
     values = np.sum(q * q, axis=1)
     return thetas[int(np.argmin(values))].copy()
 

@@ -1,8 +1,11 @@
 """Tests for channel and local-oscillator generation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from atomris import channel
 from atomris.channel import (
     ChannelSet,
     LOParams,
@@ -16,6 +19,22 @@ from atomris.channel import (
 
 def rng_for(seed):
     return np.random.default_rng(seed)
+
+
+def tensor_draw(m, cols, params, rng):
+    """The channel draw through explicit polarization 3-vectors
+    cos(psi) u + sin(psi) v, dotted with w by the override path, in the
+    generator's draw order (angle, path loss, phase)."""
+    u, v = channel._circle_basis(params.incidence_axis)
+    shape = (m, cols, params.num_paths)
+    psi = rng.uniform(0.0, 2.0 * np.pi, shape)
+    pol = np.cos(psi)[..., None] * u + np.sin(psi)[..., None] * v
+    lo, hi = params.path_loss_span
+    rho = np.exp(rng.uniform(np.log(lo), np.log(hi), shape))
+    phi = rng.uniform(0.0, 2.0 * np.pi, shape)
+    raw = replace(params, normalize=False)
+    h = gen_physical_channel(m, cols, raw, None, polarization=pol, path_loss=rho, phase=phi)
+    return h / np.sqrt(channel._normalization_variance(params)) if params.normalize else h
 
 
 class TestUserRisChannel:
@@ -154,6 +173,33 @@ class TestPhysicalChannel:
             )
 
 
+class TestFoldedCouplingDraw:
+    """Drawn polarizations reach the coupling as cos(psi) (u . w) +
+    sin(psi) (v . w), without the (M, N, L, 3) tensor."""
+
+    def test_default_model_bit_identical_to_tensor_formula(self):
+        params = PhysicalPathParams()
+        rng_a, rng_b = rng_for(5), rng_for(5)
+        folded = gen_physical_channel(36, 150, params, rng_a)
+        assert np.array_equal(folded, tensor_draw(36, 150, params, rng_b))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("fields", [
+        {"incidence_axis": (1.0, 2.0, 3.0)},
+        {"incidence_axis": (0.2, -0.4, 1.0), "coupling_gain": 3.0},
+        {"dipole_moment": (0.3, 0.5, 0.8), "incidence_axis": (1.0, 1.0, 0.2)},
+        {"dipole_moment": (0.3, 0.5, 0.8), "normalize": False},
+    ])
+    def test_tilted_axis_and_dipole_agree_to_an_ulp(self, fields):
+        """Largest difference within 1e-15 of the largest entry."""
+        params = PhysicalPathParams(**fields)
+        rng_a, rng_b = rng_for(6), rng_for(6)
+        folded = gen_physical_channel(36, 150, params, rng_a)
+        tensor = tensor_draw(36, 150, params, rng_b)
+        assert np.max(np.abs(folded - tensor)) <= 1e-15 * np.max(np.abs(tensor))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
 class TestLOVector:
     def test_zero_power(self):
         b = gen_lo_vector(8, LOParams(power=0.0), rng_for(1))
@@ -215,6 +261,19 @@ class TestParameterValidation:
     def test_normalized_coupling_along_axis_rejected(self):
         with pytest.raises(ValueError, match="normalization"):
             PhysicalPathParams(dipole_moment=(0.0, 0.0, 2.0))
+
+    @pytest.mark.parametrize("cls, fields", [
+        (PhysicalPathParams, {"coupling_gain": 1e200}),
+        (PhysicalPathParams, {"coupling_gain": 1e200, "normalize": False}),
+        (PhysicalPathParams, {"dipole_moment": (1e160, 0.0, 0.0), "hbar": 1e-10}),
+        (PhysicalPathParams, {"coupling_gain": 1e-200, "path_loss_span": (1.0, 1e160)}),
+        (LOParams, {"coupling_gain": 1e200}),
+        (LOParams, {"reference_symbol": 1e160}),
+    ])
+    def test_overflowing_scale_rejected(self, cls, fields):
+        """Finite fields whose draws would overflow are refused up front."""
+        with pytest.raises(ValueError, match="overflows|variance"):
+            cls(**fields)
 
     @pytest.mark.parametrize("power", [-1.0, np.inf, np.nan])
     def test_lo_power(self, power):

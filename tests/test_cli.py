@@ -179,6 +179,11 @@ class TestCommands:
         ("lo", "path_loss_min", "0"),
         ("channel", "incidence_axis", "0,0,0"),
         ("lo", "power", "-1"),
+        ("channel", "coupling_gain", "1e200"),
+        pytest.param("channel", "coupling_gain", "1e200\nnormalize = false",
+                     id="channel-coupling_gain-1e200-unnormalized"),
+        ("lo", "coupling_gain", "1e200"),
+        ("lo", "reference_symbol", "1e160"),
         ("sim", "eb_n0_grid_db", "nan"),
         ("sim", "eb_n0_grid_db", "1,1"),
         ("sim", "eb_n0_grid_db", "-0.0,0.0"),

@@ -4,11 +4,12 @@ equivalence machinery between the Frobenius and signal-domain objectives."""
 import numpy as np
 import pytest
 
-from atomris.channel import ChannelSet, effective_channel, gen_user_ris_channel
+from atomris.channel import ChannelSet, effective_channel, gen_lo_vector, gen_user_ris_channel
 from atomris.errors import BudgetExceededError, SingularMatrixError
 from atomris.risopt import (
     AdamConfig,
     adam_optimize,
+    adam_optimize_batch,
     brute_force_phases,
     build_rank_one_cache,
     canonicalize_phases,
@@ -16,9 +17,12 @@ from atomris.risopt import (
     gradient_op_count,
     multistart_adam,
     objective,
+    objective_and_gradient,
+    random_phases,
     recover_phi_from_chi,
     signal_domain_objective,
 )
+from atomris.sim import SimConfig, draw_channels, optimize_aligned_phases, trial_seed
 
 
 def random_set(m, n, k, seed):
@@ -42,16 +46,17 @@ def finite_difference(theta, cache, h_uv, step=1e-6):
 
 
 def rank_one_terms(cache):
-    """The (N, M, K) complex rank-one terms rebuilt from the stored parts."""
-    return (cache.re + 1j * cache.im).reshape(cache.shape)
+    """The (N, M, K) complex rank-one terms rebuilt from the stacked [Im V; Re V]."""
+    n = cache.num_elements
+    return (cache.stacked[n:] + 1j * cache.stacked[:n]).reshape(cache.shape)
 
 
 class TestRankOneCache:
     def test_single_element_outer_product(self):
         ch = random_set(3, 1, 2, 0)
         cache = build_rank_one_cache(ch)
-        assert cache.re.shape == cache.im.shape == (1, 6)
-        assert cache.re.flags.c_contiguous and cache.im.flags.c_contiguous
+        assert cache.stacked.shape == (2, 6)
+        assert cache.stacked.flags.c_contiguous
         v0 = rank_one_terms(cache)[0]
         assert np.allclose(v0, np.outer(ch.h_rv[:, 0], ch.h_ur[0]))
         assert np.linalg.matrix_rank(v0) <= 1
@@ -61,7 +66,7 @@ class TestRankOneCache:
         h_rv = ch.h_rv.copy()
         h_rv[:, 2] = 0
         cache = build_rank_one_cache(ChannelSet(ch.h_ur, h_rv, ch.h_uv))
-        assert np.allclose(cache.re[2], 0) and np.allclose(cache.im[2], 0)
+        assert np.allclose(cache.stacked[[2, 6]], 0)
 
     def test_consistent_with_effective_channel(self):
         """Sum of e^{j theta_n} V_n plus h_uv equals the composed channel."""
@@ -112,6 +117,18 @@ class TestObjective:
         cache = build_rank_one_cache(ch)
         with pytest.raises(ValueError):
             objective(np.zeros(5), cache, ch.h_uv)
+
+    @pytest.mark.parametrize("n", [0, 1, 24])
+    def test_same_value_as_objective_and_gradient(self, n):
+        """Both read the one stacked residual kernel: bit-identical J,
+        including the no-RIS case."""
+        ch = random_set(12, max(n, 1), 3, 8)
+        ch = ChannelSet(ch.h_ur[:n], ch.h_rv[:, :n], ch.h_uv)
+        cache = build_rank_one_cache(ch)
+        for seed in range(5):
+            theta = np.random.default_rng(seed).uniform(0, 2 * np.pi, n)
+            j_val = objective(theta, cache, ch.h_uv)
+            assert j_val == objective_and_gradient(theta, cache, ch.h_uv)[0]
 
 
 class TestGradient:
@@ -225,6 +242,76 @@ class TestAdam:
             AdamConfig(beta1=1.0)
         with pytest.raises(ValueError):
             AdamConfig(max_iters=0)
+
+
+def dephased_problem(cfg, trial):
+    """A campaign trial's de-phased cache and Im(h_uv) row, its starting
+    phases, and the (channels, LO, generator) that optimize_aligned_phases
+    gets for the same trial."""
+    rng = np.random.default_rng(trial_seed(cfg.master_seed, -20.0, trial))
+    ch = draw_channels(cfg, rng)
+    b = gen_lo_vector(cfg.num_cells, cfg.lo, rng)
+    rot = np.exp(-1j * np.angle(b))[:, None]
+    dephased = ChannelSet(ch.h_ur, rot * ch.h_rv, rot * ch.h_uv)
+    state = rng.bit_generator.state
+    theta0 = random_phases(cfg.num_elements, rng)
+    rng.bit_generator.state = state
+    cache = build_rank_one_cache(dephased)
+    return cache, dephased.h_uv.imag.reshape(-1), theta0, (ch, b, rng)
+
+
+class TestBatchedAdam:
+    """Each row of the stacked Adam loop equals its trial run alone."""
+
+    CFG = SimConfig(num_cells=12, num_elements=24, num_users=2, master_seed=4)
+
+    def run_batch(self, problems, adam):
+        stacked = np.stack([p[0].stacked for p in problems])
+        q0 = np.stack([p[1] for p in problems])
+        theta0 = np.stack([p[2] for p in problems])
+        return adam_optimize_batch(stacked, q0, theta0, adam)
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    def test_rows_equal_single_trial_runs(self, batch):
+        adam = AdamConfig(max_iters=60)
+        problems = [dephased_problem(self.CFG, t) for t in range(batch)]
+        thetas, traces = self.run_batch(problems, adam)
+        assert thetas.shape == (batch, self.CFG.num_elements)
+        for (cache, q0, theta0, (ch, b, rng)), theta, trace in zip(problems, thetas, traces):
+            h_uv = (q0 * 1j).reshape(cache.shape[1:])
+            alone, alone_trace = adam_optimize(cache, h_uv, adam, None, theta0=theta0)
+            aligned, aligned_trace = optimize_aligned_phases(ch, b, adam, rng)
+            for other, other_trace in ((alone, alone_trace), (aligned, aligned_trace)):
+                assert np.array_equal(theta, other)
+                assert np.array_equal(trace.objective, other_trace.objective)
+                assert np.array_equal(trace.grad_norm, other_trace.grad_norm)
+
+    @pytest.mark.parametrize("batch", [3, 8])
+    def test_rows_stop_and_freeze_where_alone(self, batch):
+        """With grad_tol, rows stop at different iterations; each stops and
+        keeps the phases of its own B = 1 run."""
+        adam = AdamConfig(max_iters=300, step=0.2, grad_tol=2.0)
+        problems = [dephased_problem(self.CFG, t) for t in range(batch)]
+        thetas, traces = self.run_batch(problems, adam)
+        lengths = {len(trace) for trace in traces}
+        assert len(lengths) > 1 and min(lengths) < adam.max_iters
+        for (cache, q0, theta0, _), theta, trace in zip(problems, thetas, traces):
+            h_uv = (q0 * 1j).reshape(cache.shape[1:])
+            alone, alone_trace = adam_optimize(cache, h_uv, adam, None, theta0=theta0)
+            assert len(trace) == len(alone_trace)
+            assert np.array_equal(theta, alone)
+            assert np.array_equal(trace.objective, alone_trace.objective)
+
+    def test_no_ris_rows(self):
+        """N = 0: nothing to optimize; each row records the direct J."""
+        h_uv = np.random.default_rng(9).standard_normal((3, 4, 2)) * 1j
+        q0 = h_uv.imag.reshape(3, -1)
+        thetas, traces = adam_optimize_batch(
+            np.zeros((3, 0, 8)), q0, np.zeros((3, 0)), AdamConfig(max_iters=5, grad_tol=1e-3)
+        )
+        assert thetas.shape == (3, 0)
+        for row, trace in zip(q0, traces):
+            assert len(trace) == 1 and trace.objective[0] == pytest.approx(row @ row)
 
 
 class TestBruteForce:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from atomris import sim
 from atomris.channel import LOParams
 from atomris.errors import BudgetExceededError, ConfigError
 from atomris.sim import (
@@ -135,6 +136,49 @@ class TestRunBer:
         assert records_to_csv(run_ber(SMALL, threads=4)) == base
         assert records_to_csv(run_ber(SMALL, threads=8)) == base
         assert records_to_csv(run_ber(SMALL, threads=0)) == base  # auto
+
+    def test_chunking_invariance(self, monkeypatch):
+        """A batch runs as chunks through one stacked optimizer; neither
+        the worker count nor the chunk byte budget changes the output."""
+        base = records_to_csv(run_ber(SMALL, threads=1))
+        assert records_to_csv(run_ber(SMALL, threads=2)) == base
+        assert records_to_csv(run_ber(SMALL, threads=3)) == base
+        matrix_bytes = 16 * SMALL.num_elements * SMALL.num_cells * SMALL.num_users
+        for per_chunk in (1, 3):
+            monkeypatch.setattr(sim, "_CHUNK_BYTES", per_chunk * matrix_bytes)
+            assert sim._chunk_size(SMALL, 1) == per_chunk
+            assert records_to_csv(run_ber(SMALL, threads=1)) == base
+
+    def test_matches_per_trial_reference(self):
+        """The chunked campaign counts what the single-trial chain of
+        public functions counts, trial by trial."""
+        from atomris.channel import effective_channel, gen_lo_vector
+        from atomris.detect import (
+            detect_exhaustive_batch, detect_proposed_batch, detect_zf_batch, front_end,
+        )
+        from atomris.modem import hamming_table, make_pam, noise_sigma
+        from atomris.sim import draw_channels, optimize_aligned_phases
+
+        cfg = replace(SMALL, eb_n0_grid_db=(-24.0,), trials_per_point=11, trial_offset=5)
+        const = make_pam(cfg.mod_order)
+        lut = hamming_table(const)
+        errors = dict.fromkeys(cfg.detectors, 0)
+        for t in range(5, 16):
+            rng = np.random.default_rng(trial_seed(cfg.master_seed, -24.0, t))
+            ch = draw_channels(cfg, rng)
+            b = gen_lo_vector(cfg.num_cells, cfg.lo, rng)
+            theta, _ = optimize_aligned_phases(ch, b, cfg.adam, rng)
+            h_eq = effective_channel(ch, theta)
+            sent = rng.integers(0, const.order, size=(cfg.num_users, cfg.symbols_per_trial))
+            y = front_end(h_eq, const.points[sent], b, noise_sigma(-24.0, cfg.mod_order), rng)
+            got = {
+                "proposed": detect_proposed_batch(np.abs(y), h_eq, b, const),
+                "exhaustive": detect_exhaustive_batch(np.abs(y), h_eq, b, const),
+                "zf_genie": detect_zf_batch(y, h_eq, b, const),
+            }
+            for det in cfg.detectors:
+                errors[det] += int(lut[sent, got[det]].sum())
+        assert {r.detector: r.bit_errors for r in run_ber(cfg)} == errors
 
     def test_no_ris_campaign_runs(self):
         """N = 0 degenerates to the direct channel; the campaign still
