@@ -77,6 +77,7 @@ class PhysicalPathParams:
         if self.num_paths < 1:
             raise ValueError("num_paths must be >= 1")
         _check_coupling_fields(self)
+        object.__setattr__(self, "_uvw", _coupling(self))  # reused by every draw
         _check_entry_scale(self, self.num_paths, 1.0, "num_paths")
         if self.normalize:
             try:
@@ -90,6 +91,7 @@ class PhysicalPathParams:
                     "axis, or coupling_gain, dipole_moment, hbar, num_paths or path_loss_span "
                     "is out of range"
                 )
+            object.__setattr__(self, "_entry_sd", math.sqrt(var))
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,7 @@ class LOParams:
         if not math.isfinite(self.reference_symbol):
             raise ValueError("reference_symbol must be finite")
         _check_coupling_fields(self)
+        object.__setattr__(self, "_uvw", _coupling(self))  # reused by every draw
         _check_entry_scale(
             self, 1, self.power * self.reference_symbol * self.reference_symbol,
             "power, reference_symbol",
@@ -145,7 +148,7 @@ def _check_coupling_fields(params) -> None:
 def _check_entry_scale(params, num_terms: int, factor: float, names: str) -> None:
     """Reject fields whose worst-case squared entry, (num_terms |w|
     path_loss_max)^2 times ``factor``, overflows, so no draw overflows."""
-    _, _, w = _coupling(params)
+    _, _, w = params._uvw
     with np.errstate(over="ignore"):
         scale = num_terms * float(np.linalg.norm(w)) * params.path_loss_span[1]
     if not math.isfinite(scale * scale * factor):
@@ -258,7 +261,7 @@ def _log_uniform_second_moment(span) -> float:
 def _normalization_variance(params: PhysicalPathParams) -> float:
     """Per-entry variance of the un-normalized draw,
     L (|in-plane w|^2 / 2) E[path_loss^2]."""
-    u, v, w = _coupling(params)
+    u, v, w = params._uvw
     w_inplane_sq = float(np.dot(w, u) ** 2 + np.dot(w, v) ** 2)
     return params.num_paths * (w_inplane_sq / 2.0) * _log_uniform_second_moment(params.path_loss_span)
 
@@ -272,7 +275,7 @@ def _path_terms(shape, params, rng, polarization, path_loss, phase):
     cos(psi) (u . w) + sin(psi) (v . w) straight from the angle.  Only a
     ``polarization`` override goes through the 3-vectors.
     """
-    u, v, w = _coupling(params)
+    u, v, w = params._uvw
     if polarization is None:
         psi = rng.uniform(0.0, 2.0 * np.pi, shape)
         coupling = np.cos(psi) * float(u @ w)
@@ -333,7 +336,7 @@ def gen_physical_channel(
     np.exp(rotation, out=rotation)
     entries = np.sum(coupling * rotation, axis=-1)
     if params.normalize:
-        entries = entries / math.sqrt(_normalization_variance(params))
+        entries = entries / params._entry_sd
     return entries
 
 

@@ -149,6 +149,8 @@ def main(argv=None) -> int:
         cfg = _load(args)
         if not args.out:
             raise ConfigError("--out is required")
+        if args.threads < 0:
+            raise ConfigError(f"--threads must be >= 0 (0 = auto), got {args.threads}")
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -5,10 +5,12 @@ aligned to the LO and a strong LO, z is approximately |b| + H_opt s plus
 residual noise, so re-attaching the LO phase and subtracting b yields a
 linear system the least-squares detector inverts directly.  The exhaustive
 detector searches all Q^K symbol vectors against the exact magnitude
-model; the genie ZF detector consumes the complex observation (known
-phase) and lower-bounds the proposed (linear) detector only: it is zero
-forcing, and on the almost lossless magnitude readout the exhaustive
-maximum-likelihood search beats zero forcing even with known phase.
+model, one fixed block of candidates at a time, so its memory is bounded
+by a block rather than by Q^K.  The genie ZF detector consumes the complex
+observation (known phase) and lower-bounds the proposed (linear) detector
+only: it is zero forcing, and on the almost lossless magnitude readout the
+exhaustive maximum-likelihood search beats zero forcing even with known
+phase.
 
 All kernels are batched: columns of ``s``, ``y`` and ``z`` are symbol
 vectors, and every kernel returns one column per observation.
@@ -17,7 +19,6 @@ vectors, and every kernel returns one column per observation.
 from __future__ import annotations
 
 import math
-from itertools import product
 
 import numpy as np
 
@@ -32,6 +33,11 @@ __all__ = [
     "detect_zf_batch",
     "enumerate_symbol_vectors",
 ]
+
+# The exhaustive search scores its candidates in blocks; this byte budget
+# bounds one block's complex fields, magnitudes and observation-major
+# scores, 8 (3M + n) bytes per candidate for n observations.
+_BLOCK_BYTES = 512 << 10
 
 
 def front_end(
@@ -93,8 +99,7 @@ def detect_proposed_batch(
 def enumerate_symbol_vectors(c: Constellation, num_users: int) -> np.ndarray:
     """All Q^K candidate symbol vectors as an index matrix (K, Q^K), in
     lexicographic symbol order (first user most significant)."""
-    combos = np.array(list(product(range(c.order), repeat=num_users)), dtype=np.intp)
-    return combos.T.reshape(num_users, -1)
+    return np.indices((c.order,) * num_users).reshape(num_users, -1)
 
 
 def detect_exhaustive_batch(
@@ -109,12 +114,17 @@ def detect_exhaustive_batch(
     Minimizes ||z - |H_eq s + b|||_2^2 over all Q^K candidates; ties break
     toward the lexicographically smallest candidate.  Refuses Q^K beyond
     ``budget`` with a cost estimate.
+
+    Candidates are scored in lexicographic blocks of at most
+    ``_BLOCK_BYTES`` of temporaries, as an (n, block) matrix whose argmin
+    runs along contiguous rows; a block's best replaces the running best
+    only when strictly smaller, which keeps the tie-break.
     """
     z = np.asarray(z, dtype=float)
     h_eq = np.asarray(h_eq, dtype=complex)
     b = np.asarray(b, dtype=complex)
     m, k = h_eq.shape
-    if z.shape[0] != m or b.shape != (m,):
+    if z.ndim != 2 or z.shape[0] != m or b.shape != (m,):
         raise ValueError(
             f"shape mismatch: z {z.shape}, b {b.shape}, channel ({m}, {k})"
         )
@@ -125,11 +135,30 @@ def detect_exhaustive_batch(
             f"(budget {budget})"
         )
     cand_idx = enumerate_symbol_vectors(c, k)
-    cand_mag = np.abs(h_eq @ c.points[cand_idx] + b[:, None])
-    # ||z - m_j||^2 = ||m_j||^2 - 2 m_j.z + ||z||^2; the ||z||^2 term is
-    # constant per observation and dropped.
-    scores = np.sum(cand_mag**2, axis=0)[:, None] - 2.0 * (cand_mag.T @ z)
-    best = np.argmin(scores, axis=0)
+    n_obs = z.shape[1]
+    # A multiple of 16 keeps each candidate's score on the BLAS and numpy
+    # summation paths of one full-width matrix (a single observation's
+    # GEMV treats its last rows mod 4 apart, numpy sums one column pairwise).
+    block = max(16, _BLOCK_BYTES // (8 * (3 * m + n_obs)) // 16 * 16)
+    best = np.zeros(n_obs, dtype=np.intp)
+    best_score = np.full(n_obs, np.inf)
+    rows = np.arange(n_obs)
+    points = c.points.astype(complex)
+    # ||z - m_j||^2 = ||m_j||^2 - 2 z.m_j + ||z||^2; the ||z||^2 term is
+    # constant per observation and dropped.  Scaling z by -2 is exact.
+    z_neg2 = -2.0 * z.T
+    for lo in range(0, n_cand, block):
+        field = h_eq @ points[cand_idx[:, lo:lo + block]]
+        field += b[:, None]
+        mag = np.abs(field)
+        del field
+        scores = z_neg2 @ mag
+        scores += np.sum(np.square(mag, out=mag), axis=0)
+        arg = np.argmin(scores, axis=1)
+        score = scores[rows, arg]
+        better = score < best_score
+        best[better] = arg[better] + lo
+        best_score[better] = score[better]
     return cand_idx[:, best]
 
 

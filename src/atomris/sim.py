@@ -312,9 +312,11 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
     """Run the full campaign and return one record per (Eb/N0, detector).
 
     ``threads`` distributes trials inside each fixed-size batch; results
-    are bit-identical for any thread count.
+    are bit-identical for any thread count (0 = one per CPU).
     """
     validate_config(cfg)
+    if threads < 0:
+        raise ConfigError(f"threads must be >= 0, got {threads}")
     const = make_pam(cfg.mod_order)
     lut = hamming_table(const)
     if threads == 0:

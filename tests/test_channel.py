@@ -184,6 +184,20 @@ class TestFoldedCouplingDraw:
         assert np.array_equal(folded, tensor_draw(36, 150, params, rng_b))
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
+    def test_coupling_constants_computed_once(self, monkeypatch):
+        """The circle basis, coupling vector and normalization are fixed
+        when the parameters are built; draws reuse them."""
+        calls = []
+        coupling = channel._coupling
+        monkeypatch.setattr(channel, "_coupling", lambda p: calls.append(p) or coupling(p))
+        params = PhysicalPathParams(incidence_axis=(1.0, 2.0, 3.0))
+        lo = LOParams()
+        rng = rng_for(8)
+        for _ in range(3):
+            gen_physical_channel(4, 5, params, rng)
+            gen_lo_vector(4, lo, rng)
+        assert calls == [params, lo]
+
     @pytest.mark.parametrize("fields", [
         {"incidence_axis": (1.0, 2.0, 3.0)},
         {"incidence_axis": (0.2, -0.4, 1.0), "coupling_gain": 3.0},

@@ -198,6 +198,13 @@ class TestCommands:
             assert f"[{section}]" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_negative_threads_is_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "x.csv"
+        assert main(["ber", "--config", path, "--out", str(out), "--threads", "-3"]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_config_is_exit_2(self, tmp_path):
         assert main(["ber", "--config", str(tmp_path / "absent.ini"),
                      "--out", str(tmp_path / "x.csv")]) == 2

@@ -1,8 +1,14 @@
 """Tests for the magnitude front end and the three detectors."""
 
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from atomris import detect
 from atomris.channel import ChannelSet, effective_channel, gen_user_ris_channel
 from atomris.detect import (
     detect_exhaustive_batch,
@@ -34,6 +40,22 @@ NOISELESS = NoiseSpec(0.0)
 def column(x):
     """One observation or symbol vector as a batch of one column."""
     return np.asarray(x)[:, None]
+
+
+def full_matrix_exhaustive(z, h_eq, b, c):
+    """Oracle: every candidate scored in one (Q^K, n) matrix."""
+    k = h_eq.shape[1]
+    combos = np.array(list(product(range(c.order), repeat=k)), dtype=np.intp)
+    cand_idx = combos.T.reshape(k, -1)
+    cand_mag = np.abs(h_eq @ c.points[cand_idx] + b[:, None])
+    scores = np.sum(cand_mag**2, axis=0)[:, None] - 2.0 * (cand_mag.T @ z)
+    return cand_idx[:, np.argmin(scores, axis=0)]
+
+
+def block_budget(block, m, n_obs):
+    """A ``detect._BLOCK_BYTES`` that makes the exhaustive search score
+    ``block`` candidates (a multiple of 16) at a time."""
+    return block * 8 * (3 * m + n_obs)
 
 
 class TestFrontEnd:
@@ -172,14 +194,26 @@ class TestExhaustiveDetector:
             got = detect_exhaustive_batch(np.array([[z]]), h_eq, b, c)
             assert got[0, 0] == (near if z < threshold else far)
 
-    def test_lexicographic_tie_break(self):
+    def test_lexicographic_tie_break(self, monkeypatch):
         """With a zero channel all candidates tie; the first in symbol
-        order wins."""
+        order wins, also when 256 candidates span 16 blocks."""
         c = make_pam(4)
         h_eq = np.zeros((3, 2), dtype=complex)
         b = np.ones(3, dtype=complex)
         got = detect_exhaustive_batch(column(np.abs(b)), h_eq, b, c)
         assert np.array_equal(got[:, 0], [0, 0])
+        monkeypatch.setattr(detect, "_BLOCK_BYTES", block_budget(16, 3, 3))
+        z = np.abs(b)[:, None] + np.array([0.0, 1.0, -0.5])
+        got = detect_exhaustive_batch(z, np.zeros((3, 4), dtype=complex), b, c)
+        assert np.array_equal(got, np.zeros((4, 3), dtype=np.intp))
+
+    def test_shape_mismatch_rejected(self):
+        c = make_pam(4)
+        h_eq = np.ones((3, 2), dtype=complex)
+        b = np.ones(3, dtype=complex)
+        for z in (np.ones((4, 1)), np.ones(3)):  # one observation must be a column
+            with pytest.raises(ValueError, match="shape mismatch"):
+                detect_exhaustive_batch(z, h_eq, b, c)
 
     def test_budget_refusal(self):
         c = make_pam(16)
@@ -189,6 +223,62 @@ class TestExhaustiveDetector:
                 np.ones((8, 1)), h_eq, np.ones(8, dtype=complex), c, budget=10**6
             )
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        order_users=st.sampled_from([(2, 1), (2, 4), (2, 6), (4, 2), (4, 3), (4, 4),
+                                     (8, 2), (8, 3), (16, 2)]),
+        m=st.integers(1, 12),
+        n_obs=st.integers(1, 6),
+        block=st.sampled_from([16, 48, 80]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_equals_full_matrix(self, order_users, m, n_obs, block, seed):
+        """Several blocks and a ragged last one (48 into 64, 256 or 512
+        candidates) decide exactly as one full score matrix."""
+        q, k = order_users
+        c = make_pam(q)
+        rng = np.random.default_rng(seed)
+        h_eq = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+        b = 3.0 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        sent = rng.integers(0, q, (k, n_obs))
+        noise = rng.standard_normal((m, n_obs)) + 1j * rng.standard_normal((m, n_obs))
+        z = np.abs(h_eq @ c.points[sent] + b[:, None] + noise)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect, "_BLOCK_BYTES", block_budget(block, m, n_obs))
+            got = detect_exhaustive_batch(z, h_eq, b, c)
+        assert np.array_equal(got, full_matrix_exhaustive(z, h_eq, b, c))
+
+    def test_planted_tie_resolves_to_earlier_block(self, monkeypatch):
+        """User 0 does not reach any cell, so candidates (i, j, l) tie for
+        every i, one per 16-candidate block; the observation of (2, j, l)
+        decodes to (0, j, l), in the first block."""
+        rng = np.random.default_rng(22)
+        c = make_pam(4)
+        h_eq = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        h_eq[:, 0] = 0.0
+        b = 4.0 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        sent = np.array([[2, 3], [1, 0], [3, 2]])
+        z = np.abs(h_eq @ c.points[sent] + b[:, None])
+        monkeypatch.setattr(detect, "_BLOCK_BYTES", block_budget(16, 5, 2))
+        got = detect_exhaustive_batch(z, h_eq, b, c)
+        assert np.array_equal(got, [[0, 0], [1, 0], [3, 2]])
+
+    def test_k8_peak_memory(self):
+        """One K = 8 call (65 536 candidates, M = 16, 100 observations)
+        allocates under 16 MiB; the full score matrix alone is 50 MiB."""
+        rng = np.random.default_rng(23)
+        c = make_pam(4)
+        h_eq = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
+        b = 30.0 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 16))
+        z = np.abs(h_eq @ c.points[rng.integers(0, 4, (8, 100))] + b[:, None])
+        tracemalloc.start()
+        try:
+            detect_exhaustive_batch(z, h_eq, b, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
     def test_enumeration_order(self):
         c = make_pam(4)
         idx = enumerate_symbol_vectors(c, 2)
@@ -196,6 +286,9 @@ class TestExhaustiveDetector:
         assert np.array_equal(idx[:, 0], [0, 0])
         assert np.array_equal(idx[:, 1], [0, 1])
         assert np.array_equal(idx[:, 4], [1, 0])
+        for k in range(1, 9):
+            expected = np.array(list(product(range(4), repeat=k))).T
+            assert np.array_equal(enumerate_symbol_vectors(c, k), expected)
 
 
 class TestZfGenie:

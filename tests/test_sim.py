@@ -137,6 +137,10 @@ class TestRunBer:
         assert records_to_csv(run_ber(SMALL, threads=8)) == base
         assert records_to_csv(run_ber(SMALL, threads=0)) == base  # auto
 
+    def test_negative_threads_rejected(self):
+        with pytest.raises(ConfigError, match="threads"):
+            run_ber(SMALL, threads=-1)
+
     def test_chunking_invariance(self, monkeypatch):
         """A batch runs as chunks through one stacked optimizer; neither
         the worker count nor the chunk byte budget changes the output."""
