@@ -149,8 +149,6 @@ def main(argv=None) -> int:
         cfg = _load(args)
         if not args.out:
             raise ConfigError("--out is required")
-        if args.threads < 0:
-            raise ConfigError(f"--threads must be >= 0 (0 = auto), got {args.threads}")
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -166,6 +164,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -316,7 +316,7 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
     """
     validate_config(cfg)
     if threads < 0:
-        raise ConfigError(f"threads must be >= 0, got {threads}")
+        raise ConfigError(f"threads (--threads) must be >= 0 (0 = one per CPU), got {threads}")
     const = make_pam(cfg.mod_order)
     lut = hamming_table(const)
     if threads == 0:
