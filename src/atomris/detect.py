@@ -3,14 +3,19 @@
 The photodetectors report only z = |H_eq s + b + n|.  With the RIS phases
 aligned to the LO and a strong LO, z is approximately |b| + H_opt s plus
 residual noise, so re-attaching the LO phase and subtracting b yields a
-linear system the least-squares detector inverts directly.  The exhaustive
-detector searches all Q^K symbol vectors against the exact magnitude
-model, one fixed block of candidates at a time, so its memory is bounded
-by a block rather than by Q^K.  The genie ZF detector consumes the complex
-observation (known phase) and lower-bounds the proposed (linear) detector
-only: it is zero forcing, and on the almost lossless magnitude readout the
-exhaustive maximum-likelihood search beats zero forcing even with known
-phase.
+linear system the least-squares detector inverts directly.  The genie ZF
+detector consumes the complex observation (known phase) and lower-bounds
+the proposed (linear) detector only: it is zero forcing, and on the almost
+lossless magnitude readout the exhaustive maximum-likelihood search beats
+zero forcing even with known phase.
+
+The exhaustive detector searches all Q^K symbol vectors against the exact
+magnitude model in blocks of prefix x suffix candidates, so its memory is
+bounded by one block rather than by Q^K.  Each field is a prefix base
+H_hi s_hi + b plus a suffix field H_lo s_lo, scored by one GEMM that folds
+in the squared norm.  That sum rounds differently from one H_eq s + b
+product: scores may differ from it in the last bits, and decisions only
+where two candidates tie to within rounding.
 
 All kernels are batched: columns of ``s``, ``y`` and ``z`` are symbol
 vectors, and every kernel returns one column per observation.
@@ -35,8 +40,13 @@ __all__ = [
 ]
 
 # The exhaustive search scores its candidates in blocks; this byte budget
-# bounds one block's complex fields, magnitudes and observation-major
-# scores, 8 (3M + n) bytes per candidate for n observations.
+# bounds one block's complex fields, magnitudes, squared magnitudes and
+# observation-major scores, 8 (4M + 1 + n) bytes per candidate for n
+# observations.  Calls at M = 16 and n = 100 (K = 6 and 8 at Q = 4, K = 10
+# at Q = 2) ran equally fast from 384 to 640 KiB.  From 768 KiB the scoring
+# GEMM of such a call reaches 2^19 multiply-adds, the size from which
+# OpenBLAS splits a GEMM over two threads, and a K = 8 call took twice as
+# long on two cores.
 _BLOCK_BYTES = 512 << 10
 
 
@@ -98,8 +108,9 @@ def detect_proposed_batch(
 
 def enumerate_symbol_vectors(c: Constellation, num_users: int) -> np.ndarray:
     """All Q^K candidate symbol vectors as an index matrix (K, Q^K), in
-    lexicographic symbol order (first user most significant)."""
-    return np.indices((c.order,) * num_users).reshape(num_users, -1)
+    lexicographic symbol order (first user most significant); K = 0 gives
+    the single empty vector, a (0, 1) matrix."""
+    return np.indices((c.order,) * num_users).reshape(num_users, c.order**num_users)
 
 
 def detect_exhaustive_batch(
@@ -115,10 +126,16 @@ def detect_exhaustive_batch(
     toward the lexicographically smallest candidate.  Refuses Q^K beyond
     ``budget`` with a cost estimate.
 
-    Candidates are scored in lexicographic blocks of at most
-    ``_BLOCK_BYTES`` of temporaries, as an (n, block) matrix whose argmin
-    runs along contiguous rows; a block's best replaces the running best
-    only when strictly smaller, which keeps the tie-break.
+    Candidate j is the prefix j // Q^k_lo of the leading users and the
+    suffix j % Q^k_lo of the trailing k_lo users, where Q^k_lo is the
+    largest power that fits one block of ``_BLOCK_BYTES``.  The suffix
+    fields H_lo s_lo and the prefix bases H_hi s_hi + b are computed once;
+    a block is a run of prefixes times every suffix, and its fields are one
+    broadcast sum of the two tables.  Its (n, block) scores are one GEMM,
+    [-2 z^T, 1] [|field|; sum |field|^2], with the ||z||^2 term (constant
+    per observation) dropped.  A block's first minimum replaces the running
+    best only when strictly smaller, so ties keep the lexicographic order.
+    The decisions are the base-Q digits of the winning index.
     """
     z = np.asarray(z, dtype=float)
     h_eq = np.asarray(h_eq, dtype=complex)
@@ -128,38 +145,39 @@ def detect_exhaustive_batch(
         raise ValueError(
             f"shape mismatch: z {z.shape}, b {b.shape}, channel ({m}, {k})"
         )
-    n_cand = c.order**k
-    if n_cand > budget:
+    q, n_obs = c.order, z.shape[1]
+    if q**k > budget:
         raise BudgetExceededError(
-            f"exhaustive search needs Q^K = {c.order}^{k} = {n_cand} candidates "
+            f"exhaustive search needs Q^K = {q}^{k} = {q**k} candidates "
             f"(budget {budget})"
         )
-    cand_idx = enumerate_symbol_vectors(c, k)
-    n_obs = z.shape[1]
-    # A multiple of 16 keeps each candidate's score on the BLAS and numpy
-    # summation paths of one full-width matrix (a single observation's
-    # GEMV treats its last rows mod 4 apart, numpy sums one column pairwise).
-    block = max(16, _BLOCK_BYTES // (8 * (3 * m + n_obs)) // 16 * 16)
+    block = _BLOCK_BYTES // (8 * (4 * m + 1 + n_obs))
+    k_lo = 0
+    while k_lo < k and q ** (k_lo + 1) <= block:
+        k_lo += 1
+    k_hi = k - k_lo
+    suffix = h_eq[:, k_hi:] @ c.points[enumerate_symbol_vectors(c, k_lo)]
+    prefix = h_eq[:, :k_hi] @ c.points[enumerate_symbol_vectors(c, k_hi)] + b[:, None]
+    n_suffix, n_prefix = q**k_lo, q**k_hi
+    step = min(max(1, block // n_suffix), n_prefix)  # prefixes per block
+    # Scaling z by -2 is exact.
+    weights = np.concatenate((-2.0 * z.T, np.ones((n_obs, 1))), axis=1)
+    rows = np.arange(n_obs)
     best = np.zeros(n_obs, dtype=np.intp)
     best_score = np.full(n_obs, np.inf)
-    rows = np.arange(n_obs)
-    points = c.points.astype(complex)
-    # ||z - m_j||^2 = ||m_j||^2 - 2 z.m_j + ||z||^2; the ||z||^2 term is
-    # constant per observation and dropped.  Scaling z by -2 is exact.
-    z_neg2 = -2.0 * z.T
-    for lo in range(0, n_cand, block):
-        field = h_eq @ points[cand_idx[:, lo:lo + block]]
-        field += b[:, None]
-        mag = np.abs(field)
+    for first in range(0, n_prefix, step):
+        field = (prefix[:, first:first + step, None] + suffix[:, None, :]).reshape(m, -1)
+        mag = np.empty((m + 1, field.shape[1]))
+        np.abs(field, out=mag[:m])
         del field
-        scores = z_neg2 @ mag
-        scores += np.sum(np.square(mag, out=mag), axis=0)
+        np.sum(np.square(mag[:m]), axis=0, out=mag[m])
+        scores = weights @ mag
         arg = np.argmin(scores, axis=1)
         score = scores[rows, arg]
         better = score < best_score
-        best[better] = arg[better] + lo
+        best[better] = arg[better] + first * n_suffix
         best_score[better] = score[better]
-    return cand_idx[:, best]
+    return np.array(np.unravel_index(best, (q,) * k))
 
 
 def detect_zf_batch(

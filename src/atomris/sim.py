@@ -171,11 +171,15 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError("symbols_per_trial must be >= 1")
     if cfg.trial_offset < 0:
         raise ConfigError("trial_offset must be >= 0")
+    if cfg.master_seed < 0:
+        raise ConfigError(f"master_seed (--seed) must be >= 0, got {cfg.master_seed}")
     unknown = set(cfg.detectors) - set(DETECTOR_NAMES)
     if unknown or not cfg.detectors:
         raise ConfigError(
             f"detectors must be a nonempty subset of {DETECTOR_NAMES}, got {cfg.detectors}"
         )
+    if len(set(cfg.detectors)) != len(cfg.detectors):
+        raise ConfigError(f"detectors repeats a name: {cfg.detectors}")
     if "exhaustive" in cfg.detectors:
         cost = cfg.mod_order**cfg.num_users
         if cost > cfg.exhaustive_budget:

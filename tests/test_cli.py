@@ -1,6 +1,9 @@
 """Tests for the command-line interface and configuration files."""
 
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import atomris
 from atomris.channel import LOParams, PhysicalPathParams
 from atomris.cli import load_phase_solution, main, save_phase_solution
 from atomris.config import (
@@ -47,11 +51,15 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.ini"):
 
 
 def with_field(section, key, value):
-    """BASE_CONFIG with one field set, replacing its line if present."""
+    """BASE_CONFIG with one field set, replacing its line if present and
+    otherwise adding it to its section."""
     line = re.compile(rf"^{key} = .*$", re.M)
     if line.search(BASE_CONFIG):
         return line.sub(f"{key} = {value}", BASE_CONFIG)
-    return BASE_CONFIG + f"\n[{section}]\n{key} = {value}\n"
+    header = f"[{section}]\n"
+    if header in BASE_CONFIG:
+        return BASE_CONFIG.replace(header, f"{header}{key} = {value}\n")
+    return BASE_CONFIG + f"\n{header}{key} = {value}\n"
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -187,6 +195,8 @@ class TestCommands:
         ("sim", "eb_n0_grid_db", "nan"),
         ("sim", "eb_n0_grid_db", "1,1"),
         ("sim", "eb_n0_grid_db", "-0.0,0.0"),
+        ("sim", "detectors", "proposed,proposed,zf_genie"),
+        ("sim", "master_seed", "-1"),
     ])
     def test_invalid_field_is_exit_2(self, tmp_path, capsys, section, key, value):
         """Rejected before any trial runs, with the field named."""
@@ -203,6 +213,19 @@ class TestCommands:
         out = tmp_path / "x.csv"
         assert main(["ber", "--config", path, "--out", str(out), "--threads", "-3"]) == 2
         assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ber", "optimize", "convergence"])
+    def test_negative_seed_is_exit_2(self, tmp_path, capsys, command):
+        """A negative seed, from the config or from --seed, is rejected
+        before any draw with both spellings named."""
+        out = tmp_path / "x.out"
+        path = write_config(tmp_path, with_field("sim", "master_seed", "-7"))
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert "master_seed (--seed)" in capsys.readouterr().err
+        path = write_config(tmp_path)
+        assert main([command, "--config", path, "--out", str(out), "--seed", "-1"]) == 2
+        assert "master_seed (--seed)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unreadable_config_is_exit_2(self, tmp_path):
@@ -235,6 +258,31 @@ class TestCommands:
         assert main(["ber", "--config", path, "--out", str(out1)]) == 0
         assert main(["ber", "--config", path, "--out", str(out2), "--threads", "4"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_ber_independent_of_blas_threads(self, tmp_path):
+        """A K = 6 campaign writes the same CSV with one BLAS thread and
+        with OpenBLAS's default count.  At M = 16 and 1000 observations a
+        block's scoring GEMM (1000 x 17 x 48) is past the size at which
+        OpenBLAS splits a GEMM over threads on a multi-core machine."""
+        text = (BASE_CONFIG.replace("cells = 8", "cells = 16")
+                .replace("users = 2", "users = 6")
+                .replace("trials_per_point = 6", "trials_per_point = 2")
+                .replace("symbols_per_trial = 20", "symbols_per_trial = 1000"))
+        path = write_config(tmp_path, text)
+        src = str(Path(atomris.__file__).resolve().parents[1])
+        thread_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        outs = []
+        for name, blas_threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+            env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            env.update(blas_threads)
+            out = tmp_path / f"{name}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "atomris.cli", "ber", "--config", path, "--out", str(out)],
+                env=env, check=True, timeout=300,
+            )
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_grid_split_concatenates_to_full(self, tmp_path):
         full = write_config(tmp_path, name="full.ini")

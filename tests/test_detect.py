@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atomris import detect
@@ -53,9 +53,10 @@ def full_matrix_exhaustive(z, h_eq, b, c):
 
 
 def block_budget(block, m, n_obs):
-    """A ``detect._BLOCK_BYTES`` that makes the exhaustive search score
-    ``block`` candidates (a multiple of 16) at a time."""
-    return block * 8 * (3 * m + n_obs)
+    """A ``detect._BLOCK_BYTES`` that lets one block of the exhaustive
+    search hold ``block`` candidates: the trailing users whose Q^k_lo
+    combinations fit, times as many prefixes of the others as fit."""
+    return block * 8 * (4 * m + 1 + n_obs)
 
 
 class TestFrontEnd:
@@ -229,12 +230,22 @@ class TestExhaustiveDetector:
                                      (8, 2), (8, 3), (16, 2)]),
         m=st.integers(1, 12),
         n_obs=st.integers(1, 6),
-        block=st.sampled_from([16, 48, 80]),
+        block=st.sampled_from([1, 16, 48, 80, 4096]),
         seed=st.integers(0, 2**32 - 1),
     )
+    # Each kind of split, pinned: no prefix users (one block, and a block
+    # exactly full), several prefixes per block with a ragged last one (3
+    # of 16 suffixes, the last block 1 prefix; 6 of 8, the last 2; 3 of 16,
+    # the last 1) and no suffix users (3 candidates per block, the last 1).
+    @example(order_users=(4, 3), m=5, n_obs=3, block=4096, seed=0)
+    @example(order_users=(2, 6), m=5, n_obs=3, block=64, seed=1)
+    @example(order_users=(4, 4), m=5, n_obs=3, block=48, seed=2)
+    @example(order_users=(8, 2), m=5, n_obs=3, block=48, seed=3)
+    @example(order_users=(16, 2), m=5, n_obs=3, block=48, seed=4)
+    @example(order_users=(4, 2), m=5, n_obs=3, block=3, seed=5)
     def test_blocked_equals_full_matrix(self, order_users, m, n_obs, block, seed):
-        """Several blocks and a ragged last one (48 into 64, 256 or 512
-        candidates) decide exactly as one full score matrix."""
+        """Every split of the users between the prefix and the suffix
+        decides exactly as one full score matrix."""
         q, k = order_users
         c = make_pam(q)
         rng = np.random.default_rng(seed)
@@ -265,7 +276,8 @@ class TestExhaustiveDetector:
 
     def test_k8_peak_memory(self):
         """One K = 8 call (65 536 candidates, M = 16, 100 observations)
-        allocates under 16 MiB; the full score matrix alone is 50 MiB."""
+        allocates under 2 MiB; the full score matrix alone is 50 MiB and
+        the (K, Q^K) index table 4 MiB."""
         rng = np.random.default_rng(23)
         c = make_pam(4)
         h_eq = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
@@ -277,7 +289,7 @@ class TestExhaustiveDetector:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 << 20
+        assert peak < 2 << 20
 
     def test_enumeration_order(self):
         c = make_pam(4)
@@ -289,6 +301,12 @@ class TestExhaustiveDetector:
         for k in range(1, 9):
             expected = np.array(list(product(range(4), repeat=k))).T
             assert np.array_equal(enumerate_symbol_vectors(c, k), expected)
+
+    def test_enumeration_of_no_users(self):
+        """K = 0 has one candidate, the empty vector."""
+        idx = enumerate_symbol_vectors(make_pam(4), 0)
+        assert idx.shape == (0, 1)
+        assert np.array_equal(np.zeros((3, 0)) @ idx, np.zeros((3, 1)))
 
 
 class TestZfGenie:
