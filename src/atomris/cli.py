@@ -51,10 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="configuration file path")
         cmd.add_argument("--out", help="output file path")
         cmd.add_argument("--seed", type=int, default=None, help="override the master seed")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads for BER trials (0 = auto)")
         cmd.add_argument("--dump-defaults", action="store_true",
                          help="print the default configuration and exit")
+        if name == "ber":
+            cmd.add_argument("--threads", type=int, default=1,
+                             help="accepted and ignored (must be >= 0): a campaign "
+                                  "runs in one thread")
     return parser
 
 
@@ -133,8 +135,8 @@ def cmd_convergence(cfg: SimConfig, out_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_ber(cfg: SimConfig, out_path: str, threads: int) -> int:
-    records = run_ber(cfg, threads=threads)
+def cmd_ber(cfg: SimConfig, out_path: str) -> int:
+    records = run_ber(cfg)
     write_records_csv(records, out_path)
     write_manifest(cfg, f"{out_path}.manifest", [str(out_path)], __version__)
     return EXIT_OK
@@ -149,6 +151,8 @@ def main(argv=None) -> int:
         cfg = _load(args)
         if not args.out:
             raise ConfigError("--out is required")
+        if args.command == "ber" and args.threads < 0:
+            raise ConfigError(f"--threads must be >= 0, got {args.threads}")
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -160,7 +164,7 @@ def main(argv=None) -> int:
             return cmd_optimize(cfg, args.out)
         if args.command == "convergence":
             return cmd_convergence(cfg, args.out)
-        return cmd_ber(cfg, args.out, args.threads)
+        return cmd_ber(cfg, args.out)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

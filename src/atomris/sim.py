@@ -11,25 +11,26 @@ Every trial derives its own generator from
 ``SeedSequence(master_seed, spawn_key=(point_key, trial_index))`` where
 ``point_key`` is the bit pattern of the Eb/N0 value (-0.0 keyed as 0.0).
 Keying on the value rather than the grid position means splitting a grid
-across runs and merging the records reproduces a single run exactly, and
-any degree of parallelism yields bit-identical results.  Early aborts are
-decided on fixed-size trial batches for the same reason.
+across runs, or (with no error target) the trials by ``trial_offset``,
+and merging the records reproduces a single run exactly; this is how a
+campaign is spread over processes.  Early aborts are decided on
+fixed-size trial batches, so the chunk size never changes which trials
+run.
 
-A batch runs as contiguous chunks of trials, one chunk per worker task,
-each a three-stage pipeline: per trial, draw the channels, LO and starting
-phases; align all of the chunk's trials in one stacked optimizer loop;
-per trial, compose, observe, detect and count.  Each trial consumes its
-own generator in the same order as ``optimize_aligned_phases`` would, and
-the stacked loop's rows equal single-trial runs bit for bit, so chunk
-size and worker count do not change any output.
+A campaign runs in one thread.  A batch runs as contiguous chunks of
+trials in order, each a three-stage pipeline: per trial, draw the
+channels, LO and starting phases; align all of the chunk's trials in one
+stacked optimizer loop; per trial, compose, observe, detect and count.
+Each trial consumes its own generator in the same order as
+``optimize_aligned_phases`` would, and the stacked loop's rows equal
+single-trial runs bit for bit, so the chunk size does not change any
+output.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -77,10 +78,10 @@ __all__ = [
 DETECTOR_NAMES = ("proposed", "exhaustive", "zf_genie")
 
 # Trials are executed and abort decisions taken in fixed-size batches so
-# the set of executed trials never depends on thread timing.
+# the set of executed trials never depends on how a campaign is chunked.
 _BATCH_SIZE = 8
 
-# A batch runs as contiguous chunks, one per worker task.  A chunk's
+# A batch runs as contiguous chunks of trials, in order.  A chunk's
 # optimizer works on its trials' stacked (2N, MK) rank-one matrices at
 # once; this byte budget bounds them (3 trials at M=36, N=150, K=3).
 # Per trial the stacked loop runs ~1.5x faster at 3 or 4 trials than at 1
@@ -242,13 +243,12 @@ def run_convergence(cfg: SimConfig, theta0: np.ndarray | None = None) -> Converg
     return trace
 
 
-def _chunk_size(cfg: SimConfig, threads: int) -> int:
+def _chunk_size(cfg: SimConfig) -> int:
     """Trials per chunk: as many as keep the chunk's stacked rank-one
-    matrices within ``_CHUNK_BYTES``, at most one chunk per worker share
-    of a batch, and at least one."""
+    matrices within ``_CHUNK_BYTES``, at most a batch, and at least one."""
     matrix_bytes = 16 * cfg.num_elements * cfg.num_cells * cfg.num_users
     fit = _CHUNK_BYTES // matrix_bytes if matrix_bytes else _BATCH_SIZE
-    return max(1, min(fit, -(-_BATCH_SIZE // threads)))
+    return max(1, min(fit, _BATCH_SIZE))
 
 
 def _run_chunk(
@@ -312,61 +312,45 @@ def _detect_counts(cfg, noise, const, lut, rng, ch, b, theta) -> dict[str, tuple
     return out
 
 
-def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
-    """Run the full campaign and return one record per (Eb/N0, detector).
-
-    ``threads`` distributes trials inside each fixed-size batch; results
-    are bit-identical for any thread count (0 = one per CPU).
-    """
+def run_ber(cfg: SimConfig) -> list[BerRecord]:
+    """Run the full campaign in one thread and return one record per
+    (Eb/N0, detector).  To spread it over processes, run grid or trial
+    slices and combine them with ``merge_records`` (see the module
+    docstring)."""
     validate_config(cfg)
-    if threads < 0:
-        raise ConfigError(f"threads (--threads) must be >= 0 (0 = one per CPU), got {threads}")
     const = make_pam(cfg.mod_order)
     lut = hamming_table(const)
-    if threads == 0:
-        threads = _default_thread_count()
-    chunk = _chunk_size(cfg, threads)
+    chunk = _chunk_size(cfg)
 
     records: list[BerRecord] = []
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for db in cfg.eb_n0_grid_db:
-            noise = noise_sigma(db, cfg.mod_order)
-            bits = {det: 0 for det in cfg.detectors}
-            errors = {det: 0 for det in cfg.detectors}
-            reason = "trial_cap"
-            first = cfg.trial_offset
-            last = cfg.trial_offset + cfg.trials_per_point
-            for batch_start in range(first, last, _BATCH_SIZE):
-                batch = range(batch_start, min(batch_start + _BATCH_SIZE, last))
-                chunks = [batch[i:i + chunk] for i in range(0, len(batch), chunk)]
-                run = lambda trials: _run_chunk(cfg, db, noise, trials, const, lut)
-                for res in chain.from_iterable((executor.map if executor else map)(run, chunks)):
+    for db in cfg.eb_n0_grid_db:
+        noise = noise_sigma(db, cfg.mod_order)
+        bits = {det: 0 for det in cfg.detectors}
+        errors = {det: 0 for det in cfg.detectors}
+        reason = "trial_cap"
+        first = cfg.trial_offset
+        last = cfg.trial_offset + cfg.trials_per_point
+        for batch_start in range(first, last, _BATCH_SIZE):
+            batch = range(batch_start, min(batch_start + _BATCH_SIZE, last))
+            for i in range(0, len(batch), chunk):
+                for res in _run_chunk(cfg, db, noise, batch[i:i + chunk], const, lut):
                     for det, (nb, ne) in res.items():
                         bits[det] += nb
                         errors[det] += ne
-                if cfg.error_target is not None and all(
-                    errors[det] >= cfg.error_target for det in cfg.detectors
-                ):
-                    reason = "error_target"
-                    break
-            for det in cfg.detectors:
-                records.append(_make_record(db, det, bits[det], errors[det], reason))
-    finally:
-        if executor:
-            executor.shutdown()
+            if cfg.error_target is not None and all(
+                errors[det] >= cfg.error_target for det in cfg.detectors
+            ):
+                reason = "error_target"
+                break
+        for det in cfg.detectors:
+            records.append(_make_record(db, det, bits[det], errors[det], reason))
     return records
-
-
-def _default_thread_count() -> int:
-    import os
-
-    return os.cpu_count() or 1
 
 
 def merge_records(a: list[BerRecord], b: list[BerRecord]) -> list[BerRecord]:
     """Combine two campaigns: counts add on matching (eb_n0_db, detector)
-    keys, unmatched records pass through.  Associative and commutative."""
+    keys (-0.0 and 0.0 are one key), unmatched records pass through.
+    Associative and commutative."""
 
     def keyed(records, source):
         out = {}
@@ -384,9 +368,11 @@ def merge_records(a: list[BerRecord], b: list[BerRecord]) -> list[BerRecord]:
         if key in left and key in right:
             x, y = left[key], right[key]
             reason = x.stop_reason if x.stop_reason == y.stop_reason else "mixed"
+            # -0.0 meets 0.0 as one point: keep a sign only both sides share.
+            same_sign = math.copysign(1.0, x.eb_n0_db) == math.copysign(1.0, y.eb_n0_db)
             merged.append(
                 _make_record(
-                    key[0], key[1], x.bits_sent + y.bits_sent,
+                    x.eb_n0_db if same_sign else 0.0, key[1], x.bits_sent + y.bits_sent,
                     x.bit_errors + y.bit_errors, reason,
                 )
             )

@@ -15,6 +15,7 @@ knows the phase.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,13 @@ from atomris.risopt import (
     objective,
     signal_domain_objective,
 )
-from atomris.sim import SimConfig, optimize_aligned_phases, records_to_csv, run_ber
+from atomris.sim import (
+    SimConfig,
+    merge_records,
+    optimize_aligned_phases,
+    records_to_csv,
+    run_ber,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -233,7 +240,7 @@ def ordering_campaign():
         trials_per_point=1000, symbols_per_trial=100,
         master_seed=2024, error_target=None,
     )
-    records = run_ber(cfg, threads=4)
+    records = run_ber(cfg)
     by_det = {}
     for rec in records:
         by_det.setdefault(rec.detector, []).append(rec)
@@ -304,8 +311,8 @@ def test_criterion_7_multiuser_degradation():
     base = dict(mod_order=4, eb_n0_grid_db=grid, trials_per_point=200,
                 symbols_per_trial=100, master_seed=7, error_target=None,
                 detectors=("proposed",))
-    few = run_ber(SimConfig(num_cells=36, num_elements=150, num_users=3, **base), threads=4)
-    many = run_ber(SimConfig(num_cells=16, num_elements=150, num_users=8, **base), threads=4)
+    few = run_ber(SimConfig(num_cells=36, num_elements=150, num_users=3, **base))
+    many = run_ber(SimConfig(num_cells=16, num_elements=150, num_users=8, **base))
     few.sort(key=lambda r: r.eb_n0_db)
     many.sort(key=lambda r: r.eb_n0_db)
     details = []
@@ -346,17 +353,27 @@ def test_criterion_8_complexity_accounting():
     assert ok
 
 
-def test_criterion_9_determinism_across_threads():
+def test_criterion_9_determinism_across_partitions():
     """A BER campaign rerun with the same config and seed produces
-    byte-identical CSV at thread counts 1, 4, and 8."""
+    byte-identical CSV, and so do its two trial-offset halves and its two
+    grid halves, each pair merged with ``merge_records``."""
     cfg = SimConfig(
         num_cells=12, num_elements=32, num_users=2, mod_order=4,
         eb_n0_grid_db=(-28.0, -24.0), trials_per_point=16,
         symbols_per_trial=25, master_seed=31, error_target=None,
     )
-    csvs = {t: records_to_csv(run_ber(cfg, threads=t)) for t in (1, 4, 8)}
-    rerun = records_to_csv(run_ber(cfg, threads=4))
-    ok = csvs[1] == csvs[4] == csvs[8] == rerun
+    full = records_to_csv(run_ber(cfg))
+    rerun = records_to_csv(run_ber(cfg))
+    trial_halves = merge_records(
+        run_ber(replace(cfg, trials_per_point=8)),
+        run_ber(replace(cfg, trials_per_point=8, trial_offset=8)),
+    )
+    grid_halves = merge_records(
+        run_ber(replace(cfg, eb_n0_grid_db=(-28.0,))),
+        run_ber(replace(cfg, eb_n0_grid_db=(-24.0,))),
+    )
+    ok = full == rerun == records_to_csv(trial_halves) == records_to_csv(grid_halves)
     report(9, "determinism", ok,
-           "thread counts 1/4/8 and rerun byte-identical" if ok else "outputs differ")
+           "rerun, merged trial-offset halves and merged grid halves byte-identical"
+           if ok else "outputs differ")
     assert ok

@@ -215,6 +215,17 @@ class TestCommands:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["optimize", "convergence"])
+    def test_threads_only_for_ber(self, tmp_path, capsys, command):
+        """``--threads`` belongs to ``ber`` alone; argparse rejects it elsewhere."""
+        path = write_config(tmp_path)
+        out = tmp_path / "x.out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, "--out", str(out), "--threads", "1"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["ber", "optimize", "convergence"])
     def test_negative_seed_is_exit_2(self, tmp_path, capsys, command):
         """A negative seed, from the config or from --seed, is rejected
@@ -254,10 +265,13 @@ class TestCommands:
 
     def test_ber_rerun_byte_identical(self, tmp_path):
         path = write_config(tmp_path)
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["ber", "--config", path, "--out", str(out1)]) == 0
-        assert main(["ber", "--config", path, "--out", str(out2), "--threads", "4"]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        first = tmp_path / "first.csv"
+        assert main(["ber", "--config", path, "--out", str(first)]) == 0
+        # --threads is accepted and ignored
+        for name, extra in (("rerun", []), ("t0", ["--threads", "0"]), ("t2", ["--threads", "2"])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["ber", "--config", path, "--out", str(out), *extra]) == 0
+            assert out.read_bytes() == first.read_bytes(), name
 
     def test_ber_independent_of_blas_threads(self, tmp_path):
         """A K = 6 campaign writes the same CSV with one BLAS thread and

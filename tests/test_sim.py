@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from atomris import sim
 from atomris.channel import LOParams
@@ -131,27 +133,15 @@ class TestRunBer:
         (rec,) = run_ber(cfg)
         assert rec.bit_errors == 0
 
-    def test_thread_count_invariance(self):
-        base = records_to_csv(run_ber(SMALL, threads=1))
-        assert records_to_csv(run_ber(SMALL, threads=4)) == base
-        assert records_to_csv(run_ber(SMALL, threads=8)) == base
-        assert records_to_csv(run_ber(SMALL, threads=0)) == base  # auto
-
-    def test_negative_threads_rejected(self):
-        with pytest.raises(ConfigError, match="threads"):
-            run_ber(SMALL, threads=-1)
-
     def test_chunking_invariance(self, monkeypatch):
-        """A batch runs as chunks through one stacked optimizer; neither
-        the worker count nor the chunk byte budget changes the output."""
-        base = records_to_csv(run_ber(SMALL, threads=1))
-        assert records_to_csv(run_ber(SMALL, threads=2)) == base
-        assert records_to_csv(run_ber(SMALL, threads=3)) == base
+        """A batch runs as chunks through one stacked optimizer; the chunk
+        byte budget does not change the output."""
+        base = records_to_csv(run_ber(SMALL))
         matrix_bytes = 16 * SMALL.num_elements * SMALL.num_cells * SMALL.num_users
         for per_chunk in (1, 3):
             monkeypatch.setattr(sim, "_CHUNK_BYTES", per_chunk * matrix_bytes)
-            assert sim._chunk_size(SMALL, 1) == per_chunk
-            assert records_to_csv(run_ber(SMALL, threads=1)) == base
+            assert sim._chunk_size(SMALL) == per_chunk
+            assert records_to_csv(run_ber(SMALL)) == base
 
     def test_matches_per_trial_reference(self):
         """The chunked campaign counts what the single-trial chain of
@@ -285,6 +275,85 @@ class TestMergeRecords:
         a = [self.rec(-20.0, "proposed", 100, 1), self.rec(-20.0, "proposed", 100, 2)]
         with pytest.raises(ValueError, match="duplicate"):
             merge_records(a, [])
+
+
+# Records over a few keys, so that inputs share keys often; -0.0 and 0.0
+# are one grid point to the merge.
+_record_keys = st.tuples(
+    st.sampled_from((-30.0, -24.5, -0.0, 0.0, 12.0)), st.sampled_from(sim.DETECTOR_NAMES)
+)
+
+
+@st.composite
+def _records(draw, key=_record_keys):
+    db, det = draw(key)
+    bits = draw(st.integers(0, 10**9))
+    errors = draw(st.integers(0, bits))
+    reason = draw(st.sampled_from(("trial_cap", "error_target", "mixed")))
+    return sim._make_record(db, det, bits, errors, reason)
+
+
+_campaigns = st.lists(_records(), max_size=8, unique_by=lambda r: (r.eb_n0_db, r.detector))
+
+
+def _exact(records):
+    """Every field of every record, with the sign of a zero kept."""
+    return [repr(r) for r in records]
+
+
+_ZERO, _NEG_ZERO = (sim._make_record(db, "proposed", 10, 1, "trial_cap") for db in (0.0, -0.0))
+
+
+class TestMergeProperties:
+    @given(_campaigns, _campaigns)
+    @example([_NEG_ZERO], [_ZERO])
+    def test_commutative(self, a, b):
+        assert _exact(merge_records(a, b)) == _exact(merge_records(b, a))
+
+    @given(_campaigns, _campaigns, _campaigns)
+    @example([_NEG_ZERO], [_ZERO], [_NEG_ZERO])
+    def test_associative(self, a, b, c):
+        left = merge_records(merge_records(a, b), c)
+        right = merge_records(a, merge_records(b, c))
+        assert _exact(left) == _exact(right)
+
+    @given(_campaigns, _campaigns)
+    def test_counts_add_and_reasons_combine(self, a, b):
+        merged = {(r.eb_n0_db, r.detector): r for r in merge_records(a, b)}
+        assert len(merged) == len({(r.eb_n0_db, r.detector) for r in a + b})
+        for key, rec in merged.items():
+            parts = [r for r in a + b if (r.eb_n0_db, r.detector) == key]
+            assert rec.bits_sent == sum(r.bits_sent for r in parts)
+            assert rec.bit_errors == sum(r.bit_errors for r in parts)
+            reasons = {r.stop_reason for r in parts}
+            assert rec.stop_reason == (reasons.pop() if len(reasons) == 1 else "mixed")
+
+    @given(_campaigns, _campaigns, st.data())
+    def test_duplicate_key_rejected_in_either_input(self, a, b, data):
+        assume(a)
+        dup = data.draw(_records(key=st.sampled_from([(r.eb_n0_db, r.detector) for r in a])))
+        bad = data.draw(st.permutations(a + [dup]))
+        with pytest.raises(ValueError, match="duplicate record key"):
+            merge_records(bad, b)
+        with pytest.raises(ValueError, match="duplicate record key"):
+            merge_records(b, bad)
+
+
+class TestTrialSeedProperties:
+    @given(st.integers(0, 2**63), st.integers(0, 2**32))
+    def test_negative_zero_is_keyed_as_zero(self, seed, trial):
+        neg, pos = trial_seed(seed, -0.0, trial), trial_seed(seed, 0.0, trial)
+        assert neg.spawn_key == pos.spawn_key
+        assert np.array_equal(neg.generate_state(4), pos.generate_state(4))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @example(1.0, np.nextafter(1.0, 2.0))
+    @example(5e-324, 0.0)
+    @example(-5e-324, -0.0)
+    def test_distinct_points_get_distinct_keys(self, x, y):
+        assume(x != y)
+        assert trial_seed(3, x, 0).spawn_key != trial_seed(3, y, 0).spawn_key
 
 
 class TestCsv:
