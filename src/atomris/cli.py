@@ -153,13 +153,6 @@ def main(argv=None) -> int:
             raise ConfigError("--out is required")
         if args.command == "ber" and args.threads < 0:
             raise ConfigError(f"--threads must be >= 0, got {args.threads}")
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         if args.command == "optimize":
             return cmd_optimize(cfg, args.out)
         if args.command == "convergence":

@@ -3,6 +3,8 @@
 Campaign configuration is a flat ``key = value`` file with sections
 (``[system]``, ``[channel]``, ``[lo]``, ``[adam]``, ``[sim]``).  The three
 system dimensions are required; everything else has documented defaults.
+``_SCHEMA`` lists every legal section and key once: parsing and dumping
+both walk it, and any other section or key is a configuration error.
 The run manifest written next to campaign outputs is the same format plus
 a ``[run]`` section (artifact version, ISO-8601 timestamp, output paths)
 and round-trips losslessly back into a SimConfig.
@@ -12,11 +14,11 @@ from __future__ import annotations
 
 import configparser
 import io
+from dataclasses import replace
 from datetime import datetime, timezone
+from typing import Any, Callable, NamedTuple
 
-from .channel import LOParams, PhysicalPathParams
 from .errors import ConfigError
-from .risopt import AdamConfig
 from .sim import SimConfig
 
 __all__ = [
@@ -28,199 +30,196 @@ __all__ = [
     "load_manifest",
 ]
 
-_REQUIRED = (("system", "cells"), ("system", "ris_elements"), ("system", "users"))
 
-
-def _get(parser, section, key, conv, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"missing required field [{section}] {key}")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return conv(raw)
-    except (ValueError, TypeError):
-        raise ConfigError(f"field [{section}] {key} has invalid value {raw!r}") from None
+class _Codec(NamedTuple):
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str]
 
 
 def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(raw)
+    # true/yes/on/1 and false/no/off/0, in any case; a KeyError otherwise.
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
 
 
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    items = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    return tuple(float(tok) for tok in items)
+def _parse_names(raw: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
+def _parse_floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in _parse_names(raw))
 
 
 def _parse_axis(raw: str) -> tuple[float, float, float]:
-    vals = _parse_float_list(raw)
+    vals = _parse_floats(raw)
     if len(vals) != 3:
         raise ValueError(raw)
     return vals
 
 
-def _parse_name_list(raw: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+def _format_floats(values) -> str:
+    return ",".join(repr(float(x)) for x in values)
 
 
-def _optional(conv):
-    """Wrap a converter so that "none" (or an empty value) parses as None."""
-
-    def parse(raw: str):
-        return None if raw.strip().lower() in ("none", "") else conv(raw)
-
-    return parse
-
-
-def _section(name: str, cls, **fields):
-    """Build a parameter type, reporting its range checks as ConfigErrors
-    that name the section."""
-    try:
-        return cls(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"section [{name}]: {exc}") from None
+def _optional(codec: _Codec) -> _Codec:
+    """Extend a codec so that "none" (or an empty value) stands for None."""
+    return _Codec(
+        lambda raw: None if raw.strip().lower() in ("none", "") else codec.parse(raw),
+        lambda value: "none" if value is None else codec.format(value),
+    )
 
 
-def parse_config_text(text: str, source: str = "<config>") -> SimConfig:
-    """Parse configuration text into a SimConfig, diagnosing bad fields."""
-    parser = configparser.ConfigParser()
+_INT = _Codec(int, str)
+_FLOAT = _Codec(float, lambda x: repr(float(x)))
+_BOOL = _Codec(_parse_bool, lambda b: "true" if b else "false")
+_FLOATS = _Codec(_parse_floats, _format_floats)
+_AXIS = _Codec(_parse_axis, _format_floats)
+_NAMES = _Codec(_parse_names, ",".join)
+
+
+class _Key(NamedTuple):
+    """One configuration key: it sets attribute ``attr`` (the key's own name
+    when None), or only end ``end`` (0 or 1) of that attribute's pair."""
+
+    name: str
+    codec: _Codec
+    attr: str | None = None
+    end: int | None = None
+    required: bool = False
+
+    def get(self, obj):
+        value = getattr(obj, self.attr or self.name)
+        return value if self.end is None else value[self.end]
+
+    def assign(self, fields: dict, base, value) -> None:
+        attr = self.attr or self.name
+        if self.end is not None:
+            pair = list(fields.get(attr, getattr(base, attr)))
+            pair[self.end] = value
+            value = tuple(pair)
+        fields[attr] = value
+
+
+# Keys shared by the channel and LO parameters, in file order.
+_COUPLING_KEYS = (
+    _Key("coupling_gain", _FLOAT),
+    _Key("dipole_moment", _optional(_AXIS)),
+    _Key("hbar", _FLOAT),
+    _Key("incidence_axis", _AXIS),
+    _Key("path_loss_min", _FLOAT, "path_loss_span", 0),
+    _Key("path_loss_max", _FLOAT, "path_loss_span", 1),
+)
+
+# Every legal section and key, in file order: (section, owner, keys).  The
+# owner is the SimConfig field holding the section's parameter object, or
+# None when the keys set SimConfig's own fields.
+_SCHEMA: tuple[tuple[str, str | None, tuple[_Key, ...]], ...] = (
+    ("system", None, (
+        _Key("cells", _INT, "num_cells", required=True),
+        _Key("ris_elements", _INT, "num_elements", required=True),
+        _Key("users", _INT, "num_users", required=True),
+        _Key("pam_order", _INT, "mod_order"),
+    )),
+    ("channel", "channel", (
+        _Key("paths", _INT, "num_paths"),
+        *_COUPLING_KEYS,
+        _Key("normalize", _BOOL),
+    )),
+    ("lo", "lo", (
+        _Key("power", _FLOAT),
+        _Key("reference_symbol", _FLOAT),
+        *_COUPLING_KEYS,
+    )),
+    ("adam", "adam", (
+        _Key("max_iters", _INT),
+        _Key("step", _FLOAT),
+        _Key("beta1", _FLOAT),
+        _Key("beta2", _FLOAT),
+        _Key("epsilon", _FLOAT),
+        _Key("grad_tol", _optional(_FLOAT)),
+    )),
+    ("sim", None, (
+        _Key("eb_n0_grid_db", _FLOATS),
+        _Key("trials_per_point", _INT),
+        _Key("symbols_per_trial", _INT),
+        _Key("detectors", _NAMES),
+        _Key("master_seed", _INT),
+        _Key("error_target", _optional(_INT)),
+        _Key("trial_offset", _INT),
+        _Key("exhaustive_budget", _INT),
+    )),
+)
+
+
+def _read_ini(text: str, source: str) -> configparser.ConfigParser:
+    # No section header can name the empty string, so a "[DEFAULT]" in a
+    # file is an ordinary (unknown) section rather than keys copied
+    # silently into every other section.
+    parser = configparser.ConfigParser(default_section="")
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
         raise ConfigError(f"{source}: {exc}") from None
-    for section, key in _REQUIRED:
-        if not parser.has_option(section, key):
-            raise ConfigError(f"missing required field [{section}] {key}")
+    return parser
+
+
+def _read_text(path, what: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _parse_value(parser, section: str, key: _Key):
+    try:
+        return key.codec.parse(parser.get(section, key.name))
+    except (ValueError, TypeError, KeyError, configparser.Error):
+        raw = parser.get(section, key.name, raw=True)
+        raise ConfigError(f"field [{section}] {key.name} has invalid value {raw!r}") from None
+
+
+def _config_from(parser: configparser.ConfigParser, source: str) -> SimConfig:
+    known = {section: {key.name for key in keys} for section, _, keys in _SCHEMA}
+    for section in parser.sections():
+        if section not in known:
+            raise ConfigError(f"{source}: unknown section [{section}]")
+        for name in parser[section]:
+            if name not in known[section]:
+                raise ConfigError(f"{source}: unknown field [{section}] {name}")
 
     defaults = SimConfig()
-    channel = _section(
-        "channel", PhysicalPathParams,
-        num_paths=_get(parser, "channel", "paths", int, defaults.channel.num_paths),
-        coupling_gain=_get(parser, "channel", "coupling_gain", float, defaults.channel.coupling_gain),
-        dipole_moment=_get(parser, "channel", "dipole_moment", _optional(_parse_axis),
-                           defaults.channel.dipole_moment),
-        hbar=_get(parser, "channel", "hbar", float, defaults.channel.hbar),
-        incidence_axis=_get(parser, "channel", "incidence_axis", _parse_axis,
-                            defaults.channel.incidence_axis),
-        path_loss_span=(
-            _get(parser, "channel", "path_loss_min", float, defaults.channel.path_loss_span[0]),
-            _get(parser, "channel", "path_loss_max", float, defaults.channel.path_loss_span[1]),
-        ),
-        normalize=_get(parser, "channel", "normalize", _parse_bool, defaults.channel.normalize),
-    )
-    lo = _section(
-        "lo", LOParams,
-        power=_get(parser, "lo", "power", float, defaults.lo.power),
-        reference_symbol=_get(parser, "lo", "reference_symbol", float, defaults.lo.reference_symbol),
-        coupling_gain=_get(parser, "lo", "coupling_gain", float, defaults.lo.coupling_gain),
-        dipole_moment=_get(parser, "lo", "dipole_moment", _optional(_parse_axis),
-                           defaults.lo.dipole_moment),
-        hbar=_get(parser, "lo", "hbar", float, defaults.lo.hbar),
-        incidence_axis=_get(parser, "lo", "incidence_axis", _parse_axis, defaults.lo.incidence_axis),
-        path_loss_span=(
-            _get(parser, "lo", "path_loss_min", float, defaults.lo.path_loss_span[0]),
-            _get(parser, "lo", "path_loss_max", float, defaults.lo.path_loss_span[1]),
-        ),
-    )
-    adam = _section(
-        "adam", AdamConfig,
-        max_iters=_get(parser, "adam", "max_iters", int, defaults.adam.max_iters),
-        step=_get(parser, "adam", "step", float, defaults.adam.step),
-        beta1=_get(parser, "adam", "beta1", float, defaults.adam.beta1),
-        beta2=_get(parser, "adam", "beta2", float, defaults.adam.beta2),
-        epsilon=_get(parser, "adam", "epsilon", float, defaults.adam.epsilon),
-        grad_tol=_get(parser, "adam", "grad_tol", _optional(float),
-                      defaults.adam.grad_tol),
-    )
-    return SimConfig(
-        num_cells=_get(parser, "system", "cells", int, required=True),
-        num_elements=_get(parser, "system", "ris_elements", int, required=True),
-        num_users=_get(parser, "system", "users", int, required=True),
-        mod_order=_get(parser, "system", "pam_order", int, defaults.mod_order),
-        eb_n0_grid_db=_get(parser, "sim", "eb_n0_grid_db", _parse_float_list,
-                           defaults.eb_n0_grid_db),
-        trials_per_point=_get(parser, "sim", "trials_per_point", int, defaults.trials_per_point),
-        symbols_per_trial=_get(parser, "sim", "symbols_per_trial", int, defaults.symbols_per_trial),
-        detectors=_get(parser, "sim", "detectors", _parse_name_list, defaults.detectors),
-        channel=channel,
-        lo=lo,
-        adam=adam,
-        master_seed=_get(parser, "sim", "master_seed", int, defaults.master_seed),
-        error_target=_get(parser, "sim", "error_target", _optional(int),
-                          defaults.error_target),
-        trial_offset=_get(parser, "sim", "trial_offset", int, defaults.trial_offset),
-        exhaustive_budget=_get(parser, "sim", "exhaustive_budget", int,
-                               defaults.exhaustive_budget),
-    )
+    fields: dict = {}
+    for section, owner, keys in _SCHEMA:
+        base = defaults if owner is None else getattr(defaults, owner)
+        target = fields if owner is None else {}
+        for key in keys:
+            if parser.has_option(section, key.name):
+                key.assign(target, base, _parse_value(parser, section, key))
+            elif key.required:
+                raise ConfigError(f"missing required field [{section}] {key.name}")
+        if owner is not None:
+            # The parameter types run their own range checks; name the section.
+            try:
+                fields[owner] = replace(base, **target)
+            except ValueError as exc:
+                raise ConfigError(f"section [{section}]: {exc}") from None
+    return replace(defaults, **fields)
+
+
+def parse_config_text(text: str, source: str = "<config>") -> SimConfig:
+    """Parse configuration text into a SimConfig, diagnosing bad fields."""
+    return _config_from(_read_ini(text, source), source)
 
 
 def load_config(path) -> SimConfig:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return parse_config_text(text, source=str(path))
-
-
-def _axis_str(axis) -> str:
-    return ",".join(repr(float(x)) for x in axis)
+    return parse_config_text(_read_text(path, "config"), source=str(path))
 
 
 def _config_parser_from(cfg: SimConfig) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
-    parser["system"] = {
-        "cells": str(cfg.num_cells),
-        "ris_elements": str(cfg.num_elements),
-        "users": str(cfg.num_users),
-        "pam_order": str(cfg.mod_order),
-    }
-    ch = cfg.channel
-    parser["channel"] = {
-        "paths": str(ch.num_paths),
-        "coupling_gain": repr(ch.coupling_gain),
-        "dipole_moment": "none" if ch.dipole_moment is None else _axis_str(ch.dipole_moment),
-        "hbar": repr(ch.hbar),
-        "incidence_axis": _axis_str(ch.incidence_axis),
-        "path_loss_min": repr(ch.path_loss_span[0]),
-        "path_loss_max": repr(ch.path_loss_span[1]),
-        "normalize": "true" if ch.normalize else "false",
-    }
-    lo = cfg.lo
-    parser["lo"] = {
-        "power": repr(lo.power),
-        "reference_symbol": repr(lo.reference_symbol),
-        "coupling_gain": repr(lo.coupling_gain),
-        "dipole_moment": "none" if lo.dipole_moment is None else _axis_str(lo.dipole_moment),
-        "hbar": repr(lo.hbar),
-        "incidence_axis": _axis_str(lo.incidence_axis),
-        "path_loss_min": repr(lo.path_loss_span[0]),
-        "path_loss_max": repr(lo.path_loss_span[1]),
-    }
-    ad = cfg.adam
-    parser["adam"] = {
-        "max_iters": str(ad.max_iters),
-        "step": repr(ad.step),
-        "beta1": repr(ad.beta1),
-        "beta2": repr(ad.beta2),
-        "epsilon": repr(ad.epsilon),
-        "grad_tol": "none" if ad.grad_tol is None else repr(ad.grad_tol),
-    }
-    parser["sim"] = {
-        "eb_n0_grid_db": ",".join(repr(x) for x in cfg.eb_n0_grid_db),
-        "trials_per_point": str(cfg.trials_per_point),
-        "symbols_per_trial": str(cfg.symbols_per_trial),
-        "detectors": ",".join(cfg.detectors),
-        "master_seed": str(cfg.master_seed),
-        "error_target": "none" if cfg.error_target is None else str(cfg.error_target),
-        "trial_offset": str(cfg.trial_offset),
-        "exhaustive_budget": str(cfg.exhaustive_budget),
-    }
+    for section, owner, keys in _SCHEMA:
+        obj = cfg if owner is None else getattr(cfg, owner)
+        parser[section] = {key.name: key.codec.format(key.get(obj)) for key in keys}
     return parser
 
 
@@ -244,22 +243,15 @@ def write_manifest(cfg: SimConfig, path, outputs: list[str], version: str) -> No
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": ",".join(outputs),
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 
 
 def load_manifest(path) -> tuple[SimConfig, dict]:
     """Read a manifest back into (SimConfig, run metadata)."""
-    parser = configparser.ConfigParser()
-    try:
-        with open(path) as fh:
-            parser.read_file(fh, source=str(path))
-    except (OSError, configparser.Error) as exc:
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from None
+    parser = _read_ini(_read_text(path, "manifest"), str(path))
     if not parser.has_section("run"):
         raise ConfigError(f"{path}: manifest missing [run] section")
     meta = dict(parser.items("run"))
     parser.remove_section("run")
-    buf = io.StringIO()
-    parser.write(buf)
-    return parse_config_text(buf.getvalue(), source=str(path)), meta
+    return _config_from(parser, str(path)), meta

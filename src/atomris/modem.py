@@ -48,8 +48,8 @@ class NoiseSpec:
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
+        if not 0.0 <= self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
 
 
 def make_pam(order: int) -> Constellation:
@@ -87,11 +87,20 @@ def noise_sigma(eb_n0_db: float, order: int) -> NoiseSpec:
     """Total complex noise variance for a per-user-per-bit Eb/N0 in dB.
 
     With unit symbol energy, sigma2 = 1 / (log2(Q) * 10^(Eb/N0 / 10)).
+    A sigma2 that overflows or underflows the float range (|Eb/N0| beyond
+    about 3080 dB) is a ValueError.
     """
     if order not in _SUPPORTED_ORDERS:
         raise ValueError(f"unsupported PAM order {order}")
     bits = order.bit_length() - 1
-    return NoiseSpec(1.0 / (bits * 10.0 ** (eb_n0_db / 10.0)))
+    try:
+        sigma2 = 1.0 / (bits * 10.0 ** (eb_n0_db / 10.0))
+    except (OverflowError, ZeroDivisionError):  # 10^(Eb/N0 / 10) left the float range
+        sigma2 = math.nan
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(
+            f"the noise variance at Eb/N0 = {eb_n0_db} dB is not a positive finite float")
+    return NoiseSpec(sigma2)
 
 
 def hamming_table(c: Constellation) -> np.ndarray:

@@ -162,8 +162,11 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError(f"mod_order {cfg.mod_order} unsupported")
     if not cfg.eb_n0_grid_db:
         raise ConfigError("eb_n0_grid_db must be nonempty")
-    if not all(math.isfinite(db) for db in cfg.eb_n0_grid_db):
-        raise ConfigError(f"eb_n0_grid_db must be finite, got {cfg.eb_n0_grid_db}")
+    for db in cfg.eb_n0_grid_db:  # nan, +-inf and |db| > ~3080 have no noise variance
+        try:
+            noise_sigma(db, cfg.mod_order)
+        except ValueError as exc:
+            raise ConfigError(f"eb_n0_grid_db: {exc}") from None
     if len(set(cfg.eb_n0_grid_db)) != len(cfg.eb_n0_grid_db):  # -0.0 == 0.0
         raise ConfigError(f"eb_n0_grid_db repeats a point: {cfg.eb_n0_grid_db}")
     if cfg.trials_per_point < 1:

@@ -20,10 +20,11 @@ from atomris.config import (
     dump_config,
     load_manifest,
     parse_config_text,
+    write_manifest,
 )
 from atomris.errors import ConfigError
 from atomris.risopt import AdamConfig
-from atomris.sim import DETECTOR_NAMES, SimConfig
+from atomris.sim import DETECTOR_NAMES, SimConfig, validate_config
 
 BASE_CONFIG = """\
 [system]
@@ -60,6 +61,58 @@ def with_field(section, key, value):
     if header in BASE_CONFIG:
         return BASE_CONFIG.replace(header, f"{header}{key} = {value}\n")
     return BASE_CONFIG + f"\n{header}{key} = {value}\n"
+
+
+# ``--dump-defaults`` output, pinned: key order and value formatting are
+# part of the file format (manifests carry the same body).
+DEFAULT_CONFIG_TEXT = """\
+[system]
+cells = 36
+ris_elements = 150
+users = 3
+pam_order = 4
+
+[channel]
+paths = 4
+coupling_gain = 1.0
+dipole_moment = none
+hbar = 1.0
+incidence_axis = 0.0,0.0,1.0
+path_loss_min = 0.1
+path_loss_max = 1.0
+normalize = true
+
+[lo]
+power = 100000000.0
+reference_symbol = 1.0
+coupling_gain = 1.0
+dipole_moment = none
+hbar = 1.0
+incidence_axis = 0.0,0.0,1.0
+path_loss_min = 0.5
+path_loss_max = 1.0
+
+[adam]
+max_iters = 100
+step = 0.05
+beta1 = 0.9
+beta2 = 0.999
+epsilon = 1e-05
+grad_tol = none
+
+[sim]
+eb_n0_grid_db = -40.0,-36.0,-32.0,-28.0
+trials_per_point = 50
+symbols_per_trial = 100
+detectors = proposed,exhaustive,zf_genie
+master_seed = 0
+error_target = 200
+trial_offset = 0
+exhaustive_budget = 1048576
+
+"""
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -144,19 +197,52 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("cells = 8\n")  # option before any section header
 
+    def test_default_text_is_pinned(self, capsys):
+        assert default_config_text() == DEFAULT_CONFIG_TEXT
+        assert main(["ber", "--dump-defaults"]) == 0
+        assert capsys.readouterr().out == DEFAULT_CONFIG_TEXT
+
+    @pytest.mark.parametrize("text, named", [
+        (BASE_CONFIG + "\n[channel]\nreference_symbol = 2\n", "[channel] reference_symbol"),
+        (BASE_CONFIG + "\n[run]\noutputs = x.csv\n", "[run]"),
+        ("[DEFAULT]\n" + BASE_CONFIG, "[DEFAULT]"),
+    ], ids=["lo-key-under-channel", "run", "empty-DEFAULT"])
+    def test_unknown_section_or_key_named(self, text, named):
+        """Beyond the CLI cases in TestCommands: a key of another section,
+        the manifest's [run] and an empty [DEFAULT] are unknown too."""
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            parse_config_text(text)
+
+    def test_one_end_of_path_loss_span(self):
+        cfg = parse_config_text(BASE_CONFIG + "\n[channel]\npath_loss_max = 2.5\n")
+        assert cfg.channel.path_loss_span == (PhysicalPathParams().path_loss_span[0], 2.5)
+        assert cfg.lo == LOParams()
+
+    @pytest.mark.parametrize("raw, value", [
+        ("true", True), ("Yes", True), ("on", True), ("1", True),
+        ("false", False), ("NO", False), ("off", False), ("0", False),
+    ])
+    def test_bool_spellings(self, raw, value):
+        cfg = parse_config_text(BASE_CONFIG + f"\n[channel]\nnormalize = {raw}\n")
+        assert cfg.channel.normalize is value
+
+    def test_readme_configs_parse(self):
+        """Every ``ini`` block in README.md is a valid config, so the
+        documented files cannot drift from the schema."""
+        blocks = re.findall(r"^```ini\n(.*?)^```", README.read_text(), re.M | re.S)
+        assert blocks
+        for text in blocks:
+            validate_config(parse_config_text(text, source="README.md"))
+
     def test_empty_grid_rejected_downstream(self):
         text = BASE_CONFIG.replace("eb_n0_grid_db = -26,-22", "eb_n0_grid_db =")
         cfg = parse_config_text(text)
-        from atomris.sim import validate_config
-
         with pytest.raises(ConfigError, match="grid"):
             validate_config(cfg)
 
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        from atomris.config import write_manifest
-
         cfg = parse_config_text(BASE_CONFIG)
         path = tmp_path / "out.csv.manifest"
         write_manifest(cfg, path, ["out.csv"], "0.1.0")
@@ -165,6 +251,39 @@ class TestManifest:
         assert meta["artifact_version"] == "0.1.0"
         assert meta["outputs"] == "out.csv"
         assert "T" in meta["timestamp"]
+
+    def test_body_is_the_config_text(self, tmp_path):
+        path = tmp_path / "out.csv.manifest"
+        write_manifest(SimConfig(), path, ["out.csv"], "0.1.0")
+        body, run = path.read_text().split("[run]\n")
+        assert body == DEFAULT_CONFIG_TEXT
+        assert run.startswith("artifact_version = 0.1.0\ntimestamp = ")
+        assert run.endswith("\noutputs = out.csv\n\n")
+
+    @pytest.mark.parametrize("stray, named", [
+        ("[sim]\n", "[sim] trails_per_point"),
+        ("[adam]\n", "[adam] trails_per_point"),
+    ], ids=["sim", "adam"])
+    def test_stray_key_rejected(self, tmp_path, stray, named):
+        path = tmp_path / "out.csv.manifest"
+        write_manifest(parse_config_text(BASE_CONFIG), path, ["out.csv"], "0.1.0")
+        path.write_text(path.read_text().replace(stray, stray + "trails_per_point = 9\n"))
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_manifest(path)
+
+    def test_stray_section_rejected(self, tmp_path):
+        path = tmp_path / "out.csv.manifest"
+        write_manifest(parse_config_text(BASE_CONFIG), path, ["out.csv"], "0.1.0")
+        path.write_text("[DEFAULT]\nmaster_seed = 9\n\n" + path.read_text())
+        with pytest.raises(ConfigError, match=re.escape("[DEFAULT]")):
+            load_manifest(path)
+
+    def test_non_utf8_manifest_named(self, tmp_path):
+        path = tmp_path / "out.csv.manifest"
+        write_manifest(SimConfig(), path, ["out.csv"], "0.1.0")
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        with pytest.raises(ConfigError, match="cannot read manifest .*out.csv.manifest"):
+            load_manifest(path)
 
 
 class TestCommands:
@@ -186,6 +305,7 @@ class TestCommands:
         ("channel", "path_loss_min", "0"),
         ("lo", "path_loss_min", "0"),
         ("channel", "incidence_axis", "0,0,0"),
+        ("channel", "normalize", "maybe"),
         ("lo", "power", "-1"),
         ("channel", "coupling_gain", "1e200"),
         pytest.param("channel", "coupling_gain", "1e200\nnormalize = false",
@@ -195,6 +315,10 @@ class TestCommands:
         ("sim", "eb_n0_grid_db", "nan"),
         ("sim", "eb_n0_grid_db", "1,1"),
         ("sim", "eb_n0_grid_db", "-0.0,0.0"),
+        ("sim", "eb_n0_grid_db", "-10,4000"),
+        ("sim", "eb_n0_grid_db", "-10,-4000"),
+        ("sim", "eb_n0_grid_db", "-10,-3200"),
+        ("sim", "trials_per_point", "6%"),
         ("sim", "detectors", "proposed,proposed,zf_genie"),
         ("sim", "master_seed", "-1"),
     ])
@@ -242,6 +366,28 @@ class TestCommands:
     def test_unreadable_config_is_exit_2(self, tmp_path):
         assert main(["ber", "--config", str(tmp_path / "absent.ini"),
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_non_utf8_config_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"\xff\xfe" + BASE_CONFIG.encode())
+        out = tmp_path / "x.csv"
+        assert main(["ber", "--config", str(path), "--out", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, named", [
+        (BASE_CONFIG.replace("trials_per_point", "trails_per_point"),
+         "[sim] trails_per_point"),
+        (BASE_CONFIG + "\n[simulation]\ntrials_per_point = 9\n", "[simulation]"),
+        ("[DEFAULT]\nmaster_seed = 5\n" + BASE_CONFIG, "[DEFAULT]"),
+    ], ids=["key", "section", "DEFAULT"])
+    def test_unknown_name_is_exit_2(self, tmp_path, capsys, text, named):
+        """A stray key used to run with the default in its place."""
+        path = write_config(tmp_path, text)
+        out = tmp_path / "x.csv"
+        assert main(["ber", "--config", path, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exhaustive_budget_is_exit_4(self, tmp_path, capsys):
         text = BASE_CONFIG.replace("pam_order = 4", "pam_order = 16")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from atomris.modem import hamming_table, make_pam, noise_sigma, slice_to_indices
+from atomris.modem import NoiseSpec, hamming_table, make_pam, noise_sigma, slice_to_indices
 
 
 class TestMakePam:
@@ -89,6 +89,21 @@ class TestNoiseSigma:
         sig = [noise_sigma(db, 8).sigma2 for db in grid]
         assert all(a > b for a, b in zip(sig, sig[1:]))
         assert sig[-1] < 1e-5
+
+    @pytest.mark.parametrize("db", [4000.0, 3080.0, -3200.0, -4000.0, np.nan, np.inf, -np.inf])
+    def test_variance_outside_float_range_rejected(self, db):
+        """Overflow and underflow of 10^(Eb/N0 / 10) or of sigma2 itself."""
+        with pytest.raises(ValueError, match="noise variance"):
+            noise_sigma(db, 4)
+
+    def test_extreme_but_representable(self):
+        assert 1e308 < noise_sigma(-3084.5, 4).sigma2 < np.inf
+        assert 0.0 < noise_sigma(3078.0, 4).sigma2 < 1e-307
+
+    @pytest.mark.parametrize("sigma2", [-1.0, np.inf, np.nan])
+    def test_spec_rejects_negative_or_non_finite(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2"):
+            NoiseSpec(sigma2)
 
 
 class TestHammingTable:

@@ -53,10 +53,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="detectors"):
             validate_config(replace(SMALL, detectors=("proposed", "mystery")))
 
-    @pytest.mark.parametrize("grid", [(-20.0, math.nan), (math.inf,), (1.0, 1.0), (-0.0, 0.0)])
+    @pytest.mark.parametrize("grid", [
+        (-20.0, math.nan), (math.inf,), (1.0, 1.0), (-0.0, 0.0),
+        # finite, but the noise variance leaves the float range
+        (-10.0, 4000.0), (-10.0, -4000.0), (-10.0, -3200.0),
+    ])
     def test_non_finite_or_repeated_grid_point(self, grid):
         with pytest.raises(ConfigError, match="eb_n0_grid_db"):
             validate_config(replace(SMALL, eb_n0_grid_db=grid))
+
+    def test_extreme_grid_point_with_finite_noise_accepted(self):
+        """-3084.5 dB gives sigma2 of about 1.4e308, still a float."""
+        validate_config(replace(SMALL, eb_n0_grid_db=(-10.0, -3084.5)))
 
     def test_more_users_than_cells(self):
         with pytest.raises(ConfigError, match="users"):
