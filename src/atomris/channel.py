@@ -62,7 +62,7 @@ class PhysicalPathParams:
         Path losses are drawn log-uniformly from this closed interval.
     normalize : bool
         Scale entries so their variance is exactly 1 under the random
-        draws.  Must be False when explicit per-path overrides are used.
+        draws.
     """
 
     num_paths: int = 4
@@ -251,10 +251,18 @@ def _draw_path_loss(shape, span, rng: np.random.Generator) -> np.ndarray:
     return np.exp(rng.uniform(math.log(lo), math.log(hi), shape))
 
 
+# Below this relative width of a path-loss span, (hi^2 - lo^2) / (2 log(hi/lo))
+# loses its digits to cancellation, and divides by zero once log(hi) ==
+# log(lo); its limit lo * hi is off by (width)^2 / 6 there, under 2e-11.
+_NARROW_SPAN = 1e-5
+
+
 def _log_uniform_second_moment(span) -> float:
     lo, hi = span
     if lo == hi:
         return float(lo) ** 2
+    if hi - lo <= _NARROW_SPAN * lo:
+        return float(lo) * hi
     return (hi**2 - lo**2) / (2.0 * (math.log(hi) - math.log(lo)))
 
 
@@ -266,50 +274,27 @@ def _normalization_variance(params: PhysicalPathParams) -> float:
     return params.num_paths * (w_inplane_sq / 2.0) * _log_uniform_second_moment(params.path_loss_span)
 
 
-def _path_terms(shape, params, rng, polarization, path_loss, phase):
-    """Per-path coupling, path loss and phase, each of ``shape``.
+def _path_terms(shape, params, rng):
+    """Per-path coupling, path loss and phase, each of ``shape``, drawn in
+    the order polarization angle, path loss, phase.
 
-    Each is drawn from ``rng`` unless an override pins it; the draw order
-    is polarization angle, path loss, phase.  A drawn polarization
-    cos(psi) u + sin(psi) v is never formed: its coupling is
-    cos(psi) (u . w) + sin(psi) (v . w) straight from the angle.  Only a
-    ``polarization`` override goes through the 3-vectors.
+    A polarization cos(psi) u + sin(psi) v is never formed: its coupling
+    is cos(psi) (u . w) + sin(psi) (v . w) straight from the angle.
     """
     u, v, w = params._uvw
-    if polarization is None:
-        psi = rng.uniform(0.0, 2.0 * np.pi, shape)
-        coupling = np.cos(psi) * float(u @ w)
-        v_w = float(v @ w)
-        if v_w != 0.0:  # zero for the folded coupling on an axis-aligned circle
-            coupling += np.sin(psi) * v_w
-        del psi
-    else:
-        pol = np.broadcast_to(np.asarray(polarization, dtype=float), shape + (3,))
-        if not np.allclose(np.linalg.norm(pol, axis=-1), 1.0, atol=1e-9):
-            raise ValueError("polarization vectors must have unit norm")
-        coupling = pol @ w
-    if path_loss is None:
-        rho = _draw_path_loss(shape, params.path_loss_span, rng)
-    else:
-        rho = np.broadcast_to(np.asarray(path_loss, dtype=float), shape)
-        if np.any(rho < 0):
-            raise ValueError("path loss must be nonnegative")
-    if phase is None:
-        phi = rng.uniform(0.0, 2.0 * np.pi, shape)
-    else:
-        phi = np.broadcast_to(np.asarray(phase, dtype=float), shape)
+    psi = rng.uniform(0.0, 2.0 * np.pi, shape)
+    coupling = np.cos(psi) * float(u @ w)
+    v_w = float(v @ w)
+    if v_w != 0.0:  # zero for the folded coupling on an axis-aligned circle
+        coupling += np.sin(psi) * v_w
+    del psi
+    rho = _draw_path_loss(shape, params.path_loss_span, rng)
+    phi = rng.uniform(0.0, 2.0 * np.pi, shape)
     return coupling, rho, phi
 
 
 def gen_physical_channel(
-    num_cells: int,
-    num_cols: int,
-    params: PhysicalPathParams,
-    rng: np.random.Generator,
-    *,
-    polarization: np.ndarray | None = None,
-    path_loss: np.ndarray | float | None = None,
-    phase: np.ndarray | float | None = None,
+    num_cells: int, num_cols: int, params: PhysicalPathParams, rng: np.random.Generator
 ) -> np.ndarray:
     """Generate an M x cols multipath channel matrix.
 
@@ -317,20 +302,11 @@ def gen_physical_channel(
     coupling(m, k, l) * path_loss(m, k, l) * exp(j * phase(m, k, l)),
     where coupling = dot(dipole, polarization) / hbar (or the folded gain
     times the in-plane polarization component).
-
-    The keyword overrides pin the per-path realizations instead of drawing
-    them; they must broadcast to shape (M, cols, L) (polarization to
-    (M, cols, L, 3)).  Overrides require ``params.normalize`` False since
-    the variance normalization only describes the random draws.
     """
     if num_cells < 1 or num_cols < 1:
         raise ValueError("matrix dimensions must be >= 1")
-    explicit = polarization is not None or path_loss is not None or phase is not None
-    if explicit and params.normalize:
-        raise ValueError("explicit per-path overrides require normalize=False")
-
     shape = (num_cells, num_cols, params.num_paths)
-    coupling, rho, phi = _path_terms(shape, params, rng, polarization, path_loss, phase)
+    coupling, rho, phi = _path_terms(shape, params, rng)
     coupling *= rho
     rotation = 1j * phi
     np.exp(rotation, out=rotation)
@@ -340,25 +316,12 @@ def gen_physical_channel(
     return entries
 
 
-def gen_lo_vector(
-    num_cells: int,
-    params: LOParams,
-    rng: np.random.Generator,
-    *,
-    polarization: np.ndarray | None = None,
-    path_loss: np.ndarray | float | None = None,
-    phase: np.ndarray | float | None = None,
-) -> np.ndarray:
-    """Generate the length-M local-oscillator vector.
-
-    Each magnitude scales as sqrt(power); the keyword overrides pin the
-    per-cell polarization / path loss / phase as in ``gen_physical_channel``
-    (shapes broadcast to (M,), polarization to (M, 3)).
-    """
+def gen_lo_vector(num_cells: int, params: LOParams, rng: np.random.Generator) -> np.ndarray:
+    """Generate the length-M local-oscillator vector: one coupling, path
+    loss and phase per cell, each magnitude scaled by sqrt(power)."""
     if num_cells < 1:
         raise ValueError("num_cells must be >= 1")
-
-    coupling, rho, phi = _path_terms((num_cells,), params, rng, polarization, path_loss, phase)
+    coupling, rho, phi = _path_terms((num_cells,), params, rng)
     return params.reference_symbol * coupling * math.sqrt(params.power) * rho * np.exp(1j * phi)
 
 

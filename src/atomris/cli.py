@@ -3,12 +3,14 @@
 Each command reads an INI configuration file (see ``--dump-defaults``),
 runs deterministically from the configured seed, and writes CSV or
 structured text.  Exit codes: 0 success, 2 configuration error, 3 I/O
-failure, 4 cost-budget refusal.
+failure (an output that cannot be created is found before any trial runs),
+4 cost-budget refusal.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -86,32 +88,15 @@ def save_phase_solution(path, cfg: SimConfig, theta: np.ndarray, final_objective
         fh.write("\n".join(lines) + "\n")
 
 
-def load_phase_solution(path) -> dict:
-    """Read a phase-solution file back into a dict with keys
-    seed/cells/ris_elements/users/objective/theta."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != _PHASE_FILE_MAGIC:
-        raise ConfigError(f"{path}: not a phase-solution file")
-    out: dict = {}
-    fields = (("seed", int), ("cells", int), ("ris_elements", int),
-              ("users", int), ("objective", float))
-    for idx, (key, conv) in enumerate(fields, start=1):
-        name, _, val = (lines[idx] if idx < len(lines) else "").partition("=")
-        if name.strip() != key:
-            raise ConfigError(f"{path}: missing field {key} at line {idx + 1}")
-        try:
-            out[key] = conv(val.strip())
-        except ValueError:
-            raise ConfigError(f"{path}: field {key} has invalid value {val.strip()!r}") from None
-    idx = len(fields) + 1
-    if idx >= len(lines) or lines[idx].strip() != "theta =":
-        raise ConfigError(f"{path}: missing field theta at line {idx + 1}")
-    try:
-        out["theta"] = np.array([float(v) for v in lines[idx + 1:] if v.strip()])
-    except ValueError:
-        raise ConfigError(f"{path}: field theta has a non-numeric phase") from None
-    return out
+def _check_writable(path) -> None:
+    """Raise OSError now if ``path`` cannot be created, rather than after
+    the run.  An existing file is opened for appending, so it keeps its
+    contents; a file created here is removed again."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def cmd_optimize(cfg: SimConfig, out_path: str) -> int:
@@ -153,6 +138,9 @@ def main(argv=None) -> int:
             raise ConfigError("--out is required")
         if args.command == "ber" and args.threads < 0:
             raise ConfigError(f"--threads must be >= 0, got {args.threads}")
+        _check_writable(args.out)
+        if args.command == "ber":
+            _check_writable(f"{args.out}.manifest")
         if args.command == "optimize":
             return cmd_optimize(cfg, args.out)
         if args.command == "convergence":

@@ -135,7 +135,6 @@ _SCHEMA: tuple[tuple[str, str | None, tuple[_Key, ...]], ...] = (
         _Key("beta1", _FLOAT),
         _Key("beta2", _FLOAT),
         _Key("epsilon", _FLOAT),
-        _Key("grad_tol", _optional(_FLOAT)),
     )),
     ("sim", None, (
         _Key("eb_n0_grid_db", _FLOATS),

@@ -49,6 +49,9 @@ __all__ = [
 # long on two cores.
 _BLOCK_BYTES = 512 << 10
 
+# ``ls_estimate`` refuses a Gram matrix H^H H of larger condition number.
+_COND_LIMIT = 1e12
+
 
 def front_end(
     h_eq: np.ndarray,
@@ -73,7 +76,7 @@ def front_end(
     return h_eq @ s + b[:, None] + awgn
 
 
-def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray, cond_threshold: float = 1e12) -> np.ndarray:
+def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Pre-slicing least-squares estimate (H^H H)^-1 H^H rhs, solved from
     the normal equations after a condition check."""
     h_eq = np.asarray(h_eq, dtype=complex)
@@ -82,7 +85,7 @@ def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray, cond_threshold: float = 1e12)
         raise ValueError(f"more users ({k}) than cells ({m}); least squares undefined")
     gram = h_eq.conj().T @ h_eq
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > cond_threshold:
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularMatrixError(
             f"H^H H is numerically singular (condition number {cond:.3e})"
         )

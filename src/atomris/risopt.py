@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet, effective_channel
-from .errors import BudgetExceededError, SingularMatrixError
+from .errors import BudgetExceededError
 
 __all__ = [
     "AdamConfig",
@@ -48,7 +48,6 @@ __all__ = [
     "multistart_adam",
     "brute_force_phases",
     "signal_domain_objective",
-    "recover_phi_from_chi",
     "canonicalize_phases",
     "gradient_op_count",
 ]
@@ -59,9 +58,7 @@ class AdamConfig:
     """Hyperparameters of the momentum gradient-descent loop.
 
     Defaults: 100 iterations, step 0.05, beta1 0.9, beta2 0.999,
-    epsilon 1e-5.  ``grad_tol`` enables an optional early stop on the
-    gradient infinity norm (off by default: the loop runs a fixed number
-    of iterations).
+    epsilon 1e-5.  The loop always runs all ``max_iters`` iterations.
     """
 
     max_iters: int = 100
@@ -69,7 +66,6 @@ class AdamConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-5
-    grad_tol: float | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -217,19 +213,15 @@ def adam_optimize_batch(
     ``stacked`` (B, 2N, MK) holds each trial's ``RankOneCache.stacked``,
     ``q0`` (B, MK) each Im(h_uv) flattened, ``theta0`` (B, N) the starting
     phases.  Exactly ``cfg.max_iters`` gradient evaluations are performed
-    per trial; with ``grad_tol`` set, a trial whose gradient infinity norm
-    falls below it stops there and its phases freeze while the others go
-    on.  Every row is bit-identical to running that trial alone (B = 1).
-    Returns the final phases (B, N) and one trace per trial recording J and
-    ||grad||_2 at each evaluated point.
+    per trial, and every row is bit-identical to running that trial alone
+    (B = 1).  Returns the final phases (B, N) and one trace per trial
+    recording J and ||grad||_2 at each evaluated point.
     """
     theta = np.array(theta0, dtype=float)
-    batch = theta.shape[0]
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    obj_hist = np.empty((cfg.max_iters, batch))
+    obj_hist = np.empty((cfg.max_iters, theta.shape[0]))
     gsq_hist = np.empty_like(obj_hist)
-    evals = np.full(batch, cfg.max_iters)
     for it in range(1, cfg.max_iters + 1):
         j_val, g = _evaluate(theta, stacked, q0)
         obj_hist[it - 1] = j_val
@@ -238,21 +230,10 @@ def adam_optimize_batch(
         v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
         m_hat = m / (1.0 - cfg.beta1**it)
         v_hat = v / (1.0 - cfg.beta2**it)
-        stepped = theta - cfg.step * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        if cfg.grad_tol is None:
-            theta = stepped
-            continue
-        running = evals == cfg.max_iters
-        theta = np.where(running[:, None], stepped, theta)
-        stops = running & (np.max(np.abs(g), axis=1, initial=-np.inf) < cfg.grad_tol)
-        evals[stops] = it
-        if not (evals == cfg.max_iters).any():
-            break
-    traces = [
-        ConvergenceTrace(obj_hist[:e, b].copy(), np.sqrt(gsq_hist[:e, b]))
-        for b, e in enumerate(evals)
+        theta = theta - cfg.step * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    return theta, [
+        ConvergenceTrace(obj.copy(), np.sqrt(gsq)) for obj, gsq in zip(obj_hist.T, gsq_hist.T)
     ]
-    return theta, traces
 
 
 def adam_optimize(
@@ -311,11 +292,12 @@ def multistart_adam(
     return best_theta, best_j
 
 
+# The most objective evaluations one grid search may spend.
+_GRID_BUDGET = 50_000_000
+
+
 def brute_force_phases(
-    cache: RankOneCache,
-    h_uv: np.ndarray,
-    grid_points_per_dim: int,
-    max_evals: int = 50_000_000,
+    cache: RankOneCache, h_uv: np.ndarray, grid_points_per_dim: int
 ) -> np.ndarray:
     """Grid-search oracle: the grid point minimizing J.
 
@@ -323,10 +305,10 @@ def brute_force_phases(
     """
     n = cache.num_elements
     cost = grid_points_per_dim**n
-    if n > 3 or cost > max_evals:
+    if n > 3 or cost > _GRID_BUDGET:
         raise BudgetExceededError(
             f"grid search over N={n} needs {grid_points_per_dim}^{n} = {cost} "
-            f"objective evaluations (budget {max_evals})"
+            f"objective evaluations (budget {_GRID_BUDGET})"
         )
     axis = np.arange(grid_points_per_dim) * (2.0 * np.pi / grid_points_per_dim)
     # all grid points in row-major (ij) order, one per row; (1, 0) for N = 0
@@ -351,38 +333,3 @@ def signal_domain_objective(
     h_eq = effective_channel(ch, theta)
     e = (h_eq @ s) * np.exp(-1j * np.angle(b))
     return float(np.sum(e.imag**2))
-
-
-def recover_phi_from_chi(
-    a: np.ndarray,
-    b_mat: np.ndarray,
-    c: np.ndarray,
-    chi: np.ndarray,
-    cond_threshold: float = 1e12,
-) -> np.ndarray:
-    """Closed-form recovery Phi = (A^H A)^-1 A^H (chi - C) B^H (B B^H)^-1.
-
-    Requires M >= N and K >= N for the Gram factors to be invertible, so
-    this is a desk-scale verification tool only; singular factors raise
-    ``SingularMatrixError`` naming the offender.
-    """
-    a = np.asarray(a, dtype=complex)
-    b_mat = np.asarray(b_mat, dtype=complex)
-    c = np.asarray(c, dtype=complex)
-    chi = np.asarray(chi, dtype=complex)
-    m, n = a.shape
-    if b_mat.shape[0] != n:
-        raise ValueError("A and B have inconsistent inner dimension")
-    if c.shape != chi.shape or c.shape != (m, b_mat.shape[1]):
-        raise ValueError("C and chi must both be M x K")
-
-    gram_a = a.conj().T @ a
-    gram_b = b_mat @ b_mat.conj().T
-    for name, gram in (("A^H A", gram_a), ("B B^H", gram_b)):
-        cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > cond_threshold:
-            raise SingularMatrixError(
-                f"{name} is numerically singular (condition number {cond:.3e})"
-            )
-    left = np.linalg.solve(gram_a, a.conj().T @ (chi - c))
-    return np.linalg.solve(gram_b.T, (left @ b_mat.conj().T).T).T

@@ -236,13 +236,13 @@ def optimize_aligned_phases(
     return adam_optimize(build_rank_one_cache(dephased), dephased.h_uv, adam, rng)
 
 
-def run_convergence(cfg: SimConfig, theta0: np.ndarray | None = None) -> ConvergenceTrace:
+def run_convergence(cfg: SimConfig) -> ConvergenceTrace:
     """One channel realization from the master seed, one optimizer run."""
     validate_config(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed))
     ch = draw_channels(cfg, rng)
     cache = build_rank_one_cache(ch)
-    _, trace = adam_optimize(cache, ch.h_uv, cfg.adam, rng, theta0=theta0)
+    _, trace = adam_optimize(cache, ch.h_uv, cfg.adam, rng)
     return trace
 
 

@@ -1,9 +1,11 @@
 """Tests for channel and local-oscillator generation."""
 
-from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from atomris import channel
 from atomris.channel import (
@@ -21,19 +23,32 @@ def rng_for(seed):
     return np.random.default_rng(seed)
 
 
-def tensor_draw(m, cols, params, rng):
-    """The channel draw through explicit polarization 3-vectors
-    cos(psi) u + sin(psi) v, dotted with w by the override path, in the
-    generator's draw order (angle, path loss, phase)."""
+def path_draws(shape, params, rng):
+    """The per-path polarization 3-vectors cos(psi) u + sin(psi) v, path
+    losses and phases, in the generator's draw order (angle, path loss,
+    phase)."""
     u, v = channel._circle_basis(params.incidence_axis)
-    shape = (m, cols, params.num_paths)
     psi = rng.uniform(0.0, 2.0 * np.pi, shape)
     pol = np.cos(psi)[..., None] * u + np.sin(psi)[..., None] * v
     lo, hi = params.path_loss_span
-    rho = np.exp(rng.uniform(np.log(lo), np.log(hi), shape))
+    rho = np.full(shape, lo) if lo == hi else np.exp(rng.uniform(np.log(lo), np.log(hi), shape))
     phi = rng.uniform(0.0, 2.0 * np.pi, shape)
-    raw = replace(params, normalize=False)
-    h = gen_physical_channel(m, cols, raw, None, polarization=pol, path_loss=rho, phase=phi)
+    return pol, rho, phi
+
+
+def coupling_vector(params):
+    """The 3-vector w dotted with each polarization: dipole / hbar, or the
+    folded gain along the circle's first basis vector."""
+    if params.dipole_moment is not None:
+        return np.asarray(params.dipole_moment) / params.hbar
+    return params.coupling_gain * channel._circle_basis(params.incidence_axis)[0]
+
+
+def tensor_draw(m, cols, params, rng):
+    """The channel draw through the (M, cols, L, 3) polarization tensor:
+    sum over paths of (pol . w) * loss * exp(j phase), normalized."""
+    pol, rho, phi = path_draws((m, cols, params.num_paths), params, rng)
+    h = np.sum(pol @ coupling_vector(params) * rho * np.exp(1j * phi), axis=-1)
     return h / np.sqrt(channel._normalization_variance(params)) if params.normalize else h
 
 
@@ -66,53 +81,35 @@ class TestUserRisChannel:
 
 class TestPhysicalChannel:
     def test_single_path_identity(self):
-        """One path with dipole.polarization = hbar, unit loss, zero phase
-        gives the all-ones real matrix."""
+        """One path with a collapsed unit loss span: each entry is the bare
+        coupling (dipole . polarization) / hbar times exp(j phase), and
+        the constant loss consumes no draws."""
         params = PhysicalPathParams(
-            num_paths=1,
-            dipole_moment=(1.0, 0.0, 0.0),
-            hbar=1.0,
-            incidence_axis=(0.0, 0.0, 1.0),
-            normalize=False,
+            num_paths=1, dipole_moment=(1.0, 0.0, 0.0), hbar=1.0,
+            path_loss_span=(1.0, 1.0), normalize=False,
         )
-        h = gen_physical_channel(
-            4, 3, params, rng_for(0),
-            polarization=np.array([1.0, 0.0, 0.0]),
-            path_loss=1.0,
-            phase=0.0,
-        )
-        assert np.allclose(h, np.ones((4, 3)))
-
-    def test_destructive_interference(self):
-        """Two equal paths with opposite phases cancel exactly."""
-        params = PhysicalPathParams(num_paths=2, normalize=False)
-        phase = np.zeros((2, 2, 2))
-        phase[:, :, 1] = np.pi
-        h = gen_physical_channel(
-            2, 2, params, rng_for(0),
-            polarization=np.array([1.0, 0.0, 0.0]),
-            path_loss=1.0,
-            phase=phase,
-        )
-        assert np.max(np.abs(h)) < 1e-12
+        rng, clone = rng_for(0), rng_for(0)
+        h = gen_physical_channel(4, 3, params, rng)
+        psi = clone.uniform(0.0, 2.0 * np.pi, (4, 3, 1))
+        phi = clone.uniform(0.0, 2.0 * np.pi, (4, 3, 1))
+        u, v = channel._circle_basis(params.incidence_axis)
+        pol_x = np.cos(psi) * u[0] + np.sin(psi) * v[0]
+        assert np.allclose(h, (pol_x * np.exp(1j * phi))[..., 0], atol=1e-15)
+        assert rng.bit_generator.state == clone.bit_generator.state
 
     def test_matches_direct_triple_loop(self):
-        """Random small instance matches an independent triple-loop sum
-        over paths of coupling * loss * exp(j phase)."""
+        """Random small instance with an explicit dipole matches an
+        independent triple-loop sum over paths of coupling * loss *
+        exp(j phase), fed the same draws from a cloned generator."""
         m, cols, length = 3, 2, 4
-        rng = rng_for(5)
-        pol = rng.standard_normal((m, cols, length, 3))
-        pol /= np.linalg.norm(pol, axis=-1, keepdims=True)
-        rho = rng.uniform(0.2, 2.0, (m, cols, length))
-        phi = rng.uniform(0, 2 * np.pi, (m, cols, length))
         mu = (0.3, -1.1, 0.7)
         hbar = 0.8
         params = PhysicalPathParams(
-            num_paths=length, dipole_moment=mu, hbar=hbar, normalize=False
+            num_paths=length, dipole_moment=mu, hbar=hbar,
+            incidence_axis=(0.4, -0.2, 1.0), path_loss_span=(0.2, 2.0), normalize=False,
         )
-        h = gen_physical_channel(
-            m, cols, params, rng_for(0), polarization=pol, path_loss=rho, phase=phi
-        )
+        h = gen_physical_channel(m, cols, params, rng_for(5))
+        pol, rho, phi = path_draws((m, cols, length), params, rng_for(5))
         expected = np.zeros((m, cols), dtype=complex)
         for i in range(m):
             for k in range(cols):
@@ -124,23 +121,15 @@ class TestPhysicalChannel:
         assert np.allclose(h, expected, atol=1e-12)
 
     def test_path_permutation_invariance(self):
-        """The sum over paths does not depend on path order."""
+        """An entry is the path sum in any path order: summing the cloned
+        draws' terms with the paths permuted gives the same matrix."""
         m, cols, length = 2, 3, 5
-        rng = rng_for(6)
-        pol = rng.standard_normal((m, cols, length, 3))
-        pol /= np.linalg.norm(pol, axis=-1, keepdims=True)
-        rho = rng.uniform(0.2, 2.0, (m, cols, length))
-        phi = rng.uniform(0, 2 * np.pi, (m, cols, length))
         params = PhysicalPathParams(num_paths=length, normalize=False)
-        h = gen_physical_channel(
-            m, cols, params, rng_for(0), polarization=pol, path_loss=rho, phase=phi
-        )
-        perm = rng.permutation(length)
-        h2 = gen_physical_channel(
-            m, cols, params, rng_for(0),
-            polarization=pol[:, :, perm], path_loss=rho[:, :, perm], phase=phi[:, :, perm],
-        )
-        assert np.allclose(h, h2, atol=1e-12)
+        h = gen_physical_channel(m, cols, params, rng_for(6))
+        pol, rho, phi = path_draws((m, cols, length), params, rng_for(6))
+        terms = pol @ coupling_vector(params) * rho * np.exp(1j * phi)
+        perm = rng_for(7).permutation(length)
+        assert np.allclose(h, np.sum(terms[:, :, perm], axis=-1), atol=1e-12)
 
     def test_normalized_unit_variance(self):
         """Default (normalized) draws have per-entry variance 1."""
@@ -158,19 +147,6 @@ class TestPhysicalChannel:
     def test_zero_paths_rejected(self):
         with pytest.raises(ValueError):
             gen_physical_channel(2, 2, PhysicalPathParams(num_paths=0), rng_for(0))
-
-    def test_non_unit_polarization_rejected(self):
-        params = PhysicalPathParams(num_paths=1, normalize=False)
-        with pytest.raises(ValueError, match="unit norm"):
-            gen_physical_channel(
-                2, 2, params, rng_for(0), polarization=np.array([2.0, 0.0, 0.0])
-            )
-
-    def test_normalize_with_overrides_rejected(self):
-        with pytest.raises(ValueError, match="normalize"):
-            gen_physical_channel(
-                2, 2, PhysicalPathParams(num_paths=1), rng_for(0), path_loss=1.0
-            )
 
 
 class TestFoldedCouplingDraw:
@@ -214,6 +190,54 @@ class TestFoldedCouplingDraw:
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
+class TestPathLossDraw:
+    """Path losses are log-uniform on the closed span [lo, hi]."""
+
+    @settings(deadline=None)
+    @given(lo=st.floats(1e-6, 1e6), ratio=st.floats(1.0, 1e3), seed=st.integers(0, 2**32))
+    @example(lo=17.0, ratio=1.0000000000000002, seed=0)
+    def test_draws_lie_in_span(self, lo, ratio, seed):
+        """In [lo, hi], or within one ulp of the ends as the draw rounds
+        them: exp(log(lo)) and exp(log(hi)) can be ulps off lo and hi."""
+        hi = lo * ratio
+        draws = channel._draw_path_loss((400,), (lo, hi), rng_for(seed))
+        ends = np.exp(np.array([math.log(lo), math.log(hi)]))
+        assert np.all(draws >= min(lo, np.nextafter(ends[0], 0.0)))
+        assert np.all(draws <= max(hi, np.nextafter(ends[1], np.inf)))
+
+    @given(lo=st.floats(0.0, 1e6), seed=st.integers(0, 2**32))
+    def test_collapsed_span_is_constant_and_draws_nothing(self, lo, seed):
+        rng = rng_for(seed)
+        state = rng.bit_generator.state
+        draws = channel._draw_path_loss((3, 4), (lo, lo), rng)
+        assert draws.shape == (3, 4) and np.all(draws == lo)
+        assert rng.bit_generator.state == state
+
+    def test_default_second_moment_formula(self):
+        lo, hi = PhysicalPathParams().path_loss_span
+        want = (hi**2 - lo**2) / (2.0 * (math.log(hi) - math.log(lo)))
+        assert channel._log_uniform_second_moment((lo, hi)) == want
+
+    def test_span_one_ulp_wide(self):
+        """log(hi) == log(lo) although lo < hi: the second moment is the
+        limit lo * hi, so normalized parameters build."""
+        span = (17.0, 17.000000000000004)
+        assert math.log(span[0]) == math.log(span[1])
+        assert channel._log_uniform_second_moment(span) == 17.0 * 17.000000000000004
+        h = gen_physical_channel(30, 40, PhysicalPathParams(path_loss_span=span), rng_for(2))
+        assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.1)
+
+    @pytest.mark.parametrize("lo", [1e-6, 0.1, 17.0, 1e6])
+    @pytest.mark.parametrize("width", [1e-7, 9e-6, 1.1e-5, 1e-4])
+    def test_narrow_spans_accurate(self, lo, width):
+        """On both sides of the narrow-span switch the second moment
+        matches the series lo hi (1 + d^2 / 6 + d^4 / 120), d = log(hi / lo)."""
+        hi = lo * (1.0 + width)
+        d = math.log1p((hi - lo) / lo)
+        series = lo * hi * (1.0 + d * d / 6.0 + d**4 / 120.0)
+        assert channel._log_uniform_second_moment((lo, hi)) == pytest.approx(series, rel=1e-9)
+
+
 class TestLOVector:
     def test_zero_power(self):
         b = gen_lo_vector(8, LOParams(power=0.0), rng_for(1))
@@ -226,17 +250,15 @@ class TestLOVector:
         assert np.allclose(np.abs(b4), 2.0 * np.abs(b1))
 
     def test_matches_direct_formula(self):
-        """Small instance matches independent per-element evaluation."""
+        """Small instance matches independent per-element evaluation of the
+        draws of a cloned generator."""
         m = 5
-        rng = rng_for(3)
-        pol = rng.standard_normal((m, 3))
-        pol /= np.linalg.norm(pol, axis=-1, keepdims=True)
-        rho = rng.uniform(0.5, 1.5, m)
-        phi = rng.uniform(0, 2 * np.pi, m)
         params = LOParams(
-            power=4.0, reference_symbol=0.7, dipole_moment=(1.0, 0.2, -0.4), hbar=1.3
+            power=4.0, reference_symbol=0.7, dipole_moment=(1.0, 0.2, -0.4), hbar=1.3,
+            incidence_axis=(1.0, 0.5, 0.3), path_loss_span=(0.5, 1.5),
         )
-        b = gen_lo_vector(m, params, rng_for(0), polarization=pol, path_loss=rho, phase=phi)
+        b = gen_lo_vector(m, params, rng_for(3))
+        pol, rho, phi = path_draws((m,), params, rng_for(3))
         expected = np.array(
             [
                 0.7 / 1.3 * np.dot((1.0, 0.2, -0.4), pol[i]) * 2.0 * rho[i]

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import atomris
 from atomris.channel import LOParams, PhysicalPathParams
-from atomris.cli import load_phase_solution, main, save_phase_solution
+from atomris import cli
+from atomris.cli import main, save_phase_solution
 from atomris.config import (
     default_config_text,
     dump_config,
@@ -43,6 +44,19 @@ symbols_per_trial = 20
 master_seed = 3
 error_target = none
 """
+
+
+def read_phase_file(path) -> dict:
+    """The phase-solution format: a magic line, five ``key = value`` header
+    lines, then ``theta =`` and one phase per line."""
+    lines = Path(path).read_text().splitlines()
+    assert lines[0] == "# atomris-phase-solution v1" and lines[6] == "theta ="
+    header = dict(line.split(" = ") for line in lines[1:6])
+    assert list(header) == ["seed", "cells", "ris_elements", "users", "objective"]
+    sol = {key: int(val) for key, val in header.items() if key != "objective"}
+    sol["objective"] = float(header["objective"])
+    sol["theta"] = np.array([float(v) for v in lines[7:]])
+    return sol
 
 
 def write_config(tmp_path, text=BASE_CONFIG, name="run.ini"):
@@ -98,7 +112,6 @@ step = 0.05
 beta1 = 0.9
 beta2 = 0.999
 epsilon = 1e-05
-grad_tol = none
 
 [sim]
 eb_n0_grid_db = -40.0,-36.0,-32.0,-28.0
@@ -160,7 +173,6 @@ sim_configs = st.builds(
         beta1=st.floats(0.01, 0.99),
         beta2=st.floats(0.01, 0.999),
         epsilon=positive,
-        grad_tol=st.none() | positive,
     ),
     master_seed=st.integers(0, 2**63),
     error_target=st.none() | st.integers(1, 10**6),
@@ -176,6 +188,7 @@ class TestConfigParsing:
 
     @settings(deadline=None)
     @given(sim_configs)
+    @example(SimConfig(channel=PhysicalPathParams(path_loss_span=(17.0, 17.000000000000004))))
     def test_any_config_round_trips(self, cfg):
         assert parse_config_text(dump_config(cfg)) == cfg
 
@@ -398,6 +411,39 @@ class TestCommands:
         assert main(["ber", "--config", path, "--out", str(tmp_path / "x.csv")]) == 4
         assert "16^8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, runner", [
+        ("ber", "run_ber"), ("convergence", "run_convergence"), ("optimize", "draw_channels"),
+    ])
+    def test_unwritable_out_is_exit_3_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, command, runner
+    ):
+        def refuse(*args):
+            raise AssertionError(f"{runner} ran before the output was checked")
+
+        monkeypatch.setattr(cli, runner, refuse)
+        out = tmp_path / "absent" / "x.csv"
+        assert main([command, "--config", write_config(tmp_path), "--out", str(out)]) == 3
+        assert str(out) in capsys.readouterr().err
+
+    def test_unwritable_manifest_is_exit_3_and_keeps_the_csv(self, tmp_path, capsys, monkeypatch):
+        """The output check appends nothing to, and does not truncate, an
+        existing CSV when the manifest next to it cannot be created."""
+        monkeypatch.setattr(cli, "run_ber", None)  # a campaign would fail with TypeError
+        out = tmp_path / "x.csv"
+        out.write_text("earlier results\n")
+        (tmp_path / "x.csv.manifest").mkdir()
+        assert main(["ber", "--config", write_config(tmp_path), "--out", str(out)]) == 3
+        assert "x.csv.manifest" in capsys.readouterr().err
+        assert out.read_text() == "earlier results\n"
+
+    def test_span_one_ulp_wide_runs(self, tmp_path):
+        """A [channel] path-loss span so narrow that log(max) == log(min)
+        used to raise ZeroDivisionError out of main."""
+        text = with_field("channel", "path_loss_min", "17.0\npath_loss_max = 17.000000000000004")
+        out = tmp_path / "x.csv"
+        assert main(["ber", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 2 * 3
+
     def test_ber_writes_csv_and_manifest(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "ber.csv"
@@ -488,7 +534,7 @@ class TestOptimizeCommand:
         path = write_config(tmp_path)
         out = tmp_path / "phases.txt"
         assert main(["optimize", "--config", path, "--out", str(out)]) == 0
-        sol = load_phase_solution(out)
+        sol = read_phase_file(out)
         assert sol["ris_elements"] == 16
         assert sol["theta"].shape == (16,)
         assert np.all((sol["theta"] >= 0) & (sol["theta"] < 2 * np.pi))
@@ -508,7 +554,7 @@ class TestOptimizeCommand:
         path = write_config(tmp_path, text)
         out = tmp_path / "phases.txt"
         assert main(["optimize", "--config", path, "--out", str(out)]) == 0
-        sol = load_phase_solution(out)
+        sol = read_phase_file(out)
         assert sol["theta"].size == 0
 
         from atomris.config import load_config
@@ -525,7 +571,7 @@ class TestOptimizeCommand:
         trace_out = tmp_path / "trace.csv"
         main(["optimize", "--config", path, "--out", str(out)])
         main(["convergence", "--config", path, "--out", str(trace_out)])
-        sol = load_phase_solution(out)
+        sol = read_phase_file(out)
         initial = float(trace_out.read_text().splitlines()[1].split(",")[1])
         assert sol["objective"] < initial
 
@@ -544,25 +590,8 @@ class TestPhaseFile:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "phases.txt"
             save_phase_solution(path, cfg, np.array(theta), objective)
-            sol = load_phase_solution(path)
+            sol = read_phase_file(path)
         assert (sol["seed"], sol["cells"], sol["ris_elements"], sol["users"]) == (
             seed, *dims)
         assert sol["objective"] == objective
         assert np.array_equal(sol["theta"], np.array(theta))
-
-    @pytest.mark.parametrize("keep, missing", [
-        (1, "seed"), (2, "cells"), (4, "users"), (5, "objective"), (6, "theta"),
-    ])
-    def test_truncated_header_names_missing_field(self, tmp_path, keep, missing):
-        path = tmp_path / "phases.txt"
-        save_phase_solution(path, SimConfig(), np.zeros(3), 1.5)
-        path.write_text("".join(path.read_text().splitlines(True)[:keep]))
-        with pytest.raises(ConfigError, match=f"phases.txt: missing field {missing}"):
-            load_phase_solution(path)
-
-    def test_bad_value_named(self, tmp_path):
-        path = tmp_path / "phases.txt"
-        save_phase_solution(path, SimConfig(), np.zeros(3), 1.5)
-        path.write_text(path.read_text().replace("users = 3", "users = three"))
-        with pytest.raises(ConfigError, match="users"):
-            load_phase_solution(path)

@@ -37,6 +37,10 @@ def aligned_system(m, k, seed, lo_mag=500.0):
 NOISELESS = NoiseSpec(0.0)
 
 
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def column(x):
     """One observation or symbol vector as a batch of one column."""
     return np.asarray(x)[:, None]
@@ -155,6 +159,34 @@ class TestProposedDetector:
         ours = ls_estimate(h_eq, rhs)
         oracle = np.linalg.lstsq(h_eq, rhs, rcond=None)[0]
         assert np.allclose(ours, oracle, atol=1e-10)
+
+    @settings(deadline=None)
+    @given(m=st.integers(1, 12), data=st.data())
+    def test_ls_returns_s_from_h_s(self, m, data):
+        """For H = U diag(sv) V^H with singular values in [1, 1e3] (so
+        cond(H^H H) <= 1e6) the estimate from H s is s, to a tolerance
+        that scales with cond(H^H H)."""
+        k = data.draw(st.integers(1, m))
+        sv = np.array(data.draw(st.lists(st.floats(1.0, 1e3), min_size=k, max_size=k)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        u = np.linalg.qr(complex_normal(rng, (m, k)))[0]
+        v = np.linalg.qr(complex_normal(rng, (k, k)))[0]
+        h = (u * sv) @ v.conj().T
+        s = complex_normal(rng, (k, 4))
+        got = ls_estimate(h, h @ s)
+        cond = (sv.max() / sv.min()) ** 2
+        assert np.linalg.norm(got - s) <= 10 * k * np.finfo(float).eps * cond * np.linalg.norm(s)
+
+    @settings(deadline=None)
+    @given(m=st.integers(2, 12), data=st.data())
+    def test_ls_rank_deficient_raises(self, m, data):
+        """H = A B with inner dimension r < K has rank r: refused."""
+        k = data.draw(st.integers(2, m))
+        r = data.draw(st.integers(1, k - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        h = complex_normal(rng, (m, r)) @ complex_normal(rng, (r, k))
+        with pytest.raises(SingularMatrixError):
+            ls_estimate(h, complex_normal(rng, (m, 1)))
 
     def test_rank_deficient_rejected(self):
         h_eq = np.ones((4, 2), dtype=complex)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from atomris.channel import ChannelSet, effective_channel, gen_lo_vector, gen_user_ris_channel
-from atomris.errors import BudgetExceededError, SingularMatrixError
+from atomris.errors import BudgetExceededError
 from atomris.risopt import (
     AdamConfig,
     adam_optimize,
@@ -19,7 +19,6 @@ from atomris.risopt import (
     objective,
     objective_and_gradient,
     random_phases,
-    recover_phi_from_chi,
     signal_domain_objective,
 )
 from atomris.sim import SimConfig, draw_channels, optimize_aligned_phases, trial_seed
@@ -226,15 +225,6 @@ class TestAdam:
             assert objective(theta, cache, ch.h_uv) < trace.objective[0]
             assert np.all(np.diff(np.minimum.accumulate(trace.objective)) <= 0)
 
-    def test_early_stop_on_gradient(self):
-        ch = ChannelSet(np.ones((3, 2)), np.ones((4, 3)), np.ones((4, 2)))
-        cache = build_rank_one_cache(ch)
-        _, trace = adam_optimize(
-            cache, ch.h_uv, AdamConfig(max_iters=50, grad_tol=1e-8),
-            np.random.default_rng(0), theta0=np.zeros(3),
-        )
-        assert len(trace) == 1
-
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             AdamConfig(step=-1.0)
@@ -286,32 +276,19 @@ class TestBatchedAdam:
                 assert np.array_equal(trace.objective, other_trace.objective)
                 assert np.array_equal(trace.grad_norm, other_trace.grad_norm)
 
-    @pytest.mark.parametrize("batch", [3, 8])
-    def test_rows_stop_and_freeze_where_alone(self, batch):
-        """With grad_tol, rows stop at different iterations; each stops and
-        keeps the phases of its own B = 1 run."""
-        adam = AdamConfig(max_iters=300, step=0.2, grad_tol=2.0)
-        problems = [dephased_problem(self.CFG, t) for t in range(batch)]
-        thetas, traces = self.run_batch(problems, adam)
-        lengths = {len(trace) for trace in traces}
-        assert len(lengths) > 1 and min(lengths) < adam.max_iters
-        for (cache, q0, theta0, _), theta, trace in zip(problems, thetas, traces):
-            h_uv = (q0 * 1j).reshape(cache.shape[1:])
-            alone, alone_trace = adam_optimize(cache, h_uv, adam, None, theta0=theta0)
-            assert len(trace) == len(alone_trace)
-            assert np.array_equal(theta, alone)
-            assert np.array_equal(trace.objective, alone_trace.objective)
-
     def test_no_ris_rows(self):
-        """N = 0: nothing to optimize; each row records the direct J."""
+        """N = 0: nothing to optimize; each row records the direct J at
+        every iteration, with a zero gradient."""
         h_uv = np.random.default_rng(9).standard_normal((3, 4, 2)) * 1j
         q0 = h_uv.imag.reshape(3, -1)
         thetas, traces = adam_optimize_batch(
-            np.zeros((3, 0, 8)), q0, np.zeros((3, 0)), AdamConfig(max_iters=5, grad_tol=1e-3)
+            np.zeros((3, 0, 8)), q0, np.zeros((3, 0)), AdamConfig(max_iters=5)
         )
         assert thetas.shape == (3, 0)
         for row, trace in zip(q0, traces):
-            assert len(trace) == 1 and trace.objective[0] == pytest.approx(row @ row)
+            assert len(trace) == 5
+            assert trace.objective == pytest.approx(np.full(5, row @ row))
+            assert np.all(trace.grad_norm == 0.0)
 
 
 class TestBruteForce:
@@ -404,48 +381,6 @@ class TestSignalDomainObjective:
         for _ in range(20):
             s = rng.standard_normal(2)
             assert signal_domain_objective(theta, ch, s, lo) < 1e-18 * (s @ s)
-
-
-class TestRecoverPhi:
-    def test_forward_construct_then_invert(self):
-        """chi = A e^{j pi/3} B + C recovers the phase to 1e-10 (N=1)."""
-        rng = np.random.default_rng(23)
-        a = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-        b = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
-        c = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        phi = np.exp(1j * np.pi / 3)
-        chi = a * phi @ b + c
-        got = recover_phi_from_chi(a, b, c, chi)
-        assert got.shape == (1, 1)
-        assert abs(got[0, 0] - phi) < 1e-10
-
-    def test_chi_equals_c_gives_zero(self):
-        rng = np.random.default_rng(24)
-        a = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        b = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        c = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-        got = recover_phi_from_chi(a, b, c, c.copy())
-        assert np.max(np.abs(got)) < 1e-10
-
-    def test_general_matrix_round_trip(self):
-        """Any N x N matrix round-trips when M >= N and K >= N."""
-        rng = np.random.default_rng(25)
-        a = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        b = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        c = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
-        phi = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        chi = a @ phi @ b + c
-        assert np.allclose(recover_phi_from_chi(a, b, c, chi), phi, atol=1e-9)
-
-    def test_wide_surface_sizes_are_singular(self):
-        """At M=36 < N=150 the Gram factor is rank deficient, so the
-        closed form is inapplicable and must refuse."""
-        rng = np.random.default_rng(26)
-        a = rng.standard_normal((36, 150)) + 1j * rng.standard_normal((36, 150))
-        b = rng.standard_normal((150, 3)) + 1j * rng.standard_normal((150, 3))
-        c = rng.standard_normal((36, 3)) + 1j * rng.standard_normal((36, 3))
-        with pytest.raises(SingularMatrixError, match="A\\^H A"):
-            recover_phi_from_chi(a, b, c, c.copy())
 
 
 class TestOpCounting:
