@@ -80,11 +80,7 @@ class PhysicalPathParams:
         object.__setattr__(self, "_uvw", _coupling(self))  # reused by every draw
         _check_entry_scale(self, self.num_paths, 1.0, "num_paths")
         if self.normalize:
-            try:
-                with np.errstate(over="ignore"):
-                    var = _normalization_variance(self)
-            except OverflowError:
-                var = math.inf
+            var = _normalization_variance(self)
             if not 0.0 < var < math.inf:
                 raise ValueError(
                     f"normalization variance is {var}: the coupling lies along the incidence "
@@ -92,6 +88,13 @@ class PhysicalPathParams:
                     "is out of range"
                 )
             object.__setattr__(self, "_entry_sd", math.sqrt(var))
+
+    @property
+    def entry_variance(self) -> float:
+        """Per-entry variance of a drawn matrix: 1 when normalized, else
+        the raw variance, which is 0 when the coupling or path loss is 0 or
+        underflows."""
+        return 1.0 if self.normalize else _normalization_variance(self)
 
 
 @dataclass(frozen=True)
@@ -268,10 +271,15 @@ def _log_uniform_second_moment(span) -> float:
 
 def _normalization_variance(params: PhysicalPathParams) -> float:
     """Per-entry variance of the un-normalized draw,
-    L (|in-plane w|^2 / 2) E[path_loss^2]."""
+    L (|in-plane w|^2 / 2) E[path_loss^2]; inf where it overflows."""
     u, v, w = params._uvw
-    w_inplane_sq = float(np.dot(w, u) ** 2 + np.dot(w, v) ** 2)
-    return params.num_paths * (w_inplane_sq / 2.0) * _log_uniform_second_moment(params.path_loss_span)
+    try:
+        with np.errstate(over="ignore"):
+            w_inplane_sq = float(np.dot(w, u) ** 2 + np.dot(w, v) ** 2)
+            second_moment = _log_uniform_second_moment(params.path_loss_span)
+    except OverflowError:
+        return math.inf
+    return params.num_paths * (w_inplane_sq / 2.0) * second_moment
 
 
 def _path_terms(shape, params, rng):

@@ -2,9 +2,9 @@
 
 Each command reads an INI configuration file (see ``--dump-defaults``),
 runs deterministically from the configured seed, and writes CSV or
-structured text.  Exit codes: 0 success, 2 configuration error, 3 I/O
-failure (an output that cannot be created is found before any trial runs),
-4 cost-budget refusal.
+structured text.  Exit codes: 0 success, 2 configuration error or a
+channel too weak for least squares, 3 I/O failure (an output that cannot
+be created is found before any trial runs), 4 cost-budget refusal.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import default_config_text, load_config, write_manifest
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError, ConfigError, SingularMatrixError
 from .risopt import adam_optimize, build_rank_one_cache, canonicalize_phases, objective
 from .sim import (
     SimConfig,
@@ -149,7 +149,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ConfigError as exc:
+    except (ConfigError, SingularMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

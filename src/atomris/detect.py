@@ -78,7 +78,7 @@ def front_end(
 
 def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Pre-slicing least-squares estimate (H^H H)^-1 H^H rhs, solved from
-    the normal equations after a condition check."""
+    the normal equations after a condition check, and refused if not finite."""
     h_eq = np.asarray(h_eq, dtype=complex)
     m, k = h_eq.shape
     if k > m:
@@ -89,7 +89,10 @@ def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(
             f"H^H H is numerically singular (condition number {cond:.3e})"
         )
-    return np.linalg.solve(gram, h_eq.conj().T @ np.asarray(rhs, dtype=complex))
+    s_hat = np.linalg.solve(gram, h_eq.conj().T @ np.asarray(rhs, dtype=complex))
+    if not np.isfinite(s_hat).all():  # e.g. a Gram matrix that underflows
+        raise SingularMatrixError(f"H^H H gives a non-finite estimate (condition {cond:.3e})")
+    return s_hat
 
 
 def detect_proposed_batch(

@@ -8,9 +8,10 @@ V_n = h_rv[:, n] outer h_ur[n, :], the imaginary residual decomposes as
 
 so J = sum(Q^2) and each objective/gradient evaluation costs O(N M K):
 one product [cos(theta), sin(theta)] @ [Im V; Re V] for Q and one product
-[Im V; Re V] @ Q for the gradient (see ``RankOneCache``).  The optimizer
-runs a batch of independent trials through one loop; a single trial is a
-batch of one.  The analytic gradient is
+[Im V; Re V] @ Q for the gradient (see ``build_rank_one_cache``).  The
+optimizer runs a batch of independent trials through one loop; a single
+trial, or the restarts of ``multistart_adam``, is a batch too.  The
+analytic gradient is
 
     dJ/dtheta_n = 2 sum_{m,k} Q_{m,k} (cos(theta_n) Re(V_n) - sin(theta_n) Im(V_n))_{m,k}
 
@@ -37,7 +38,6 @@ from .errors import BudgetExceededError
 __all__ = [
     "AdamConfig",
     "ConvergenceTrace",
-    "RankOneCache",
     "build_rank_one_cache",
     "objective",
     "gradient",
@@ -90,30 +90,12 @@ class ConvergenceTrace:
         return self.objective.size
 
 
-@dataclass(frozen=True)
-class RankOneCache:
-    """Rank-one terms V_n = h_rv[:, n] outer h_ur[n, :], stored once.
-
-    ``stacked`` is the real (2N, M*K) matrix [Im V; Re V]: row n holds
-    Im(V_n) and row N + n holds Re(V_n), each flattened row-major.  With
-    it the imaginary residual is one product [cos(theta), sin(theta)] @
-    stacked and the gradient projections are one product stacked @ Q, so
-    an objective+gradient evaluation is two GEMVs.  ``shape`` is (N, M, K).
-    """
-
-    stacked: np.ndarray
-    shape: tuple[int, int, int]
-
-    @property
-    def num_elements(self) -> int:
-        return self.shape[0]
-
-
-def build_rank_one_cache(ch: ChannelSet, out: np.ndarray | None = None) -> RankOneCache:
-    """Precompute all N rank-one products from a channel set.
-
-    ``out``, when given, is the (2N, M*K) float array the stacked matrix is
-    written into (a slot of a trial batch's buffer); otherwise one is made.
+def build_rank_one_cache(ch: ChannelSet, out: np.ndarray | None = None) -> np.ndarray:
+    """The N rank-one terms V_n = h_rv[:, n] outer h_ur[n, :] as one real
+    (2N, M*K) matrix [Im V; Re V]: row n holds Im(V_n) and row N + n holds
+    Re(V_n), each flattened row-major.  Every optimizer and oracle reads
+    this array.  ``out``, when given, is the array written into (a slot of
+    a trial batch's buffer); otherwise one is made.
     """
     outer = ch.h_rv.T[:, :, None] * ch.h_ur[:, None, :]
     n, m, k = outer.shape
@@ -121,25 +103,7 @@ def build_rank_one_cache(ch: ChannelSet, out: np.ndarray | None = None) -> RankO
         out = np.empty((2 * n, m * k))
     out[:n] = outer.imag.reshape(n, m * k)
     out[n:] = outer.real.reshape(n, m * k)
-    return RankOneCache(stacked=out, shape=(n, m, k))
-
-
-def _check_shapes(theta: np.ndarray, cache: RankOneCache, h_uv: np.ndarray) -> None:
-    n, m, k = cache.shape
-    if theta.shape != (n,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({n},)")
-    if h_uv.shape != (m, k):
-        raise ValueError(f"h_uv has shape {h_uv.shape}, expected ({m}, {k})")
-
-
-def _imag_residual(trig: np.ndarray, stacked: np.ndarray, q0: np.ndarray) -> np.ndarray:
-    """The imaginary parts Q of the effective channel, flattened:
-    Q = Im(h_uv) + [cos(theta), sin(theta)] @ [Im V; Re V].
-
-    Rows of ``trig`` (one per phase vector) give rows of Q; leading axes of
-    ``trig``, ``stacked`` and ``q0`` broadcast, so one call serves a batch
-    of trials or a grid of phase vectors."""
-    return q0 + trig @ stacked
+    return out
 
 
 def _evaluate(theta: np.ndarray, stacked: np.ndarray, q0: np.ndarray):
@@ -151,47 +115,51 @@ def _evaluate(theta: np.ndarray, stacked: np.ndarray, q0: np.ndarray):
     """
     n = theta.shape[1]
     trig = np.concatenate((np.cos(theta), np.sin(theta)), axis=1)[:, None, :]
-    q = _imag_residual(trig, stacked, q0[:, None, :])  # (B, 1, MK)
+    q = q0[:, None, :] + trig @ stacked  # (B, 1, MK): Im(H_eq) flattened
     q_col = q.transpose(0, 2, 1)
     proj = (stacked @ q_col)[:, :, 0]  # (B, 2N): [Im V; Re V] Q
     grad = 2.0 * (trig[:, 0, :n] * proj[:, n:] - trig[:, 0, n:] * proj[:, :n])
     return (q @ q_col)[:, 0, 0], grad
 
 
-def _single(theta, cache: RankOneCache, h_uv):
+def _single(theta, stacked: np.ndarray, h_uv):
     """Validated one-trial arguments: theta (1, N), stacked (1, 2N, MK)
     and Im(h_uv) (1, MK), a batch of one."""
     theta = np.asarray(theta, dtype=float)
     h_uv = np.asarray(h_uv, dtype=complex)
-    _check_shapes(theta, cache, h_uv)
-    return theta[None], cache.stacked[None], h_uv.imag.reshape(1, -1)
+    rows, cols = stacked.shape
+    if theta.shape != (rows // 2,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({rows // 2},)")
+    if h_uv.ndim != 2 or h_uv.size != cols:
+        raise ValueError(f"h_uv has shape {h_uv.shape}, expected M x K = {cols} entries")
+    return theta[None], stacked[None], h_uv.imag.reshape(1, -1)
 
 
-def objective(theta: np.ndarray, cache: RankOneCache, h_uv: np.ndarray) -> float:
+def objective(theta: np.ndarray, stacked: np.ndarray, h_uv: np.ndarray) -> float:
     """J(theta) = squared Frobenius norm of Im(H_eq)."""
-    return objective_and_gradient(theta, cache, h_uv)[0]
+    return objective_and_gradient(theta, stacked, h_uv)[0]
 
 
-def gradient(theta: np.ndarray, cache: RankOneCache, h_uv: np.ndarray) -> np.ndarray:
+def gradient(theta: np.ndarray, stacked: np.ndarray, h_uv: np.ndarray) -> np.ndarray:
     """Analytic gradient dJ/dtheta (length N)."""
-    return objective_and_gradient(theta, cache, h_uv)[1]
+    return objective_and_gradient(theta, stacked, h_uv)[1]
 
 
 def objective_and_gradient(
-    theta: np.ndarray, cache: RankOneCache, h_uv: np.ndarray
+    theta: np.ndarray, stacked: np.ndarray, h_uv: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Evaluate J and its gradient in one pass (one gradient evaluation)."""
-    j_val, grad = _evaluate(*_single(theta, cache, h_uv))
+    j_val, grad = _evaluate(*_single(theta, stacked, h_uv))
     return float(j_val[0]), grad[0]
 
 
-def gradient_op_count(cache: RankOneCache) -> int:
-    """Multiply-add count of one objective_and_gradient call, derived from
-    the cached array sizes: two GEMVs over the (2N, MK) stacked matrix
-    (residual and projections, 8 N M K) plus the elementwise trigonometry
-    and combination work."""
-    n, m, k = cache.shape
-    return 8 * n * m * k + 6 * n + 2 * m * k
+def gradient_op_count(stacked: np.ndarray) -> int:
+    """Multiply-add count of one objective_and_gradient call, read from the
+    shape of the (2N, MK) stacked matrix: two GEMVs over it (residual and
+    projections, 8 N MK) plus the elementwise trigonometry and combination
+    work."""
+    n, cols = stacked.shape[0] // 2, stacked.shape[1]
+    return 8 * n * cols + 6 * n + 2 * cols
 
 
 def canonicalize_phases(theta: np.ndarray) -> np.ndarray:
@@ -210,7 +178,7 @@ def adam_optimize_batch(
     """Momentum gradient descent with bias-corrected first/second moments,
     for B independent trials in one loop.
 
-    ``stacked`` (B, 2N, MK) holds each trial's ``RankOneCache.stacked``,
+    ``stacked`` (B, 2N, MK) holds each trial's ``build_rank_one_cache``,
     ``q0`` (B, MK) each Im(h_uv) flattened, ``theta0`` (B, N) the starting
     phases.  Exactly ``cfg.max_iters`` gradient evaluations are performed
     per trial, and every row is bit-identical to running that trial alone
@@ -237,7 +205,7 @@ def adam_optimize_batch(
 
 
 def adam_optimize(
-    cache: RankOneCache,
+    stacked: np.ndarray,
     h_uv: np.ndarray,
     cfg: AdamConfig,
     rng: np.random.Generator,
@@ -248,10 +216,9 @@ def adam_optimize(
     The initial phases are ``random_phases`` from ``rng`` unless
     ``theta0`` is given.
     """
-    n = cache.num_elements
     if theta0 is None:
-        theta0 = random_phases(n, rng)
-    theta0, stacked, q0 = _single(theta0, cache, h_uv)
+        theta0 = random_phases(stacked.shape[0] // 2, rng)
+    theta0, stacked, q0 = _single(theta0, stacked, h_uv)
     theta, traces = adam_optimize_batch(stacked, q0, theta0, cfg)
     return theta[0], traces[0]
 
@@ -260,7 +227,7 @@ _KRONECKER_PRIMES = (2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0)
 
 
 def multistart_adam(
-    cache: RankOneCache,
+    stacked: np.ndarray,
     h_uv: np.ndarray,
     cfg: AdamConfig,
     rng: np.random.Generator,
@@ -271,9 +238,12 @@ def multistart_adam(
     The objective is multimodal in theta, so i.i.d. uniform restarts can
     miss the best basin.  Restart r starts from the randomly shifted
     Kronecker lattice point 2*pi*frac(shift + r*sqrt(p_d)), which spreads
-    the starts evenly over the phase torus.  Returns (theta, J(theta)).
+    the starts evenly over the phase torus.  The restarts run as one batch
+    over a broadcast view of ``stacked``, so each row equals that restart
+    run alone.  Returns (theta, J(theta)) of the first restart whose final
+    J is smallest.
     """
-    n = cache.num_elements
+    n = stacked.shape[0] // 2
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if n > len(_KRONECKER_PRIMES):
@@ -282,14 +252,14 @@ def multistart_adam(
         )
     shift = rng.uniform(0.0, 1.0, n)
     alpha = np.sqrt(np.array(_KRONECKER_PRIMES[:n]))
-    best_theta, best_j = None, np.inf
-    for r in range(restarts):
-        theta0 = 2.0 * np.pi * np.mod(shift + r * alpha, 1.0)
-        theta, _ = adam_optimize(cache, h_uv, cfg, rng, theta0=theta0)
-        j_val = objective(theta, cache, h_uv)
-        if j_val < best_j:
-            best_theta, best_j = theta, j_val
-    return best_theta, best_j
+    theta0 = 2.0 * np.pi * np.mod(shift + np.arange(restarts)[:, None] * alpha, 1.0)
+    _, stacked, q0 = _single(theta0[0], stacked, h_uv)  # checks h_uv against the array
+    stacked = np.broadcast_to(stacked, (restarts, *stacked.shape[1:]))
+    q0 = np.broadcast_to(q0, (restarts, q0.shape[1]))
+    thetas, _ = adam_optimize_batch(stacked, q0, theta0, cfg)
+    j_final = _evaluate(thetas, stacked, q0)[0]
+    best = int(np.argmin(j_final))
+    return thetas[best], float(j_final[best])
 
 
 # The most objective evaluations one grid search may spend.
@@ -297,13 +267,13 @@ _GRID_BUDGET = 50_000_000
 
 
 def brute_force_phases(
-    cache: RankOneCache, h_uv: np.ndarray, grid_points_per_dim: int
+    stacked: np.ndarray, h_uv: np.ndarray, grid_points_per_dim: int
 ) -> np.ndarray:
     """Grid-search oracle: the grid point minimizing J.
 
     Only intended for N <= 3; refuses larger problems with a cost estimate.
     """
-    n = cache.num_elements
+    n = stacked.shape[0] // 2
     cost = grid_points_per_dim**n
     if n > 3 or cost > _GRID_BUDGET:
         raise BudgetExceededError(
@@ -314,7 +284,7 @@ def brute_force_phases(
     # all grid points in row-major (ij) order, one per row; (1, 0) for N = 0
     thetas = axis[np.indices((grid_points_per_dim,) * n).reshape(n, cost).T]
     trig = np.hstack((np.cos(thetas), np.sin(thetas)))
-    q = _imag_residual(trig, cache.stacked, np.asarray(h_uv).imag.reshape(-1))
+    q = np.asarray(h_uv).imag.reshape(-1) + trig @ stacked
     values = np.sum(q * q, axis=1)
     return thetas[int(np.argmin(values))].copy()
 

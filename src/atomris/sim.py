@@ -153,6 +153,9 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError("num_elements must be >= 0")
     if cfg.num_users < 1:
         raise ConfigError("num_users must be >= 1")
+    if cfg.channel.entry_variance == 0.0:  # e.g. a coupling along incidence_axis
+        raise ConfigError("section [channel]: entries have variance 0: coupling_gain, "
+                          "dipole_moment or path_loss_span is 0 or too small")
     if cfg.num_users > cfg.num_cells:
         raise ConfigError(
             f"num_users ({cfg.num_users}) exceeds num_cells ({cfg.num_cells}); "
@@ -216,10 +219,19 @@ def draw_channels(cfg: SimConfig, rng: np.random.Generator) -> ChannelSet:
     return ChannelSet(h_ur=h_ur, h_rv=h_rv, h_uv=h_uv)
 
 
-def _dephased(ch: ChannelSet, b: np.ndarray) -> ChannelSet:
-    """The channel set with its rows de-phased by exp(-j angle(b))."""
-    rot = np.exp(-1j * np.angle(b))
-    return ChannelSet(h_ur=ch.h_ur, h_rv=rot[:, None] * ch.h_rv, h_uv=rot[:, None] * ch.h_uv)
+def _align(pairs: list, theta0: np.ndarray, adam: AdamConfig):
+    """Align B (channels, LO) pairs from ``theta0`` (B, N) in one stacked
+    optimizer loop on their rows de-phased by exp(-j angle(b)); returns
+    ``adam_optimize_batch``'s phases and traces.  The (B, 2N, MK) buffer
+    of de-phased rank-one terms lives only for the call."""
+    n, mk = pairs[0][0].num_elements, pairs[0][0].h_uv.size
+    stacked = np.empty((len(pairs), 2 * n, mk))
+    q0 = np.empty((len(pairs), mk))
+    for i, (ch, b) in enumerate(pairs):
+        rot = np.exp(-1j * np.angle(b))[:, None]
+        build_rank_one_cache(ChannelSet(ch.h_ur, rot * ch.h_rv, ch.h_uv), out=stacked[i])
+        q0[i] = (rot * ch.h_uv).imag.reshape(-1)
+    return adam_optimize_batch(stacked, q0, theta0, adam)
 
 
 def optimize_aligned_phases(
@@ -229,11 +241,11 @@ def optimize_aligned_phases(
 
     Runs the Frobenius-objective optimizer on the channel set with its
     rows de-phased by exp(-j angle(b)); a zero objective there makes
-    H_eq s o exp(-j angle(b)) real for every real s.  A campaign trial
-    gets the same phases from its chunk's stacked optimizer run.
+    H_eq s o exp(-j angle(b)) real for every real s.  This is a chunk of
+    one trial: a campaign trial gets the same phases from its chunk.
     """
-    dephased = _dephased(ch, b)
-    return adam_optimize(build_rank_one_cache(dephased), dephased.h_uv, adam, rng)
+    thetas, traces = _align([(ch, b)], random_phases(ch.num_elements, rng)[None], adam)
+    return thetas[0], traces[0]
 
 
 def run_convergence(cfg: SimConfig) -> ConvergenceTrace:
@@ -260,10 +272,8 @@ def _run_chunk(
     """Execute a contiguous run of trials; per trial {detector: (bits_sent, bit_errors)}.
 
     Stage 1, per trial in its generator's order: channels, LO and starting
-    phases.  Stage 2: the de-phased rank-one terms of all trials are
-    written into one (B, 2N, MK) buffer, which a single stacked Adam loop
-    aligns and which is dropped right after.  Stage 3, per trial: compose,
-    front end, detectors, counts.
+    phases.  Stage 2: ``_align`` aligns all trials in one stacked Adam
+    loop.  Stage 3, per trial: compose, front end, detectors, counts.
     """
     n = cfg.num_elements
     theta0 = np.empty((len(trials), n))
@@ -275,15 +285,8 @@ def _run_chunk(
         theta0[i] = random_phases(n, rng)
         drawn.append((rng, ch, b))
 
-    # Built after the draws so the buffer never coexists with their temporaries.
-    stacked = np.empty((len(trials), 2 * n, cfg.num_cells * cfg.num_users))
-    q0 = np.empty((len(trials), cfg.num_cells * cfg.num_users))
-    for i, (_, ch, b) in enumerate(drawn):
-        dephased = _dephased(ch, b)
-        build_rank_one_cache(dephased, out=stacked[i])
-        q0[i] = dephased.h_uv.imag.reshape(-1)
-    thetas, _ = adam_optimize_batch(stacked, q0, theta0, cfg.adam)
-    del stacked, q0
+    # Aligned after the draws so its buffer never coexists with their temporaries.
+    thetas, _ = _align([(ch, b) for _, ch, b in drawn], theta0, cfg.adam)
 
     return [
         _detect_counts(cfg, noise, const, lut, rng, ch, b, theta)

@@ -323,6 +323,12 @@ class TestCommands:
         ("channel", "coupling_gain", "1e200"),
         pytest.param("channel", "coupling_gain", "1e200\nnormalize = false",
                      id="channel-coupling_gain-1e200-unnormalized"),
+        pytest.param("channel", "coupling_gain", "0.0\nnormalize = false",
+                     id="channel-coupling_gain-0-unnormalized"),
+        pytest.param("channel", "coupling_gain", "1e-170\nnormalize = false",
+                     id="channel-coupling_gain-1e-170-unnormalized"),
+        pytest.param("channel", "path_loss_min", "0.0\npath_loss_max = 0.0\nnormalize = false",
+                     id="channel-path_loss-0-unnormalized"),
         ("lo", "coupling_gain", "1e200"),
         ("lo", "reference_symbol", "1e160"),
         ("sim", "eb_n0_grid_db", "nan"),
@@ -344,6 +350,20 @@ class TestCommands:
         if section != "sim":
             assert f"[{section}]" in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("system, gain", [
+        ("cells = 4\nris_elements = 3\nusers = 2", "1e-160"),
+        ("cells = 3\nris_elements = 0\nusers = 3", "1e-154"),
+    ], ids=["M4-N3-K2", "M3-N0-K3"])
+    def test_singular_channel_is_exit_2(self, tmp_path, capsys, system, gain):
+        """An unnormalized channel with a variance just above 0, whose Gram
+        matrix underflows, used to end in a traceback from the slicer."""
+        text = BASE_CONFIG.replace("cells = 8\nris_elements = 16\nusers = 2", system)
+        text += f"\n[channel]\ncoupling_gain = {gain}\nnormalize = false\n"
+        out = tmp_path / "x.csv"
+        assert main(["ber", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert "non-finite estimate" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_threads_is_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -188,6 +188,13 @@ class TestProposedDetector:
         with pytest.raises(SingularMatrixError):
             ls_estimate(h, complex_normal(rng, (m, 1)))
 
+    def test_underflowing_gram_raises(self):
+        """A well-conditioned H scaled so far down that H^H H underflows
+        passes the condition check but has no finite solution: refused."""
+        h = complex_normal(np.random.default_rng(5), (4, 2)) * 1e-160
+        with pytest.raises(SingularMatrixError, match="non-finite"):
+            ls_estimate(h, np.full((4, 1), 1e4, dtype=complex))
+
     def test_rank_deficient_rejected(self):
         h_eq = np.ones((4, 2), dtype=complex)
         with pytest.raises(SingularMatrixError):

@@ -44,19 +44,19 @@ def finite_difference(theta, cache, h_uv, step=1e-6):
     return fd
 
 
-def rank_one_terms(cache):
+def rank_one_terms(stacked, ch):
     """The (N, M, K) complex rank-one terms rebuilt from the stacked [Im V; Re V]."""
-    n = cache.num_elements
-    return (cache.stacked[n:] + 1j * cache.stacked[:n]).reshape(cache.shape)
+    n = stacked.shape[0] // 2
+    return (stacked[n:] + 1j * stacked[:n]).reshape(n, *ch.h_uv.shape)
 
 
 class TestRankOneCache:
     def test_single_element_outer_product(self):
         ch = random_set(3, 1, 2, 0)
         cache = build_rank_one_cache(ch)
-        assert cache.stacked.shape == (2, 6)
-        assert cache.stacked.flags.c_contiguous
-        v0 = rank_one_terms(cache)[0]
+        assert cache.shape == (2, 6)
+        assert cache.flags.c_contiguous
+        v0 = rank_one_terms(cache, ch)[0]
         assert np.allclose(v0, np.outer(ch.h_rv[:, 0], ch.h_ur[0]))
         assert np.linalg.matrix_rank(v0) <= 1
 
@@ -65,14 +65,14 @@ class TestRankOneCache:
         h_rv = ch.h_rv.copy()
         h_rv[:, 2] = 0
         cache = build_rank_one_cache(ChannelSet(ch.h_ur, h_rv, ch.h_uv))
-        assert np.allclose(cache.stacked[[2, 6]], 0)
+        assert np.allclose(cache[[2, 6]], 0)
 
     def test_consistent_with_effective_channel(self):
         """Sum of e^{j theta_n} V_n plus h_uv equals the composed channel."""
         ch = random_set(4, 6, 3, 2)
         cache = build_rank_one_cache(ch)
         theta = np.random.default_rng(3).uniform(0, 2 * np.pi, 6)
-        recomposed = ch.h_uv + np.tensordot(np.exp(1j * theta), rank_one_terms(cache), axes=1)
+        recomposed = ch.h_uv + np.tensordot(np.exp(1j * theta), rank_one_terms(cache, ch), axes=1)
         assert np.allclose(recomposed, effective_channel(ch, theta), atol=1e-12)
 
 
@@ -256,7 +256,7 @@ class TestBatchedAdam:
     CFG = SimConfig(num_cells=12, num_elements=24, num_users=2, master_seed=4)
 
     def run_batch(self, problems, adam):
-        stacked = np.stack([p[0].stacked for p in problems])
+        stacked = np.stack([p[0] for p in problems])
         q0 = np.stack([p[1] for p in problems])
         theta0 = np.stack([p[2] for p in problems])
         return adam_optimize_batch(stacked, q0, theta0, adam)
@@ -268,7 +268,7 @@ class TestBatchedAdam:
         thetas, traces = self.run_batch(problems, adam)
         assert thetas.shape == (batch, self.CFG.num_elements)
         for (cache, q0, theta0, (ch, b, rng)), theta, trace in zip(problems, thetas, traces):
-            h_uv = (q0 * 1j).reshape(cache.shape[1:])
+            h_uv = (q0 * 1j).reshape(self.CFG.num_cells, self.CFG.num_users)
             alone, alone_trace = adam_optimize(cache, h_uv, adam, None, theta0=theta0)
             aligned, aligned_trace = optimize_aligned_phases(ch, b, adam, rng)
             for other, other_trace in ((alone, alone_trace), (aligned, aligned_trace)):
@@ -289,6 +289,49 @@ class TestBatchedAdam:
             assert len(trace) == 5
             assert trace.objective == pytest.approx(np.full(5, row @ row))
             assert np.all(trace.grad_norm == 0.0)
+
+
+def kronecker_starts(n, restarts, rng):
+    """The stratified starts multistart_adam draws from ``rng``."""
+    shift = rng.uniform(0.0, 1.0, n)
+    alpha = np.sqrt(np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0][:n]))
+    return [2.0 * np.pi * np.mod(shift + r * alpha, 1.0) for r in range(restarts)]
+
+
+class TestMultistart:
+    """The batched restarts equal the best of single-trial runs."""
+
+    @pytest.mark.parametrize("m, n, k, restarts", [
+        (3, 2, 2, 5), (2, 1, 1, 3), (1, 2, 2, 1), (4, 8, 2, 6), (3, 0, 2, 4),
+    ])
+    def test_best_of_single_runs(self, m, n, k, restarts):
+        ch = random_set(m, max(n, 1), k, 40 + n)
+        ch = ChannelSet(ch.h_ur[:n], ch.h_rv[:, :n], ch.h_uv)
+        cache = build_rank_one_cache(ch)
+        adam = AdamConfig(max_iters=300, step=0.01)
+        runs = []
+        for theta0 in kronecker_starts(n, restarts, np.random.default_rng(7)):
+            theta, _ = adam_optimize(cache, ch.h_uv, adam, None, theta0=theta0)
+            runs.append((objective(theta, cache, ch.h_uv), theta))
+        best = min(range(restarts), key=lambda r: runs[r][0])  # first of equal minima
+        theta, j_val = multistart_adam(
+            cache, ch.h_uv, adam, np.random.default_rng(7), restarts=restarts
+        )
+        assert np.array_equal(theta, runs[best][1])
+        assert j_val == runs[best][0]
+
+    def test_ties_go_to_the_first_restart(self):
+        """Zero RIS paths: J is the same at every phase and no phase moves,
+        so every restart ties and the first one's start comes back."""
+        ch = random_set(3, 4, 2, 41)
+        ch = ChannelSet(ch.h_ur, np.zeros_like(ch.h_rv), ch.h_uv)
+        cache = build_rank_one_cache(ch)
+        starts = kronecker_starts(4, 5, np.random.default_rng(8))
+        theta, j_val = multistart_adam(
+            cache, ch.h_uv, AdamConfig(max_iters=10), np.random.default_rng(8), restarts=5
+        )
+        assert np.array_equal(theta, starts[0])
+        assert j_val == objective(starts[1], cache, ch.h_uv)
 
 
 class TestBruteForce:

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from atomris import sim
-from atomris.channel import LOParams
+from atomris.channel import LOParams, PhysicalPathParams
 from atomris.errors import BudgetExceededError, ConfigError
 from atomris.sim import (
     BerRecord,
@@ -69,6 +69,14 @@ class TestValidation:
     def test_more_users_than_cells(self):
         with pytest.raises(ConfigError, match="users"):
             validate_config(replace(SMALL, num_users=20))
+
+    def test_vanishing_channel(self):
+        """An unnormalized dipole along the incidence axis draws all-zero
+        channels: the parameters build, the campaign is refused."""
+        params = PhysicalPathParams(dipole_moment=(0.0, 0.0, 1.0), normalize=False)
+        assert params.entry_variance == 0.0
+        with pytest.raises(ConfigError, match=r"\[channel\].*variance 0"):
+            validate_config(replace(SMALL, channel=params))
 
 
 class TestConvergence:
