@@ -75,7 +75,15 @@ __all__ = [
     "write_records_csv",
 ]
 
-DETECTOR_NAMES = ("proposed", "exhaustive", "zf_genie")
+# Each detector: the observation it reads (the magnitudes "z" or the complex
+# "y") and its kernel (observation, h_eq, b, constellation, config) -> decisions.
+_DETECTORS = {
+    "proposed": ("z", lambda z, h_eq, b, c, cfg: detect_proposed_batch(z, h_eq, b, c)),
+    "exhaustive": ("z", lambda z, h_eq, b, c, cfg: detect_exhaustive_batch(
+        z, h_eq, b, c, cfg.exhaustive_budget)),
+    "zf_genie": ("y", lambda y, h_eq, b, c, cfg: detect_zf_batch(y, h_eq, b, c)),
+}
+DETECTOR_NAMES = tuple(_DETECTORS)
 
 # Trials are executed and abort decisions taken in fixed-size batches so
 # the set of executed trials never depends on how a campaign is chunked.
@@ -302,19 +310,14 @@ def _detect_counts(cfg, noise, const, lut, rng, ch, b, theta) -> dict[str, tuple
     n_sym = cfg.symbols_per_trial
     sent = rng.integers(0, const.order, size=(k, n_sym))
     y = front_end(h_eq, const.points[sent], b, noise, rng)
-    z = np.abs(y)
+    observed = {"y": y, "z": np.abs(y)}
 
     bits_per_vector = k * const.bits_per_symbol
     out: dict[str, tuple[int, int]] = {}
     for det in cfg.detectors:
-        if det == "proposed":
-            got = detect_proposed_batch(z, h_eq, b, const)
-        elif det == "exhaustive":
-            got = detect_exhaustive_batch(z, h_eq, b, const, cfg.exhaustive_budget)
-        else:
-            got = detect_zf_batch(y, h_eq, b, const)
-        errors = int(lut[sent, got].sum())
-        out[det] = (bits_per_vector * n_sym, errors)
+        reads, kernel = _DETECTORS[det]
+        got = kernel(observed[reads], h_eq, b, const, cfg)
+        out[det] = (bits_per_vector * n_sym, int(lut[sent, got].sum()))
     return out
 
 

@@ -487,9 +487,9 @@ class TestCommands:
 
     def test_ber_independent_of_blas_threads(self, tmp_path):
         """A K = 6 campaign writes the same CSV with one BLAS thread and
-        with OpenBLAS's default count.  At M = 16 and 1000 observations a
-        block's scoring GEMM (1000 x 17 x 48) is past the size at which
-        OpenBLAS splits a GEMM over threads on a multi-core machine."""
+        with OpenBLAS's default count.  Its 4096 candidates exceed a
+        block at M = 16 and 1000 observations, so the pruned search and
+        its LAPACK QR decide them."""
         text = (BASE_CONFIG.replace("cells = 8", "cells = 16")
                 .replace("users = 2", "users = 6")
                 .replace("trials_per_point = 6", "trials_per_point = 2")

@@ -255,6 +255,15 @@ class TestExhaustiveDetector:
             with pytest.raises(ValueError, match="shape mismatch"):
                 detect_exhaustive_batch(z, h_eq, b, c)
 
+    @pytest.mark.parametrize("users", [2, 8])
+    def test_non_finite_observation_rejected(self, users):
+        """On either search, as the proposed detector's slicer does."""
+        z = np.ones((16, 3))
+        z[4, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            detect_exhaustive_batch(z, np.ones((16, users), dtype=complex),
+                                    np.full(16, 50.0 + 0j), make_pam(4))
+
     def test_budget_refusal(self):
         c = make_pam(16)
         h_eq = np.ones((8, 6), dtype=complex)
@@ -346,6 +355,136 @@ class TestExhaustiveDetector:
         idx = enumerate_symbol_vectors(make_pam(4), 0)
         assert idx.shape == (0, 1)
         assert np.array_equal(np.zeros((3, 0)) @ idx, np.zeros((3, 1)))
+
+
+def strong_lo_system(m, k, seed, leak=0.05, lo_margin=10.0):
+    """A nearly aligned system under a strong LO: h_eq rows carry the LO
+    phases times a real matrix of orthogonal columns (norms 1 to 3) plus a
+    small imaginary leak, and every |b_m| is ``lo_margin`` times the
+    cell's largest possible |Re g s|."""
+    rng = np.random.default_rng(seed)
+    columns = np.linalg.qr(rng.standard_normal((m, k)))[0] * rng.uniform(1.0, 3.0, k)
+    h_opt = columns + 1j * leak * rng.standard_normal((m, k))
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+    reach = np.abs(h_opt.real).sum(axis=1) * 1.6  # above every PAM p_max
+    return phases[:, None] * h_opt, lo_margin * reach * phases
+
+
+class TestPrunedSearch:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        m=st.integers(1, 8),
+        k=st.integers(1, 6),
+        lo_scale=st.floats(0.3, 20.0),
+        corner=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_magnitude_bound(self, m, k, lo_scale, corner, seed):
+        """On every usable cell |b_m + h_m s| lies between its
+        linearization |b_m| + G_m s and that plus delta_m, for any real s
+        with entries in [-p, p], a corner of that box included."""
+        rng = np.random.default_rng(seed)
+        p = 1.5
+        h = complex_normal(rng, (m, k))
+        b = lo_scale * np.abs(h).sum(axis=1) * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+        s = p * (rng.choice([-1.0, 1.0], k) if corner else rng.uniform(-1.0, 1.0, k))
+        cells, model, width = detect._magnitude_bound(h, b, p)
+        assert model.shape == (np.count_nonzero(cells), k) and width.shape == (model.shape[0],)
+        if lo_scale > p:  # |b_m| > p sum |h_m| >= A_m: every cell qualifies
+            assert cells.all()
+        exact = np.abs(h @ s + b)[cells]
+        low = np.abs(b[cells]) + model @ s
+        tol = 1e-12 * (np.abs(b[cells]) + p * np.abs(h[cells]).sum(axis=1))
+        assert np.all(width >= 0.0)
+        assert np.all(exact >= low - tol)
+        assert np.all(exact <= low + width + tol)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        order_users=st.sampled_from([(2, 1), (2, 3), (2, 6), (4, 1), (4, 2), (4, 4),
+                                     (4, 6), (8, 2), (8, 3), (8, 4)]),
+        extra_cells=st.integers(0, 6),
+        n_obs=st.integers(1, 8),
+        noise=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pruned_path_decides_strong_lo_instances(self, order_users, extra_cells, n_obs,
+                                                     noise, seed):
+        """Under a strong LO the pruned search, not the full search,
+        decides every noisy observation, and as one full score matrix
+        does; so does the detector once Q^K exceeds a block."""
+        q, k = order_users
+        m = k + extra_cells
+        c = make_pam(q)
+        h_eq, b = strong_lo_system(m, k, seed)
+        rng = np.random.default_rng(seed + 1)
+        sent = rng.integers(0, q, (k, n_obs))
+        scale = noise * c.min_distance
+        z = np.abs(h_eq @ c.points[sent] + b[:, None] + scale * complex_normal(rng, (m, n_obs)))
+        expected = full_matrix_exhaustive(z, h_eq, b, c)
+        best = detect._pruned_search(z, h_eq, b, c)
+        assert best is not None and (best >= 0).all()
+        assert np.array_equal(np.unravel_index(best, (q,) * k), expected)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detect, "_BLOCK_BYTES", block_budget(1, m, n_obs))
+            mp.setattr(detect, "_full_search", None)  # any fallback would fail
+            assert np.array_equal(detect_exhaustive_batch(z, h_eq, b, c), expected)
+
+    def test_weak_lo_or_rank_deficient_model_falls_back(self):
+        """No search without K usable cells or with a rank-deficient G."""
+        c = make_pam(4)
+        h_eq, b = strong_lo_system(6, 3, 60)
+        z = np.abs(h_eq @ c.points[np.zeros((3, 2), dtype=np.intp)] + b[:, None])
+        assert detect._pruned_search(z, h_eq, b, c) is not None
+        weak = b.copy()
+        weak[2:] *= 1e-3  # two usable cells for three users
+        assert detect._pruned_search(z, h_eq, weak, c) is None
+        flat = h_eq.copy()
+        flat[:, 2] = 0.0
+        assert detect._pruned_search(z, flat, b, c) is None
+
+    def test_spilled_observations_fall_back(self, monkeypatch):
+        """Observations whose trees outgrow the node budget are marked -1
+        and decided by the full search; the decisions do not change."""
+        c = make_pam(4)
+        h_eq, b = strong_lo_system(8, 4, 61, leak=0.3, lo_margin=2.0)
+        rng = np.random.default_rng(62)
+        z = np.abs(h_eq @ c.points[rng.integers(0, 4, (4, 20))] + b[:, None]
+                   + 0.3 * complex_normal(rng, (8, 20)))
+        expected = full_matrix_exhaustive(z, h_eq, b, c)
+        monkeypatch.setattr(detect, "_BLOCK_BYTES", block_budget(1, 8, 20))
+        # 79 children of K + 6 words, one fewer than the root's 20 x 4
+        monkeypatch.setattr(detect, "_NODE_WORDS", 79 * 10)
+        best = detect._pruned_search(z, h_eq, b, c)
+        assert 0 < np.count_nonzero(best < 0) < 20
+        assert np.array_equal(detect_exhaustive_batch(z, h_eq, b, c), expected)
+        monkeypatch.setattr(detect, "_NODE_WORDS", 0)
+        assert (detect._pruned_search(z, h_eq, b, c) < 0).all()
+        assert np.array_equal(detect_exhaustive_batch(z, h_eq, b, c), expected)
+
+    @pytest.mark.parametrize("m", [16, 36])
+    @pytest.mark.parametrize("n_obs", [1, 100, 1000])
+    def test_scoring_gemm_stays_below_the_threading_cliff(self, m, n_obs):
+        """Each scoring GEMM of a full block, rows x (M + 1) x block, stays
+        below the 2^19 multiply-adds from which OpenBLAS threads a GEMM."""
+        block = detect._block_size(m, n_obs)
+        rows = min(n_obs, detect._gemm_rows(m, block))
+        assert detect._GEMM_THREAD_CLIFF == 2**19
+        assert 1 <= rows and rows * (m + 1) * block < 2**19
+
+    def test_split_scoring_gemm_decides_as_one(self):
+        """With 1000 observations at M = 16 a block's scores take two
+        GEMMs; the full search still decides as one score matrix."""
+        rng = np.random.default_rng(63)
+        c = make_pam(4)
+        h_eq = complex_normal(rng, (16, 3))
+        b = 3.0 * complex_normal(rng, 16)
+        z = np.abs(h_eq @ c.points[rng.integers(0, 4, (3, 1000))] + b[:, None]
+                   + complex_normal(rng, (16, 1000)))
+        block = detect._block_size(16, 1000)
+        assert detect._gemm_rows(16, block) < 1000
+        got = np.unravel_index(detect._full_search(z, h_eq, b, c), (4,) * 3)
+        assert np.array_equal(got, full_matrix_exhaustive(z, h_eq, b, c))
 
 
 class TestZfGenie:

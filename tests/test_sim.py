@@ -159,6 +159,31 @@ class TestRunBer:
             assert sim._chunk_size(SMALL) == per_chunk
             assert records_to_csv(run_ber(SMALL)) == base
 
+    def test_pruning_does_not_change_a_k8_campaign(self, monkeypatch):
+        """A K = 8 campaign (65 536 candidates) writes the same CSV whether
+        the pruned search decides or, with no node budget, the full search
+        decides every observation."""
+        from atomris import detect
+
+        cfg = replace(SMALL, num_cells=16, num_elements=60, num_users=8,
+                      eb_n0_grid_db=(-24.0, -15.0), trials_per_point=2,
+                      symbols_per_trial=20, detectors=("exhaustive",))
+        full_search = detect._full_search
+        fell_back = []
+
+        def counted(z, *args):
+            fell_back.append(z.shape[1])
+            return full_search(z, *args)
+
+        monkeypatch.setattr(detect, "_full_search", counted)
+        pruned = records_to_csv(run_ber(cfg))
+        observations = len(cfg.eb_n0_grid_db) * cfg.trials_per_point * cfg.symbols_per_trial
+        assert sum(fell_back) < observations / 2
+        fell_back.clear()
+        monkeypatch.setattr(detect, "_NODE_WORDS", 0)
+        assert records_to_csv(run_ber(cfg)) == pruned
+        assert sum(fell_back) == observations
+
     def test_matches_per_trial_reference(self):
         """The chunked campaign counts what the single-trial chain of
         public functions counts, trial by trial."""
