@@ -251,7 +251,8 @@ def _draw_path_loss(shape, span, rng: np.random.Generator) -> np.ndarray:
     lo, hi = span
     if lo == hi:
         return np.full(shape, float(lo))
-    return np.exp(rng.uniform(math.log(lo), math.log(hi), shape))
+    rho = rng.uniform(math.log(lo), math.log(hi), shape)
+    return np.exp(rho, out=rho)
 
 
 # Below this relative width of a path-loss span, (hi^2 - lo^2) / (2 log(hi/lo))
@@ -291,10 +292,13 @@ def _path_terms(shape, params, rng):
     """
     u, v, w = params._uvw
     psi = rng.uniform(0.0, 2.0 * np.pi, shape)
-    coupling = np.cos(psi) * float(u @ w)
+    coupling = np.cos(psi)
+    coupling *= float(u @ w)
     v_w = float(v @ w)
     if v_w != 0.0:  # zero for the folded coupling on an axis-aligned circle
-        coupling += np.sin(psi) * v_w
+        np.sin(psi, out=psi)
+        psi *= v_w
+        coupling += psi
     del psi
     rho = _draw_path_loss(shape, params.path_loss_span, rng)
     phi = rng.uniform(0.0, 2.0 * np.pi, shape)
@@ -315,10 +319,16 @@ def gen_physical_channel(
         raise ValueError("matrix dimensions must be >= 1")
     shape = (num_cells, num_cols, params.num_paths)
     coupling, rho, phi = _path_terms(shape, params, rng)
+    # Each (M, cols, L) temporary is freed once used: while a campaign chunk
+    # draws, this peak adds to the channels its earlier trials hold.
     coupling *= rho
+    del rho
     rotation = 1j * phi
+    del phi
     np.exp(rotation, out=rotation)
-    entries = np.sum(coupling * rotation, axis=-1)
+    np.multiply(coupling, rotation, out=rotation)
+    del coupling
+    entries = np.sum(rotation, axis=-1)
     if params.normalize:
         entries = entries / params._entry_sd
     return entries

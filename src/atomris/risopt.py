@@ -1,23 +1,26 @@
 """RIS phase-shift optimization.
 
 The optimizer minimizes J(theta) = || Im(H_eq(theta)) ||_F^2 over the RIS
-phases, where H_eq = h_rv diag(e^{j theta}) h_ur + h_uv.  Writing
-V_n = h_rv[:, n] outer h_ur[n, :], the imaginary residual decomposes as
+phases, where H_eq = A diag(e^{j theta}) h_ur + h_uv and A = h_rv.  With
+X = diag(e^{j theta}) h_ur (N x K), Im(A X) = Im(A) Re(X) + Re(A) Im(X),
+so the transposed residual is one real product
 
-    Q = Im(h_uv) + sum_n (cos(theta_n) Im(V_n) + sin(theta_n) Re(V_n))
+    Q^T = Im(h_uv)^T + [Re X^T, Im X^T] @ [Im A, Re A]^T
 
-so J = sum(Q^2) and each objective/gradient evaluation costs O(N M K):
-one product [cos(theta), sin(theta)] @ [Im V; Re V] for Q and one product
-[Im V; Re V] @ Q for the gradient (see ``build_rank_one_cache``).  The
-optimizer runs a batch of independent trials through one loop; a single
-trial, or the restarts of ``multistart_adam``, is a batch too.  The
-analytic gradient is
+with the column pairs interleaved: ``build_rank_one_cache`` stores R, the
+real (M, 2N) view of j conj(A) whose column pairs are (Im A, Re A), and
+X^T.view(float) is (K, 2N) with pairs (Re X, Im X).  J = sum(Q^2), and the
+gradient is
 
-    dJ/dtheta_n = 2 sum_{m,k} Q_{m,k} (cos(theta_n) Re(V_n) - sin(theta_n) Im(V_n))_{m,k}
+    dJ/dtheta_n = 2 sum_{m,k} Q_{m,k} Re(A_{m,n} X_{n,k})
+                = 2 sum_k Im(conj(X^T) o (Q^T @ R).view(complex))_{k,n}
 
-which finite differences confirm (see tests); note the bracket is the
-derivative of the cos/sin expansion above, i.e. descent steps use
-theta <- theta - eta * step.
+because (Q^T @ R).view(complex) = Q^T j conj(A).  Finite differences
+confirm it (see tests); descent steps use theta <- theta - eta * step.  An
+objective/gradient evaluation is two real K x 2N x M products plus 2N
+trigonometric calls.  The optimizer runs a batch of independent trials
+through one loop; a single trial, or the restarts of ``multistart_adam``,
+is a batch too.
 
 Minimizing J on channels whose rows have been de-phased by the LO
 (multiply h_rv and h_uv by exp(-j angle(b)) row-wise) aligns the effective
@@ -90,76 +93,103 @@ class ConvergenceTrace:
         return self.objective.size
 
 
-def build_rank_one_cache(ch: ChannelSet, out: np.ndarray | None = None) -> np.ndarray:
-    """The N rank-one terms V_n = h_rv[:, n] outer h_ur[n, :] as one real
-    (2N, M*K) matrix [Im V; Re V]: row n holds Im(V_n) and row N + n holds
-    Re(V_n), each flattened row-major.  Every optimizer and oracle reads
-    this array.  ``out``, when given, is the array written into (a slot of
-    a trial batch's buffer); otherwise one is made.
+def build_rank_one_cache(ch: ChannelSet, out: tuple | None = None) -> tuple:
+    """The factored operand of J: the pair (R, G), where R is the real
+    (M, 2N) view of j conj(h_rv), whose column pairs are (Im h_rv, Re h_rv),
+    and G = h_ur^T (K, N).  Every optimizer and oracle reads this pair.
+    ``out``, when given, is the pair of arrays written into (a trial's
+    slots of a batch's buffers); otherwise one is made.
     """
-    outer = ch.h_rv.T[:, :, None] * ch.h_ur[:, None, :]
-    n, m, k = outer.shape
-    if out is None:
-        out = np.empty((2 * n, m * k))
-    out[:n] = outer.imag.reshape(n, m * k)
-    out[n:] = outer.real.reshape(n, m * k)
-    return out
+    m, n, k = ch.num_cells, ch.num_elements, ch.num_users
+    r, g = out if out is not None else (np.empty((m, 2 * n)), np.empty((k, n), dtype=complex))
+    r[:, 0::2] = ch.h_rv.imag
+    r[:, 1::2] = ch.h_rv.real
+    g[...] = ch.h_ur.T
+    return r, g
 
 
-def _evaluate(theta: np.ndarray, stacked: np.ndarray, q0: np.ndarray):
-    """J (B,) and dJ/dtheta (B, N) of B trials at once.
+def _evaluator(op: tuple, q0: np.ndarray):
+    """An evaluation of J (B,) and dJ/dtheta (B, N) for B trials at once.
 
-    ``theta`` is (B, N), ``stacked`` (B, 2N, MK) and ``q0`` (B, MK).  Every
-    product runs per trial (numpy's matmul loops GEMV over the batch axis),
-    so row b is bit-identical to evaluating trial b alone.
+    ``op`` is the batch's (R, G), (B, M, 2N) and (B, K, N); ``q0`` is each
+    trial's Im(h_uv), (B, M, K).  The returned function maps theta (B, N)
+    to (J, gradient); both live in buffers that the next call overwrites.
+    Every product runs per trial (numpy's matmul loops GEMM over the batch
+    axis), so row b is bit-identical to evaluating trial b alone.
     """
-    n = theta.shape[1]
-    trig = np.concatenate((np.cos(theta), np.sin(theta)), axis=1)[:, None, :]
-    q = q0[:, None, :] + trig @ stacked  # (B, 1, MK): Im(H_eq) flattened
-    q_col = q.transpose(0, 2, 1)
-    proj = (stacked @ q_col)[:, :, 0]  # (B, 2N): [Im V; Re V] Q
-    grad = 2.0 * (trig[:, 0, :n] * proj[:, n:] - trig[:, 0, n:] * proj[:, :n])
-    return (q @ q_col)[:, 0, 0], grad
+    r, g = op
+    b, k, n = g.shape
+    q0t = np.ascontiguousarray(q0.transpose(0, 2, 1))
+    r_t = r.transpose(0, 2, 1)
+    phasor = np.empty((b, 1, n), dtype=complex)
+    x = np.empty((b, k, n), dtype=complex)
+    u = np.empty_like(x)
+    q = np.empty_like(q0t)
+    q_row, q_col = q.reshape(b, 1, -1), q.reshape(b, -1, 1)
+    j_val = np.empty((b, 1, 1))
+    grad = np.empty((b, n))
+
+    def evaluate(theta: np.ndarray):
+        np.cos(theta, out=phasor.real[:, 0])
+        np.sin(theta, out=phasor.imag[:, 0])
+        np.multiply(phasor, g, out=x)  # X^T
+        np.matmul(x.view(float), r_t, out=q)
+        np.add(q, q0t, out=q)  # Q^T = Im(H_eq)^T
+        np.matmul(q, r, out=u.view(float))
+        np.conjugate(x, out=x)
+        np.multiply(x, u, out=x)
+        np.sum(x.imag, axis=1, out=grad)
+        np.multiply(grad, 2.0, out=grad)
+        np.matmul(q_row, q_col, out=j_val)
+        return j_val[:, 0, 0], grad
+
+    return evaluate
 
 
-def _single(theta, stacked: np.ndarray, h_uv):
-    """Validated one-trial arguments: theta (1, N), stacked (1, 2N, MK)
-    and Im(h_uv) (1, MK), a batch of one."""
+def _single(theta, op: tuple, h_uv):
+    """Validated one-trial arguments: theta (1, N), (R, G) as (1, M, 2N) and
+    (1, K, N), and Im(h_uv) (1, M, K), a batch of one."""
     theta = np.asarray(theta, dtype=float)
     h_uv = np.asarray(h_uv, dtype=complex)
-    rows, cols = stacked.shape
-    if theta.shape != (rows // 2,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({rows // 2},)")
-    if h_uv.ndim != 2 or h_uv.size != cols:
-        raise ValueError(f"h_uv has shape {h_uv.shape}, expected M x K = {cols} entries")
-    return theta[None], stacked[None], h_uv.imag.reshape(1, -1)
+    r, g = op
+    (k, n), m = g.shape, r.shape[0]
+    if r.shape != (m, 2 * n):
+        raise ValueError(f"R has shape {r.shape}, expected (M, 2N) = ({m}, {2 * n})")
+    if theta.shape != (n,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({n},)")
+    if h_uv.shape != (m, k):
+        raise ValueError(f"h_uv has shape {h_uv.shape}, expected (M, K) = ({m}, {k})")
+    return theta[None], (r[None], g[None]), h_uv.imag[None]
 
 
-def objective(theta: np.ndarray, stacked: np.ndarray, h_uv: np.ndarray) -> float:
+def objective(theta: np.ndarray, op: tuple, h_uv: np.ndarray) -> float:
     """J(theta) = squared Frobenius norm of Im(H_eq)."""
-    return objective_and_gradient(theta, stacked, h_uv)[0]
+    return objective_and_gradient(theta, op, h_uv)[0]
 
 
-def gradient(theta: np.ndarray, stacked: np.ndarray, h_uv: np.ndarray) -> np.ndarray:
+def gradient(theta: np.ndarray, op: tuple, h_uv: np.ndarray) -> np.ndarray:
     """Analytic gradient dJ/dtheta (length N)."""
-    return objective_and_gradient(theta, stacked, h_uv)[1]
+    return objective_and_gradient(theta, op, h_uv)[1]
 
 
 def objective_and_gradient(
-    theta: np.ndarray, stacked: np.ndarray, h_uv: np.ndarray
+    theta: np.ndarray, op: tuple, h_uv: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Evaluate J and its gradient in one pass (one gradient evaluation)."""
-    j_val, grad = _evaluate(*_single(theta, stacked, h_uv))
+    theta, op, q0 = _single(theta, op, h_uv)
+    j_val, grad = _evaluator(op, q0)(theta)
     return float(j_val[0]), grad[0]
 
 
-def gradient_op_count(stacked: np.ndarray) -> int:
-    """Multiply-add count of one objective_and_gradient call, read from the
-    shape of the (2N, MK) stacked matrix: two GEMVs over it (residual and
-    projections, 8 N MK) plus the elementwise trigonometry and combination
-    work."""
-    n, cols = stacked.shape[0] // 2, stacked.shape[1]
-    return 8 * n * cols + 6 * n + 2 * cols
+def gradient_op_count(op: tuple) -> int:
+    """Floating-point operation count of one objective_and_gradient call,
+    read from the shapes of (R, G): the two real K x 2N x M products
+    (residual and projections, 8 N M K), the 2N trigonometric calls, the
+    two complex products forming X^T and the gradient terms (12 N K), the
+    sum over users with the factor 2 (N K), and the residual's offset and
+    squares (3 M K)."""
+    (k, n), m = op[1].shape, op[0].shape[0]
+    return 8 * n * m * k + 2 * n + 13 * n * k + 3 * m * k
 
 
 def canonicalize_phases(theta: np.ndarray) -> np.ndarray:
@@ -173,39 +203,54 @@ def random_phases(num_elements: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def adam_optimize_batch(
-    stacked: np.ndarray, q0: np.ndarray, theta0: np.ndarray, cfg: AdamConfig
+    op: tuple, q0: np.ndarray, theta0: np.ndarray, cfg: AdamConfig
 ) -> tuple[np.ndarray, list[ConvergenceTrace]]:
     """Momentum gradient descent with bias-corrected first/second moments,
     for B independent trials in one loop.
 
-    ``stacked`` (B, 2N, MK) holds each trial's ``build_rank_one_cache``,
-    ``q0`` (B, MK) each Im(h_uv) flattened, ``theta0`` (B, N) the starting
-    phases.  Exactly ``cfg.max_iters`` gradient evaluations are performed
-    per trial, and every row is bit-identical to running that trial alone
-    (B = 1).  Returns the final phases (B, N) and one trace per trial
-    recording J and ||grad||_2 at each evaluated point.
+    ``op`` is the pair (R, G), (B, M, 2N) and (B, K, N), each trial's
+    ``build_rank_one_cache``; ``q0`` (B, M, K) is each Im(h_uv) and
+    ``theta0`` (B, N) the starting phases.  Exactly ``cfg.max_iters``
+    gradient evaluations are performed per trial, and every row is
+    bit-identical to running that trial alone (B = 1).  Returns the final
+    phases (B, N) and one trace per trial recording J and ||grad||_2 at
+    each evaluated point.
     """
+    evaluate = _evaluator(op, q0)
     theta = np.array(theta0, dtype=float)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    m_hat = np.empty_like(theta)
+    tmp = np.empty_like(theta)
     obj_hist = np.empty((cfg.max_iters, theta.shape[0]))
     gsq_hist = np.empty_like(obj_hist)
     for it in range(1, cfg.max_iters + 1):
-        j_val, g = _evaluate(theta, stacked, q0)
+        j_val, g = evaluate(theta)
         obj_hist[it - 1] = j_val
-        gsq_hist[it - 1] = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / (1.0 - cfg.beta1**it)
-        v_hat = v / (1.0 - cfg.beta2**it)
-        theta = theta - cfg.step * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        np.matmul(g[:, None, :], g[:, :, None], out=gsq_hist[it - 1, :, None, None])
+        # The arithmetic of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+        # theta -= step m_hat / (sqrt(v_hat) + eps), in place.
+        m *= cfg.beta1
+        np.multiply(g, 1.0 - cfg.beta1, out=tmp)
+        m += tmp
+        v *= cfg.beta2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - cfg.beta2
+        v += tmp
+        np.divide(m, 1.0 - cfg.beta1**it, out=m_hat)
+        np.divide(v, 1.0 - cfg.beta2**it, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += cfg.epsilon
+        m_hat *= cfg.step
+        m_hat /= tmp
+        theta -= m_hat
     return theta, [
         ConvergenceTrace(obj.copy(), np.sqrt(gsq)) for obj, gsq in zip(obj_hist.T, gsq_hist.T)
     ]
 
 
 def adam_optimize(
-    stacked: np.ndarray,
+    op: tuple,
     h_uv: np.ndarray,
     cfg: AdamConfig,
     rng: np.random.Generator,
@@ -217,9 +262,9 @@ def adam_optimize(
     ``theta0`` is given.
     """
     if theta0 is None:
-        theta0 = random_phases(stacked.shape[0] // 2, rng)
-    theta0, stacked, q0 = _single(theta0, stacked, h_uv)
-    theta, traces = adam_optimize_batch(stacked, q0, theta0, cfg)
+        theta0 = random_phases(op[1].shape[1], rng)
+    theta0, op, q0 = _single(theta0, op, h_uv)
+    theta, traces = adam_optimize_batch(op, q0, theta0, cfg)
     return theta[0], traces[0]
 
 
@@ -227,7 +272,7 @@ _KRONECKER_PRIMES = (2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0)
 
 
 def multistart_adam(
-    stacked: np.ndarray,
+    op: tuple,
     h_uv: np.ndarray,
     cfg: AdamConfig,
     rng: np.random.Generator,
@@ -239,11 +284,11 @@ def multistart_adam(
     miss the best basin.  Restart r starts from the randomly shifted
     Kronecker lattice point 2*pi*frac(shift + r*sqrt(p_d)), which spreads
     the starts evenly over the phase torus.  The restarts run as one batch
-    over a broadcast view of ``stacked``, so each row equals that restart
-    run alone.  Returns (theta, J(theta)) of the first restart whose final
-    J is smallest.
+    over broadcast views of ``op``, so each row equals that restart run
+    alone.  Returns (theta, J(theta)) of the first restart whose final J
+    is smallest.
     """
-    n = stacked.shape[0] // 2
+    n = op[1].shape[1]
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if n > len(_KRONECKER_PRIMES):
@@ -253,11 +298,11 @@ def multistart_adam(
     shift = rng.uniform(0.0, 1.0, n)
     alpha = np.sqrt(np.array(_KRONECKER_PRIMES[:n]))
     theta0 = 2.0 * np.pi * np.mod(shift + np.arange(restarts)[:, None] * alpha, 1.0)
-    _, stacked, q0 = _single(theta0[0], stacked, h_uv)  # checks h_uv against the array
-    stacked = np.broadcast_to(stacked, (restarts, *stacked.shape[1:]))
-    q0 = np.broadcast_to(q0, (restarts, q0.shape[1]))
-    thetas, _ = adam_optimize_batch(stacked, q0, theta0, cfg)
-    j_final = _evaluate(thetas, stacked, q0)[0]
+    _, op, q0 = _single(theta0[0], op, h_uv)  # checks h_uv against the operand
+    op = tuple(np.broadcast_to(a, (restarts, *a.shape[1:])) for a in op)
+    q0 = np.broadcast_to(q0, (restarts, *q0.shape[1:]))
+    thetas, _ = adam_optimize_batch(op, q0, theta0, cfg)
+    j_final = _evaluator(op, q0)(thetas)[0]
     best = int(np.argmin(j_final))
     return thetas[best], float(j_final[best])
 
@@ -266,14 +311,13 @@ def multistart_adam(
 _GRID_BUDGET = 50_000_000
 
 
-def brute_force_phases(
-    stacked: np.ndarray, h_uv: np.ndarray, grid_points_per_dim: int
-) -> np.ndarray:
+def brute_force_phases(op: tuple, h_uv: np.ndarray, grid_points_per_dim: int) -> np.ndarray:
     """Grid-search oracle: the grid point minimizing J.
 
     Only intended for N <= 3; refuses larger problems with a cost estimate.
     """
-    n = stacked.shape[0] // 2
+    r, g = op
+    n = g.shape[1]
     cost = grid_points_per_dim**n
     if n > 3 or cost > _GRID_BUDGET:
         raise BudgetExceededError(
@@ -283,9 +327,10 @@ def brute_force_phases(
     axis = np.arange(grid_points_per_dim) * (2.0 * np.pi / grid_points_per_dim)
     # all grid points in row-major (ij) order, one per row; (1, 0) for N = 0
     thetas = axis[np.indices((grid_points_per_dim,) * n).reshape(n, cost).T]
-    trig = np.hstack((np.cos(thetas), np.sin(thetas)))
-    q = np.asarray(h_uv).imag.reshape(-1) + trig @ stacked
-    values = np.sum(q * q, axis=1)
+    x = np.empty((cost, *g.shape), dtype=complex)  # each grid point's X^T
+    np.multiply(np.exp(1j * thetas)[:, None, :], g, out=x)
+    q = x.view(float) @ r.T + np.asarray(h_uv).imag.T
+    values = np.sum(q * q, axis=(1, 2))
     return thetas[int(np.argmin(values))].copy()
 
 

@@ -20,11 +20,12 @@ run.
 A campaign runs in one thread.  A batch runs as contiguous chunks of
 trials in order, each a three-stage pipeline: per trial, draw the
 channels, LO and starting phases; align all of the chunk's trials in one
-stacked optimizer loop; per trial, compose, observe, detect and count.
-Each trial consumes its own generator in the same order as
-``optimize_aligned_phases`` would, and the stacked loop's rows equal
-single-trial runs bit for bit, so the chunk size does not change any
-output.
+batched optimizer loop over their factored operands (each trial's
+de-phased h_rv as a real (M, 2N) matrix, and h_ur^T); per trial, compose,
+observe, detect and count.  Each trial consumes its own generator in the
+same order as ``optimize_aligned_phases`` would, and the batched loop's
+rows equal single-trial runs bit for bit, so the chunk size does not
+change any output.
 """
 
 from __future__ import annotations
@@ -89,14 +90,15 @@ DETECTOR_NAMES = tuple(_DETECTORS)
 # the set of executed trials never depends on how a campaign is chunked.
 _BATCH_SIZE = 8
 
-# A batch runs as contiguous chunks of trials, in order.  A chunk's
-# optimizer works on its trials' stacked (2N, MK) rank-one matrices at
-# once; this byte budget bounds them (3 trials at M=36, N=150, K=3).
-# Per trial the stacked loop runs ~1.5x faster at 3 or 4 trials than at 1
-# and slows again at 8 (2 MiB, one core's L2 cache on the 2-vCPU VM it was
-# timed on); 3 keeps a campaign's peak memory below that of one trial at a
-# time, where 4 exceeds it.
-_CHUNK_BYTES = 768 << 10
+# A batch runs as contiguous chunks of trials, in order.  A chunk holds its
+# trials' channels, 16 (M N + N K + M K) bytes each, and while it aligns
+# them their factored operands, 16 N (M + K) bytes each; this byte budget
+# bounds both: 6 trials at M=36, N=150, K=3 and a whole batch at M=16,
+# N=150, K=8.  The batched loop runs ~1.6x faster per trial at 4 trials
+# than at 1 and ~1.1x faster again at 8, but at the reference shape a
+# chunk of 8 raises a campaign's peak resident memory (+0.5 MiB) and one
+# of 6 does not.
+_CHUNK_BYTES = 1152 << 10
 
 
 @dataclass(frozen=True)
@@ -228,18 +230,19 @@ def draw_channels(cfg: SimConfig, rng: np.random.Generator) -> ChannelSet:
 
 
 def _align(pairs: list, theta0: np.ndarray, adam: AdamConfig):
-    """Align B (channels, LO) pairs from ``theta0`` (B, N) in one stacked
+    """Align B (channels, LO) pairs from ``theta0`` (B, N) in one batched
     optimizer loop on their rows de-phased by exp(-j angle(b)); returns
-    ``adam_optimize_batch``'s phases and traces.  The (B, 2N, MK) buffer
-    of de-phased rank-one terms lives only for the call."""
-    n, mk = pairs[0][0].num_elements, pairs[0][0].h_uv.size
-    stacked = np.empty((len(pairs), 2 * n, mk))
-    q0 = np.empty((len(pairs), mk))
+    ``adam_optimize_batch``'s phases and traces.  The batch's factored
+    operand, (B, M, 2N) and (B, K, N), lives only for the call."""
+    m, n, k = pairs[0][0].num_cells, pairs[0][0].num_elements, pairs[0][0].num_users
+    r = np.empty((len(pairs), m, 2 * n))
+    g = np.empty((len(pairs), k, n), dtype=complex)
+    q0 = np.empty((len(pairs), m, k))
     for i, (ch, b) in enumerate(pairs):
         rot = np.exp(-1j * np.angle(b))[:, None]
-        build_rank_one_cache(ChannelSet(ch.h_ur, rot * ch.h_rv, ch.h_uv), out=stacked[i])
-        q0[i] = (rot * ch.h_uv).imag.reshape(-1)
-    return adam_optimize_batch(stacked, q0, theta0, adam)
+        build_rank_one_cache(ChannelSet(ch.h_ur, rot * ch.h_rv, ch.h_uv), out=(r[i], g[i]))
+        q0[i] = (rot * ch.h_uv).imag
+    return adam_optimize_batch((r, g), q0, theta0, adam)
 
 
 def optimize_aligned_phases(
@@ -267,11 +270,11 @@ def run_convergence(cfg: SimConfig) -> ConvergenceTrace:
 
 
 def _chunk_size(cfg: SimConfig) -> int:
-    """Trials per chunk: as many as keep the chunk's stacked rank-one
-    matrices within ``_CHUNK_BYTES``, at most a batch, and at least one."""
-    matrix_bytes = 16 * cfg.num_elements * cfg.num_cells * cfg.num_users
-    fit = _CHUNK_BYTES // matrix_bytes if matrix_bytes else _BATCH_SIZE
-    return max(1, min(fit, _BATCH_SIZE))
+    """Trials per chunk: as many as keep the chunk's channels and factored
+    operands within ``_CHUNK_BYTES``, at most a batch, and at least one."""
+    m, n, k = cfg.num_cells, cfg.num_elements, cfg.num_users
+    trial_bytes = 16 * (m * n + n * k + m * k) + 16 * n * (m + k)
+    return max(1, min(_CHUNK_BYTES // trial_bytes, _BATCH_SIZE))
 
 
 def _run_chunk(
@@ -280,7 +283,7 @@ def _run_chunk(
     """Execute a contiguous run of trials; per trial {detector: (bits_sent, bit_errors)}.
 
     Stage 1, per trial in its generator's order: channels, LO and starting
-    phases.  Stage 2: ``_align`` aligns all trials in one stacked Adam
+    phases.  Stage 2: ``_align`` aligns all trials in one batched Adam
     loop.  Stage 3, per trial: compose, front end, detectors, counts.
     """
     n = cfg.num_elements

@@ -615,3 +615,19 @@ class TestPhaseFile:
             seed, *dims)
         assert sol["objective"] == objective
         assert np.array_equal(sol["theta"], np.array(theta))
+
+
+class TestGoldenCampaigns:
+    """Committed ``ber`` outputs: a change to the trial pipeline that moves
+    any count fails here.  Each CSV in tests/data was written by ``atomris
+    ber --config <name>.ini`` when the optimizer still read the (2N, M K)
+    stack of rank-one terms; the factored operand left every count as it
+    was."""
+
+    DATA = Path(__file__).resolve().parent / "data"
+
+    @pytest.mark.parametrize("name", ["golden_ref_k3", "golden_detect_k8"])
+    def test_ber_csv_byte_identical(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        assert main(["ber", "--config", str(self.DATA / f"{name}.ini"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (self.DATA / f"{name}.csv").read_bytes()

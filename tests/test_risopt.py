@@ -3,6 +3,8 @@ equivalence machinery between the Frobenius and signal-domain objectives."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomris.channel import ChannelSet, effective_channel, gen_lo_vector, gen_user_ris_channel
 from atomris.errors import BudgetExceededError
@@ -44,36 +46,72 @@ def finite_difference(theta, cache, h_uv, step=1e-6):
     return fd
 
 
-def rank_one_terms(stacked, ch):
-    """The (N, M, K) complex rank-one terms rebuilt from the stacked [Im V; Re V]."""
-    n = stacked.shape[0] // 2
-    return (stacked[n:] + 1j * stacked[:n]).reshape(n, *ch.h_uv.shape)
+def rank_one_terms(op):
+    """The (N, M, K) complex rank-one terms V_n = h_rv[:, n] outer h_ur[n, :]
+    rebuilt from the factored operand: R's column pairs are (Im, Re) of
+    h_rv's columns and G is h_ur^T."""
+    r, g = op
+    h_rv = r[:, 1::2] + 1j * r[:, 0::2]
+    return np.einsum("mn,kn->nmk", h_rv, g)
 
 
 class TestRankOneCache:
     def test_single_element_outer_product(self):
         ch = random_set(3, 1, 2, 0)
-        cache = build_rank_one_cache(ch)
-        assert cache.shape == (2, 6)
-        assert cache.flags.c_contiguous
-        v0 = rank_one_terms(cache, ch)[0]
+        r, g = build_rank_one_cache(ch)
+        assert r.shape == (3, 2) and g.shape == (2, 1)
+        assert r.flags.c_contiguous and g.flags.c_contiguous
+        v0 = rank_one_terms((r, g))[0]
         assert np.allclose(v0, np.outer(ch.h_rv[:, 0], ch.h_ur[0]))
         assert np.linalg.matrix_rank(v0) <= 1
 
     def test_zero_column_gives_zero_term(self):
+        """A zero RIS-to-cell column is a zero column pair of R and a zero
+        rank-one term, so J does not depend on that element's phase."""
         ch = random_set(3, 4, 2, 1)
         h_rv = ch.h_rv.copy()
         h_rv[:, 2] = 0
-        cache = build_rank_one_cache(ChannelSet(ch.h_ur, h_rv, ch.h_uv))
-        assert np.allclose(cache[[2, 6]], 0)
+        op = build_rank_one_cache(ChannelSet(ch.h_ur, h_rv, ch.h_uv))
+        assert np.all(op[0][:, [4, 5]] == 0)
+        assert np.all(rank_one_terms(op)[2] == 0)
+        theta = np.random.default_rng(2).uniform(0, 2 * np.pi, 4)
+        j_val, grad = objective_and_gradient(theta, op, ch.h_uv)
+        assert grad[2] == 0.0
+        theta[2] += 1.0
+        assert objective(theta, op, ch.h_uv) == pytest.approx(j_val, abs=1e-12)
 
     def test_consistent_with_effective_channel(self):
         """Sum of e^{j theta_n} V_n plus h_uv equals the composed channel."""
         ch = random_set(4, 6, 3, 2)
-        cache = build_rank_one_cache(ch)
+        op = build_rank_one_cache(ch)
         theta = np.random.default_rng(3).uniform(0, 2 * np.pi, 6)
-        recomposed = ch.h_uv + np.tensordot(np.exp(1j * theta), rank_one_terms(cache, ch), axes=1)
+        recomposed = ch.h_uv + np.tensordot(np.exp(1j * theta), rank_one_terms(op), axes=1)
         assert np.allclose(recomposed, effective_channel(ch, theta), atol=1e-12)
+
+
+class TestKernelProperties:
+    """J and its gradient on random shapes, N = 0 included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 9), n=st.integers(0, 9), k=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_objective_and_gradient(self, m, n, k, seed):
+        rng = np.random.default_rng(seed)
+
+        def cgauss(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        ch = ChannelSet(cgauss((n, k)), cgauss((m, n)), cgauss((m, k)))
+        op = build_rank_one_cache(ch)
+        theta = rng.uniform(0, 2 * np.pi, n)
+        j_val, g = objective_and_gradient(theta, op, ch.h_uv)
+        assert j_val == pytest.approx(np.sum(effective_channel(ch, theta).imag ** 2),
+                                      rel=1e-12, abs=1e-12)
+        assert g.shape == (n,)
+        # Central differences at step 1e-6: truncation and roundoff both stay
+        # below 1e-6 of J's scale.
+        fd = finite_difference(theta, op, ch.h_uv)
+        assert np.all(np.abs(g - fd) <= 1e-6 * max(1.0, j_val) + 1e-6 * np.abs(g))
 
 
 class TestObjective:
@@ -235,7 +273,7 @@ class TestAdam:
 
 
 def dephased_problem(cfg, trial):
-    """A campaign trial's de-phased cache and Im(h_uv) row, its starting
+    """A campaign trial's de-phased operand and Im(h_uv), its starting
     phases, and the (channels, LO, generator) that optimize_aligned_phases
     gets for the same trial."""
     rng = np.random.default_rng(trial_seed(cfg.master_seed, -20.0, trial))
@@ -246,48 +284,66 @@ def dephased_problem(cfg, trial):
     state = rng.bit_generator.state
     theta0 = random_phases(cfg.num_elements, rng)
     rng.bit_generator.state = state
-    cache = build_rank_one_cache(dephased)
-    return cache, dephased.h_uv.imag.reshape(-1), theta0, (ch, b, rng)
+    op = build_rank_one_cache(dephased)
+    return op, dephased.h_uv.imag, theta0, (ch, b, rng)
 
 
 class TestBatchedAdam:
-    """Each row of the stacked Adam loop equals its trial run alone."""
+    """Each row of the batched Adam loop equals its trial run alone."""
 
-    CFG = SimConfig(num_cells=12, num_elements=24, num_users=2, master_seed=4)
+    CFGS = {
+        "k2": SimConfig(num_cells=12, num_elements=24, num_users=2, master_seed=4),
+        "k8": SimConfig(num_cells=16, num_elements=40, num_users=8, master_seed=4),
+    }
 
     def run_batch(self, problems, adam):
-        stacked = np.stack([p[0] for p in problems])
+        op = tuple(np.stack([p[0][i] for p in problems]) for i in range(2))
         q0 = np.stack([p[1] for p in problems])
         theta0 = np.stack([p[2] for p in problems])
-        return adam_optimize_batch(stacked, q0, theta0, adam)
+        return adam_optimize_batch(op, q0, theta0, adam)
 
     @pytest.mark.parametrize("batch", [1, 3, 8])
     def test_rows_equal_single_trial_runs(self, batch):
+        for cfg in self.CFGS.values():
+            self.check_rows(cfg, batch)
+
+    def check_rows(self, cfg, batch):
         adam = AdamConfig(max_iters=60)
-        problems = [dephased_problem(self.CFG, t) for t in range(batch)]
+        problems = [dephased_problem(cfg, t) for t in range(batch)]
         thetas, traces = self.run_batch(problems, adam)
-        assert thetas.shape == (batch, self.CFG.num_elements)
-        for (cache, q0, theta0, (ch, b, rng)), theta, trace in zip(problems, thetas, traces):
-            h_uv = (q0 * 1j).reshape(self.CFG.num_cells, self.CFG.num_users)
-            alone, alone_trace = adam_optimize(cache, h_uv, adam, None, theta0=theta0)
+        assert thetas.shape == (batch, cfg.num_elements)
+        for (op, q0, theta0, (ch, b, rng)), theta, trace in zip(problems, thetas, traces):
+            alone, alone_trace = adam_optimize(op, q0 * 1j, adam, None, theta0=theta0)
             aligned, aligned_trace = optimize_aligned_phases(ch, b, adam, rng)
             for other, other_trace in ((alone, alone_trace), (aligned, aligned_trace)):
                 assert np.array_equal(theta, other)
                 assert np.array_equal(trace.objective, other_trace.objective)
                 assert np.array_equal(trace.grad_norm, other_trace.grad_norm)
 
+        # The broadcast rows multistart_adam runs: one trial's operand under
+        # every row, from each problem's start.
+        op, q0 = problems[0][0], problems[0][1]
+        theta0 = np.stack([p[2] for p in problems])
+        broadcast = tuple(np.broadcast_to(a, (batch, *a.shape)) for a in op)
+        thetas, traces = adam_optimize_batch(
+            broadcast, np.broadcast_to(q0, (batch, *q0.shape)), theta0, adam
+        )
+        for start, theta, trace in zip(theta0, thetas, traces):
+            alone, alone_trace = adam_optimize(op, q0 * 1j, adam, None, theta0=start)
+            assert np.array_equal(theta, alone)
+            assert np.array_equal(trace.objective, alone_trace.objective)
+            assert np.array_equal(trace.grad_norm, alone_trace.grad_norm)
+
     def test_no_ris_rows(self):
         """N = 0: nothing to optimize; each row records the direct J at
         every iteration, with a zero gradient."""
-        h_uv = np.random.default_rng(9).standard_normal((3, 4, 2)) * 1j
-        q0 = h_uv.imag.reshape(3, -1)
-        thetas, traces = adam_optimize_batch(
-            np.zeros((3, 0, 8)), q0, np.zeros((3, 0)), AdamConfig(max_iters=5)
-        )
+        q0 = np.random.default_rng(9).standard_normal((3, 4, 2))
+        op = (np.zeros((3, 4, 0)), np.zeros((3, 2, 0), dtype=complex))
+        thetas, traces = adam_optimize_batch(op, q0, np.zeros((3, 0)), AdamConfig(max_iters=5))
         assert thetas.shape == (3, 0)
         for row, trace in zip(q0, traces):
             assert len(trace) == 5
-            assert trace.objective == pytest.approx(np.full(5, row @ row))
+            assert trace.objective == pytest.approx(np.full(5, np.sum(row * row)))
             assert np.all(trace.grad_norm == 0.0)
 
 

@@ -150,12 +150,14 @@ class TestRunBer:
         assert rec.bit_errors == 0
 
     def test_chunking_invariance(self, monkeypatch):
-        """A batch runs as chunks through one stacked optimizer; the chunk
-        byte budget does not change the output."""
+        """A batch runs as chunks through one batched optimizer; the chunk
+        byte budget does not change the output.  A trial's bytes are its
+        channels and its factored operand."""
         base = records_to_csv(run_ber(SMALL))
-        matrix_bytes = 16 * SMALL.num_elements * SMALL.num_cells * SMALL.num_users
-        for per_chunk in (1, 3):
-            monkeypatch.setattr(sim, "_CHUNK_BYTES", per_chunk * matrix_bytes)
+        m, n, k = SMALL.num_cells, SMALL.num_elements, SMALL.num_users
+        trial_bytes = 16 * (m * n + n * k + m * k) + 16 * n * (m + k)
+        for per_chunk in (1, 3, 8):
+            monkeypatch.setattr(sim, "_CHUNK_BYTES", per_chunk * trial_bytes)
             assert sim._chunk_size(SMALL) == per_chunk
             assert records_to_csv(run_ber(SMALL)) == base
 
