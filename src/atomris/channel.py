@@ -319,7 +319,7 @@ def gen_physical_channel(
         raise ValueError("matrix dimensions must be >= 1")
     shape = (num_cells, num_cols, params.num_paths)
     coupling, rho, phi = _path_terms(shape, params, rng)
-    # Each (M, cols, L) temporary is freed once used: while a campaign chunk
+    # Each (M, cols, L) temporary is freed once used: while a campaign batch
     # draws, this peak adds to the channels its earlier trials hold.
     coupling *= rho
     del rho

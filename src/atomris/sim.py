@@ -13,18 +13,17 @@ Every trial derives its own generator from
 Keying on the value rather than the grid position means splitting a grid
 across runs, or (with no error target) the trials by ``trial_offset``,
 and merging the records reproduces a single run exactly; this is how a
-campaign is spread over processes.  Early aborts are decided on
-fixed-size trial batches, so the chunk size never changes which trials
-run.
+campaign is spread over processes.  Early aborts are decided after each
+fixed-size batch of trials, and each grid point stops on its own.
 
-A campaign runs in one thread.  A batch runs as contiguous chunks of
-trials in order, each a three-stage pipeline: per trial, draw the
-channels, LO and starting phases; align all of the chunk's trials in one
-batched optimizer loop over their factored operands (each trial's
-de-phased h_rv as a real (M, 2N) matrix, and h_ur^T); per trial, compose,
-observe, detect and count.  Each trial consumes its own generator in the
-same order as ``optimize_aligned_phases`` would, and the batched loop's
-rows equal single-trial runs bit for bit, so the chunk size does not
+A campaign runs in one thread and holds one batch of trials at a time.
+A batch is a three-stage pipeline: per trial, draw the channels, LO and
+starting phases; align all of the batch's trials in one batched optimizer
+loop over their factored operands (each trial's de-phased h_rv as a real
+(M, 2N) matrix, and h_ur^T); per trial, compose, observe, detect and
+count.  Each trial consumes its own generator in the same order as
+``optimize_aligned_phases`` would, and the batched loop's rows equal
+single-trial runs bit for bit, so which trials share a loop does not
 change any output.
 """
 
@@ -86,19 +85,10 @@ _DETECTORS = {
 }
 DETECTOR_NAMES = tuple(_DETECTORS)
 
-# Trials are executed and abort decisions taken in fixed-size batches so
-# the set of executed trials never depends on how a campaign is chunked.
+# Trials are drawn, aligned together and checked against the error target
+# in fixed-size batches; the size decides which trials run under an error
+# target, so it is a constant.
 _BATCH_SIZE = 8
-
-# A batch runs as contiguous chunks of trials, in order.  A chunk holds its
-# trials' channels, 16 (M N + N K + M K) bytes each, and while it aligns
-# them their factored operands, 16 N (M + K) bytes each; this byte budget
-# bounds both: 6 trials at M=36, N=150, K=3 and a whole batch at M=16,
-# N=150, K=8.  The batched loop runs ~1.6x faster per trial at 4 trials
-# than at 1 and ~1.1x faster again at 8, but at the reference shape a
-# chunk of 8 raises a campaign's peak resident memory (+0.5 MiB) and one
-# of 6 does not.
-_CHUNK_BYTES = 1152 << 10
 
 
 @dataclass(frozen=True)
@@ -197,6 +187,8 @@ def validate_config(cfg: SimConfig) -> None:
         )
     if len(set(cfg.detectors)) != len(cfg.detectors):
         raise ConfigError(f"detectors repeats a name: {cfg.detectors}")
+    if cfg.exhaustive_budget < 1:
+        raise ConfigError(f"exhaustive_budget must be >= 1, got {cfg.exhaustive_budget}")
     if "exhaustive" in cfg.detectors:
         cost = cfg.mod_order**cfg.num_users
         if cost > cfg.exhaustive_budget:
@@ -252,8 +244,8 @@ def optimize_aligned_phases(
 
     Runs the Frobenius-objective optimizer on the channel set with its
     rows de-phased by exp(-j angle(b)); a zero objective there makes
-    H_eq s o exp(-j angle(b)) real for every real s.  This is a chunk of
-    one trial: a campaign trial gets the same phases from its chunk.
+    H_eq s o exp(-j angle(b)) real for every real s.  This is a batch of
+    one trial: a campaign trial gets the same phases from its batch.
     """
     thetas, traces = _align([(ch, b)], random_phases(ch.num_elements, rng)[None], adam)
     return thetas[0], traces[0]
@@ -269,18 +261,10 @@ def run_convergence(cfg: SimConfig) -> ConvergenceTrace:
     return trace
 
 
-def _chunk_size(cfg: SimConfig) -> int:
-    """Trials per chunk: as many as keep the chunk's channels and factored
-    operands within ``_CHUNK_BYTES``, at most a batch, and at least one."""
-    m, n, k = cfg.num_cells, cfg.num_elements, cfg.num_users
-    trial_bytes = 16 * (m * n + n * k + m * k) + 16 * n * (m + k)
-    return max(1, min(_CHUNK_BYTES // trial_bytes, _BATCH_SIZE))
-
-
-def _run_chunk(
+def _run_batch(
     cfg: SimConfig, eb_n0_db: float, noise: NoiseSpec, trials: range, const, lut
 ) -> list[dict[str, tuple[int, int]]]:
-    """Execute a contiguous run of trials; per trial {detector: (bits_sent, bit_errors)}.
+    """Execute one batch of trials; per trial {detector: (bits_sent, bit_errors)}.
 
     Stage 1, per trial in its generator's order: channels, LO and starting
     phases.  Stage 2: ``_align`` aligns all trials in one batched Adam
@@ -332,7 +316,6 @@ def run_ber(cfg: SimConfig) -> list[BerRecord]:
     validate_config(cfg)
     const = make_pam(cfg.mod_order)
     lut = hamming_table(const)
-    chunk = _chunk_size(cfg)
 
     records: list[BerRecord] = []
     for db in cfg.eb_n0_grid_db:
@@ -344,11 +327,10 @@ def run_ber(cfg: SimConfig) -> list[BerRecord]:
         last = cfg.trial_offset + cfg.trials_per_point
         for batch_start in range(first, last, _BATCH_SIZE):
             batch = range(batch_start, min(batch_start + _BATCH_SIZE, last))
-            for i in range(0, len(batch), chunk):
-                for res in _run_chunk(cfg, db, noise, batch[i:i + chunk], const, lut):
-                    for det, (nb, ne) in res.items():
-                        bits[det] += nb
-                        errors[det] += ne
+            for res in _run_batch(cfg, db, noise, batch, const, lut):
+                for det, (nb, ne) in res.items():
+                    bits[det] += nb
+                    errors[det] += ne
             if cfg.error_target is not None and all(
                 errors[det] >= cfg.error_target for det in cfg.detectors
             ):

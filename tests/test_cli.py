@@ -340,6 +340,8 @@ class TestCommands:
         ("sim", "trials_per_point", "6%"),
         ("sim", "detectors", "proposed,proposed,zf_genie"),
         ("sim", "master_seed", "-1"),
+        ("sim", "exhaustive_budget", "0"),
+        ("sim", "exhaustive_budget", "-3"),
     ])
     def test_invalid_field_is_exit_2(self, tmp_path, capsys, section, key, value):
         """Rejected before any trial runs, with the field named."""

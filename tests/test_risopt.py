@@ -157,7 +157,7 @@ class TestObjective:
 
     @pytest.mark.parametrize("n", [0, 1, 24])
     def test_same_value_as_objective_and_gradient(self, n):
-        """Both read the one stacked residual kernel: bit-identical J,
+        """Both read the one evaluation kernel: bit-identical J,
         including the no-RIS case."""
         ch = random_set(12, max(n, 1), 3, 8)
         ch = ChannelSet(ch.h_ur[:n], ch.h_rv[:, :n], ch.h_uv)

@@ -149,18 +149,6 @@ class TestRunBer:
         (rec,) = run_ber(cfg)
         assert rec.bit_errors == 0
 
-    def test_chunking_invariance(self, monkeypatch):
-        """A batch runs as chunks through one batched optimizer; the chunk
-        byte budget does not change the output.  A trial's bytes are its
-        channels and its factored operand."""
-        base = records_to_csv(run_ber(SMALL))
-        m, n, k = SMALL.num_cells, SMALL.num_elements, SMALL.num_users
-        trial_bytes = 16 * (m * n + n * k + m * k) + 16 * n * (m + k)
-        for per_chunk in (1, 3, 8):
-            monkeypatch.setattr(sim, "_CHUNK_BYTES", per_chunk * trial_bytes)
-            assert sim._chunk_size(SMALL) == per_chunk
-            assert records_to_csv(run_ber(SMALL)) == base
-
     def test_pruning_does_not_change_a_k8_campaign(self, monkeypatch):
         """A K = 8 campaign (65 536 candidates) writes the same CSV whether
         the pruned search decides or, with no node budget, the full search
@@ -187,8 +175,9 @@ class TestRunBer:
         assert sum(fell_back) == observations
 
     def test_matches_per_trial_reference(self):
-        """The chunked campaign counts what the single-trial chain of
-        public functions counts, trial by trial."""
+        """The batched campaign (a batch of 8 trials, then one of 3) counts
+        what the single-trial chain of public functions counts, trial by
+        trial."""
         from atomris.channel import effective_channel, gen_lo_vector
         from atomris.detect import (
             detect_exhaustive_batch, detect_proposed_batch, detect_zf_batch, front_end,
