@@ -4,18 +4,20 @@ Three matrices describe the link from K single-antenna users to M vapor
 cells through an N-element RIS:
 
 * ``h_ur`` (N x K): user-to-RIS, i.i.d. circularly-symmetric CN(0, 1),
-* ``h_rv`` (M x N): RIS-to-vapor-cell, multipath dipole-coupling model,
+* ``h_rv`` (M x N): RIS-to-vapor-cell, multipath coupling model,
 * ``h_uv`` (M x K): direct user-to-vapor-cell, same multipath model.
 
-The multipath model sums, over ``num_paths`` propagation paths, a coupling
-term (dipole moment dotted with the wave polarization, divided by hbar),
-a path loss and a phase rotation.  Polarization directions are drawn
-uniformly from the unit circle perpendicular to a configurable incidence
-axis.  By default the coupling products are folded into a single gain
-scalar and the output is normalized to unit per-entry variance, which
-keeps desk-scale experiments on the same footing as the CN(0,1) user-RIS
-links; supplying an explicit ``dipole_moment`` switches to the fully
-physical form.
+The multipath model sums, over ``num_paths`` propagation paths, a Rabi
+coupling, a path loss and a phase rotation.  A path couples through the
+in-plane part of the atomic dipole, mu_perp . eps / hbar, with the
+polarization eps at a uniform angle psi on the circle perpendicular to
+the incidence axis.  That is |mu_perp| / hbar * cos(psi - psi0), where
+psi0 is the dipole's own angle in the plane; psi is uniform, so this has
+the distribution of |mu_perp| / hbar * cos(psi), and the dipole, hbar and
+the axis reach the draws only through one scalar, ``coupling_gain``.  By
+default the output is normalized to unit per-entry variance, which keeps
+desk-scale experiments on the same footing as the CN(0, 1) user-RIS
+links.
 
 All randomness flows through an explicit ``numpy.random.Generator``.
 """
@@ -40,24 +42,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicalPathParams:
-    """Generative parameters of the multipath dipole-coupling channel.
+    """Generative parameters of the multipath coupling channel.
+
+    Each path couples as ``coupling_gain * cos(psi)``, psi uniform on
+    [0, 2 pi).
 
     Attributes
     ----------
     num_paths : int
         Number of propagation paths summed per matrix entry (L >= 1).
     coupling_gain : float
-        Folded coupling scalar replacing |dipole| / hbar when no explicit
-        dipole moment is given.
-    dipole_moment : tuple of 3 floats, optional
-        Explicit dipole moment vector.  When set, the per-path coupling is
-        dot(dipole_moment, polarization) / hbar.
-    hbar : float
-        Reduced Planck constant (kept configurable so desk-scale runs can
-        use 1.0 instead of meaningless absolute units).
-    incidence_axis : tuple of 3 floats
-        Axis perpendicular to the circle from which polarization vectors
-        are drawn.
+        |in-plane part of the dipole moment| / hbar.
     path_loss_span : (float, float)
         Path losses are drawn log-uniformly from this closed interval.
     normalize : bool
@@ -67,25 +62,23 @@ class PhysicalPathParams:
 
     num_paths: int = 4
     coupling_gain: float = 1.0
-    dipole_moment: tuple[float, float, float] | None = None
-    hbar: float = 1.0
-    incidence_axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
     path_loss_span: tuple[float, float] = (0.1, 1.0)
     normalize: bool = True
 
     def __post_init__(self):
         if self.num_paths < 1:
             raise ValueError("num_paths must be >= 1")
-        _check_coupling_fields(self)
-        object.__setattr__(self, "_uvw", _coupling(self))  # reused by every draw
-        _check_entry_scale(self, self.num_paths, 1.0, "num_paths")
+        if not math.isfinite(self.coupling_gain):
+            raise ValueError(f"coupling_gain must be finite, got {self.coupling_gain}")
+        _check_path_loss_span(self.path_loss_span)
+        _check_entry_scale(self.num_paths * abs(self.coupling_gain) * self.path_loss_span[1],
+                           "coupling_gain, num_paths or path_loss_span")
         if self.normalize:
             var = _normalization_variance(self)
             if not 0.0 < var < math.inf:
                 raise ValueError(
-                    f"normalization variance is {var}: the coupling lies along the incidence "
-                    "axis, or coupling_gain, dipole_moment, hbar, num_paths or path_loss_span "
-                    "is out of range"
+                    f"normalization variance is {var}: coupling_gain, num_paths or "
+                    "path_loss_span is out of range"
                 )
             object.__setattr__(self, "_entry_sd", math.sqrt(var))
 
@@ -102,63 +95,38 @@ class LOParams:
     """Generative parameters of the local-oscillator vector.
 
     Each cell's LO sample is
-    ``(reference_symbol / hbar) * dot(dipole, polarization) * sqrt(power)
-    * path_loss * exp(j * phase)``, with one term per vapor cell (the LO
-    is locally generated, so there is no multipath sum).
+    ``cos(psi) * sqrt(power) * path_loss * exp(j * phase)``, with one term
+    per vapor cell (the LO is locally generated, so there is no multipath
+    sum).  The cos(psi) factor is the LO's random polarization: it is what
+    leaves some cells with a weak LO.  Any coupling gain or reference
+    amplitude is part of ``power``.
     """
 
     power: float = 1e8
-    reference_symbol: float = 1.0
-    coupling_gain: float = 1.0
-    dipole_moment: tuple[float, float, float] | None = None
-    hbar: float = 1.0
-    incidence_axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
     path_loss_span: tuple[float, float] = (0.5, 1.0)
 
     def __post_init__(self):
         if not 0.0 <= self.power < math.inf:
             raise ValueError(f"power must be finite and nonnegative, got {self.power}")
-        if not math.isfinite(self.reference_symbol):
-            raise ValueError("reference_symbol must be finite")
-        _check_coupling_fields(self)
-        object.__setattr__(self, "_uvw", _coupling(self))  # reused by every draw
-        _check_entry_scale(
-            self, 1, self.power * self.reference_symbol * self.reference_symbol,
-            "power, reference_symbol",
-        )
+        _check_path_loss_span(self.path_loss_span)
+        _check_entry_scale(math.sqrt(self.power) * self.path_loss_span[1],
+                           "power or path_loss_span")
 
 
-def _check_coupling_fields(params) -> None:
-    """Range checks shared by the channel and LO parameters."""
-    lo, hi = params.path_loss_span
+def _check_path_loss_span(span) -> None:
+    lo, hi = span
     if not 0.0 <= lo <= hi < math.inf or (lo == 0.0 < hi):
         raise ValueError(
             "path_loss_span (path_loss_min, path_loss_max) must satisfy "
-            f"0 < min <= max < inf, or min = max = 0; got {params.path_loss_span}"
+            f"0 < min <= max < inf, or min = max = 0; got {span}"
         )
-    axis = np.asarray(params.incidence_axis, dtype=float)
-    if axis.shape != (3,) or not 0.0 < np.linalg.norm(axis) < math.inf:
-        raise ValueError(
-            f"incidence_axis must be a 3-vector of finite nonzero norm, got {params.incidence_axis}"
-        )
-    dipole = () if params.dipole_moment is None else params.dipole_moment
-    if not np.all(np.isfinite(dipole)) or not math.isfinite(params.coupling_gain):
-        raise ValueError("dipole_moment and coupling_gain must be finite")
-    if not 0.0 < params.hbar < math.inf:
-        raise ValueError(f"hbar must be finite and positive, got {params.hbar}")
 
 
-def _check_entry_scale(params, num_terms: int, factor: float, names: str) -> None:
-    """Reject fields whose worst-case squared entry, (num_terms |w|
-    path_loss_max)^2 times ``factor``, overflows, so no draw overflows."""
-    _, _, w = params._uvw
-    with np.errstate(over="ignore"):
-        scale = num_terms * float(np.linalg.norm(w)) * params.path_loss_span[1]
-    if not math.isfinite(scale * scale * factor):
-        raise ValueError(
-            "the worst-case squared entry overflows; reduce coupling_gain, dipole_moment, "
-            f"path_loss_span, {names} or raise hbar"
-        )
+def _check_entry_scale(peak: float, names: str) -> None:
+    """Reject fields whose worst-case entry magnitude ``peak`` squares to
+    an overflow, so no draw overflows."""
+    if not math.isfinite(peak * peak):
+        raise ValueError(f"the worst-case squared entry overflows; reduce {names}")
 
 
 @dataclass(frozen=True)
@@ -218,35 +186,6 @@ def gen_user_ris_channel(num_users: int, num_elements: int, rng: np.random.Gener
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def _circle_basis(axis) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis (u, v) of the plane perpendicular to ``axis``.
-
-    Deterministic in the axis so draws are reproducible: u starts from the
-    standard basis vector least aligned with the axis.
-    """
-    a = np.asarray(axis, dtype=float)
-    a = a / np.linalg.norm(a)
-    seed = np.zeros(3)
-    seed[np.argmin(np.abs(a))] = 1.0
-    u = np.cross(seed, a)
-    u = u / np.linalg.norm(u)
-    v = np.cross(a, u)
-    return u, v
-
-
-def _coupling(params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Circle basis (u, v) of the incidence axis and the 3-vector w dotted
-    with polarizations.
-
-    Explicit dipole: w = dipole / hbar.  Folded: the gain along u, so the
-    folded coupling is gain * cos(polarization angle).
-    """
-    u, v = _circle_basis(params.incidence_axis)
-    if params.dipole_moment is not None:
-        return u, v, np.asarray(params.dipole_moment, dtype=float) / params.hbar
-    return u, v, params.coupling_gain * u
-
-
 def _draw_path_loss(shape, span, rng: np.random.Generator) -> np.ndarray:
     lo, hi = span
     if lo == hi:
@@ -272,35 +211,21 @@ def _log_uniform_second_moment(span) -> float:
 
 def _normalization_variance(params: PhysicalPathParams) -> float:
     """Per-entry variance of the un-normalized draw,
-    L (|in-plane w|^2 / 2) E[path_loss^2]; inf where it overflows."""
-    u, v, w = params._uvw
+    L (gain^2 / 2) E[path_loss^2]; inf where it overflows."""
     try:
-        with np.errstate(over="ignore"):
-            w_inplane_sq = float(np.dot(w, u) ** 2 + np.dot(w, v) ** 2)
-            second_moment = _log_uniform_second_moment(params.path_loss_span)
+        second_moment = _log_uniform_second_moment(params.path_loss_span)
     except OverflowError:
         return math.inf
-    return params.num_paths * (w_inplane_sq / 2.0) * second_moment
+    gain = params.coupling_gain
+    return params.num_paths * (gain * gain / 2.0) * second_moment
 
 
-def _path_terms(shape, params, rng):
-    """Per-path coupling, path loss and phase, each of ``shape``, drawn in
-    the order polarization angle, path loss, phase.
-
-    A polarization cos(psi) u + sin(psi) v is never formed: its coupling
-    is cos(psi) (u . w) + sin(psi) (v . w) straight from the angle.
-    """
-    u, v, w = params._uvw
+def _path_terms(shape, span, rng):
+    """Per-path polarization factor cos(psi), path loss and phase, each of
+    ``shape``, drawn in the order polarization angle, path loss, phase."""
     psi = rng.uniform(0.0, 2.0 * np.pi, shape)
-    coupling = np.cos(psi)
-    coupling *= float(u @ w)
-    v_w = float(v @ w)
-    if v_w != 0.0:  # zero for the folded coupling on an axis-aligned circle
-        np.sin(psi, out=psi)
-        psi *= v_w
-        coupling += psi
-    del psi
-    rho = _draw_path_loss(shape, params.path_loss_span, rng)
+    coupling = np.cos(psi, out=psi)
+    rho = _draw_path_loss(shape, span, rng)
     phi = rng.uniform(0.0, 2.0 * np.pi, shape)
     return coupling, rho, phi
 
@@ -311,14 +236,14 @@ def gen_physical_channel(
     """Generate an M x cols multipath channel matrix.
 
     Entry (m, k) sums over paths l:
-    coupling(m, k, l) * path_loss(m, k, l) * exp(j * phase(m, k, l)),
-    where coupling = dot(dipole, polarization) / hbar (or the folded gain
-    times the in-plane polarization component).
+    coupling_gain * cos(psi(m, k, l)) * path_loss(m, k, l)
+    * exp(j * phase(m, k, l)).
     """
     if num_cells < 1 or num_cols < 1:
         raise ValueError("matrix dimensions must be >= 1")
     shape = (num_cells, num_cols, params.num_paths)
-    coupling, rho, phi = _path_terms(shape, params, rng)
+    coupling, rho, phi = _path_terms(shape, params.path_loss_span, rng)
+    coupling *= params.coupling_gain
     # Each (M, cols, L) temporary is freed once used: while a campaign batch
     # draws, this peak adds to the channels its earlier trials hold.
     coupling *= rho
@@ -335,12 +260,13 @@ def gen_physical_channel(
 
 
 def gen_lo_vector(num_cells: int, params: LOParams, rng: np.random.Generator) -> np.ndarray:
-    """Generate the length-M local-oscillator vector: one coupling, path
-    loss and phase per cell, each magnitude scaled by sqrt(power)."""
+    """Generate the length-M local-oscillator vector: one polarization
+    factor, path loss and phase per cell, each magnitude scaled by
+    sqrt(power)."""
     if num_cells < 1:
         raise ValueError("num_cells must be >= 1")
-    coupling, rho, phi = _path_terms((num_cells,), params, rng)
-    return params.reference_symbol * coupling * math.sqrt(params.power) * rho * np.exp(1j * phi)
+    coupling, rho, phi = _path_terms((num_cells,), params.path_loss_span, rng)
+    return coupling * math.sqrt(params.power) * rho * np.exp(1j * phi)
 
 
 def effective_channel(ch: ChannelSet, theta: np.ndarray) -> np.ndarray:

@@ -49,13 +49,6 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in _parse_names(raw))
 
 
-def _parse_axis(raw: str) -> tuple[float, float, float]:
-    vals = _parse_floats(raw)
-    if len(vals) != 3:
-        raise ValueError(raw)
-    return vals
-
-
 def _format_floats(values) -> str:
     return ",".join(repr(float(x)) for x in values)
 
@@ -72,7 +65,6 @@ _INT = _Codec(int, str)
 _FLOAT = _Codec(float, lambda x: repr(float(x)))
 _BOOL = _Codec(_parse_bool, lambda b: "true" if b else "false")
 _FLOATS = _Codec(_parse_floats, _format_floats)
-_AXIS = _Codec(_parse_axis, _format_floats)
 _NAMES = _Codec(_parse_names, ",".join)
 
 
@@ -99,12 +91,8 @@ class _Key(NamedTuple):
         fields[attr] = value
 
 
-# Keys shared by the channel and LO parameters, in file order.
-_COUPLING_KEYS = (
-    _Key("coupling_gain", _FLOAT),
-    _Key("dipole_moment", _optional(_AXIS)),
-    _Key("hbar", _FLOAT),
-    _Key("incidence_axis", _AXIS),
+# The path-loss keys shared by the channel and LO parameters.
+_PATH_LOSS_KEYS = (
     _Key("path_loss_min", _FLOAT, "path_loss_span", 0),
     _Key("path_loss_max", _FLOAT, "path_loss_span", 1),
 )
@@ -121,13 +109,13 @@ _SCHEMA: tuple[tuple[str, str | None, tuple[_Key, ...]], ...] = (
     )),
     ("channel", "channel", (
         _Key("paths", _INT, "num_paths"),
-        *_COUPLING_KEYS,
+        _Key("coupling_gain", _FLOAT),
+        *_PATH_LOSS_KEYS,
         _Key("normalize", _BOOL),
     )),
     ("lo", "lo", (
         _Key("power", _FLOAT),
-        _Key("reference_symbol", _FLOAT),
-        *_COUPLING_KEYS,
+        *_PATH_LOSS_KEYS,
     )),
     ("adam", "adam", (
         _Key("max_iters", _INT),

@@ -181,12 +181,10 @@ def detect_exhaustive_batch(
             f"exhaustive search needs Q^K = {q}^{k} = {q**k} candidates "
             f"(budget {budget})"
         )
-    best = None
+    best = np.full(z.shape[1], -1, dtype=np.intp)
     if q**k > _block_size(m, z.shape[1]):
         best = _pruned_search(z, h_eq, b, c)
-    if best is None:
-        best = _full_search(z, h_eq, b, c)
-    elif (rest := best < 0).any():
+    if (rest := best < 0).any():
         best[rest] = _full_search(z[:, rest], h_eq, b, c)
     return np.array(np.unravel_index(best, (q,) * k))
 
@@ -276,12 +274,12 @@ def _magnitude_bound(
 
 def _pruned_search(
     z: np.ndarray, h_eq: np.ndarray, b: np.ndarray, c: Constellation
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Lexicographic index of each observation's best candidate, found by
     scoring only the candidates the bound of ``_magnitude_bound`` cannot
-    rule out; -1 where an observation's tree outgrew ``_NODE_WORDS``.
-    None when the bound gives no search: fewer than K usable cells or a
-    rank-deficient G.
+    rule out; -1 where an observation's tree outgrew ``_NODE_WORDS``, and
+    everywhere when the bound gives no search: fewer than K usable cells
+    or a rank-deficient G.
 
     A candidate with ||z' - G s|| > sqrt(T) + ||delta||, z' = z - |b| on
     the usable cells, scores worse than T, the exact score of the Babai
@@ -295,14 +293,15 @@ def _pruned_search(
     points, q, n_obs = c.points, c.order, z.shape[1]
     k = h_eq.shape[1]
     cells, model, width = _magnitude_bound(h_eq, b, np.abs(points).max())
+    best = np.full(n_obs, -1, dtype=np.intp)
     if model.shape[0] < k:
-        return None
+        return best
     slack = np.linalg.norm(width)
     order = np.argsort(np.linalg.norm(model, axis=0), kind="stable")
     basis, r = np.linalg.qr(model[:, order])
     diag = np.abs(np.diag(r))
     if not diag.min() > 1e-12 * diag.max():  # also refuses nan
-        return None
+        return best
     z_lin = z[cells] - np.abs(b[cells])[:, None]
     y = basis.T @ z_lin
     outside = np.sum(np.square(z_lin - basis @ y), axis=0)
@@ -350,7 +349,6 @@ def _pruned_search(
     pick = np.lexsort((index, score, owner))
     first = np.ones(pick.size, dtype=bool)
     first[1:] = owner[pick[1:]] != owner[pick[:-1]]
-    best = np.full(n_obs, -1, dtype=np.intp)
     best[owner[pick[first]]] = index[pick[first]]
     return best
 

@@ -30,6 +30,7 @@ change any output.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,9 +154,11 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError("num_elements must be >= 0")
     if cfg.num_users < 1:
         raise ConfigError("num_users must be >= 1")
-    if cfg.channel.entry_variance == 0.0:  # e.g. a coupling along incidence_axis
-        raise ConfigError("section [channel]: entries have variance 0: coupling_gain, "
-                          "dipole_moment or path_loss_span is 0 or too small")
+    variance = cfg.channel.entry_variance
+    if variance < sys.float_info.min:  # the Gram matrix H^H H would underflow
+        raise ConfigError(f"section [channel]: entries have variance {variance:.3g}, below "
+                          "the smallest normal float: coupling_gain or path_loss_span is "
+                          "0 or too small")
     if cfg.num_users > cfg.num_cells:
         raise ConfigError(
             f"num_users ({cfg.num_users}) exceeds num_cells ({cfg.num_cells}); "

@@ -23,32 +23,21 @@ def rng_for(seed):
     return np.random.default_rng(seed)
 
 
-def path_draws(shape, params, rng):
-    """The per-path polarization 3-vectors cos(psi) u + sin(psi) v, path
-    losses and phases, in the generator's draw order (angle, path loss,
-    phase)."""
-    u, v = channel._circle_basis(params.incidence_axis)
+def path_draws(shape, span, rng):
+    """The per-path polarization angles psi, path losses and phases, in the
+    generator's draw order."""
     psi = rng.uniform(0.0, 2.0 * np.pi, shape)
-    pol = np.cos(psi)[..., None] * u + np.sin(psi)[..., None] * v
-    lo, hi = params.path_loss_span
+    lo, hi = span
     rho = np.full(shape, lo) if lo == hi else np.exp(rng.uniform(np.log(lo), np.log(hi), shape))
     phi = rng.uniform(0.0, 2.0 * np.pi, shape)
-    return pol, rho, phi
+    return psi, rho, phi
 
 
-def coupling_vector(params):
-    """The 3-vector w dotted with each polarization: dipole / hbar, or the
-    folded gain along the circle's first basis vector."""
-    if params.dipole_moment is not None:
-        return np.asarray(params.dipole_moment) / params.hbar
-    return params.coupling_gain * channel._circle_basis(params.incidence_axis)[0]
-
-
-def tensor_draw(m, cols, params, rng):
-    """The channel draw through the (M, cols, L, 3) polarization tensor:
-    sum over paths of (pol . w) * loss * exp(j phase), normalized."""
-    pol, rho, phi = path_draws((m, cols, params.num_paths), params, rng)
-    h = np.sum(pol @ coupling_vector(params) * rho * np.exp(1j * phi), axis=-1)
+def closed_form_draw(m, cols, params, rng):
+    """The channel draw as its formula: sum over paths of
+    gain cos(psi) loss exp(j phase), normalized."""
+    psi, rho, phi = path_draws((m, cols, params.num_paths), params.path_loss_span, rng)
+    h = np.sum(np.cos(psi) * params.coupling_gain * rho * np.exp(1j * phi), axis=-1)
     return h / np.sqrt(channel._normalization_variance(params)) if params.normalize else h
 
 
@@ -82,40 +71,35 @@ class TestUserRisChannel:
 class TestPhysicalChannel:
     def test_single_path_identity(self):
         """One path with a collapsed unit loss span: each entry is the bare
-        coupling (dipole . polarization) / hbar times exp(j phase), and
-        the constant loss consumes no draws."""
+        coupling gain * cos(psi) times exp(j phase), and the constant loss
+        consumes no draws."""
         params = PhysicalPathParams(
-            num_paths=1, dipole_moment=(1.0, 0.0, 0.0), hbar=1.0,
-            path_loss_span=(1.0, 1.0), normalize=False,
+            num_paths=1, coupling_gain=1.5, path_loss_span=(1.0, 1.0), normalize=False,
         )
         rng, clone = rng_for(0), rng_for(0)
         h = gen_physical_channel(4, 3, params, rng)
         psi = clone.uniform(0.0, 2.0 * np.pi, (4, 3, 1))
         phi = clone.uniform(0.0, 2.0 * np.pi, (4, 3, 1))
-        u, v = channel._circle_basis(params.incidence_axis)
-        pol_x = np.cos(psi) * u[0] + np.sin(psi) * v[0]
-        assert np.allclose(h, (pol_x * np.exp(1j * phi))[..., 0], atol=1e-15)
+        assert np.allclose(h, (1.5 * np.cos(psi) * np.exp(1j * phi))[..., 0], atol=1e-15)
         assert rng.bit_generator.state == clone.bit_generator.state
 
     def test_matches_direct_triple_loop(self):
-        """Random small instance with an explicit dipole matches an
-        independent triple-loop sum over paths of coupling * loss *
-        exp(j phase), fed the same draws from a cloned generator."""
+        """Random small instance matches an independent triple-loop sum over
+        paths of coupling * loss * exp(j phase), fed the same draws from a
+        cloned generator."""
         m, cols, length = 3, 2, 4
-        mu = (0.3, -1.1, 0.7)
-        hbar = 0.8
+        gain = -1.3
         params = PhysicalPathParams(
-            num_paths=length, dipole_moment=mu, hbar=hbar,
-            incidence_axis=(0.4, -0.2, 1.0), path_loss_span=(0.2, 2.0), normalize=False,
+            num_paths=length, coupling_gain=gain, path_loss_span=(0.2, 2.0), normalize=False,
         )
         h = gen_physical_channel(m, cols, params, rng_for(5))
-        pol, rho, phi = path_draws((m, cols, length), params, rng_for(5))
+        psi, rho, phi = path_draws((m, cols, length), params.path_loss_span, rng_for(5))
         expected = np.zeros((m, cols), dtype=complex)
         for i in range(m):
             for k in range(cols):
                 for l in range(length):
                     expected[i, k] += (
-                        np.dot(mu, pol[i, k, l]) / hbar * rho[i, k, l]
+                        gain * math.cos(psi[i, k, l]) * rho[i, k, l]
                         * np.exp(1j * phi[i, k, l])
                     )
         assert np.allclose(h, expected, atol=1e-12)
@@ -124,10 +108,10 @@ class TestPhysicalChannel:
         """An entry is the path sum in any path order: summing the cloned
         draws' terms with the paths permuted gives the same matrix."""
         m, cols, length = 2, 3, 5
-        params = PhysicalPathParams(num_paths=length, normalize=False)
+        params = PhysicalPathParams(num_paths=length, coupling_gain=0.8, normalize=False)
         h = gen_physical_channel(m, cols, params, rng_for(6))
-        pol, rho, phi = path_draws((m, cols, length), params, rng_for(6))
-        terms = pol @ coupling_vector(params) * rho * np.exp(1j * phi)
+        psi, rho, phi = path_draws((m, cols, length), params.path_loss_span, rng_for(6))
+        terms = 0.8 * np.cos(psi) * rho * np.exp(1j * phi)
         perm = rng_for(7).permutation(length)
         assert np.allclose(h, np.sum(terms[:, :, perm], axis=-1), atol=1e-12)
 
@@ -136,13 +120,12 @@ class TestPhysicalChannel:
         h = gen_physical_channel(100, 400, PhysicalPathParams(), rng_for(8))
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.02)
 
-    def test_polarizations_perpendicular_to_axis(self):
-        """Drawn couplings vanish when the dipole is along the incidence axis."""
-        params = PhysicalPathParams(
-            dipole_moment=(0.0, 0.0, 1.0), incidence_axis=(0.0, 0.0, 1.0), normalize=False
-        )
+    def test_zero_coupling_gain_draws_zero(self):
+        """A dipole with no part perpendicular to the incidence axis has
+        coupling_gain 0: every drawn entry is exactly 0."""
+        params = PhysicalPathParams(coupling_gain=0.0, normalize=False)
         h = gen_physical_channel(5, 5, params, rng_for(9))
-        assert np.max(np.abs(h)) < 1e-12
+        assert np.all(h == 0.0)
 
     def test_zero_paths_rejected(self):
         with pytest.raises(ValueError):
@@ -150,44 +133,31 @@ class TestPhysicalChannel:
 
 
 class TestFoldedCouplingDraw:
-    """Drawn polarizations reach the coupling as cos(psi) (u . w) +
-    sin(psi) (v . w), without the (M, N, L, 3) tensor."""
+    """A path couples as coupling_gain * cos(psi): the dipole, hbar and
+    the incidence axis fold into the one gain."""
 
     def test_default_model_bit_identical_to_tensor_formula(self):
+        """The default draw equals its closed form on a cloned generator,
+        bit for bit."""
         params = PhysicalPathParams()
         rng_a, rng_b = rng_for(5), rng_for(5)
         folded = gen_physical_channel(36, 150, params, rng_a)
-        assert np.array_equal(folded, tensor_draw(36, 150, params, rng_b))
+        assert np.array_equal(folded, closed_form_draw(36, 150, params, rng_b))
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_coupling_constants_computed_once(self, monkeypatch):
-        """The circle basis, coupling vector and normalization are fixed
-        when the parameters are built; draws reuse them."""
+        """The normalization is fixed when the parameters are built; draws
+        reuse it."""
         calls = []
-        coupling = channel._coupling
-        monkeypatch.setattr(channel, "_coupling", lambda p: calls.append(p) or coupling(p))
-        params = PhysicalPathParams(incidence_axis=(1.0, 2.0, 3.0))
-        lo = LOParams()
+        variance = channel._normalization_variance
+        monkeypatch.setattr(channel, "_normalization_variance",
+                            lambda p: calls.append(p) or variance(p))
+        params = PhysicalPathParams(coupling_gain=3.0)
         rng = rng_for(8)
         for _ in range(3):
             gen_physical_channel(4, 5, params, rng)
-            gen_lo_vector(4, lo, rng)
-        assert calls == [params, lo]
-
-    @pytest.mark.parametrize("fields", [
-        {"incidence_axis": (1.0, 2.0, 3.0)},
-        {"incidence_axis": (0.2, -0.4, 1.0), "coupling_gain": 3.0},
-        {"dipole_moment": (0.3, 0.5, 0.8), "incidence_axis": (1.0, 1.0, 0.2)},
-        {"dipole_moment": (0.3, 0.5, 0.8), "normalize": False},
-    ])
-    def test_tilted_axis_and_dipole_agree_to_an_ulp(self, fields):
-        """Largest difference within 1e-15 of the largest entry."""
-        params = PhysicalPathParams(**fields)
-        rng_a, rng_b = rng_for(6), rng_for(6)
-        folded = gen_physical_channel(36, 150, params, rng_a)
-        tensor = tensor_draw(36, 150, params, rng_b)
-        assert np.max(np.abs(folded - tensor)) <= 1e-15 * np.max(np.abs(tensor))
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            gen_lo_vector(4, LOParams(), rng)
+        assert calls == [params]
 
 
 class TestPathLossDraw:
@@ -251,20 +221,13 @@ class TestLOVector:
 
     def test_matches_direct_formula(self):
         """Small instance matches independent per-element evaluation of the
-        draws of a cloned generator."""
+        draws of a cloned generator: cos(psi) sqrt(power) loss exp(j phase)."""
         m = 5
-        params = LOParams(
-            power=4.0, reference_symbol=0.7, dipole_moment=(1.0, 0.2, -0.4), hbar=1.3,
-            incidence_axis=(1.0, 0.5, 0.3), path_loss_span=(0.5, 1.5),
-        )
+        params = LOParams(power=4.0, path_loss_span=(0.5, 1.5))
         b = gen_lo_vector(m, params, rng_for(3))
-        pol, rho, phi = path_draws((m,), params, rng_for(3))
+        psi, rho, phi = path_draws((m,), params.path_loss_span, rng_for(3))
         expected = np.array(
-            [
-                0.7 / 1.3 * np.dot((1.0, 0.2, -0.4), pol[i]) * 2.0 * rho[i]
-                * np.exp(1j * phi[i])
-                for i in range(m)
-            ]
+            [math.cos(psi[i]) * 2.0 * rho[i] * np.exp(1j * phi[i]) for i in range(m)]
         )
         assert np.allclose(b, expected, atol=1e-12)
 
@@ -281,30 +244,30 @@ class TestParameterValidation:
         ({"path_loss_span": (0.0, 1.0)}, "path_loss_span"),
         ({"path_loss_span": (0.5, 0.2)}, "path_loss_span"),
         ({"path_loss_span": (-1.0, -1.0)}, "path_loss_span"),
-        ({"incidence_axis": (0.0, 0.0, 0.0)}, "incidence_axis"),
-        ({"incidence_axis": (np.nan, 0.0, 1.0)}, "incidence_axis"),
-        ({"hbar": 0.0}, "hbar"),
-        ({"coupling_gain": np.inf}, "coupling_gain"),
-        ({"dipole_moment": (np.nan, 0.0, 0.0)}, "dipole_moment"),
     ])
     def test_shared_fields(self, cls, fields, named):
         with pytest.raises(ValueError, match=named):
             cls(**fields)
 
+    @pytest.mark.parametrize("gain", [np.inf, -np.inf, np.nan])
+    def test_coupling_gain_finite(self, gain):
+        with pytest.raises(ValueError, match="coupling_gain"):
+            PhysicalPathParams(coupling_gain=gain)
+
     def test_degenerate_path_loss_allowed(self):
         assert LOParams(path_loss_span=(0.0, 0.0)).path_loss_span == (0.0, 0.0)
 
-    def test_normalized_coupling_along_axis_rejected(self):
+    def test_normalized_zero_coupling_rejected(self):
         with pytest.raises(ValueError, match="normalization"):
-            PhysicalPathParams(dipole_moment=(0.0, 0.0, 2.0))
+            PhysicalPathParams(coupling_gain=0.0)
 
     @pytest.mark.parametrize("cls, fields", [
         (PhysicalPathParams, {"coupling_gain": 1e200}),
         (PhysicalPathParams, {"coupling_gain": 1e200, "normalize": False}),
-        (PhysicalPathParams, {"dipole_moment": (1e160, 0.0, 0.0), "hbar": 1e-10}),
+        (PhysicalPathParams, {"coupling_gain": 1e150, "num_paths": 10**10, "normalize": False}),
         (PhysicalPathParams, {"coupling_gain": 1e-200, "path_loss_span": (1.0, 1e160)}),
-        (LOParams, {"coupling_gain": 1e200}),
-        (LOParams, {"reference_symbol": 1e160}),
+        (LOParams, {"power": 1e300, "path_loss_span": (1.0, 1e10)}),
+        (LOParams, {"power": 1e308, "path_loss_span": (2.0, 2.0)}),
     ])
     def test_overflowing_scale_rejected(self, cls, fields):
         """Finite fields whose draws would overflow are refused up front."""

@@ -89,20 +89,12 @@ pam_order = 4
 [channel]
 paths = 4
 coupling_gain = 1.0
-dipole_moment = none
-hbar = 1.0
-incidence_axis = 0.0,0.0,1.0
 path_loss_min = 0.1
 path_loss_max = 1.0
 normalize = true
 
 [lo]
 power = 100000000.0
-reference_symbol = 1.0
-coupling_gain = 1.0
-dipole_moment = none
-hbar = 1.0
-incidence_axis = 0.0,0.0,1.0
 path_loss_min = 0.5
 path_loss_max = 1.0
 
@@ -127,30 +119,36 @@ exhaustive_budget = 1048576
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+# Keys of the former 3-D coupling model, with values it accepted.
+REMOVED_KEYS = (
+    ("channel", "dipole_moment", "1.0,0.0,0.0"),
+    ("channel", "hbar", "1.0"),
+    ("channel", "incidence_axis", "0.0,0.0,1.0"),
+    ("lo", "reference_symbol", "1.0"),
+    ("lo", "coupling_gain", "1.0"),
+    ("lo", "dipole_moment", "none"),
+    ("lo", "hbar", "1.0"),
+    ("lo", "incidence_axis", "0.0,0.0,1.0"),
+)
+
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e6)
 moderate = st.floats(-1e6, 1e6)
-axis = st.tuples(moderate, moderate, moderate).filter(lambda a: sum(x * x for x in a) > 1e-12)
 
 
 @st.composite
 def path_params(draw, cls):
     lo = draw(positive)
-    fields = dict(
-        coupling_gain=draw(moderate),
-        dipole_moment=draw(st.none() | axis),
-        hbar=draw(positive),
-        incidence_axis=draw(axis),
-        path_loss_span=(lo, lo * draw(st.floats(1.0, 100.0))),
-    )
+    fields = dict(path_loss_span=(lo, lo * draw(st.floats(1.0, 100.0))))
     if cls is PhysicalPathParams:
-        fields.update(num_paths=draw(st.integers(1, 64)), normalize=draw(st.booleans()))
+        fields.update(num_paths=draw(st.integers(1, 64)), coupling_gain=draw(moderate),
+                      normalize=draw(st.booleans()))
     else:
-        fields.update(power=draw(st.floats(0.0, 1e12)), reference_symbol=draw(finite))
+        fields.update(power=draw(st.floats(0.0, 1e12)))
     try:
         return cls(**fields)
-    except ValueError:  # e.g. a normalized coupling along the incidence axis
+    except ValueError:  # e.g. a normalized coupling gain of 0
         assume(False)
 
 
@@ -216,7 +214,7 @@ class TestConfigParsing:
         assert capsys.readouterr().out == DEFAULT_CONFIG_TEXT
 
     @pytest.mark.parametrize("text, named", [
-        (BASE_CONFIG + "\n[channel]\nreference_symbol = 2\n", "[channel] reference_symbol"),
+        (BASE_CONFIG + "\n[channel]\npower = 2\n", "[channel] power"),
         (BASE_CONFIG + "\n[run]\noutputs = x.csv\n", "[run]"),
         ("[DEFAULT]\n" + BASE_CONFIG, "[DEFAULT]"),
     ], ids=["lo-key-under-channel", "run", "empty-DEFAULT"])
@@ -327,6 +325,10 @@ class TestCommands:
                      id="channel-coupling_gain-0-unnormalized"),
         pytest.param("channel", "coupling_gain", "1e-170\nnormalize = false",
                      id="channel-coupling_gain-1e-170-unnormalized"),
+        pytest.param("channel", "coupling_gain", "1e-160\nnormalize = false",
+                     id="channel-coupling_gain-1e-160-unnormalized"),
+        pytest.param("channel", "coupling_gain", "1e-155\nnormalize = false",
+                     id="channel-coupling_gain-1e-155-unnormalized"),
         pytest.param("channel", "path_loss_min", "0.0\npath_loss_max = 0.0\nnormalize = false",
                      id="channel-path_loss-0-unnormalized"),
         ("lo", "coupling_gain", "1e200"),
@@ -353,19 +355,31 @@ class TestCommands:
             assert f"[{section}]" in err
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("system, gain", [
-        ("cells = 4\nris_elements = 3\nusers = 2", "1e-160"),
-        ("cells = 3\nris_elements = 0\nusers = 3", "1e-154"),
-    ], ids=["M4-N3-K2", "M3-N0-K3"])
-    def test_singular_channel_is_exit_2(self, tmp_path, capsys, system, gain):
+    @pytest.mark.parametrize("system, gain, message", [
+        ("cells = 4\nris_elements = 3\nusers = 2", "1e-160", "coupling_gain"),
+        ("cells = 3\nris_elements = 0\nusers = 3", "1e-154", "coupling_gain"),
+        ("cells = 3\nris_elements = 0\nusers = 3", "3e-154", "non-finite estimate"),
+    ], ids=["M4-N3-K2", "M3-N0-K3", "M3-N0-K3-normal-variance"])
+    def test_singular_channel_is_exit_2(self, tmp_path, capsys, system, gain, message):
         """An unnormalized channel with a variance just above 0, whose Gram
-        matrix underflows, used to end in a traceback from the slicer."""
+        matrix underflows, used to end in a traceback from the slicer.  A
+        variance below the smallest normal float (gains 1e-160 and 1e-154
+        here) is refused before the first trial; above it, three cells
+        with no RIS can still leave the 3 x 3 solve not finite, and the
+        run stops at that trial."""
         text = BASE_CONFIG.replace("cells = 8\nris_elements = 16\nusers = 2", system)
         text += f"\n[channel]\ncoupling_gain = {gain}\nnormalize = false\n"
         out = tmp_path / "x.csv"
         assert main(["ber", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
-        assert "non-finite estimate" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_smallest_normal_variance_runs(self, tmp_path):
+        """Gain 1e-150 (variance about 4.3e-301) passes validation and runs."""
+        text = BASE_CONFIG + "\n[channel]\ncoupling_gain = 1e-150\nnormalize = false\n"
+        out = tmp_path / "x.csv"
+        assert main(["ber", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_negative_threads_is_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -415,9 +429,15 @@ class TestCommands:
          "[sim] trails_per_point"),
         (BASE_CONFIG + "\n[simulation]\ntrials_per_point = 9\n", "[simulation]"),
         ("[DEFAULT]\nmaster_seed = 5\n" + BASE_CONFIG, "[DEFAULT]"),
-    ], ids=["key", "section", "DEFAULT"])
+        *[(BASE_CONFIG + f"\n[{section}]\n{key} = {value}\n", f"[{section}] {key}")
+          for section, key, value in REMOVED_KEYS],
+    ], ids=["key", "section", "DEFAULT",
+            *[f"removed-{section}-{key}" for section, key, _ in REMOVED_KEYS]])
     def test_unknown_name_is_exit_2(self, tmp_path, capsys, text, named):
-        """A stray key used to run with the default in its place."""
+        """A stray key used to run with the default in its place.  The keys
+        of the former 3-D coupling model are unknown too: the dipole, hbar
+        and the incidence axis fold into ``[channel] coupling_gain``, and
+        the LO's gain and reference symbol into ``[lo] power``."""
         path = write_config(tmp_path, text)
         out = tmp_path / "x.csv"
         assert main(["ber", "--config", path, "--out", str(out)]) == 2
@@ -622,13 +642,15 @@ class TestPhaseFile:
 class TestGoldenCampaigns:
     """Committed ``ber`` outputs: a change to the trial pipeline that moves
     any count fails here.  Each CSV in tests/data was written by ``atomris
-    ber --config <name>.ini`` when the optimizer still read the (2N, M K)
-    stack of rank-one terms; the factored operand left every count as it
-    was."""
+    ber --config <name>.ini``: the first two when the optimizer still read
+    the (2N, M K) stack of rank-one terms, and ``golden_channel_lo``, an
+    unnormalized non-default channel and LO, when the coupling was still
+    drawn through a dipole, hbar and an incidence axis.  Neither change
+    moved any count."""
 
     DATA = Path(__file__).resolve().parent / "data"
 
-    @pytest.mark.parametrize("name", ["golden_ref_k3", "golden_detect_k8"])
+    @pytest.mark.parametrize("name", ["golden_ref_k3", "golden_detect_k8", "golden_channel_lo"])
     def test_ber_csv_byte_identical(self, tmp_path, name):
         out = tmp_path / f"{name}.csv"
         assert main(["ber", "--config", str(self.DATA / f"{name}.ini"), "--out", str(out)]) == 0

@@ -423,25 +423,29 @@ class TestPrunedSearch:
         z = np.abs(h_eq @ c.points[sent] + b[:, None] + scale * complex_normal(rng, (m, n_obs)))
         expected = full_matrix_exhaustive(z, h_eq, b, c)
         best = detect._pruned_search(z, h_eq, b, c)
-        assert best is not None and (best >= 0).all()
+        assert (best >= 0).all()
         assert np.array_equal(np.unravel_index(best, (q,) * k), expected)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(detect, "_BLOCK_BYTES", block_budget(1, m, n_obs))
             mp.setattr(detect, "_full_search", None)  # any fallback would fail
             assert np.array_equal(detect_exhaustive_batch(z, h_eq, b, c), expected)
 
-    def test_weak_lo_or_rank_deficient_model_falls_back(self):
-        """No search without K usable cells or with a rank-deficient G."""
+    def test_weak_lo_or_rank_deficient_model_falls_back(self, monkeypatch):
+        """No search without K usable cells or with a rank-deficient G:
+        every observation is marked -1, and the full search decides them."""
         c = make_pam(4)
         h_eq, b = strong_lo_system(6, 3, 60)
         z = np.abs(h_eq @ c.points[np.zeros((3, 2), dtype=np.intp)] + b[:, None])
-        assert detect._pruned_search(z, h_eq, b, c) is not None
+        assert (detect._pruned_search(z, h_eq, b, c) >= 0).all()
         weak = b.copy()
         weak[2:] *= 1e-3  # two usable cells for three users
-        assert detect._pruned_search(z, h_eq, weak, c) is None
         flat = h_eq.copy()
         flat[:, 2] = 0.0
-        assert detect._pruned_search(z, flat, b, c) is None
+        monkeypatch.setattr(detect, "_BLOCK_BYTES", block_budget(1, 6, 2))
+        for h, lo in ((h_eq, weak), (flat, b)):
+            assert (detect._pruned_search(z, h, lo, c) < 0).all()
+            assert np.array_equal(detect_exhaustive_batch(z, h, lo, c),
+                                  full_matrix_exhaustive(z, h, lo, c))
 
     def test_spilled_observations_fall_back(self, monkeypatch):
         """Observations whose trees outgrow the node budget are marked -1

@@ -71,9 +71,9 @@ class TestValidation:
             validate_config(replace(SMALL, num_users=20))
 
     def test_vanishing_channel(self):
-        """An unnormalized dipole along the incidence axis draws all-zero
-        channels: the parameters build, the campaign is refused."""
-        params = PhysicalPathParams(dipole_moment=(0.0, 0.0, 1.0), normalize=False)
+        """An unnormalized coupling gain of 0 draws all-zero channels: the
+        parameters build, the campaign is refused."""
+        params = PhysicalPathParams(coupling_gain=0.0, normalize=False)
         assert params.entry_variance == 0.0
         with pytest.raises(ConfigError, match=r"\[channel\].*variance 0"):
             validate_config(replace(SMALL, channel=params))
