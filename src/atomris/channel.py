@@ -66,8 +66,8 @@ class PhysicalPathParams:
     normalize: bool = True
 
     def __post_init__(self):
-        if self.num_paths < 1:
-            raise ValueError("num_paths must be >= 1")
+        if not 1 <= self.num_paths <= np.iinfo(np.intp).max:  # beyond it, no numpy size
+            raise ValueError(f"num_paths must be >= 1 and at most {np.iinfo(np.intp).max}")
         if not math.isfinite(self.coupling_gain):
             raise ValueError(f"coupling_gain must be finite, got {self.coupling_gain}")
         _check_path_loss_span(self.path_loss_span)
@@ -276,6 +276,4 @@ def effective_channel(ch: ChannelSet, theta: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"theta has shape {theta.shape}, expected ({ch.num_elements},)"
         )
-    if ch.num_elements == 0:
-        return ch.h_uv.copy()
     return (ch.h_rv * np.exp(1j * theta)) @ ch.h_ur + ch.h_uv

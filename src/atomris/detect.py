@@ -68,13 +68,6 @@ __all__ = [
 # at Q = 2) ran equally fast from 384 to 640 KiB.
 _BLOCK_BYTES = 512 << 10
 
-# OpenBLAS splits a GEMM over two threads once it reaches 2^19
-# multiply-adds, and at the scoring GEMM's shapes the split costs more than
-# it gains (a K = 8 call at 768-candidate blocks took twice as long on two
-# cores).  A block's scores are therefore computed in runs of observations
-# that keep each GEMM below this size.
-_GEMM_THREAD_CLIFF = 2**19
-
 # The pruned search holds at most this many 8-byte words of tree state, so
 # it stays within the full search's block budget; an expansion to c
 # children takes about c (K + 6) words.
@@ -109,11 +102,19 @@ def front_end(
 
 def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Pre-slicing least-squares estimate (H^H H)^-1 H^H rhs, solved from
-    the normal equations after a condition check, and refused if not finite."""
-    h_eq = np.asarray(h_eq, dtype=complex)
+    the normal equations after a condition check, and refused if not finite.
+
+    The solve runs on H scaled by the power of two 2^-e that brings its
+    largest real or imaginary part into [1/2, 1), so its Gram matrix
+    cannot underflow, and the estimate is scaled back by 2^-e.  Scaling by
+    a power of two is exact, so in the normal range it changes no bit.
+    """
+    h_eq = np.ascontiguousarray(h_eq, dtype=complex)
     m, k = h_eq.shape
     if k > m:
         raise ValueError(f"more users ({k}) than cells ({m}); least squares undefined")
+    _, exp = math.frexp(np.abs(h_eq.view(float)).max(initial=0.0))
+    h_eq = np.ldexp(h_eq.view(float), -exp).view(complex)
     gram = h_eq.conj().T @ h_eq
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -121,7 +122,9 @@ def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             f"H^H H is numerically singular (condition number {cond:.3e})"
         )
     s_hat = np.linalg.solve(gram, h_eq.conj().T @ np.asarray(rhs, dtype=complex))
-    if not np.isfinite(s_hat).all():  # e.g. a Gram matrix that underflows
+    with np.errstate(over="ignore"):  # an estimate beyond the float range, refused next
+        s_hat = np.ldexp(s_hat.view(float), -exp).view(complex)
+    if not np.isfinite(s_hat).all():
         raise SingularMatrixError(f"H^H H gives a non-finite estimate (condition {cond:.3e})")
     return s_hat
 
@@ -195,13 +198,6 @@ def _block_size(m: int, n_obs: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * (4 * m + 1 + n_obs)))
 
 
-def _gemm_rows(m: int, cols: int) -> int:
-    """Observations per scoring GEMM of a block of ``cols`` candidates:
-    the most that keep rows (M + 1) cols below ``_GEMM_THREAD_CLIFF``,
-    and at least one."""
-    return max(1, (_GEMM_THREAD_CLIFF - 1) // ((m + 1) * cols))
-
-
 def _full_search(z: np.ndarray, h_eq: np.ndarray, b: np.ndarray, c: Constellation) -> np.ndarray:
     """Lexicographic index of each observation's best candidate among all
     Q^K.
@@ -213,9 +209,9 @@ def _full_search(z: np.ndarray, h_eq: np.ndarray, b: np.ndarray, c: Constellatio
     prefixes times every suffix, and its fields are one broadcast sum of
     the two tables.  Its (n, block) scores are
     [-2 z^T, 1] [|field|; sum |field|^2], with the ||z||^2 term (constant
-    per observation) dropped, one GEMM per run of ``_gemm_rows``
-    observations.  A block's first minimum replaces the running best only
-    when strictly smaller, so ties keep the lexicographic order.
+    per observation) dropped, one GEMM per block.  A block's first
+    minimum replaces the running best only when strictly smaller, so ties
+    keep the lexicographic order.
     """
     m, k = h_eq.shape
     q, n_obs = c.order, z.shape[1]
@@ -239,10 +235,7 @@ def _full_search(z: np.ndarray, h_eq: np.ndarray, b: np.ndarray, c: Constellatio
         np.abs(field, out=mag[:m])
         del field
         np.sum(np.square(mag[:m]), axis=0, out=mag[m])
-        scores = np.empty((n_obs, mag.shape[1]))
-        span = _gemm_rows(m, mag.shape[1])
-        for lo in range(0, n_obs, span):
-            np.matmul(weights[lo:lo + span], mag, out=scores[lo:lo + span])
+        scores = weights @ mag
         arg = np.argmin(scores, axis=1)
         score = scores[rows, arg]
         better = score < best_score

@@ -155,7 +155,7 @@ def validate_config(cfg: SimConfig) -> None:
     if cfg.num_users < 1:
         raise ConfigError("num_users must be >= 1")
     variance = cfg.channel.entry_variance
-    if variance < sys.float_info.min:  # the Gram matrix H^H H would underflow
+    if variance < sys.float_info.min:  # squares of such entries underflow
         raise ConfigError(f"section [channel]: entries have variance {variance:.3g}, below "
                           "the smallest normal float: coupling_gain or path_loss_span is "
                           "0 or too small")
@@ -164,8 +164,10 @@ def validate_config(cfg: SimConfig) -> None:
             f"num_users ({cfg.num_users}) exceeds num_cells ({cfg.num_cells}); "
             "least-squares detection needs K <= M"
         )
-    if cfg.mod_order not in (2, 4, 8, 16):
-        raise ConfigError(f"mod_order {cfg.mod_order} unsupported")
+    try:
+        make_pam(cfg.mod_order)
+    except ValueError as exc:
+        raise ConfigError(f"mod_order: {exc}") from None
     if not cfg.eb_n0_grid_db:
         raise ConfigError("eb_n0_grid_db must be nonempty")
     for db in cfg.eb_n0_grid_db:  # nan, +-inf and |db| > ~3080 have no noise variance
@@ -201,6 +203,22 @@ def validate_config(cfg: SimConfig) -> None:
             )
     if cfg.error_target is not None and cfg.error_target < 1:
         raise ConfigError("error_target must be >= 1 or None")
+    # The largest array a trial shapes from each group of size fields: the
+    # two channel draws, the batch's aligned operand, the observations and
+    # the optimizer's traces.  numpy refuses a shape whose nonzero sizes
+    # multiply past its index range, which would stop the first trial.
+    m, n, k, paths = cfg.num_cells, cfg.num_elements, cfg.num_users, cfg.channel.num_paths
+    batch = min(_BATCH_SIZE, cfg.trials_per_point)
+    for fields, shape, itemsize in (
+        ("[system] cells, ris_elements and [channel] paths", (m, n, paths), 16),
+        ("[system] cells, users and [channel] paths", (m, k, paths), 16),
+        ("[system] cells and ris_elements", (batch, m, 2 * n), 8),
+        ("[system] cells and [sim] symbols_per_trial", (m, cfg.symbols_per_trial), 16),
+        ("[adam] max_iters", (cfg.adam.max_iters, batch), 8),
+    ):
+        if itemsize * math.prod(d for d in shape if d) > np.iinfo(np.intp).max:
+            raise ConfigError(f"{fields} too large: a trial would shape a {shape} "
+                              "array, beyond numpy's index range")
 
 
 def trial_seed(master_seed: int, eb_n0_db: float, trial_index: int) -> np.random.SeedSequence:

@@ -5,8 +5,9 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from atomris import detect
 from atomris.channel import ChannelSet, effective_channel, gen_user_ris_channel
@@ -189,11 +190,52 @@ class TestProposedDetector:
             ls_estimate(h, complex_normal(rng, (m, 1)))
 
     def test_underflowing_gram_raises(self):
-        """A well-conditioned H scaled so far down that H^H H underflows
-        passes the condition check but has no finite solution: refused."""
-        h = complex_normal(np.random.default_rng(5), (4, 2)) * 1e-160
+        """A well-conditioned H so small that its H^H H would underflow
+        solves on the scaled H, but its estimate, about 1e310, is beyond
+        the float range: refused."""
+        h = complex_normal(np.random.default_rng(5), (4, 2)) * 1e-300
         with pytest.raises(SingularMatrixError, match="non-finite"):
-            ls_estimate(h, np.full((4, 1), 1e4, dtype=complex))
+            ls_estimate(h, np.full((4, 1), 1e10, dtype=complex))
+
+    @settings(deadline=None)
+    @given(m=st.integers(1, 8), shift=st.integers(-1000, 1000), data=st.data())
+    def test_scaled_channel_scales_the_estimate_exactly(self, m, shift, data):
+        """Scaling H by 2^shift scales the estimate by 2^-shift bit for
+        bit, also where H^H H of the scaled H leaves the normal range
+        (|shift| above about 500), since the solve runs on H brought to
+        unit scale.  Entries of H lie between 1e-3 and 1e3 in magnitude."""
+        k = data.draw(st.integers(1, m))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        h = complex_normal(rng, (m, k)) * 10.0 ** rng.uniform(-3, 3, (m, k))
+        rhs = complex_normal(rng, (m, 3))
+        try:
+            s_hat = ls_estimate(h, rhs)
+        except SingularMatrixError:
+            assume(False)
+        assert np.array_equal(ls_estimate(np.ldexp(1.0, shift) * h, rhs),
+                              np.ldexp(1.0, -shift) * s_hat)
+
+    @settings(deadline=None)
+    @given(m=st.integers(1, 6), data=st.data())
+    def test_any_finite_input_gives_a_finite_estimate_or_refusal(self, m, data):
+        """Zero, subnormal and huge entries included: the estimate is
+        finite, or the system is refused with SingularMatrixError."""
+        k = data.draw(st.integers(1, m))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        h = data.draw(arrays(float, (m, 2 * k), elements=finite)).view(complex)
+        rhs = data.draw(arrays(float, (m, 2), elements=finite)).view(complex)
+        try:
+            assert np.isfinite(ls_estimate(h, rhs)).all()
+        except SingularMatrixError:
+            pass
+
+    @pytest.mark.parametrize("entry", [0.0, 5e-324])
+    def test_zero_or_subnormal_channel_refused(self, entry):
+        """An all-zero or all-subnormal H is refused as singular, not
+        with an OverflowError from its scale (2^1074 for the smallest
+        subnormal, which is not a float)."""
+        with pytest.raises(SingularMatrixError, match="singular"):
+            ls_estimate(np.full((3, 2), entry, dtype=complex), np.ones((3, 1)))
 
     def test_rank_deficient_rejected(self):
         h_eq = np.ones((4, 2), dtype=complex)
@@ -466,27 +508,16 @@ class TestPrunedSearch:
         assert (detect._pruned_search(z, h_eq, b, c) < 0).all()
         assert np.array_equal(detect_exhaustive_batch(z, h_eq, b, c), expected)
 
-    @pytest.mark.parametrize("m", [16, 36])
-    @pytest.mark.parametrize("n_obs", [1, 100, 1000])
-    def test_scoring_gemm_stays_below_the_threading_cliff(self, m, n_obs):
-        """Each scoring GEMM of a full block, rows x (M + 1) x block, stays
-        below the 2^19 multiply-adds from which OpenBLAS threads a GEMM."""
-        block = detect._block_size(m, n_obs)
-        rows = min(n_obs, detect._gemm_rows(m, block))
-        assert detect._GEMM_THREAD_CLIFF == 2**19
-        assert 1 <= rows and rows * (m + 1) * block < 2**19
-
     def test_split_scoring_gemm_decides_as_one(self):
-        """With 1000 observations at M = 16 a block's scores take two
-        GEMMs; the full search still decides as one score matrix."""
+        """With 1000 observations at M = 16 a block's scoring GEMM,
+        1000 x 17 x block, is large enough for OpenBLAS to thread; the full
+        search still decides as the one-matrix oracle."""
         rng = np.random.default_rng(63)
         c = make_pam(4)
         h_eq = complex_normal(rng, (16, 3))
         b = 3.0 * complex_normal(rng, 16)
         z = np.abs(h_eq @ c.points[rng.integers(0, 4, (3, 1000))] + b[:, None]
                    + complex_normal(rng, (16, 1000)))
-        block = detect._block_size(16, 1000)
-        assert detect._gemm_rows(16, block) < 1000
         got = np.unravel_index(detect._full_search(z, h_eq, b, c), (4,) * 3)
         assert np.array_equal(got, full_matrix_exhaustive(z, h_eq, b, c))
 

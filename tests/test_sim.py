@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from atomris import sim
 from atomris.channel import LOParams, PhysicalPathParams
 from atomris.errors import BudgetExceededError, ConfigError
+from atomris.risopt import AdamConfig
 from atomris.sim import (
     BerRecord,
     SimConfig,
@@ -65,6 +66,31 @@ class TestValidation:
     def test_extreme_grid_point_with_finite_noise_accepted(self):
         """-3084.5 dB gives sigma2 of about 1.4e308, still a float."""
         validate_config(replace(SMALL, eb_n0_grid_db=(-10.0, -3084.5)))
+
+    def test_unsupported_pam_order(self):
+        with pytest.raises(ConfigError, match="mod_order: unsupported PAM order 3"):
+            validate_config(replace(SMALL, mod_order=3))
+
+    @pytest.mark.parametrize("field, unit_bytes, shape", [
+        ("max_iters", 8 * 8, lambda v: (v, 8)),  # the traces of a batch of 8 trials
+        ("num_cells", 8 * 8 * 48, lambda v: (8, v, 48)),  # its aligned operand, 2N = 48
+        ("symbols_per_trial", 16 * 12, lambda v: (12, 2 * v)),  # complex observations, M = 12
+    ])
+    def test_size_refused_exactly_where_numpy_refuses(self, field, unit_bytes, shape):
+        """The smallest size whose array numpy refuses (as float64 here) is
+        refused, and one less passes.  Only a refused shape is handed to
+        numpy, which rejects it before allocating."""
+        def sized(value):
+            if field == "max_iters":
+                return replace(SMALL, adam=AdamConfig(max_iters=value))
+            return replace(SMALL, **{field: value})
+
+        first = np.iinfo(np.intp).max // unit_bytes + 1
+        with pytest.raises(ValueError, match="too big"):
+            np.empty(shape(first))
+        with pytest.raises(ConfigError, match="beyond numpy's index range"):
+            validate_config(sized(first))
+        validate_config(sized(first - 1))
 
     def test_more_users_than_cells(self):
         with pytest.raises(ConfigError, match="users"):
