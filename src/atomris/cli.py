@@ -19,15 +19,8 @@ import numpy as np
 from . import __version__
 from .config import default_config_text, load_config, write_manifest
 from .errors import BudgetExceededError, ConfigError, SingularMatrixError
-from .risopt import adam_optimize, build_rank_one_cache, canonicalize_phases, objective
-from .sim import (
-    SimConfig,
-    draw_channels,
-    run_ber,
-    run_convergence,
-    validate_config,
-    write_records_csv,
-)
+from .risopt import build_rank_one_cache, canonicalize_phases, objective
+from .sim import SimConfig, run_ber, run_convergence, validate_config, write_records_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,9 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"atomris {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
-        ("optimize", "optimize RIS phases for one channel realization"),
+        ("optimize", "align the campaign's first trial and write its phases"),
         ("ber", "run a Monte-Carlo BER campaign"),
-        ("convergence", "record the optimizer's per-iteration objective"),
+        ("convergence", "record the optimizer's per-iteration objective on that trial"),
     ):
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", help="configuration file path")
@@ -100,18 +93,15 @@ def _check_writable(path) -> None:
 
 
 def cmd_optimize(cfg: SimConfig, out_path: str) -> int:
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed))
-    ch = draw_channels(cfg, rng)
-    cache = build_rank_one_cache(ch)
-    theta, _ = adam_optimize(cache, ch.h_uv, cfg.adam, rng)
+    dephased, theta, _ = run_convergence(cfg)
     theta = canonicalize_phases(theta)
-    final = objective(theta, cache, ch.h_uv)
+    final = objective(theta, build_rank_one_cache(dephased), dephased.h_uv)
     save_phase_solution(out_path, cfg, theta, final)
     return EXIT_OK
 
 
 def cmd_convergence(cfg: SimConfig, out_path: str) -> int:
-    trace = run_convergence(cfg)
+    _, _, trace = run_convergence(cfg)
     lines = ["iter,objective,grad_norm"]
     for i in range(len(trace)):
         lines.append(f"{i},{float(trace.objective[i])!r},{float(trace.grad_norm[i])!r}")

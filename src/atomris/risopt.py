@@ -47,7 +47,6 @@ __all__ = [
     "objective_and_gradient",
     "random_phases",
     "adam_optimize_batch",
-    "adam_optimize",
     "multistart_adam",
     "brute_force_phases",
     "signal_domain_objective",
@@ -247,25 +246,6 @@ def adam_optimize_batch(
     return theta, [
         ConvergenceTrace(obj.copy(), np.sqrt(gsq)) for obj, gsq in zip(obj_hist.T, gsq_hist.T)
     ]
-
-
-def adam_optimize(
-    op: tuple,
-    h_uv: np.ndarray,
-    cfg: AdamConfig,
-    rng: np.random.Generator,
-    theta0: np.ndarray | None = None,
-) -> tuple[np.ndarray, ConvergenceTrace]:
-    """One trial through ``adam_optimize_batch`` (a batch of one).
-
-    The initial phases are ``random_phases`` from ``rng`` unless
-    ``theta0`` is given.
-    """
-    if theta0 is None:
-        theta0 = random_phases(op[1].shape[1], rng)
-    theta0, op, q0 = _single(theta0, op, h_uv)
-    theta, traces = adam_optimize_batch(op, q0, theta0, cfg)
-    return theta[0], traces[0]
 
 
 _KRONECKER_PRIMES = (2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0)

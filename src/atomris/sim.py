@@ -24,7 +24,9 @@ loop over their factored operands (each trial's de-phased h_rv as a real
 count.  Each trial consumes its own generator in the same order as
 ``optimize_aligned_phases`` would, and the batched loop's rows equal
 single-trial runs bit for bit, so which trials share a loop does not
-change any output.
+change any output.  The convergence experiment is the campaign's first
+trial aligned alone, so its trace and phases are those of a trial the
+BER counts.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .modem import NoiseSpec, hamming_table, make_pam, noise_sigma
 from .risopt import (
     AdamConfig,
     ConvergenceTrace,
-    adam_optimize,
     adam_optimize_batch,
     build_rank_one_cache,
     random_phases,
@@ -201,6 +202,12 @@ def validate_config(cfg: SimConfig) -> None:
                 f"exhaustive detector needs Q^K = {cfg.mod_order}^{cfg.num_users} "
                 f"= {cost} candidates (budget {cfg.exhaustive_budget})"
             )
+        if cost > np.iinfo(np.intp).max:  # the detector indexes candidates by intp
+            raise ConfigError(
+                f"[sim] exhaustive_budget {cfg.exhaustive_budget} admits Q^K = "
+                f"{cfg.mod_order}^{cfg.num_users} = {cost} candidates, beyond numpy's "
+                "index range"
+            )
     if cfg.error_target is not None and cfg.error_target < 1:
         raise ConfigError("error_target must be >= 1 or None")
     # The largest array a trial shapes from each group of size fields: the
@@ -242,9 +249,23 @@ def draw_channels(cfg: SimConfig, rng: np.random.Generator) -> ChannelSet:
     return ChannelSet(h_ur=h_ur, h_rv=h_rv, h_uv=h_uv)
 
 
+def _draw_trial(cfg: SimConfig, eb_n0_db: float, t: int):
+    """Trial ``t`` of grid point ``eb_n0_db``: its generator, channels and
+    LO, drawn in the campaign's order."""
+    rng = np.random.default_rng(trial_seed(cfg.master_seed, eb_n0_db, t))
+    return rng, draw_channels(cfg, rng), gen_lo_vector(cfg.num_cells, cfg.lo, rng)
+
+
+def _dephase(ch: ChannelSet, b: np.ndarray) -> ChannelSet:
+    """The channels a trial aligns: rows of h_rv and h_uv de-phased by
+    exp(-j angle(b))."""
+    rot = np.exp(-1j * np.angle(b))[:, None]
+    return ChannelSet(ch.h_ur, rot * ch.h_rv, rot * ch.h_uv)
+
+
 def _align(pairs: list, theta0: np.ndarray, adam: AdamConfig):
     """Align B (channels, LO) pairs from ``theta0`` (B, N) in one batched
-    optimizer loop on their rows de-phased by exp(-j angle(b)); returns
+    optimizer loop on their ``_dephase``d channels; returns
     ``adam_optimize_batch``'s phases and traces.  The batch's factored
     operand, (B, M, 2N) and (B, K, N), lives only for the call."""
     m, n, k = pairs[0][0].num_cells, pairs[0][0].num_elements, pairs[0][0].num_users
@@ -252,9 +273,9 @@ def _align(pairs: list, theta0: np.ndarray, adam: AdamConfig):
     g = np.empty((len(pairs), k, n), dtype=complex)
     q0 = np.empty((len(pairs), m, k))
     for i, (ch, b) in enumerate(pairs):
-        rot = np.exp(-1j * np.angle(b))[:, None]
-        build_rank_one_cache(ChannelSet(ch.h_ur, rot * ch.h_rv, ch.h_uv), out=(r[i], g[i]))
-        q0[i] = (rot * ch.h_uv).imag
+        dephased = _dephase(ch, b)
+        build_rank_one_cache(dephased, out=(r[i], g[i]))
+        q0[i] = dephased.h_uv.imag
     return adam_optimize_batch((r, g), q0, theta0, adam)
 
 
@@ -272,14 +293,14 @@ def optimize_aligned_phases(
     return thetas[0], traces[0]
 
 
-def run_convergence(cfg: SimConfig) -> ConvergenceTrace:
-    """One channel realization from the master seed, one optimizer run."""
+def run_convergence(cfg: SimConfig) -> tuple[ChannelSet, np.ndarray, ConvergenceTrace]:
+    """The campaign's first trial (the first grid point's trial
+    ``trial_offset``), drawn and aligned as ``run_ber`` does it.  Returns
+    its de-phased channels, the final phases and the optimizer trace."""
     validate_config(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed))
-    ch = draw_channels(cfg, rng)
-    cache = build_rank_one_cache(ch)
-    _, trace = adam_optimize(cache, ch.h_uv, cfg.adam, rng)
-    return trace
+    rng, ch, b = _draw_trial(cfg, cfg.eb_n0_grid_db[0], cfg.trial_offset)
+    theta, trace = optimize_aligned_phases(ch, b, cfg.adam, rng)
+    return _dephase(ch, b), theta, trace
 
 
 def _run_batch(
@@ -295,9 +316,7 @@ def _run_batch(
     theta0 = np.empty((len(trials), n))
     drawn = []
     for i, t in enumerate(trials):
-        rng = np.random.default_rng(trial_seed(cfg.master_seed, eb_n0_db, t))
-        ch = draw_channels(cfg, rng)
-        b = gen_lo_vector(cfg.num_cells, cfg.lo, rng)
+        rng, ch, b = _draw_trial(cfg, eb_n0_db, t)
         theta0[i] = random_phases(n, rng)
         drawn.append((rng, ch, b))
 

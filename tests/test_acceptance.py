@@ -33,7 +33,6 @@ from atomris.detect import detect_proposed_batch, enumerate_symbol_vectors
 from atomris.modem import make_pam
 from atomris.risopt import (
     AdamConfig,
-    adam_optimize,
     brute_force_phases,
     build_rank_one_cache,
     gradient,
@@ -161,8 +160,7 @@ def test_criterion_3_convergence_reproduction():
             gen_physical_channel(36, 150, params, rng),
             gen_physical_channel(36, 3, params, rng),
         )
-        cache = build_rank_one_cache(ch)
-        _, trace = adam_optimize(cache, ch.h_uv, AdamConfig(), rng)
+        _, trace = optimize_aligned_phases(ch, np.ones(36), AdamConfig(), rng)
         assert len(trace) == 100
         ratio = float(np.min(trace.objective) / trace.objective[0])
         worst = max(worst, ratio)
@@ -334,8 +332,7 @@ def test_criterion_8_complexity_accounting():
     rng = np.random.default_rng(808)
     for iters in (1, 17, 100):
         ch = random_channel_set(6, 20, 2, rng)
-        cache = build_rank_one_cache(ch)
-        _, trace = adam_optimize(cache, ch.h_uv, AdamConfig(max_iters=iters), rng)
+        _, trace = optimize_aligned_phases(ch, np.ones(6), AdamConfig(max_iters=iters), rng)
         assert len(trace) == iters
 
     sizes = np.array([50, 100, 200, 400])

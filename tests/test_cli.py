@@ -13,19 +13,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import atomris
-from atomris.channel import LOParams, PhysicalPathParams
-from atomris import cli
+from atomris.channel import ChannelSet, LOParams, PhysicalPathParams, gen_lo_vector
+from atomris import cli, sim
 from atomris.cli import main, save_phase_solution
 from atomris.config import (
     default_config_text,
     dump_config,
+    load_config,
     load_manifest,
     parse_config_text,
     write_manifest,
 )
 from atomris.errors import ConfigError
-from atomris.risopt import AdamConfig
-from atomris.sim import DETECTOR_NAMES, SimConfig, validate_config
+from atomris.risopt import AdamConfig, build_rank_one_cache, canonicalize_phases, objective
+from atomris.sim import DETECTOR_NAMES, SimConfig, draw_channels, trial_seed, validate_config
 
 BASE_CONFIG = """\
 [system]
@@ -67,14 +68,28 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.ini"):
 
 def with_field(section, key, value):
     """BASE_CONFIG with one field set, replacing its line if present and
-    otherwise adding it to its section."""
-    line = re.compile(rf"^{key} = .*$", re.M)
-    if line.search(BASE_CONFIG):
-        return line.sub(f"{key} = {value}", BASE_CONFIG)
+    otherwise adding it to its section.  Further ``key = value`` lines in
+    ``value`` are set the same way."""
+    text = BASE_CONFIG
     header = f"[{section}]\n"
-    if header in BASE_CONFIG:
-        return BASE_CONFIG.replace(header, f"{header}{key} = {value}\n")
-    return BASE_CONFIG + f"\n{header}{key} = {value}\n"
+    for field in f"{key} = {value}".split("\n"):
+        line = re.compile(rf"^{field.split(' = ')[0]} = .*$", re.M)
+        if line.search(text):
+            text = line.sub(field, text)
+        elif header in text:
+            text = text.replace(header, f"{header}{field}\n")
+        else:
+            text += f"\n{header}{field}\n"
+    return text
+
+
+def first_trial(cfg):
+    """The channels and LO of the campaign's first trial (the first grid
+    point's trial ``trial_offset``), drawn through the public functions."""
+    rng = np.random.default_rng(
+        trial_seed(cfg.master_seed, cfg.eb_n0_grid_db[0], cfg.trial_offset))
+    ch = draw_channels(cfg, rng)
+    return ch, gen_lo_vector(cfg.num_cells, cfg.lo, rng)
 
 
 # ``--dump-defaults`` output, pinned: key order and value formatting are
@@ -341,6 +356,9 @@ class TestCommands:
         ("sim", "master_seed", "-1"),
         ("sim", "exhaustive_budget", "0"),
         ("sim", "exhaustive_budget", "-3"),
+        # 4^32 candidates: more than numpy can index, though the budget admits them.
+        pytest.param("sim", "exhaustive_budget", "1" + "0" * 31 + "\ncells = 32\nusers = 32",
+                     id="sim-exhaustive_budget-beyond-index-range"),
         # Sizes numpy cannot shape; it refuses them before allocating.
         ("system", "cells", "1" + "0" * 20),
         ("system", "ris_elements", "1" + "0" * 20),
@@ -359,32 +377,34 @@ class TestCommands:
             assert f"[{section}]" in err
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("system, gain, message", [
-        ("cells = 4\nris_elements = 3\nusers = 2", "1e-160", "coupling_gain"),
-        ("cells = 3\nris_elements = 0\nusers = 3", "1e-154", "coupling_gain"),
-        ("cells = 3\nris_elements = 0\nusers = 3", "3e-154", None),
-    ], ids=["M4-N3-K2", "M3-N0-K3", "M3-N0-K3-normal-variance"])
-    def test_singular_channel_is_exit_2(self, tmp_path, capsys, system, gain, message):
+    @pytest.mark.parametrize("system, gain", [
+        ("cells = 4\nris_elements = 3\nusers = 2", "1e-160"),
+        ("cells = 3\nris_elements = 0\nusers = 3", "1e-154"),
+    ], ids=["M4-N3-K2", "M3-N0-K3"])
+    def test_singular_channel_is_exit_2(self, tmp_path, capsys, system, gain):
         """An unnormalized channel with a variance just above 0, whose Gram
         matrix underflows, used to end in a traceback from the slicer.  A
         variance below the smallest normal float (gains 1e-160 and 1e-154
-        here) is refused before the first trial.  Just above it (the last
-        row, variance 3.9e-308) the campaign runs: the least-squares solve
-        works on the channel scaled to unit size, so the 3 x 3 Gram matrix
-        of three cells with no RIS cannot underflow."""
+        here) is refused before the first trial."""
         text = BASE_CONFIG.replace("cells = 8\nris_elements = 16\nusers = 2", system)
         text += f"\n[channel]\ncoupling_gain = {gain}\nnormalize = false\n"
         out = tmp_path / "x.csv"
         code = main(["ber", "--config", write_config(tmp_path, text), "--out", str(out)])
-        if message is None:
-            assert code == 0 and out.exists()
-        else:
-            assert code == 2 and message in capsys.readouterr().err
-            assert not out.exists()
+        assert code == 2 and "coupling_gain" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_smallest_normal_variance_runs(self, tmp_path):
-        """Gain 1e-150 (variance about 4.3e-301) passes validation and runs."""
-        text = BASE_CONFIG + "\n[channel]\ncoupling_gain = 1e-150\nnormalize = false\n"
+    @pytest.mark.parametrize("system, gain", [
+        ("cells = 8\nris_elements = 16\nusers = 2", "1e-150"),
+        ("cells = 3\nris_elements = 0\nusers = 3", "3e-154"),
+    ], ids=["M8-N16-K2", "M3-N0-K3"])
+    def test_smallest_normal_variance_runs(self, tmp_path, system, gain):
+        """Unnormalized gains just above the smallest normal variance pass
+        validation and run: 1e-150 (variance about 4.3e-301), and 3e-154
+        (variance 3.9e-308) at three cells with no RIS, where the
+        least-squares solve works on the channel scaled to unit size, so
+        the 3 x 3 Gram matrix cannot underflow."""
+        text = BASE_CONFIG.replace("cells = 8\nris_elements = 16\nusers = 2", system)
+        text += f"\n[channel]\ncoupling_gain = {gain}\nnormalize = false\n"
         out = tmp_path / "x.csv"
         assert main(["ber", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
         assert out.exists()
@@ -462,7 +482,7 @@ class TestCommands:
         assert "16^8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, runner", [
-        ("ber", "run_ber"), ("convergence", "run_convergence"), ("optimize", "draw_channels"),
+        ("ber", "run_ber"), ("convergence", "run_convergence"), ("optimize", "run_convergence"),
     ])
     def test_unwritable_out_is_exit_3_before_any_trial(
         self, tmp_path, capsys, monkeypatch, command, runner
@@ -593,14 +613,10 @@ class TestOptimizeCommand:
         assert sol["theta"].shape == (16,)
         assert np.all((sol["theta"] >= 0) & (sol["theta"] < 2 * np.pi))
 
-        from atomris.config import load_config
-        from atomris.risopt import build_rank_one_cache, objective
-        from atomris.sim import draw_channels
-
-        cfg = load_config(path)
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed))
-        ch = draw_channels(cfg, rng)
-        j_again = objective(sol["theta"], build_rank_one_cache(ch), ch.h_uv)
+        ch, b = first_trial(load_config(path))
+        rot = np.exp(-1j * np.angle(b))[:, None]
+        dephased = ChannelSet(ch.h_ur, rot * ch.h_rv, rot * ch.h_uv)
+        j_again = objective(sol["theta"], build_rank_one_cache(dephased), dephased.h_uv)
         assert j_again == pytest.approx(sol["objective"], abs=1e-12)
 
     def test_no_ris_writes_direct_objective(self, tmp_path):
@@ -611,13 +627,9 @@ class TestOptimizeCommand:
         sol = read_phase_file(out)
         assert sol["theta"].size == 0
 
-        from atomris.config import load_config
-        from atomris.sim import draw_channels
-
-        cfg = load_config(path)
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed))
-        ch = draw_channels(cfg, rng)
-        assert sol["objective"] == pytest.approx(np.sum(ch.h_uv.imag**2))
+        ch, b = first_trial(load_config(path))
+        dephased_h_uv = np.exp(-1j * np.angle(b))[:, None] * ch.h_uv
+        assert sol["objective"] == pytest.approx(np.sum(dephased_h_uv.imag**2))
 
     def test_final_objective_below_initial(self, tmp_path):
         path = write_config(tmp_path)
@@ -628,6 +640,35 @@ class TestOptimizeCommand:
         sol = read_phase_file(out)
         initial = float(trace_out.read_text().splitlines()[1].split(",")[1])
         assert sol["objective"] < initial
+
+    @pytest.mark.parametrize("offset", [0, 5])
+    def test_first_campaign_trial(self, tmp_path, monkeypatch, offset):
+        """``optimize``'s phases and ``convergence``'s trace are row 0 of
+        the first batch of 8 trials ``run_ber`` aligns: the first grid
+        point's trial ``trial_offset``."""
+        text = BASE_CONFIG.replace("trials_per_point = 6",
+                                   f"trials_per_point = 8\ntrial_offset = {offset}")
+        path = write_config(tmp_path, text)
+        aligned = []
+        align = sim._align
+
+        def recording_align(*args):
+            aligned.append(align(*args))
+            return aligned[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_align", recording_align)
+            sim.run_ber(load_config(path))
+        thetas, traces = aligned[0]
+        assert thetas.shape == (8, 16)
+
+        phases, trace = tmp_path / "phases.txt", tmp_path / "trace.csv"
+        assert main(["optimize", "--config", path, "--out", str(phases)]) == 0
+        assert main(["convergence", "--config", path, "--out", str(trace)]) == 0
+        assert np.array_equal(read_phase_file(phases)["theta"], canonicalize_phases(thetas[0]))
+        rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+        assert [float(r[1]) for r in rows] == traces[0].objective.tolist()
+        assert [float(r[2]) for r in rows] == traces[0].grad_norm.tolist()
 
 
 class TestPhaseFile:

@@ -10,7 +10,6 @@ from atomris.channel import ChannelSet, effective_channel, gen_lo_vector, gen_us
 from atomris.errors import BudgetExceededError
 from atomris.risopt import (
     AdamConfig,
-    adam_optimize,
     adam_optimize_batch,
     brute_force_phases,
     build_rank_one_cache,
@@ -33,6 +32,15 @@ def random_set(m, n, k, seed):
         h_rv=gen_user_ris_channel(n, m, rng),
         h_uv=gen_user_ris_channel(k, m, rng),
     )
+
+
+def adam_alone(op, q0, adam, theta0):
+    """One trial, operand ``op`` and Im(h_uv) ``q0``, through
+    ``adam_optimize_batch`` as a batch of one."""
+    thetas, traces = adam_optimize_batch(
+        tuple(a[None] for a in op), q0[None], np.asarray(theta0)[None], adam
+    )
+    return thetas[0], traces[0]
 
 
 def finite_difference(theta, cache, h_uv, step=1e-6):
@@ -209,10 +217,8 @@ class TestAdam:
     def test_fixed_point_at_zero_gradient(self):
         """All-real channels at theta = 0: phases never move."""
         ch = ChannelSet(np.ones((3, 2)), np.ones((4, 3)), np.ones((4, 2)))
-        cache = build_rank_one_cache(ch)
-        theta, trace = adam_optimize(
-            cache, ch.h_uv, AdamConfig(max_iters=20), np.random.default_rng(0),
-            theta0=np.zeros(3),
+        theta, trace = adam_alone(
+            build_rank_one_cache(ch), ch.h_uv.imag, AdamConfig(max_iters=20), np.zeros(3)
         )
         assert np.array_equal(theta, np.zeros(3))
         assert np.allclose(trace.objective, 0.0)
@@ -221,8 +227,9 @@ class TestAdam:
         """M=36, N=150, K=3 with default hyperparameters: the objective
         collapses within the 100-iteration budget."""
         ch = random_set(36, 150, 3, 12)
-        cache = build_rank_one_cache(ch)
-        _, trace = adam_optimize(cache, ch.h_uv, AdamConfig(), np.random.default_rng(1))
+        _, trace = optimize_aligned_phases(
+            ch, np.ones(36), AdamConfig(), np.random.default_rng(1)
+        )
         assert len(trace) == 100
         assert trace.objective[-1] < 0.05 * trace.objective[0]
 
@@ -241,8 +248,8 @@ class TestAdam:
     def test_trace_lengths_and_descent(self):
         ch = random_set(6, 10, 2, 14)
         cache = build_rank_one_cache(ch)
-        theta, trace = adam_optimize(
-            cache, ch.h_uv, AdamConfig(max_iters=60), np.random.default_rng(3)
+        theta, trace = optimize_aligned_phases(
+            ch, np.ones(6), AdamConfig(max_iters=60), np.random.default_rng(3)
         )
         assert len(trace) == 60
         assert trace.grad_norm.shape == (60,)
@@ -257,8 +264,8 @@ class TestAdam:
         ch = random_set(36, 150, 3, 77)
         cache = build_rank_one_cache(ch)
         for seed in range(100):
-            theta, trace = adam_optimize(
-                cache, ch.h_uv, AdamConfig(), np.random.default_rng(seed)
+            theta, trace = optimize_aligned_phases(
+                ch, np.ones(36), AdamConfig(), np.random.default_rng(seed)
             )
             assert objective(theta, cache, ch.h_uv) < trace.objective[0]
             assert np.all(np.diff(np.minimum.accumulate(trace.objective)) <= 0)
@@ -313,7 +320,7 @@ class TestBatchedAdam:
         thetas, traces = self.run_batch(problems, adam)
         assert thetas.shape == (batch, cfg.num_elements)
         for (op, q0, theta0, (ch, b, rng)), theta, trace in zip(problems, thetas, traces):
-            alone, alone_trace = adam_optimize(op, q0 * 1j, adam, None, theta0=theta0)
+            alone, alone_trace = adam_alone(op, q0, adam, theta0)
             aligned, aligned_trace = optimize_aligned_phases(ch, b, adam, rng)
             for other, other_trace in ((alone, alone_trace), (aligned, aligned_trace)):
                 assert np.array_equal(theta, other)
@@ -329,7 +336,7 @@ class TestBatchedAdam:
             broadcast, np.broadcast_to(q0, (batch, *q0.shape)), theta0, adam
         )
         for start, theta, trace in zip(theta0, thetas, traces):
-            alone, alone_trace = adam_optimize(op, q0 * 1j, adam, None, theta0=start)
+            alone, alone_trace = adam_alone(op, q0, adam, start)
             assert np.array_equal(theta, alone)
             assert np.array_equal(trace.objective, alone_trace.objective)
             assert np.array_equal(trace.grad_norm, alone_trace.grad_norm)
@@ -367,7 +374,7 @@ class TestMultistart:
         adam = AdamConfig(max_iters=300, step=0.01)
         runs = []
         for theta0 in kronecker_starts(n, restarts, np.random.default_rng(7)):
-            theta, _ = adam_optimize(cache, ch.h_uv, adam, None, theta0=theta0)
+            theta, _ = adam_alone(cache, ch.h_uv.imag, adam, theta0)
             runs.append((objective(theta, cache, ch.h_uv), theta))
         best = min(range(restarts), key=lambda r: runs[r][0])  # first of equal minima
         theta, j_val = multistart_adam(

@@ -108,7 +108,7 @@ class TestValidation:
 class TestConvergence:
     def test_default_configuration_plateaus(self):
         cfg = SimConfig(master_seed=5)
-        trace = run_convergence(cfg)
+        _, _, trace = run_convergence(cfg)
         assert len(trace) == 100
         assert np.min(trace.objective) < 0.2 * trace.objective[0]
 
@@ -116,21 +116,20 @@ class TestConvergence:
         """Synthetic all-real channels started at theta = 0: the trace
         stays at the initial objective."""
         from atomris.channel import ChannelSet
-        from atomris.risopt import AdamConfig, adam_optimize, build_rank_one_cache
+        from atomris.risopt import AdamConfig, adam_optimize_batch, build_rank_one_cache
 
         ch = ChannelSet(
             h_ur=np.ones((4, 2)), h_rv=np.ones((5, 4)), h_uv=np.ones((5, 2))
         )
-        cache = build_rank_one_cache(ch)
-        _, trace = adam_optimize(
-            cache, ch.h_uv, AdamConfig(max_iters=30), np.random.default_rng(0),
-            theta0=np.zeros(4),
+        r, g = build_rank_one_cache(ch)
+        _, (trace,) = adam_optimize_batch(
+            (r[None], g[None]), ch.h_uv.imag[None], np.zeros((1, 4)), AdamConfig(max_iters=30)
         )
         assert np.all(trace.objective == trace.objective[0])
 
     def test_deterministic_replay(self):
-        t1 = run_convergence(SimConfig(master_seed=8))
-        t2 = run_convergence(SimConfig(master_seed=8))
+        _, _, t1 = run_convergence(SimConfig(master_seed=8))
+        _, _, t2 = run_convergence(SimConfig(master_seed=8))
         assert np.array_equal(t1.objective, t2.objective)
         assert np.array_equal(t1.grad_norm, t2.grad_norm)
 
