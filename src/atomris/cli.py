@@ -50,8 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="print the default configuration and exit")
         if name == "ber":
             cmd.add_argument("--threads", type=int, default=1,
-                             help="accepted and ignored (must be >= 0): a campaign "
-                                  "runs in one thread")
+                             help="worker threads that draw each batch's channels "
+                                  "(0: one per CPU; at most 8, one per trial of a "
+                                  "batch); the CSV does not depend on it")
     return parser
 
 
@@ -110,8 +111,8 @@ def cmd_convergence(cfg: SimConfig, out_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_ber(cfg: SimConfig, out_path: str) -> int:
-    records = run_ber(cfg)
+def cmd_ber(cfg: SimConfig, out_path: str, threads: int) -> int:
+    records = run_ber(cfg, threads)
     write_records_csv(records, out_path)
     write_manifest(cfg, f"{out_path}.manifest", [str(out_path)], __version__)
     return EXIT_OK
@@ -135,7 +136,7 @@ def main(argv=None) -> int:
             return cmd_optimize(cfg, args.out)
         if args.command == "convergence":
             return cmd_convergence(cfg, args.out)
-        return cmd_ber(cfg, args.out)
+        return cmd_ber(cfg, args.out, args.threads)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

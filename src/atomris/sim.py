@@ -16,23 +16,36 @@ and merging the records reproduces a single run exactly; this is how a
 campaign is spread over processes.  Early aborts are decided after each
 fixed-size batch of trials, and each grid point stops on its own.
 
-A campaign runs in one thread and holds one batch of trials at a time.
-A batch is a three-stage pipeline: per trial, draw the channels, LO and
-starting phases; align all of the batch's trials in one batched optimizer
-loop over their factored operands (each trial's de-phased h_rv as a real
+A campaign holds one batch of trials at a time.  A batch is a
+three-stage pipeline: per trial, draw the channels, LO and starting
+phases; align all of the batch's trials in one batched optimizer loop
+over their factored operands (each trial's de-phased h_rv as a real
 (M, 2N) matrix, and h_ur^T); per trial, compose, observe, detect and
 count.  Each trial consumes its own generator in the same order as
 ``optimize_aligned_phases`` would, and the batched loop's rows equal
 single-trial runs bit for bit, so which trials share a loop does not
-change any output.  The convergence experiment is the campaign's first
-trial aligned alone, so its trace and phases are those of a trial the
-BER counts.
+change any output.
+
+Only the first stage runs on worker threads (``run_ber``'s ``threads``):
+each worker draws a contiguous share of the batch's trials.  The draw is
+a few large ufuncs over (M, N, L) arrays, which release the GIL, and it
+touches no BLAS; each trial's generator is used by one thread in its
+usual order, so the outputs do not depend on the thread count.  Stages 2
+and 3 stay on the calling thread: the Adam loop and the detectors are
+many small numpy calls that hold the GIL, and threading them measured
+slower than one thread.
+
+The convergence experiment is the campaign's first trial aligned alone,
+so its trace and phases are those of a trial the BER counts.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,21 +317,31 @@ def run_convergence(cfg: SimConfig) -> tuple[ChannelSet, np.ndarray, Convergence
 
 
 def _run_batch(
-    cfg: SimConfig, eb_n0_db: float, noise: NoiseSpec, trials: range, const, lut
+    cfg: SimConfig, eb_n0_db: float, noise: NoiseSpec, trials: range, const, lut,
+    pool: ThreadPoolExecutor | None, workers: int,
 ) -> list[dict[str, tuple[int, int]]]:
     """Execute one batch of trials; per trial {detector: (bits_sent, bit_errors)}.
 
     Stage 1, per trial in its generator's order: channels, LO and starting
-    phases.  Stage 2: ``_align`` aligns all trials in one batched Adam
-    loop.  Stage 3, per trial: compose, front end, detectors, counts.
+    phases, split into ``min(workers, len(trials))`` contiguous shares
+    that ``pool`` draws in parallel.  Stage 2: ``_align`` aligns all
+    trials in one batched Adam loop.  Stage 3, per trial: compose, front
+    end, detectors, counts.
     """
     n = cfg.num_elements
     theta0 = np.empty((len(trials), n))
-    drawn = []
-    for i, t in enumerate(trials):
-        rng, ch, b = _draw_trial(cfg, eb_n0_db, t)
-        theta0[i] = random_phases(n, rng)
-        drawn.append((rng, ch, b))
+
+    def draw(share: range) -> list:
+        drawn = []
+        for i in share:
+            rng, ch, b = _draw_trial(cfg, eb_n0_db, trials[i])
+            theta0[i] = random_phases(n, rng)
+            drawn.append((rng, ch, b))
+        return drawn
+
+    w = min(workers, len(trials))
+    shares = [range(len(trials) * j // w, len(trials) * (j + 1) // w) for j in range(w)]
+    drawn = [d for share in (pool.map if w > 1 else map)(draw, shares) for d in share]
 
     # Aligned after the draws so its buffer never coexists with their temporaries.
     thetas, _ = _align([(ch, b) for _, ch, b in drawn], theta0, cfg.adam)
@@ -348,36 +371,43 @@ def _detect_counts(cfg, noise, const, lut, rng, ch, b, theta) -> dict[str, tuple
     return out
 
 
-def run_ber(cfg: SimConfig) -> list[BerRecord]:
-    """Run the full campaign in one thread and return one record per
-    (Eb/N0, detector).  To spread it over processes, run grid or trial
-    slices and combine them with ``merge_records`` (see the module
-    docstring)."""
+def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
+    """Run the full campaign and return one record per (Eb/N0, detector).
+
+    ``threads`` workers draw each batch's channels (0: ``os.cpu_count()``;
+    at most one per trial of a batch, and no pool for one); the records
+    do not depend on it (see the module docstring).  To spread a campaign
+    over processes, run grid or trial slices and combine them with
+    ``merge_records``."""
     validate_config(cfg)
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0, got {threads}")
     const = make_pam(cfg.mod_order)
     lut = hamming_table(const)
+    workers = min(threads or os.cpu_count() or 1, _BATCH_SIZE, cfg.trials_per_point)
 
     records: list[BerRecord] = []
-    for db in cfg.eb_n0_grid_db:
-        noise = noise_sigma(db, cfg.mod_order)
-        bits = {det: 0 for det in cfg.detectors}
-        errors = {det: 0 for det in cfg.detectors}
-        reason = "trial_cap"
-        first = cfg.trial_offset
-        last = cfg.trial_offset + cfg.trials_per_point
-        for batch_start in range(first, last, _BATCH_SIZE):
-            batch = range(batch_start, min(batch_start + _BATCH_SIZE, last))
-            for res in _run_batch(cfg, db, noise, batch, const, lut):
-                for det, (nb, ne) in res.items():
-                    bits[det] += nb
-                    errors[det] += ne
-            if cfg.error_target is not None and all(
-                errors[det] >= cfg.error_target for det in cfg.detectors
-            ):
-                reason = "error_target"
-                break
-        for det in cfg.detectors:
-            records.append(_make_record(db, det, bits[det], errors[det], reason))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for db in cfg.eb_n0_grid_db:
+            noise = noise_sigma(db, cfg.mod_order)
+            bits = {det: 0 for det in cfg.detectors}
+            errors = {det: 0 for det in cfg.detectors}
+            reason = "trial_cap"
+            first = cfg.trial_offset
+            last = cfg.trial_offset + cfg.trials_per_point
+            for batch_start in range(first, last, _BATCH_SIZE):
+                batch = range(batch_start, min(batch_start + _BATCH_SIZE, last))
+                for res in _run_batch(cfg, db, noise, batch, const, lut, pool, workers):
+                    for det, (nb, ne) in res.items():
+                        bits[det] += nb
+                        errors[det] += ne
+                if cfg.error_target is not None and all(
+                    errors[det] >= cfg.error_target for det in cfg.detectors
+                ):
+                    reason = "error_target"
+                    break
+            for det in cfg.detectors:
+                records.append(_make_record(db, det, bits[det], errors[det], reason))
     return records
 
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -427,6 +428,33 @@ class TestCommands:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_threads_capped_at_batch_size(self, tmp_path, monkeypatch):
+        """``--threads 1000000`` writes the ``--threads 1`` CSV and starts at
+        most one worker per trial of a batch of 8; the thread count is read
+        while the workers draw."""
+        path = write_config(tmp_path, BASE_CONFIG.replace("trials_per_point = 6",
+                                                          "trials_per_point = 20"))
+        draw_trial = sim._draw_trial
+        running = []
+
+        def counting_draw_trial(*args):
+            running.append(threading.active_count())
+            return draw_trial(*args)
+
+        monkeypatch.setattr(sim, "_draw_trial", counting_draw_trial)
+        outs = []
+        for threads, most in (("1", 0), ("1000000", sim._BATCH_SIZE)):
+            out = tmp_path / f"t{threads}.csv"
+            before = threading.active_count()
+            running.clear()
+            assert main(["ber", "--config", path, "--out", str(out),
+                         "--threads", threads]) == 0
+            assert len(running) == 2 * 20
+            assert max(running) - before <= most
+            outs.append(out.read_bytes())
+        assert max(running) > before  # the last run's workers were drawing
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("command", ["ber", "optimize", "convergence"])
     def test_negative_seed_is_exit_2(self, tmp_path, capsys, command):
         """A negative seed, from the config or from --seed, is rejected
@@ -529,7 +557,7 @@ class TestCommands:
         path = write_config(tmp_path)
         first = tmp_path / "first.csv"
         assert main(["ber", "--config", path, "--out", str(first)]) == 0
-        # --threads is accepted and ignored
+        # the channel draw's thread count does not move the CSV
         for name, extra in (("rerun", []), ("t0", ["--threads", "0"]), ("t2", ["--threads", "2"])):
             out = tmp_path / f"{name}.csv"
             assert main(["ber", "--config", path, "--out", str(out), *extra]) == 0
@@ -701,14 +729,22 @@ class TestGoldenCampaigns:
     drawn through a dipole, hbar and an incidence axis; ``golden_k4``
     (every call a full search of one block) and ``golden_no_ris`` (N = 0)
     when the full search still split its scoring GEMM over runs of
-    observations and the effective channel still special-cased N = 0.
-    None of these changes moved any count."""
+    observations and the effective channel still special-cased N = 0;
+    ``golden_early_stop``, whose points stop on the error target after
+    one, two, three and five batches or at the trial cap, when every
+    batch was still drawn on one thread.  None of these changes moved any
+    count.  Each is also run with two threads drawing the channels."""
 
     DATA = Path(__file__).resolve().parent / "data"
 
-    @pytest.mark.parametrize("name", ["golden_ref_k3", "golden_detect_k8", "golden_channel_lo",
-                                      "golden_k4", "golden_no_ris"])
-    def test_ber_csv_byte_identical(self, tmp_path, name):
+    @pytest.mark.parametrize("name, threads", [
+        pytest.param(name, threads, id=name if threads == 1 else f"{name}-threads{threads}")
+        for threads in (1, 2)
+        for name in ("golden_ref_k3", "golden_detect_k8", "golden_channel_lo", "golden_k4",
+                     "golden_no_ris", "golden_early_stop")
+    ])
+    def test_ber_csv_byte_identical(self, tmp_path, name, threads):
         out = tmp_path / f"{name}.csv"
-        assert main(["ber", "--config", str(self.DATA / f"{name}.ini"), "--out", str(out)]) == 0
+        assert main(["ber", "--config", str(self.DATA / f"{name}.ini"), "--out", str(out),
+                     "--threads", str(threads)]) == 0
         assert out.read_bytes() == (self.DATA / f"{name}.csv").read_bytes()

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo campaign engine."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -246,6 +247,23 @@ class TestRunBer:
         half2 = run_ber(replace(SMALL, trials_per_point=6, trial_offset=6))
         merged = merge_records(half1, half2)
         assert records_to_csv(merged) == records_to_csv(full)
+
+    def test_draw_threads_do_not_change_records(self):
+        """Batches of 8 and 4 trials split into equal and unequal shares
+        (3 workers draw 2 + 3 + 3 trials) give the one-thread records, also
+        with more workers than cores switching every microsecond; a
+        negative count is refused."""
+        cfg = replace(SMALL, error_target=200)
+        serial = run_ber(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (0, 2, 3, 5):
+                assert run_ber(cfg, threads) == serial, threads
+        finally:
+            sys.setswitchinterval(interval)
+        with pytest.raises(ValueError, match="threads"):
+            run_ber(cfg, -1)
 
     def test_grid_partition_merges_to_full(self):
         full = run_ber(SMALL)
