@@ -121,8 +121,9 @@ def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(
             f"H^H H is numerically singular (condition number {cond:.3e})"
         )
-    s_hat = np.linalg.solve(gram, h_eq.conj().T @ np.asarray(rhs, dtype=complex))
-    with np.errstate(over="ignore"):  # an estimate beyond the float range, refused next
+    # A huge rhs can take H^H rhs or the estimate beyond the float range: refused next.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_hat = np.linalg.solve(gram, h_eq.conj().T @ np.asarray(rhs, dtype=complex))
         s_hat = np.ldexp(s_hat.view(float), -exp).view(complex)
     if not np.isfinite(s_hat).all():
         raise SingularMatrixError(f"H^H H gives a non-finite estimate (condition {cond:.3e})")

@@ -13,8 +13,11 @@ Every trial derives its own generator from
 Keying on the value rather than the grid position means splitting a grid
 across runs, or (with no error target) the trials by ``trial_offset``,
 and merging the records reproduces a single run exactly; this is how a
-campaign is spread over processes.  Early aborts are decided after each
-fixed-size batch of trials, and each grid point stops on its own.
+campaign is spread over processes.  Each fixed-size batch of trials
+returns a batch record, its trials' bit errors per detector, and one pure
+fold (``_fold_point``), the only code that knows the stop rule, adds a
+point's records in batch order: the point stops after the first batch at
+which every detector has reached the error target.
 
 A campaign holds one batch of trials at a time.  A batch is a
 three-stage pipeline: per trial, draw the channels, LO and starting
@@ -44,6 +47,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -141,23 +145,11 @@ class BerRecord:
     stop_reason: str = "trial_cap"
 
 
-def _ci_halfwidth(errors: int, bits: int) -> float:
-    if bits == 0:
-        return 0.0
-    p = errors / bits
-    return 3.0 * math.sqrt(p * (1.0 - p) / bits)
-
-
 def _make_record(db: float, det: str, bits: int, errors: int, reason: str) -> BerRecord:
-    return BerRecord(
-        eb_n0_db=db,
-        detector=det,
-        bits_sent=bits,
-        bit_errors=errors,
-        ber=errors / bits if bits else 0.0,
-        ci_halfwidth=_ci_halfwidth(errors, bits),
-        stop_reason=reason,
-    )
+    """The record of ``errors`` in ``bits``, with its 3-sigma binomial half-width."""
+    p = errors / bits if bits else 0.0
+    halfwidth = 3.0 * math.sqrt(p * (1.0 - p) / bits) if bits else 0.0
+    return BerRecord(db, det, bits, errors, p, halfwidth, reason)
 
 
 def validate_config(cfg: SimConfig) -> None:
@@ -319,8 +311,9 @@ def run_convergence(cfg: SimConfig) -> tuple[ChannelSet, np.ndarray, Convergence
 def _run_batch(
     cfg: SimConfig, eb_n0_db: float, noise: NoiseSpec, trials: range, const, lut,
     pool: ThreadPoolExecutor | None, workers: int,
-) -> list[dict[str, tuple[int, int]]]:
-    """Execute one batch of trials; per trial {detector: (bits_sent, bit_errors)}.
+) -> np.ndarray:
+    """Execute one batch of trials; returns its batch record: each trial's
+    bit errors, an int array (trials, detectors) in ``cfg.detectors`` order.
 
     Stage 1, per trial in its generator's order: channels, LO and starting
     phases, split into ``min(workers, len(trials))`` contiguous shares
@@ -346,29 +339,39 @@ def _run_batch(
     # Aligned after the draws so its buffer never coexists with their temporaries.
     thetas, _ = _align([(ch, b) for _, ch, b in drawn], theta0, cfg.adam)
 
-    return [
-        _detect_counts(cfg, noise, const, lut, rng, ch, b, theta)
-        for (rng, ch, b), theta in zip(drawn, thetas)
-    ]
+    return np.array([_detect_counts(cfg, noise, const, lut, rng, ch, b, theta)
+                     for (rng, ch, b), theta in zip(drawn, thetas)])
 
 
-def _detect_counts(cfg, noise, const, lut, rng, ch, b, theta) -> dict[str, tuple[int, int]]:
-    """Compose the aligned channel, observe a block of symbol vectors
-    through the front end and count each detector's bit errors."""
+def _detect_counts(cfg, noise, const, lut, rng, ch, b, theta) -> list[int]:
+    """Compose the aligned channel, observe a block of symbol vectors through
+    the front end and count each detector's bit errors (``cfg.detectors`` order)."""
     h_eq = effective_channel(ch, theta)
-    k = cfg.num_users
-    n_sym = cfg.symbols_per_trial
-    sent = rng.integers(0, const.order, size=(k, n_sym))
+    sent = rng.integers(0, const.order, size=(cfg.num_users, cfg.symbols_per_trial))
     y = front_end(h_eq, const.points[sent], b, noise, rng)
     observed = {"y": y, "z": np.abs(y)}
+    return [int(lut[sent, kernel(observed[reads], h_eq, b, const, cfg)].sum())
+            for reads, kernel in (_DETECTORS[det] for det in cfg.detectors)]
 
-    bits_per_vector = k * const.bits_per_symbol
-    out: dict[str, tuple[int, int]] = {}
-    for det in cfg.detectors:
-        reads, kernel = _DETECTORS[det]
-        got = kernel(observed[reads], h_eq, b, const, cfg)
-        out[det] = (bits_per_vector * n_sym, int(lut[sent, got].sum()))
-    return out
+
+def _fold_point(cfg: SimConfig, eb_n0_db: float,
+                records: Iterable[np.ndarray]) -> list[BerRecord]:
+    """Fold a grid point's batch records, in batch order, into one record
+    per detector: the only code that knows the stop rule.  It adds the
+    errors and stops after the first batch at which every detector has
+    reached ``error_target``, pulling no record past it."""
+    trials = 0
+    errors = np.zeros(len(cfg.detectors), dtype=np.int64)
+    reason = "trial_cap"
+    for record in records:
+        trials += len(record)
+        errors += record.sum(axis=0)
+        if cfg.error_target is not None and errors.min() >= cfg.error_target:
+            reason = "error_target"
+            break
+    bits = trials * cfg.num_users * make_pam(cfg.mod_order).bits_per_symbol * cfg.symbols_per_trial
+    return [_make_record(eb_n0_db, det, bits, int(e), reason)
+            for det, e in zip(cfg.detectors, errors)]
 
 
 def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
@@ -385,29 +388,17 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
     const = make_pam(cfg.mod_order)
     lut = hamming_table(const)
     workers = min(threads or os.cpu_count() or 1, _BATCH_SIZE, cfg.trials_per_point)
+    last = cfg.trial_offset + cfg.trials_per_point
+    batches = [range(start, min(start + _BATCH_SIZE, last))
+               for start in range(cfg.trial_offset, last, _BATCH_SIZE)]
 
     records: list[BerRecord] = []
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for db in cfg.eb_n0_grid_db:
             noise = noise_sigma(db, cfg.mod_order)
-            bits = {det: 0 for det in cfg.detectors}
-            errors = {det: 0 for det in cfg.detectors}
-            reason = "trial_cap"
-            first = cfg.trial_offset
-            last = cfg.trial_offset + cfg.trials_per_point
-            for batch_start in range(first, last, _BATCH_SIZE):
-                batch = range(batch_start, min(batch_start + _BATCH_SIZE, last))
-                for res in _run_batch(cfg, db, noise, batch, const, lut, pool, workers):
-                    for det, (nb, ne) in res.items():
-                        bits[det] += nb
-                        errors[det] += ne
-                if cfg.error_target is not None and all(
-                    errors[det] >= cfg.error_target for det in cfg.detectors
-                ):
-                    reason = "error_target"
-                    break
-            for det in cfg.detectors:
-                records.append(_make_record(db, det, bits[det], errors[det], reason))
+            records += _fold_point(cfg, db, (
+                _run_batch(cfg, db, noise, batch, const, lut, pool, workers)
+                for batch in batches))
     return records
 
 

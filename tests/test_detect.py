@@ -215,11 +215,22 @@ class TestProposedDetector:
         assert np.array_equal(ls_estimate(np.ldexp(1.0, shift) * h, rhs),
                               np.ldexp(1.0, -shift) * s_hat)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_rhs_refused_without_warnings(self):
+        """A huge but finite right-hand side overflows H^H rhs: the
+        estimate is refused, and numpy prints no overflow warning."""
+        h = np.ones((8, 2), dtype=complex)
+        h[:, 1] = np.arange(8)
+        with pytest.raises(SingularMatrixError, match="non-finite"):
+            ls_estimate(h, np.full((8, 1), 1e308, dtype=complex))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(deadline=None)
     @given(m=st.integers(1, 6), data=st.data())
     def test_any_finite_input_gives_a_finite_estimate_or_refusal(self, m, data):
         """Zero, subnormal and huge entries included: the estimate is
-        finite, or the system is refused with SingularMatrixError."""
+        finite, or the system is refused with SingularMatrixError, and no
+        RuntimeWarning is printed."""
         k = data.draw(st.integers(1, m))
         finite = st.floats(allow_nan=False, allow_infinity=False)
         h = data.draw(arrays(float, (m, 2 * k), elements=finite)).view(complex)

@@ -166,6 +166,7 @@ class TestRunBer:
             expect_ci = 3 * math.sqrt(rec.ber * (1 - rec.ber) / rec.bits_sent)
             assert rec.ci_halfwidth == pytest.approx(expect_ci)
             assert rec.stop_reason == "trial_cap"
+            assert type(rec.bits_sent) is int and type(rec.bit_errors) is int
 
     def test_zero_noise_limit_is_error_free(self):
         """At a very high Eb/N0 with aligned channels, the proposed
@@ -319,6 +320,60 @@ class TestRunBer:
         recs = sorted(run_ber(cfg), key=lambda r: r.eb_n0_db)
         for lo, hi in zip(recs, recs[1:]):
             assert hi.ber <= lo.ber + lo.ci_halfwidth + hi.ci_halfwidth
+
+
+def _batch_record(trials, errors):
+    """A synthetic batch record of ``trials`` trials whose first trial
+    made ``errors`` (one count per detector) and the others none."""
+    record = np.zeros((trials, len(errors)), dtype=np.int64)
+    record[0] = errors
+    return record
+
+
+def _feed(records, stop_expected):
+    """Yield ``records``; with ``stop_expected``, fail if pulled once more."""
+    yield from records
+    if stop_expected:
+        raise AssertionError("the fold pulled a batch record past its stop")
+
+
+class TestFoldPoint:
+    """The fold alone, on synthetic batch records: no trial runs."""
+
+    CFG = replace(SMALL, detectors=("proposed", "zf_genie"), error_target=10)
+    BITS_PER_TRIAL = 2 * 2 * 30  # K log2(Q) symbols_per_trial
+
+    def fold(self, records, stop_expected):
+        return sim._fold_point(self.CFG, -24.0, _feed(records, stop_expected))
+
+    def test_stops_after_the_batch_where_every_detector_reaches_the_target(self):
+        records = [_batch_record(8, (4, 12)), _batch_record(8, (4, 0)), _batch_record(8, (2, 0))]
+        folded = self.fold(records, stop_expected=True)
+        assert [(r.detector, r.bits_sent, r.bit_errors, r.stop_reason) for r in folded] == [
+            ("proposed", 24 * self.BITS_PER_TRIAL, 10, "error_target"),
+            ("zf_genie", 24 * self.BITS_PER_TRIAL, 12, "error_target"),
+        ]
+
+    def test_one_detector_at_the_target_does_not_stop(self):
+        records = [_batch_record(8, (50, 9)), _batch_record(8, (50, 0))]
+        folded = self.fold(records, stop_expected=False)
+        assert [(r.bit_errors, r.stop_reason) for r in folded] == [
+            (100, "trial_cap"), (9, "trial_cap"),
+        ]
+
+    def test_partial_last_batch_at_the_trial_cap(self):
+        records = [_batch_record(8, (1, 2)), _batch_record(8, (0, 0)), _batch_record(3, (3, 0))]
+        folded = self.fold(records, stop_expected=False)
+        for rec, errors in zip(folded, (4, 2)):
+            assert rec == sim._make_record(-24.0, rec.detector, 19 * self.BITS_PER_TRIAL,
+                                           errors, "trial_cap")
+            assert "np." not in repr(rec)
+
+    def test_no_target_never_stops(self):
+        records = [_batch_record(8, (500, 500))] * 3
+        folded = sim._fold_point(replace(self.CFG, error_target=None), -24.0, iter(records))
+        assert [(r.bits_sent, r.stop_reason) for r in folded] == [
+            (24 * self.BITS_PER_TRIAL, "trial_cap")] * 2
 
 
 class TestMergeRecords:
