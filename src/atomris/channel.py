@@ -178,9 +178,10 @@ class ChannelSet:
 
 
 def gen_user_ris_channel(num_users: int, num_elements: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw the N x K user-to-RIS matrix with i.i.d. CN(0, 1) entries."""
-    if num_users < 1 or num_elements < 1:
-        raise ValueError("num_users and num_elements must be >= 1")
+    """Draw the N x K user-to-RIS matrix with i.i.d. CN(0, 1) entries.
+    N = 0 (no RIS) is an empty draw that leaves ``rng`` untouched."""
+    if num_users < 1 or num_elements < 0:
+        raise ValueError("num_users must be >= 1 and num_elements >= 0")
     re = rng.standard_normal((num_elements, num_users))
     im = rng.standard_normal((num_elements, num_users))
     return (re + 1j * im) / math.sqrt(2.0)
@@ -237,10 +238,11 @@ def gen_physical_channel(
 
     Entry (m, k) sums over paths l:
     coupling_gain * cos(psi(m, k, l)) * path_loss(m, k, l)
-    * exp(j * phase(m, k, l)).
+    * exp(j * phase(m, k, l)).  Zero columns (no RIS) is an empty draw
+    that leaves ``rng`` untouched.
     """
-    if num_cells < 1 or num_cols < 1:
-        raise ValueError("matrix dimensions must be >= 1")
+    if num_cells < 1 or num_cols < 0:
+        raise ValueError("num_cells must be >= 1 and num_cols >= 0")
     shape = (num_cells, num_cols, params.num_paths)
     coupling, rho, phi = _path_terms(shape, params.path_loss_span, rng)
     coupling *= params.coupling_gain

@@ -203,7 +203,8 @@ def load_config(path) -> SimConfig:
 
 
 def _config_parser_from(cfg: SimConfig) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    # Values are written verbatim: an output path may contain "%".
+    parser = configparser.ConfigParser(interpolation=None)
     for section, owner, keys in _SCHEMA:
         obj = cfg if owner is None else getattr(cfg, owner)
         parser[section] = {key.name: key.codec.format(key.get(obj)) for key in keys}
@@ -239,6 +240,6 @@ def load_manifest(path) -> tuple[SimConfig, dict]:
     parser = _read_ini(_read_text(path, "manifest"), str(path))
     if not parser.has_section("run"):
         raise ConfigError(f"{path}: manifest missing [run] section")
-    meta = dict(parser.items("run"))
+    meta = dict(parser.items("run", raw=True))
     parser.remove_section("run")
     return _config_from(parser, str(path)), meta

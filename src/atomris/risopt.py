@@ -19,13 +19,12 @@ because (Q^T @ R).view(complex) = Q^T j conj(A).  Finite differences
 confirm it (see tests); descent steps use theta <- theta - eta * step.  An
 objective/gradient evaluation is two real K x 2N x M products plus 2N
 trigonometric calls.  The optimizer runs a batch of independent trials
-through one loop; a single trial, or the restarts of ``multistart_adam``,
-is a batch too.
+through one loop; a single trial is a batch too.
 
 Minimizing J on channels whose rows have been de-phased by the LO
 (multiply h_rv and h_uv by exp(-j angle(b)) row-wise) aligns the effective
 channel with the LO instead of making it real; that variant is what the
-detection pipeline consumes and what ``signal_domain_objective`` scores.
+detection pipeline consumes.
 """
 
 from __future__ import annotations
@@ -35,21 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, effective_channel
-from .errors import BudgetExceededError
+from .channel import ChannelSet
 
 __all__ = [
     "AdamConfig",
     "ConvergenceTrace",
     "build_rank_one_cache",
     "objective",
-    "gradient",
     "objective_and_gradient",
     "random_phases",
     "adam_optimize_batch",
-    "multistart_adam",
-    "brute_force_phases",
-    "signal_domain_objective",
     "canonicalize_phases",
     "gradient_op_count",
 ]
@@ -95,7 +89,7 @@ class ConvergenceTrace:
 def build_rank_one_cache(ch: ChannelSet, out: tuple | None = None) -> tuple:
     """The factored operand of J: the pair (R, G), where R is the real
     (M, 2N) view of j conj(h_rv), whose column pairs are (Im h_rv, Re h_rv),
-    and G = h_ur^T (K, N).  Every optimizer and oracle reads this pair.
+    and G = h_ur^T (K, N).  Every evaluation of J reads this pair.
     ``out``, when given, is the pair of arrays written into (a trial's
     slots of a batch's buffers); otherwise one is made.
     """
@@ -164,11 +158,6 @@ def _single(theta, op: tuple, h_uv):
 def objective(theta: np.ndarray, op: tuple, h_uv: np.ndarray) -> float:
     """J(theta) = squared Frobenius norm of Im(H_eq)."""
     return objective_and_gradient(theta, op, h_uv)[0]
-
-
-def gradient(theta: np.ndarray, op: tuple, h_uv: np.ndarray) -> np.ndarray:
-    """Analytic gradient dJ/dtheta (length N)."""
-    return objective_and_gradient(theta, op, h_uv)[1]
 
 
 def objective_and_gradient(
@@ -246,85 +235,3 @@ def adam_optimize_batch(
     return theta, [
         ConvergenceTrace(obj.copy(), np.sqrt(gsq)) for obj, gsq in zip(obj_hist.T, gsq_hist.T)
     ]
-
-
-_KRONECKER_PRIMES = (2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0)
-
-
-def multistart_adam(
-    op: tuple,
-    h_uv: np.ndarray,
-    cfg: AdamConfig,
-    rng: np.random.Generator,
-    restarts: int = 5,
-) -> tuple[np.ndarray, float]:
-    """Best of several optimizer runs from stratified starting points.
-
-    The objective is multimodal in theta, so i.i.d. uniform restarts can
-    miss the best basin.  Restart r starts from the randomly shifted
-    Kronecker lattice point 2*pi*frac(shift + r*sqrt(p_d)), which spreads
-    the starts evenly over the phase torus.  The restarts run as one batch
-    over broadcast views of ``op``, so each row equals that restart run
-    alone.  Returns (theta, J(theta)) of the first restart whose final J
-    is smallest.
-    """
-    n = op[1].shape[1]
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if n > len(_KRONECKER_PRIMES):
-        raise ValueError(
-            f"stratified restarts support up to {len(_KRONECKER_PRIMES)} dimensions"
-        )
-    shift = rng.uniform(0.0, 1.0, n)
-    alpha = np.sqrt(np.array(_KRONECKER_PRIMES[:n]))
-    theta0 = 2.0 * np.pi * np.mod(shift + np.arange(restarts)[:, None] * alpha, 1.0)
-    _, op, q0 = _single(theta0[0], op, h_uv)  # checks h_uv against the operand
-    op = tuple(np.broadcast_to(a, (restarts, *a.shape[1:])) for a in op)
-    q0 = np.broadcast_to(q0, (restarts, *q0.shape[1:]))
-    thetas, _ = adam_optimize_batch(op, q0, theta0, cfg)
-    j_final = _evaluator(op, q0)(thetas)[0]
-    best = int(np.argmin(j_final))
-    return thetas[best], float(j_final[best])
-
-
-# The most objective evaluations one grid search may spend.
-_GRID_BUDGET = 50_000_000
-
-
-def brute_force_phases(op: tuple, h_uv: np.ndarray, grid_points_per_dim: int) -> np.ndarray:
-    """Grid-search oracle: the grid point minimizing J.
-
-    Only intended for N <= 3; refuses larger problems with a cost estimate.
-    """
-    r, g = op
-    n = g.shape[1]
-    cost = grid_points_per_dim**n
-    if n > 3 or cost > _GRID_BUDGET:
-        raise BudgetExceededError(
-            f"grid search over N={n} needs {grid_points_per_dim}^{n} = {cost} "
-            f"objective evaluations (budget {_GRID_BUDGET})"
-        )
-    axis = np.arange(grid_points_per_dim) * (2.0 * np.pi / grid_points_per_dim)
-    # all grid points in row-major (ij) order, one per row; (1, 0) for N = 0
-    thetas = axis[np.indices((grid_points_per_dim,) * n).reshape(n, cost).T]
-    x = np.empty((cost, *g.shape), dtype=complex)  # each grid point's X^T
-    np.multiply(np.exp(1j * thetas)[:, None, :], g, out=x)
-    q = x.view(float) @ r.T + np.asarray(h_uv).imag.T
-    values = np.sum(q * q, axis=(1, 2))
-    return thetas[int(np.argmin(values))].copy()
-
-
-def signal_domain_objective(
-    theta: np.ndarray, ch: ChannelSet, s: np.ndarray, b: np.ndarray
-) -> float:
-    """The pre-reformulation objective
-    || Im( (H_eq(theta) s) o exp(-j angle(b)) ) ||_2^2."""
-    s = np.asarray(s, dtype=float)
-    b = np.asarray(b, dtype=complex)
-    if s.shape != (ch.num_users,):
-        raise ValueError(f"s has shape {s.shape}, expected ({ch.num_users},)")
-    if b.shape != (ch.num_cells,):
-        raise ValueError(f"b has shape {b.shape}, expected ({ch.num_cells},)")
-    h_eq = effective_channel(ch, theta)
-    e = (h_eq @ s) * np.exp(-1j * np.angle(b))
-    return float(np.sum(e.imag**2))

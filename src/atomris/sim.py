@@ -244,14 +244,11 @@ def trial_seed(master_seed: int, eb_n0_db: float, trial_index: int) -> np.random
 def draw_channels(cfg: SimConfig, rng: np.random.Generator) -> ChannelSet:
     """One channel realization, in a fixed draw order (h_ur, h_rv, h_uv)."""
     m, n, k = cfg.num_cells, cfg.num_elements, cfg.num_users
-    if n == 0:
-        h_ur = np.zeros((0, k), dtype=complex)
-        h_rv = np.zeros((m, 0), dtype=complex)
-    else:
-        h_ur = gen_user_ris_channel(k, n, rng)
-        h_rv = gen_physical_channel(m, n, cfg.channel, rng)
-    h_uv = gen_physical_channel(m, k, cfg.channel, rng)
-    return ChannelSet(h_ur=h_ur, h_rv=h_rv, h_uv=h_uv)
+    return ChannelSet(
+        h_ur=gen_user_ris_channel(k, n, rng),
+        h_rv=gen_physical_channel(m, n, cfg.channel, rng),
+        h_uv=gen_physical_channel(m, k, cfg.channel, rng),
+    )
 
 
 def _draw_trial(cfg: SimConfig, eb_n0_db: float, t: int):
@@ -389,16 +386,15 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
     lut = hamming_table(const)
     workers = min(threads or os.cpu_count() or 1, _BATCH_SIZE, cfg.trials_per_point)
     last = cfg.trial_offset + cfg.trials_per_point
-    batches = [range(start, min(start + _BATCH_SIZE, last))
-               for start in range(cfg.trial_offset, last, _BATCH_SIZE)]
 
     records: list[BerRecord] = []
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for db in cfg.eb_n0_grid_db:
             noise = noise_sigma(db, cfg.mod_order)
             records += _fold_point(cfg, db, (
-                _run_batch(cfg, db, noise, batch, const, lut, pool, workers)
-                for batch in batches))
+                _run_batch(cfg, db, noise, range(start, min(start + _BATCH_SIZE, last)),
+                           const, lut, pool, workers)
+                for start in range(cfg.trial_offset, last, _BATCH_SIZE)))
     return records
 
 

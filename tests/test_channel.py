@@ -62,10 +62,18 @@ class TestUserRisChannel:
         h = gen_user_ris_channel(10, 10_000, rng_for(4))
         assert abs(np.mean(h)) < 0.01
 
-    @pytest.mark.parametrize("users,elements", [(0, 5), (5, 0), (0, 0)])
+    @pytest.mark.parametrize("users,elements", [(0, 5), (0, 0), (5, -1)])
     def test_zero_dimensions_rejected(self, users, elements):
         with pytest.raises(ValueError):
             gen_user_ris_channel(users, elements, rng_for(0))
+
+    def test_zero_elements_is_an_empty_draw(self):
+        """No RIS: an empty (0, K) matrix, and the generator is untouched."""
+        rng = rng_for(0)
+        state = rng.bit_generator.state
+        h = gen_user_ris_channel(5, 0, rng)
+        assert h.shape == (0, 5) and h.dtype == complex
+        assert rng.bit_generator.state == state
 
 
 class TestPhysicalChannel:
@@ -130,6 +138,20 @@ class TestPhysicalChannel:
     def test_zero_paths_rejected(self):
         with pytest.raises(ValueError):
             gen_physical_channel(2, 2, PhysicalPathParams(num_paths=0), rng_for(0))
+
+    @pytest.mark.parametrize("cells,cols", [(0, 3), (0, 0), (3, -1)])
+    def test_bad_dimensions_rejected(self, cells, cols):
+        with pytest.raises(ValueError):
+            gen_physical_channel(cells, cols, PhysicalPathParams(), rng_for(0))
+
+    @pytest.mark.parametrize("span", [(0.5, 1.0), (1.0, 1.0)])
+    def test_zero_columns_is_an_empty_draw(self, span):
+        """No RIS: an empty (M, 0) matrix, and the generator is untouched."""
+        rng = rng_for(0)
+        state = rng.bit_generator.state
+        h = gen_physical_channel(4, 0, PhysicalPathParams(path_loss_span=span), rng)
+        assert h.shape == (4, 0) and h.dtype == complex
+        assert rng.bit_generator.state == state
 
 
 class TestFoldedCouplingDraw:

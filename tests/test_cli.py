@@ -553,6 +553,16 @@ class TestCommands:
         assert cfg.num_cells == 8
         assert meta["outputs"] == str(out)
 
+    def test_percent_in_out_path_keeps_the_manifest(self, tmp_path):
+        """A "%" in the output path is written into the manifest verbatim
+        and read back unchanged, with the config."""
+        path = write_config(tmp_path)
+        out = tmp_path / "run%1.csv"
+        assert main(["ber", "--config", path, "--out", str(out)]) == 0
+        cfg, meta = load_manifest(f"{out}.manifest")
+        assert meta["outputs"] == str(out)
+        assert cfg == parse_config_text(BASE_CONFIG)
+
     def test_ber_rerun_byte_identical(self, tmp_path):
         path = write_config(tmp_path)
         first = tmp_path / "first.csv"
@@ -729,7 +739,8 @@ class TestGoldenCampaigns:
     drawn through a dipole, hbar and an incidence axis; ``golden_k4``
     (every call a full search of one block) and ``golden_no_ris`` (N = 0)
     when the full search still split its scoring GEMM over runs of
-    observations and the effective channel still special-cased N = 0;
+    observations and the effective channel and the channel draw still
+    special-cased N = 0;
     ``golden_early_stop``, whose points stop on the error target after
     one, two, three and five batches or at the trial cap, when every
     batch was still drawn on one thread.  None of these changes moved any

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -167,6 +168,22 @@ class TestRunBer:
             assert rec.ci_halfwidth == pytest.approx(expect_ci)
             assert rec.stop_reason == "trial_cap"
             assert type(rec.bits_sent) is int and type(rec.bit_errors) is int
+
+    def test_batches_made_one_at_a_time(self):
+        """A point that stops after its first batch holds only that batch,
+        however many trials its cap allows."""
+        cfg = replace(SMALL, num_cells=4, num_elements=3, num_users=2,
+                      eb_n0_grid_db=(-30.0,), symbols_per_trial=10,
+                      detectors=("proposed",), error_target=1, trials_per_point=10**7)
+        tracemalloc.start()
+        try:
+            (rec,) = run_ber(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.stop_reason == "error_target"
+        assert rec.bits_sent == sim._BATCH_SIZE * 2 * 2 * 10  # one batch of 4-PAM, K = 2
+        assert peak < 8 * 2**20
 
     def test_zero_noise_limit_is_error_free(self):
         """At a very high Eb/N0 with aligned channels, the proposed
