@@ -4,7 +4,8 @@ Each command reads an INI configuration file (see ``--dump-defaults``),
 runs deterministically from the configured seed, and writes CSV or
 structured text.  Exit codes: 0 success, 2 configuration error or a
 channel too weak for least squares, 3 I/O failure (an output that cannot
-be created is found before any trial runs), 4 cost-budget refusal.
+be created is found before any trial runs), 4 cost-budget refusal or a
+run that needs more memory than the machine has.
 """
 
 from __future__ import annotations
@@ -50,9 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="print the default configuration and exit")
         if name == "ber":
             cmd.add_argument("--threads", type=int, default=1,
-                             help="worker threads that draw each batch's channels "
-                                  "(0: one per CPU; at most 8, one per trial of a "
-                                  "batch); the CSV does not depend on it")
+                             help="threads that draw the channels: the calling "
+                                  "thread and N-1 workers drawing the next batch "
+                                  "while it aligns and detects (0: one per CPU; at "
+                                  "most 8, one per trial of a batch); the CSV does "
+                                  "not depend on it")
     return parser
 
 
@@ -123,6 +126,7 @@ def main(argv=None) -> int:
     if args.dump_defaults:
         sys.stdout.write(default_config_text())
         return EXIT_OK
+    cfg = None
     try:
         cfg = _load(args)
         if not args.out:
@@ -139,6 +143,15 @@ def main(argv=None) -> int:
         return cmd_ber(cfg, args.out, args.threads)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        # Sizes numpy can shape but the machine cannot hold, such as the
+        # full search over every Q^K candidate that exhaustive_budget admits.
+        sizes = "" if cfg is None else (
+            f" at M = {cfg.num_cells}, N = {cfg.num_elements}, K = {cfg.num_users}, "
+            f"Q^K = {cfg.mod_order}^{cfg.num_users} = {cfg.mod_order**cfg.num_users}"
+            "; lower the sizes or [sim] exhaustive_budget")
+        print(f"error: out of memory{sizes}", file=sys.stderr)
         return EXIT_BUDGET
     except (ConfigError, SingularMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)

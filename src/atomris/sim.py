@@ -19,24 +19,27 @@ fold (``_fold_point``), the only code that knows the stop rule, adds a
 point's records in batch order: the point stops after the first batch at
 which every detector has reached the error target.
 
-A campaign holds one batch of trials at a time.  A batch is a
-three-stage pipeline: per trial, draw the channels, LO and starting
-phases; align all of the batch's trials in one batched optimizer loop
-over their factored operands (each trial's de-phased h_rv as a real
-(M, 2N) matrix, and h_ur^T); per trial, compose, observe, detect and
-count.  Each trial consumes its own generator in the same order as
+A batch is a three-stage pipeline: per trial, draw the channels, LO and
+starting phases (``_draw_start``); align all of the batch's trials in one
+batched optimizer loop over their factored operands (each trial's
+de-phased h_rv as a real (M, 2N) matrix, and h_ur^T); per trial, compose,
+observe, detect and count (``_finish_batch`` runs the last two).  Each
+trial consumes its own generator in the same order as
 ``optimize_aligned_phases`` would, and the batched loop's rows equal
 single-trial runs bit for bit, so which trials share a loop does not
 change any output.
 
-Only the first stage runs on worker threads (``run_ber``'s ``threads``):
-each worker draws a contiguous share of the batch's trials.  The draw is
-a few large ufuncs over (M, N, L) arrays, which release the GIL, and it
-touches no BLAS; each trial's generator is used by one thread in its
-usual order, so the outputs do not depend on the thread count.  Stages 2
-and 3 stay on the calling thread: the Adam loop and the detectors are
-many small numpy calls that hold the GIL, and threading them measured
-slower than one thread.
+With one thread a campaign holds one batch at a time.  With ``run_ber``'s
+``threads`` > 1, only the first stage runs on worker threads, one batch
+ahead: the pool draws the next batch of the flat (point, batch) order
+while the calling thread aligns and detects the current one, so a
+campaign holds at most two batches.  The draw is a few large ufuncs over
+(M, N, L) arrays, which release the GIL, and it touches no BLAS; each
+trial's generator is used by one thread in its usual order, so the
+outputs do not depend on the thread count.  Stages 2 and 3 stay on the
+calling thread: the Adam loop and the detectors are many small numpy
+calls that hold the GIL, and threading them measured slower than one
+thread.
 
 The convergence experiment is the campaign's first trial aligned alone,
 so its trace and phases are those of a trial the BER counts.
@@ -49,7 +52,6 @@ import os
 import sys
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -305,39 +307,22 @@ def run_convergence(cfg: SimConfig) -> tuple[ChannelSet, np.ndarray, Convergence
     return _dephase(ch, b), theta, trace
 
 
-def _run_batch(
-    cfg: SimConfig, eb_n0_db: float, noise: NoiseSpec, trials: range, const, lut,
-    pool: ThreadPoolExecutor | None, workers: int,
-) -> np.ndarray:
-    """Execute one batch of trials; returns its batch record: each trial's
-    bit errors, an int array (trials, detectors) in ``cfg.detectors`` order.
+def _draw_start(cfg: SimConfig, eb_n0_db: float, t: int):
+    """Stage 1 of trial ``t``: its generator, channels, LO and starting
+    phases, drawn in the campaign's order."""
+    rng, ch, b = _draw_trial(cfg, eb_n0_db, t)
+    return rng, ch, b, random_phases(cfg.num_elements, rng)
 
-    Stage 1, per trial in its generator's order: channels, LO and starting
-    phases, split into ``min(workers, len(trials))`` contiguous shares
-    that ``pool`` draws in parallel.  Stage 2: ``_align`` aligns all
-    trials in one batched Adam loop.  Stage 3, per trial: compose, front
-    end, detectors, counts.
-    """
-    n = cfg.num_elements
-    theta0 = np.empty((len(trials), n))
 
-    def draw(share: range) -> list:
-        drawn = []
-        for i in share:
-            rng, ch, b = _draw_trial(cfg, eb_n0_db, trials[i])
-            theta0[i] = random_phases(n, rng)
-            drawn.append((rng, ch, b))
-        return drawn
-
-    w = min(workers, len(trials))
-    shares = [range(len(trials) * j // w, len(trials) * (j + 1) // w) for j in range(w)]
-    drawn = [d for share in (pool.map if w > 1 else map)(draw, shares) for d in share]
-
-    # Aligned after the draws so its buffer never coexists with their temporaries.
-    thetas, _ = _align([(ch, b) for _, ch, b in drawn], theta0, cfg.adam)
-
+def _finish_batch(cfg: SimConfig, noise: NoiseSpec, const, lut, drawn: list) -> np.ndarray:
+    """Stages 2 and 3 of a batch of ``_draw_start`` results: ``_align``
+    aligns all trials in one batched Adam loop, then per trial compose,
+    front end, detectors, counts.  Returns the batch record: each trial's
+    bit errors, an int array (trials, detectors) in ``cfg.detectors`` order."""
+    thetas, _ = _align([(ch, b) for _, ch, b, _ in drawn],
+                       np.array([theta0 for *_, theta0 in drawn]), cfg.adam)
     return np.array([_detect_counts(cfg, noise, const, lut, rng, ch, b, theta)
-                     for (rng, ch, b), theta in zip(drawn, thetas)])
+                     for (rng, ch, b, _), theta in zip(drawn, thetas)])
 
 
 def _detect_counts(cfg, noise, const, lut, rng, ch, b, theta) -> list[int]:
@@ -371,30 +356,85 @@ def _fold_point(cfg: SimConfig, eb_n0_db: float,
             for det, e in zip(cfg.detectors, errors)]
 
 
+class _LookAhead:
+    """Stage 1 of ``run_ber``: the drawn trials of each batch, taken in the
+    campaign's flat (point, batch) order.
+
+    Without a pool, ``take`` draws the batch on the calling thread.  With
+    one, each batch is queued as one task per trial when the caller takes
+    the batch before it, so the pool draws it while the caller aligns and
+    detects.  Taking a batch cancels every task the pool has not started
+    and draws those trials on the calling thread, last first, so the pool
+    and the caller meet in the middle; it waits only for the running tasks,
+    then queues the next batch.  A batch not queued yet (a call's first, or
+    the next point's after a stop) is queued and taken at once, and a
+    look-ahead the stop made useless is cancelled, or discarded if running.
+    Batch ranges are made when queued, so at most two batches are held.
+    """
+
+    def __init__(self, cfg: SimConfig, pool: ThreadPoolExecutor | None):
+        self.cfg, self.pool = cfg, pool
+        self.starts = range(cfg.trial_offset, cfg.trial_offset + cfg.trials_per_point,
+                            _BATCH_SIZE)
+        self.queued = (None, None, [])  # (point, batch, one future per trial)
+
+    def _trials(self, j: int) -> range:
+        return range(self.starts[j], min(self.starts[j] + _BATCH_SIZE, self.starts.stop))
+
+    def _queue(self, p: int, j: int) -> None:
+        """Queue point ``p``'s batch ``j`` on the pool; past the last point, nothing."""
+        grid = self.cfg.eb_n0_grid_db
+        self.queued = (p, j, [self.pool.submit(_draw_start, self.cfg, grid[p], t)
+                              for t in (self._trials(j) if p < len(grid) else ())])
+
+    def take(self, p: int, j: int) -> list:
+        """The ``_draw_start`` results of point ``p``'s batch ``j``, in trial order."""
+        db, trials = self.cfg.eb_n0_grid_db[p], self._trials(j)
+        if self.pool is None:
+            return [_draw_start(self.cfg, db, t) for t in trials]
+        if self.queued[:2] != (p, j):
+            for future in self.queued[2]:
+                future.cancel()
+            self._queue(p, j)
+        futures = self.queued[2]
+        drawn = [None] * len(trials)
+        for i in reversed(range(len(trials))):
+            if futures[i].cancel():
+                drawn[i] = _draw_start(self.cfg, db, trials[i])
+        drawn = [d or f.result() for d, f in zip(drawn, futures)]
+        self._queue(*((p, j + 1) if j + 1 < len(self.starts) else (p + 1, 0)))
+        return drawn
+
+
 def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
     """Run the full campaign and return one record per (Eb/N0, detector).
 
-    ``threads`` workers draw each batch's channels (0: ``os.cpu_count()``;
-    at most one per trial of a batch, and no pool for one); the records
-    do not depend on it (see the module docstring).  To spread a campaign
-    over processes, run grid or trial slices and combine them with
-    ``merge_records``."""
+    With ``threads`` > 1 (0: ``os.cpu_count()``; at most one per trial of
+    a batch), a pool of ``threads - 1`` workers draws each batch while the
+    calling thread aligns and detects the one before it (``_LookAhead``);
+    one thread makes no pool.  The records do not depend on it (see the
+    module docstring), and no worker outlives the call.  To spread a
+    campaign over processes, run grid or trial slices and combine them
+    with ``merge_records``."""
     validate_config(cfg)
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     const = make_pam(cfg.mod_order)
     lut = hamming_table(const)
     workers = min(threads or os.cpu_count() or 1, _BATCH_SIZE, cfg.trials_per_point)
-    last = cfg.trial_offset + cfg.trials_per_point
+    pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
+    draws = _LookAhead(cfg, pool)
 
     records: list[BerRecord] = []
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for db in cfg.eb_n0_grid_db:
+    try:
+        for p, db in enumerate(cfg.eb_n0_grid_db):
             noise = noise_sigma(db, cfg.mod_order)
             records += _fold_point(cfg, db, (
-                _run_batch(cfg, db, noise, range(start, min(start + _BATCH_SIZE, last)),
-                           const, lut, pool, workers)
-                for start in range(cfg.trial_offset, last, _BATCH_SIZE)))
+                _finish_batch(cfg, noise, const, lut, draws.take(p, j))
+                for j in range(len(draws.starts))))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return records
 
 

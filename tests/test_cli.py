@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import atomris
 from atomris.channel import ChannelSet, LOParams, PhysicalPathParams, gen_lo_vector
-from atomris import cli, sim
+from atomris import cli, detect, sim
 from atomris.cli import main, save_phase_solution
 from atomris.config import (
     default_config_text,
@@ -417,6 +417,27 @@ class TestCommands:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("module, name", [(sim, "_draw_trial"),
+                                              (detect, "_full_search")])
+    def test_out_of_memory_is_exit_4(self, tmp_path, capsys, monkeypatch, threads,
+                                     module, name):
+        """A campaign the machine cannot hold, in a channel draw (on a pool
+        worker when ``threads`` is 2) or in the full search, ends with one
+        error line naming the sizes and exit 4, writing no CSV or manifest."""
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(module, name, out_of_memory)
+        out = tmp_path / "x.csv"
+        assert main(["ber", "--config", write_config(tmp_path), "--out", str(out),
+                     "--threads", threads]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: out of memory")
+        assert "M = 8, N = 16, K = 2, Q^K = 4^2 = 16" in err
+        assert not out.exists()
+        assert not Path(f"{out}.manifest").exists()
+
     @pytest.mark.parametrize("command", ["optimize", "convergence"])
     def test_threads_only_for_ber(self, tmp_path, capsys, command):
         """``--threads`` belongs to ``ber`` alone; argparse rejects it elsewhere."""
@@ -429,9 +450,9 @@ class TestCommands:
         assert not out.exists()
 
     def test_threads_capped_at_batch_size(self, tmp_path, monkeypatch):
-        """``--threads 1000000`` writes the ``--threads 1`` CSV and starts at
-        most one worker per trial of a batch of 8; the thread count is read
-        while the workers draw."""
+        """``--threads 1000000`` writes the ``--threads 1`` CSV and draws
+        with at most one thread per trial of a batch of 8: the calling
+        thread and 7 workers; the thread count is read while they draw."""
         path = write_config(tmp_path, BASE_CONFIG.replace("trials_per_point = 6",
                                                           "trials_per_point = 20"))
         draw_trial = sim._draw_trial
@@ -443,7 +464,7 @@ class TestCommands:
 
         monkeypatch.setattr(sim, "_draw_trial", counting_draw_trial)
         outs = []
-        for threads, most in (("1", 0), ("1000000", sim._BATCH_SIZE)):
+        for threads, most in (("1", 0), ("1000000", sim._BATCH_SIZE - 1)):
             out = tmp_path / f"t{threads}.csv"
             before = threading.active_count()
             running.clear()
@@ -744,13 +765,16 @@ class TestGoldenCampaigns:
     ``golden_early_stop``, whose points stop on the error target after
     one, two, three and five batches or at the trial cap, when every
     batch was still drawn on one thread.  None of these changes moved any
-    count.  Each is also run with two threads drawing the channels."""
+    count.  Each is also run with one and two pool workers drawing the
+    next batch while the calling thread aligns and detects; in
+    ``golden_early_stop`` the look-ahead a stop makes useless is
+    discarded."""
 
     DATA = Path(__file__).resolve().parent / "data"
 
     @pytest.mark.parametrize("name, threads", [
         pytest.param(name, threads, id=name if threads == 1 else f"{name}-threads{threads}")
-        for threads in (1, 2)
+        for threads in (1, 2, 3)
         for name in ("golden_ref_k3", "golden_detect_k8", "golden_channel_lo", "golden_k4",
                      "golden_no_ris", "golden_early_stop")
     ])

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -170,20 +171,22 @@ class TestRunBer:
             assert type(rec.bits_sent) is int and type(rec.bit_errors) is int
 
     def test_batches_made_one_at_a_time(self):
-        """A point that stops after its first batch holds only that batch,
-        however many trials its cap allows."""
+        """A point that stops after its first batch holds only that batch
+        (and, with a pool, the look-ahead the stop discards), however many
+        trials its cap allows."""
         cfg = replace(SMALL, num_cells=4, num_elements=3, num_users=2,
                       eb_n0_grid_db=(-30.0,), symbols_per_trial=10,
                       detectors=("proposed",), error_target=1, trials_per_point=10**7)
-        tracemalloc.start()
-        try:
-            (rec,) = run_ber(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rec.stop_reason == "error_target"
-        assert rec.bits_sent == sim._BATCH_SIZE * 2 * 2 * 10  # one batch of 4-PAM, K = 2
-        assert peak < 8 * 2**20
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                (rec,) = run_ber(cfg, threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rec.stop_reason == "error_target"
+            assert rec.bits_sent == sim._BATCH_SIZE * 2 * 2 * 10  # one batch of 4-PAM, K = 2
+            assert peak < 8 * 2**20, threads
 
     def test_zero_noise_limit_is_error_free(self):
         """At a very high Eb/N0 with aligned channels, the proposed
@@ -267,21 +270,59 @@ class TestRunBer:
         assert records_to_csv(merged) == records_to_csv(full)
 
     def test_draw_threads_do_not_change_records(self):
-        """Batches of 8 and 4 trials split into equal and unequal shares
-        (3 workers draw 2 + 3 + 3 trials) give the one-thread records, also
-        with more workers than cores switching every microsecond; a
-        negative count is refused."""
-        cfg = replace(SMALL, error_target=200)
-        serial = run_ber(cfg)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for threads in (0, 2, 3, 5):
-                assert run_ber(cfg, threads) == serial, threads
-        finally:
-            sys.setswitchinterval(interval)
+        """Batches of 8 and 4 trials, drawn one batch ahead by pools of 1,
+        2 and 4 workers that the calling thread takes trials from, give the
+        one-thread records, also with more threads than cores switching
+        every microsecond, and when points stop on the error target (after
+        two and three batches, and at the cap of 4 + 1/2 batches) with their
+        look-ahead queued; a negative count is refused."""
+        stops = replace(SMALL, eb_n0_grid_db=(-30.0, -22.0, -18.0), error_target=400,
+                        trials_per_point=36)
+        assert [r.bits_sent // (2 * 2 * SMALL.symbols_per_trial) for r in run_ber(stops)
+                if r.detector == "proposed"] == [16, 24, 36]
+        for cfg in (replace(SMALL, error_target=200), stops):
+            serial = run_ber(cfg)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for threads in (0, 2, 3, 5):
+                    assert run_ber(cfg, threads) == serial, threads
+            finally:
+                sys.setswitchinterval(interval)
         with pytest.raises(ValueError, match="threads"):
             run_ber(cfg, -1)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_no_worker_outlives_the_call(self, threads):
+        """The pool's threads are gone when ``run_ber`` returns: after a
+        full campaign, and after one whose only point stops on the error
+        target while the next batch is queued on the pool."""
+        baseline = threading.active_count()
+        run_ber(replace(SMALL, trials_per_point=20), threads)
+        assert threading.active_count() == baseline
+        (rec,) = run_ber(replace(SMALL, eb_n0_grid_db=(-40.0,), detectors=("proposed",),
+                                 error_target=1, trials_per_point=10**6), threads)
+        assert rec.stop_reason == "error_target"
+        assert rec.bits_sent == sim._BATCH_SIZE * 2 * 2 * SMALL.symbols_per_trial
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_raising_draw_stops_the_campaign(self, monkeypatch, threads):
+        """A draw that raises, on a worker or on the calling thread, ends
+        ``run_ber`` with the exception it raised at one thread, and no
+        worker outlives the call."""
+        draw_trial = sim._draw_trial
+
+        def failing_draw_trial(cfg, eb_n0_db, t):
+            if t == 10:  # the second batch: drawn ahead on the pool
+                raise RuntimeError("draw failed")
+            return draw_trial(cfg, eb_n0_db, t)
+
+        monkeypatch.setattr(sim, "_draw_trial", failing_draw_trial)
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            run_ber(SMALL, threads)
+        assert threading.active_count() == baseline
 
     def test_grid_partition_merges_to_full(self):
         full = run_ber(SMALL)
