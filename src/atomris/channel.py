@@ -255,10 +255,36 @@ def gen_physical_channel(
     np.exp(rotation, out=rotation)
     np.multiply(coupling, rotation, out=rotation)
     del coupling
-    entries = np.sum(rotation, axis=-1)
+    entries = _path_sum(rotation)
     if params.normalize:
-        entries = entries / params._entry_sd
+        entries /= params._entry_sd
     return entries
+
+
+def _path_sum(terms: np.ndarray) -> np.ndarray:
+    """``np.sum(terms, axis=-1)`` bit for bit, as adds of path slices;
+    overwrites ``terms``.
+
+    numpy sums a run of at most 64 complex values in four interleaved
+    partial sums p0..p3, takes (p0 + p1) + (p2 + p3), adds the leftover
+    values in order, and adds that to 0.0; a longer run is split in two at
+    a multiple of 4.  At L = 4 this is (t0 + t1) + (t2 + t3).  Three adds
+    of (M, cols) slices cost a seventh of the reduction over a 4-long axis.
+    """
+    n = terms.shape[-1]
+    if n > 64:
+        half = n // 2 - n // 2 % 4
+        return _path_sum(terms[..., :half]) + _path_sum(terms[..., half:])
+    head = n - n % 4
+    partial = terms[..., :4]
+    for i in range(4, head, 4):
+        partial += terms[..., i:i + 4]
+    total = np.zeros(terms.shape[:-1], dtype=terms.dtype)  # makes a -0.0 sum 0.0
+    if head:
+        total += (partial[..., 0] + partial[..., 1]) + (partial[..., 2] + partial[..., 3])
+    for i in range(head, n):
+        total += terms[..., i]
+    return total
 
 
 def gen_lo_vector(num_cells: int, params: LOParams, rng: np.random.Generator) -> np.ndarray:

@@ -21,6 +21,20 @@ objective/gradient evaluation is two real K x 2N x M products plus 2N
 trigonometric calls.  The optimizer runs a batch of independent trials
 through one loop; a single trial is a batch too.
 
+The loop forms e^{j theta} with cos and sin of theta once, at its start.
+After each step Delta (theta -= Delta, applied to theta as before) it
+turns that phasor by e^{-j Delta} instead.  Adam's steps are small
+angles, whose cos and sin take libm's fast path: about 6 against 9 ns an
+element for full-range theta on a 2-vCPU VM, and alignment ran about a
+fifth faster.  The phasor then drifts from e^{j theta} in the last bits,
+so the phases and traces differ from a loop taking cos and sin of theta
+at every step: over 100 steps on eight reference-shape trials by at most
+6e-14 rad and 1.5e-14 of J.  Over thousands of steps J nears 0, the
+steps follow rounding noise and the two loops drift apart (1.6e-6 rad
+after 1000 steps, 9e-3 after 10^4), each deterministically.
+``objective`` and ``objective_and_gradient`` take cos and sin of the
+theta they are given.
+
 Minimizing J on channels whose rows have been de-phased by the LO
 (multiply h_rv and h_uv by exp(-j angle(b)) row-wise) aligns the effective
 channel with the LO instead of making it real; that variant is what the
@@ -105,38 +119,46 @@ def _evaluator(op: tuple, q0: np.ndarray):
     """An evaluation of J (B,) and dJ/dtheta (B, N) for B trials at once.
 
     ``op`` is the batch's (R, G), (B, M, 2N) and (B, K, N); ``q0`` is each
-    trial's Im(h_uv), (B, M, K).  The returned function maps theta (B, N)
-    to (J, gradient); both live in buffers that the next call overwrites.
-    Every product runs per trial (numpy's matmul loops GEMM over the batch
-    axis), so row b is bit-identical to evaluating trial b alone.
+    trial's Im(h_uv), (B, M, K).  The returned function maps the phasors
+    e^{j theta} (B, 1, N) to (J, gradient); both live in buffers that the
+    next call overwrites.  Every product runs per trial (numpy's matmul
+    loops GEMM over the batch axis), and no complex product is written
+    over one of its operands (numpy computes a lone in-place element
+    without FMA), so row b is bit-identical to evaluating trial b alone.
     """
     r, g = op
     b, k, n = g.shape
     q0t = np.ascontiguousarray(q0.transpose(0, 2, 1))
     r_t = r.transpose(0, 2, 1)
-    phasor = np.empty((b, 1, n), dtype=complex)
     x = np.empty((b, k, n), dtype=complex)
     u = np.empty_like(x)
+    terms = np.empty_like(x)
     q = np.empty_like(q0t)
     q_row, q_col = q.reshape(b, 1, -1), q.reshape(b, -1, 1)
     j_val = np.empty((b, 1, 1))
     grad = np.empty((b, n))
 
-    def evaluate(theta: np.ndarray):
-        np.cos(theta, out=phasor.real[:, 0])
-        np.sin(theta, out=phasor.imag[:, 0])
+    def evaluate(phasor: np.ndarray):
         np.multiply(phasor, g, out=x)  # X^T
         np.matmul(x.view(float), r_t, out=q)
         np.add(q, q0t, out=q)  # Q^T = Im(H_eq)^T
         np.matmul(q, r, out=u.view(float))
         np.conjugate(x, out=x)
-        np.multiply(x, u, out=x)
-        np.sum(x.imag, axis=1, out=grad)
+        np.multiply(x, u, out=terms)
+        np.sum(terms.imag, axis=1, out=grad)
         np.multiply(grad, 2.0, out=grad)
         np.matmul(q_row, q_col, out=j_val)
         return j_val[:, 0, 0], grad
 
     return evaluate
+
+
+def _phasor(theta: np.ndarray) -> np.ndarray:
+    """e^{j theta} (B, 1, N) of phases theta (B, N), by cos and sin."""
+    phasor = np.empty((theta.shape[0], 1, theta.shape[1]), dtype=complex)
+    np.cos(theta, out=phasor.real[:, 0])
+    np.sin(theta, out=phasor.imag[:, 0])
+    return phasor
 
 
 def _single(theta, op: tuple, h_uv):
@@ -165,7 +187,7 @@ def objective_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Evaluate J and its gradient in one pass (one gradient evaluation)."""
     theta, op, q0 = _single(theta, op, h_uv)
-    j_val, grad = _evaluator(op, q0)(theta)
+    j_val, grad = _evaluator(op, q0)(_phasor(theta))
     return float(j_val[0]), grad[0]
 
 
@@ -200,12 +222,16 @@ def adam_optimize_batch(
     ``build_rank_one_cache``; ``q0`` (B, M, K) is each Im(h_uv) and
     ``theta0`` (B, N) the starting phases.  Exactly ``cfg.max_iters``
     gradient evaluations are performed per trial, and every row is
-    bit-identical to running that trial alone (B = 1).  Returns the final
-    phases (B, N) and one trace per trial recording J and ||grad||_2 at
-    each evaluated point.
+    bit-identical to running that trial alone (B = 1).  Each evaluation
+    after the first reads e^{j theta} as the previous one turned by the
+    step (see the module docstring).  Returns the final phases (B, N) and
+    one trace per trial recording J and ||grad||_2 at each evaluated point.
     """
     evaluate = _evaluator(op, q0)
     theta = np.array(theta0, dtype=float)
+    phasor = _phasor(theta)
+    turned = np.empty_like(phasor)
+    turn = np.empty_like(phasor)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     m_hat = np.empty_like(theta)
@@ -213,7 +239,7 @@ def adam_optimize_batch(
     obj_hist = np.empty((cfg.max_iters, theta.shape[0]))
     gsq_hist = np.empty_like(obj_hist)
     for it in range(1, cfg.max_iters + 1):
-        j_val, g = evaluate(theta)
+        j_val, g = evaluate(phasor)
         obj_hist[it - 1] = j_val
         np.matmul(g[:, None, :], g[:, :, None], out=gsq_hist[it - 1, :, None, None])
         # The arithmetic of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
@@ -232,6 +258,12 @@ def adam_optimize_batch(
         m_hat *= cfg.step
         m_hat /= tmp
         theta -= m_hat
+        if it < cfg.max_iters:  # turn e^{j theta} by e^{-j m_hat}: cos, sin of small angles
+            np.cos(m_hat, out=turn.real[:, 0])
+            np.negative(m_hat, out=tmp)
+            np.sin(tmp, out=turn.imag[:, 0])
+            np.multiply(phasor, turn, out=turned)  # not in place, as in _evaluator
+            phasor, turned = turned, phasor
     return theta, [
         ConvergenceTrace(obj.copy(), np.sqrt(gsq)) for obj, gsq in zip(obj_hist.T, gsq_hist.T)
     ]

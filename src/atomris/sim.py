@@ -51,8 +51,8 @@ import math
 import os
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -95,6 +95,9 @@ __all__ = [
     "records_to_csv",
     "write_records_csv",
 ]
+
+if TYPE_CHECKING:  # imported by run_ber, and only when it makes a pool
+    from concurrent.futures import ThreadPoolExecutor
 
 # Each detector: the observation it reads (the magnitudes "z" or the complex
 # "y") and its kernel (observation, h_eq, b, constellation, config) -> decisions.
@@ -422,7 +425,10 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
     const = make_pam(cfg.mod_order)
     lut = hamming_table(const)
     workers = min(threads or os.cpu_count() or 1, _BATCH_SIZE, cfg.trials_per_point)
-    pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(workers - 1)
     draws = _LookAhead(cfg, pool)
 
     records: list[BerRecord] = []

@@ -159,13 +159,27 @@ class TestFoldedCouplingDraw:
     the incidence axis fold into the one gain."""
 
     def test_default_model_bit_identical_to_tensor_formula(self):
-        """The default draw equals its closed form on a cloned generator,
-        bit for bit."""
-        params = PhysicalPathParams()
-        rng_a, rng_b = rng_for(5), rng_for(5)
-        folded = gen_physical_channel(36, 150, params, rng_a)
-        assert np.array_equal(folded, closed_form_draw(36, 150, params, rng_b))
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        """The default draw, and the default model with any number of
+        paths, equals its closed form (``np.sum`` over paths) on a cloned
+        generator, bit for bit: the path sum adds slices in numpy's own
+        order, which splits runs longer than 64 paths."""
+        for num_paths in (*range(1, 9), 64, 65, 130):
+            params = PhysicalPathParams(num_paths=num_paths)
+            rng_a, rng_b = rng_for(5), rng_for(5)
+            folded = gen_physical_channel(36, 150, params, rng_a)
+            expected = closed_form_draw(36, 150, params, rng_b)
+            assert folded.tobytes() == expected.tobytes(), num_paths
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("num_paths", [1, 4, 7])
+    def test_zero_gain_sums_to_positive_zero(self, num_paths):
+        """Paths of zero gain are signed zeros; like ``np.sum``, the path
+        sum returns +0.0 in every entry."""
+        params = PhysicalPathParams(num_paths=num_paths, coupling_gain=0.0, normalize=False)
+        rng_a, rng_b = rng_for(6), rng_for(6)
+        folded = gen_physical_channel(5, 7, params, rng_a)
+        assert folded.tobytes() == closed_form_draw(5, 7, params, rng_b).tobytes()
+        assert not np.signbit(folded.view(float)).any()
 
     def test_coupling_constants_computed_once(self, monkeypatch):
         """The normalization is fixed when the parameters are built; draws

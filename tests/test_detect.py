@@ -519,6 +519,29 @@ class TestPrunedSearch:
         assert (detect._pruned_search(z, h_eq, b, c) < 0).all()
         assert np.array_equal(detect_exhaustive_batch(z, h_eq, b, c), expected)
 
+    def test_second_pass_decides_spills(self, monkeypatch):
+        """When some observations spill, the pruned search runs again on
+        just those, with the whole node budget: it decides some of them,
+        the full search gets fewer, and the decisions stay exact."""
+        c = make_pam(4)
+        h_eq, b = strong_lo_system(8, 4, 61, leak=0.3, lo_margin=2.0)
+        rng = np.random.default_rng(62)
+        z = np.abs(h_eq @ c.points[rng.integers(0, 4, (4, 20))] + b[:, None]
+                   + 0.3 * complex_normal(rng, (8, 20)))
+        expected = full_matrix_exhaustive(z, h_eq, b, c)
+        monkeypatch.setattr(detect, "_BLOCK_BYTES", block_budget(1, 8, 20))
+        monkeypatch.setattr(detect, "_NODE_WORDS", 79 * 10)
+        spilled = np.count_nonzero(detect._pruned_search(z, h_eq, b, c) < 0)
+        pruned, full = detect._pruned_search, detect._full_search
+        passes, handed = [], []
+        monkeypatch.setattr(detect, "_pruned_search",
+                            lambda z, *a: passes.append(z.shape[1]) or pruned(z, *a))
+        monkeypatch.setattr(detect, "_full_search",
+                            lambda z, *a: handed.append(z.shape[1]) or full(z, *a))
+        assert np.array_equal(detect_exhaustive_batch(z, h_eq, b, c), expected)
+        assert passes == [20, spilled]
+        assert len(handed) == 1 and 0 < handed[0] < spilled
+
     def test_split_scoring_gemm_decides_as_one(self):
         """With 1000 observations at M = 16 a block's scoring GEMM,
         1000 x 17 x block, is large enough for OpenBLAS to thread; the full

@@ -324,6 +324,40 @@ class TestBatchedAdam:
             assert np.array_equal(trace.objective, alone_trace.objective)
             assert np.array_equal(trace.grad_norm, alone_trace.grad_norm)
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 1), (3, 2, 1), (2, 1, 2), (5, 7, 3)])
+    def test_small_rows_equal_single_trial_runs(self, shape):
+        """Rows equal their trial alone, traces included, also where a
+        trial's phasor or complex terms are one element: numpy rounds a
+        one-element complex product written over an operand without FMA,
+        unlike the same product inside a longer array."""
+        m, n, k = shape
+        rng = np.random.default_rng(m * 100 + n * 10 + k)
+        batch, adam = 5, AdamConfig(max_iters=30)
+        op = (rng.standard_normal((batch, m, 2 * n)),
+              rng.standard_normal((batch, k, n)) + 1j * rng.standard_normal((batch, k, n)))
+        q0 = rng.standard_normal((batch, m, k))
+        theta0 = rng.uniform(0, 2 * np.pi, (batch, n))
+        thetas, traces = adam_optimize_batch(op, q0, theta0, adam)
+        for i, (theta, trace) in enumerate(zip(thetas, traces)):
+            alone, alone_trace = adam_alone((op[0][i], op[1][i]), q0[i], adam, theta0[i])
+            assert np.array_equal(theta, alone)
+            assert np.array_equal(trace.objective, alone_trace.objective)
+            assert np.array_equal(trace.grad_norm, alone_trace.grad_norm)
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 50])
+    def test_trace_is_objective_at_each_iterate(self, max_iters):
+        """The loop turns e^{j theta} by each step instead of taking cos and
+        sin of theta, yet every trace entry is J at that iteration's
+        phases as ``objective`` computes it, within 1e-12 relative (the
+        first exactly).  Iteration i's phases are what a run of i
+        iterations returns; theta0 for i = 0."""
+        op, q0, theta0, _ = dephased_problem(SimConfig(master_seed=4), 0)
+        _, trace = adam_alone(op, q0, AdamConfig(max_iters=max_iters), theta0)
+        assert trace.objective[0] == objective(theta0, op, 1j * q0)
+        for i, j_val in enumerate(trace.objective[1:], start=1):
+            theta, _ = adam_alone(op, q0, AdamConfig(max_iters=i), theta0)
+            assert j_val == pytest.approx(objective(theta, op, 1j * q0), rel=1e-12, abs=0.0)
+
     def test_no_ris_rows(self):
         """N = 0: nothing to optimize; each row records the direct J at
         every iteration, with a zero gradient."""
