@@ -26,6 +26,12 @@ just those gives them the whole budget.  The full search decides what
 that leaves, and every observation when fewer than K cells qualify or the
 linear model is rank-deficient.
 
+A campaign detects a batch of trials in one call.  The pruned search
+keeps each trial's bound, QR and node budget apart (a trial spills only
+against its own budget) and grows the trees of all trials' observations
+at once, so its tree state is up to one budget per trial; the second
+pass and the full search run trial by trial.
+
 On the detect-heavy grid (K = 8, M = 16, 100 observations per call;
 -27, -24, -18 and -15 dB, 32 trials, seeds 1 to 3) a call took 0.95 ms
 at the median and 1.25 ms on average, against 17 ms for the full search
@@ -45,7 +51,10 @@ rescoring: scores may differ in the last bits, and decisions only where
 two candidates tie to within rounding.
 
 All kernels are batched: columns of ``s``, ``y`` and ``z`` are symbol
-vectors, and every kernel returns one column per observation.
+vectors, and every kernel returns one column per observation.  The
+detectors and ``ls_estimate`` also take leading trial axes, one channel
+and LO per trial; each trial's result is, bit for bit, that of a call on
+the trial alone.
 """
 
 from __future__ import annotations
@@ -109,30 +118,48 @@ def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Pre-slicing least-squares estimate (H^H H)^-1 H^H rhs, solved from
     the normal equations after a condition check, and refused if not finite.
 
-    The solve runs on H scaled by the power of two 2^-e that brings its
-    largest real or imaginary part into [1/2, 1), so its Gram matrix
+    ``h_eq`` (..., M, K) and ``rhs`` (..., M, n) may carry the same leading
+    trial axes; the estimate is (..., K, n), each trial's the one a call on
+    that trial alone returns.  A refusal is the first refused trial's, with
+    its own condition number.
+
+    The solve runs on each H scaled by the power of two 2^-e that brings
+    its largest real or imaginary part into [1/2, 1), so its Gram matrix
     cannot underflow, and the estimate is scaled back by 2^-e.  Scaling by
     a power of two is exact, so in the normal range it changes no bit.
     """
     h_eq = np.ascontiguousarray(h_eq, dtype=complex)
-    m, k = h_eq.shape
+    rhs = np.asarray(rhs, dtype=complex)
+    *lead, m, k = h_eq.shape
     if k > m:
         raise ValueError(f"more users ({k}) than cells ({m}); least squares undefined")
-    _, exp = math.frexp(np.abs(h_eq.view(float)).max(initial=0.0))
-    h_eq = np.ldexp(h_eq.view(float), -exp).view(complex)
-    gram = h_eq.conj().T @ h_eq
+    if rhs.shape[:-1] != (*lead, m):
+        raise ValueError(f"rhs {rhs.shape} does not fit a {h_eq.shape} channel")
+    trials = math.prod(lead)
+    h_eq = h_eq.reshape(trials, m, k)
+    rhs = rhs.reshape(trials, m, rhs.shape[-1])
+    _, exp = np.frexp(np.abs(h_eq.view(float)).max(axis=(1, 2), initial=0.0))
+    exp = -exp[:, None, None]
+    h_eq = np.ldexp(h_eq.view(float), exp).view(complex)
+    h_adj = h_eq.conj().transpose(0, 2, 1)
+    gram = h_adj @ h_eq
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularMatrixError(
-            f"H^H H is numerically singular (condition number {cond:.3e})"
-        )
+    # Trials before the first refused one are solved; a non-finite estimate
+    # among them is the earlier refusal.
+    refused = ~(cond <= _COND_LIMIT)  # nan too
+    solved = int(np.argmax(refused)) if refused.any() else trials
     # A huge rhs can take H^H rhs or the estimate beyond the float range: refused next.
     with np.errstate(over="ignore", invalid="ignore"):
-        s_hat = np.linalg.solve(gram, h_eq.conj().T @ np.asarray(rhs, dtype=complex))
-        s_hat = np.ldexp(s_hat.view(float), -exp).view(complex)
-    if not np.isfinite(s_hat).all():
-        raise SingularMatrixError(f"H^H H gives a non-finite estimate (condition {cond:.3e})")
-    return s_hat
+        s_hat = np.linalg.solve(gram[:solved], h_adj[:solved] @ rhs[:solved])
+        s_hat = np.ldexp(s_hat.view(float), exp[:solved]).view(complex)
+    if (lost := ~np.isfinite(s_hat).all(axis=(1, 2))).any():
+        raise SingularMatrixError(
+            f"H^H H gives a non-finite estimate (condition {cond[np.argmax(lost)]:.3e})")
+    if solved < trials:
+        raise SingularMatrixError(
+            f"H^H H is numerically singular (condition number {cond[solved]:.3e})"
+        )
+    return s_hat.reshape(*lead, k, rhs.shape[-1])
 
 
 def detect_proposed_batch(
@@ -140,14 +167,16 @@ def detect_proposed_batch(
 ) -> np.ndarray:
     """Least-squares detection of a batch of magnitude observations.
 
-    ``z`` has shape (M, n); returns constellation indices (K, n).  The LO
+    ``z`` has shape (..., M, n), with a channel (..., M, K) and LO
+    (..., M) per trial; returns constellation indices (..., K, n).  The LO
     phase is re-attached to z, the complex LO subtracted, and the real
     part of the LS estimate sliced per user.
     """
     z = np.asarray(z, dtype=float)
     h_eq = np.asarray(h_eq, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    rhs = z * np.exp(1j * np.angle(b))[:, None] - b[:, None]
+    rhs = z * np.exp(1j * np.angle(b))[..., None]
+    rhs -= b[..., None]
     s_hat = ls_estimate(h_eq, rhs).real
     return slice_to_indices(s_hat, c)
 
@@ -173,32 +202,38 @@ def detect_exhaustive_batch(
     ``budget`` with a cost estimate.  When Q^K fits one block the full
     search scores every candidate; otherwise the pruned search decides
     every observation it can, a second pruned search the ones the first
-    spilled, and the full search the rest.
+    spilled, and the full search the rest.  Shapes are those of
+    ``detect_proposed_batch``; with leading trial axes the first pruned
+    search takes all trials in one call, and the second pass and the full
+    search run trial by trial.
     """
     z = np.asarray(z, dtype=float)
     h_eq = np.asarray(h_eq, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    m, k = h_eq.shape
-    if z.ndim != 2 or z.shape[0] != m or b.shape != (m,):
+    *lead, m, k = h_eq.shape
+    if z.shape[:-1] != (*lead, m) or b.shape != (*lead, m):
         raise ValueError(
-            f"shape mismatch: z {z.shape}, b {b.shape}, channel ({m}, {k})"
+            f"shape mismatch: z {z.shape}, b {b.shape}, channel {h_eq.shape}"
         )
     if not np.isfinite(z).all():
         raise ValueError("z must be finite")
-    q = c.order
+    q, n_obs = c.order, z.shape[-1]
     if q**k > budget:
         raise BudgetExceededError(
             f"exhaustive search needs Q^K = {q}^{k} = {q**k} candidates "
             f"(budget {budget})"
         )
-    best = np.full(z.shape[1], -1, dtype=np.intp)
-    if q**k > _block_size(m, z.shape[1]):
+    best = np.full((*lead, n_obs), -1, dtype=np.intp)
+    if q**k > _block_size(m, n_obs):
         best = _pruned_search(z, h_eq, b, c)
-        if 0 < (rest := best < 0).sum() < rest.size:  # spills get the whole node budget
-            best[rest] = _pruned_search(z[:, rest], h_eq, b, c)
-    if (rest := best < 0).any():
-        best[rest] = _full_search(z[:, rest], h_eq, b, c)
-    return np.array(np.unravel_index(best, (q,) * k))
+    trials = math.prod(lead)
+    for row, z_t, h_t, b_t in zip(best.reshape(trials, n_obs), z.reshape(trials, m, n_obs),
+                                  h_eq.reshape(trials, m, k), b.reshape(trials, m)):
+        if 0 < (rest := row < 0).sum() < rest.size:  # spills get the whole node budget
+            row[rest] = _pruned_search(z_t[:, rest], h_t, b_t, c)
+        if (rest := row < 0).any():
+            row[rest] = _full_search(z_t[:, rest], h_t, b_t, c)
+    return np.stack(np.unravel_index(best, (q,) * k), axis=-2)
 
 
 def _block_size(m: int, n_obs: int) -> int:
@@ -279,87 +314,127 @@ def _pruned_search(
 ) -> np.ndarray:
     """Lexicographic index of each observation's best candidate, found by
     scoring only the candidates the bound of ``_magnitude_bound`` cannot
-    rule out; -1 where an observation's tree outgrew ``_NODE_WORDS``, and
-    everywhere when the bound gives no search: fewer than K usable cells
-    or a rank-deficient G.
+    rule out; -1 where an observation's tree outgrew its trial's
+    ``_NODE_WORDS``, and across a trial when its bound gives no search:
+    fewer than K usable cells or a rank-deficient G.  ``z`` (..., M, n),
+    ``h_eq`` (..., M, K) and ``b`` (..., M) carry the same leading trial
+    axes; the result is (..., n).
 
     A candidate with ||z' - G s|| > sqrt(T) + ||delta||, z' = z - |b| on
     the usable cells, scores worse than T, the exact score of the Babai
     point of the linear model.  With G = Q R the rest are the leaves of a
     K-level tree whose partial distances ||y - R s||^2, y = Q^T z', stay
     within that radius less the part of z' outside the span of G.  The
-    tree grows breadth first for all observations at once, its root at
-    the user of largest column norm; the leaves are rescored with the
-    exact model, and the lowest score, then the lowest index, wins.
+    tree grows breadth first, its root at the user of largest column
+    norm; the leaves are rescored with the exact model, and the lowest
+    score, then the lowest index, wins.
+
+    Each trial has its own bound and QR, and its leaves are rescored by
+    its own GEMM; the Babai points and the tree run for all observations
+    of all trials at once, and a trial whose tree outgrows its budget
+    spills its own observations only.  A trial therefore scores exactly
+    the candidates a call on it alone scores, and decides as that call
+    does, bit for bit; the tree state of a call is up to one budget per
+    trial.
     """
-    points, q, n_obs = c.points, c.order, z.shape[1]
-    k = h_eq.shape[1]
-    cells, model, width = _magnitude_bound(h_eq, b, np.abs(points).max())
-    best = np.full(n_obs, -1, dtype=np.intp)
-    if model.shape[0] < k:
-        return best
-    slack = np.linalg.norm(width)
-    order = np.argsort(np.linalg.norm(model, axis=0), kind="stable")
-    basis, r = np.linalg.qr(model[:, order])
-    diag = np.abs(np.diag(r))
-    if not diag.min() > 1e-12 * diag.max():  # also refuses nan
-        return best
-    z_lin = z[cells] - np.abs(b[cells])[:, None]
-    y = basis.T @ z_lin
-    outside = np.sum(np.square(z_lin - basis @ y), axis=0)
+    *lead, m, n_obs = z.shape
+    k = h_eq.shape[-1]
+    trials = math.prod(lead)
+    z, h_eq, b = z.reshape(trials, m, n_obs), h_eq.reshape(trials, m, k), b.reshape(trials, m)
+    points, q = c.points, c.order
+    best = np.full((trials, n_obs), -1, dtype=np.intp)
+    p_max = np.abs(points).max()
+    searched, slack, order, r, y, outside = [], [], [], [], [], []
+    for t in range(trials):
+        cells, model, width = _magnitude_bound(h_eq[t], b[t], p_max)
+        if model.shape[0] < k:
+            continue
+        col_order = np.argsort(np.linalg.norm(model, axis=0), kind="stable")
+        basis, r_t = np.linalg.qr(model[:, col_order])
+        diag = np.abs(np.diag(r_t))
+        if not diag.min() > 1e-12 * diag.max():  # also refuses nan
+            continue
+        z_lin = z[t, cells] - np.abs(b[t, cells])[:, None]
+        y_t = basis.T @ z_lin
+        searched.append(t)
+        slack.append(np.linalg.norm(width))
+        order.append(col_order)
+        r.append(r_t)
+        y.append(y_t)
+        outside.append(np.sum(np.square(z_lin - basis @ y_t), axis=0))
+    if not searched:
+        return best.reshape(*lead, n_obs)
+    n_sets = len(searched)
+    if n_sets < trials:
+        z, h_eq, b = z[searched], h_eq[searched], b[searched]
+    order, r, y = np.array(order), np.array(r), np.array(y)
 
     # Babai point: slice the levels from the root down, cancelling each.
-    babai = np.empty((k, n_obs), dtype=np.intp)
+    babai = np.empty((n_sets, k, n_obs), dtype=np.intp)
     resid = y.copy()
     for lvl in range(k - 1, -1, -1):
-        babai[lvl] = slice_to_indices(resid[lvl] / r[lvl, lvl], c)
-        resid[:lvl] -= np.outer(r[:lvl, lvl], points[babai[lvl]])
+        babai[:, lvl] = slice_to_indices(resid[:, lvl] / r[:, lvl, lvl, None], c)
+        resid[:, :lvl] -= r[:, :lvl, lvl, None] * points[babai[:, lvl, None]]
     sym = np.empty_like(babai)
-    sym[order] = babai
-    field = h_eq @ points[sym] + b[:, None]
+    sym[np.arange(n_sets)[:, None], order] = babai
+    dev = np.abs(h_eq @ points[sym] + b[:, :, None])
+    np.square(np.subtract(z, dev, out=dev), out=dev)
     # A margin far above rounding keeps every candidate the bound admits.
-    radius = (np.sqrt(np.sum(np.square(z - np.abs(field)), axis=0)) + slack
-              + 1e-8 * np.linalg.norm(z, axis=0))
-    bound = np.square(radius) - outside
+    radius = (np.sqrt(np.sum(dev, axis=1)) + np.array(slack)[:, None]
+              + 1e-8 * np.linalg.norm(z, axis=1))
+    bound = (np.square(radius) - np.array(outside)).ravel()
 
-    owner = np.arange(n_obs)
-    resid = np.ascontiguousarray(y.T)  # one row per node
-    dist = np.zeros(n_obs)
-    path = np.zeros(n_obs, dtype=np.intp)  # digits from the root, base Q
-    spilled = np.zeros(n_obs, dtype=bool)
+    owner = np.arange(n_sets * n_obs)  # trial-major observation numbers
+    resid = np.ascontiguousarray(y.transpose(0, 2, 1)).reshape(-1, k)  # one row per node
+    dist = np.zeros(owner.size)
+    path = np.zeros(owner.size, dtype=np.intp)  # digits from the root, base Q
+    spilled = np.zeros((n_sets, n_obs), dtype=bool)
     most = _NODE_WORDS // (k + 6)
     for lvl in range(k - 1, -1, -1):
-        children = q * np.bincount(owner, minlength=n_obs)
-        over = children.sum() - most
-        if over > 0:  # spill the observations with the most children
-            heavy = np.argsort(-children, kind="stable")
-            spilled[heavy[:np.searchsorted(np.cumsum(children[heavy]), over) + 1]] = True
-            keep = ~spilled[owner]
+        children = q * np.bincount(owner, minlength=spilled.size).reshape(n_sets, n_obs)
+        over = children.sum(axis=1) - most
+        if (full := np.flatnonzero(over > 0)).size:
+            for s in full:  # spill the trial's observations with the most children
+                heavy = np.argsort(-children[s], kind="stable")
+                spilled[s, heavy[:np.searchsorted(np.cumsum(children[s, heavy]), over[s]) + 1]] = True
+            keep = ~spilled.ravel()[owner]
             owner, resid, dist, path = owner[keep], resid[keep], dist[keep], path[keep]
-        step = resid[:, lvl, None] - r[lvl, lvl] * points
-        reach = dist[:, None] + step * step
+        trial = owner // n_obs
+        reach = resid[:, lvl, None] - (r[:, lvl, lvl, None] * points)[trial]
+        reach *= reach
+        reach += dist[:, None]
         parent, digit = np.nonzero(reach <= bound[owner, None])
         owner, dist = owner[parent], reach[parent, digit]
         path = path[parent] * q + digit
-        resid = resid[parent, :lvl] - np.outer(points[digit], r[:lvl, lvl])
+        shift = r[trial[parent], :lvl, lvl]
+        shift *= points[digit, None]
+        resid = resid[parent, :lvl]
+        resid -= shift
 
     sym = np.empty((k, owner.size), dtype=np.intp)
-    sym[order[::-1]] = np.unravel_index(path, (q,) * k)
-    mag = np.abs(h_eq @ points[sym] + b[:, None])
-    score = np.sum(mag * mag, axis=0) - 2.0 * np.sum(z[:, owner] * mag, axis=0)
+    sym[order[owner // n_obs, ::-1].T, np.arange(owner.size)] = np.unravel_index(path, (q,) * k)
     index = np.ravel_multi_index(tuple(sym), (q,) * k)
+    score = np.empty(owner.size)
+    ends = np.searchsorted(owner, n_obs * np.arange(n_sets + 1))
+    for s, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+        mag = np.abs(h_eq[s] @ points[sym[:, lo:hi]] + b[s, :, None])
+        score[lo:hi] = (np.sum(mag * mag, axis=0)
+                        - 2.0 * np.sum(z[s][:, owner[lo:hi] - s * n_obs] * mag, axis=0))
     pick = np.lexsort((index, score, owner))
     first = np.ones(pick.size, dtype=bool)
     first[1:] = owner[pick[1:]] != owner[pick[:-1]]
-    best[owner[pick[first]]] = index[pick[first]]
-    return best
+    found = np.full(n_sets * n_obs, -1, dtype=np.intp)
+    found[owner[pick[first]]] = index[pick[first]]
+    best[searched] = found.reshape(n_sets, n_obs)
+    return best.reshape(*lead, n_obs)
 
 
 def detect_zf_batch(
     y: np.ndarray, h_eq: np.ndarray, b: np.ndarray, c: Constellation
 ) -> np.ndarray:
-    """Genie zero-forcing on complex observations y = H_eq s + b + n."""
+    """Genie zero-forcing on complex observations y = H_eq s + b + n, with
+    the leading trial axes of ``detect_proposed_batch``."""
     y = np.asarray(y, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    s_hat = ls_estimate(h_eq, y - b[:, None]).real
+    s_hat = ls_estimate(h_eq, y - b[..., None]).real
     return slice_to_indices(s_hat, c)

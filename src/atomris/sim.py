@@ -22,12 +22,16 @@ which every detector has reached the error target.
 A batch is a three-stage pipeline: per trial, draw the channels, LO and
 starting phases (``_draw_start``); align all of the batch's trials in one
 batched optimizer loop over their factored operands (each trial's
-de-phased h_rv as a real (M, 2N) matrix, and h_ur^T); per trial, compose,
-observe, detect and count (``_finish_batch`` runs the last two).  Each
-trial consumes its own generator in the same order as
-``optimize_aligned_phases`` would, and the batched loop's rows equal
-single-trial runs bit for bit, so which trials share a loop does not
-change any output.
+de-phased h_rv as a real (M, 2N) matrix, and h_ur^T); compose, observe,
+detect and count (``_finish_batch`` runs the last two).  In stage 3 a
+short loop per trial does what uses its generator: compose its aligned
+channel, draw its symbols and observe them through the front end, into
+(B, M, K) channels and (B, M, n) observations.  Each detector then
+decides the whole batch in one call, and the counts are one table
+lookup.  Each trial consumes its own generator in the order a lone trial
+would (``optimize_aligned_phases``, then its symbols and noise), and the
+rows of the batched loop and of each detector equal single-trial calls
+bit for bit, so which trials share a batch does not change any output.
 
 With one thread a campaign holds one batch at a time.  With ``run_ber``'s
 ``threads`` > 1, only the first stage runs on worker threads, one batch
@@ -100,7 +104,8 @@ if TYPE_CHECKING:  # imported by run_ber, and only when it makes a pool
     from concurrent.futures import ThreadPoolExecutor
 
 # Each detector: the observation it reads (the magnitudes "z" or the complex
-# "y") and its kernel (observation, h_eq, b, constellation, config) -> decisions.
+# "y") and its kernel (observation, h_eq, b, constellation, config) -> decisions,
+# called once per batch on arrays with a leading trial axis.
 _DETECTORS = {
     "proposed": ("z", lambda z, h_eq, b, c, cfg: detect_proposed_batch(z, h_eq, b, c)),
     "exhaustive": ("z", lambda z, h_eq, b, c, cfg: detect_exhaustive_batch(
@@ -221,20 +226,22 @@ def validate_config(cfg: SimConfig) -> None:
     if cfg.error_target is not None and cfg.error_target < 1:
         raise ConfigError("error_target must be >= 1 or None")
     # The largest array a trial shapes from each group of size fields: the
-    # two channel draws, the batch's aligned operand, the observations and
-    # the optimizer's traces.  numpy refuses a shape whose nonzero sizes
-    # multiply past its index range, which would stop the first trial.
+    # two channel draws, the batch's aligned operand, its complex
+    # observations (which bound its (batch, K, n) symbol and decision
+    # arrays too, as K <= M) and the optimizer's traces.  numpy refuses a
+    # shape whose nonzero sizes multiply past its index range, which would
+    # stop the first batch.
     m, n, k, paths = cfg.num_cells, cfg.num_elements, cfg.num_users, cfg.channel.num_paths
     batch = min(_BATCH_SIZE, cfg.trials_per_point)
     for fields, shape, itemsize in (
         ("[system] cells, ris_elements and [channel] paths", (m, n, paths), 16),
         ("[system] cells, users and [channel] paths", (m, k, paths), 16),
         ("[system] cells and ris_elements", (batch, m, 2 * n), 8),
-        ("[system] cells and [sim] symbols_per_trial", (m, cfg.symbols_per_trial), 16),
+        ("[system] cells and [sim] symbols_per_trial", (batch, m, cfg.symbols_per_trial), 16),
         ("[adam] max_iters", (cfg.adam.max_iters, batch), 8),
     ):
         if itemsize * math.prod(d for d in shape if d) > np.iinfo(np.intp).max:
-            raise ConfigError(f"{fields} too large: a trial would shape a {shape} "
+            raise ConfigError(f"{fields} too large: the campaign would shape a {shape} "
                               "array, beyond numpy's index range")
 
 
@@ -319,24 +326,25 @@ def _draw_start(cfg: SimConfig, eb_n0_db: float, t: int):
 
 def _finish_batch(cfg: SimConfig, noise: NoiseSpec, const, lut, drawn: list) -> np.ndarray:
     """Stages 2 and 3 of a batch of ``_draw_start`` results: ``_align``
-    aligns all trials in one batched Adam loop, then per trial compose,
-    front end, detectors, counts.  Returns the batch record: each trial's
-    bit errors, an int array (trials, detectors) in ``cfg.detectors`` order."""
+    aligns all trials in one batched Adam loop; per trial, compose the
+    aligned channel and observe a block of symbol vectors through the
+    front end, then each detector decides the whole batch in one call.
+    Returns the batch record: each trial's bit errors, an int array
+    (trials, detectors) in ``cfg.detectors`` order."""
     thetas, _ = _align([(ch, b) for _, ch, b, _ in drawn],
                        np.array([theta0 for *_, theta0 in drawn]), cfg.adam)
-    return np.array([_detect_counts(cfg, noise, const, lut, rng, ch, b, theta)
-                     for (rng, ch, b, _), theta in zip(drawn, thetas)])
-
-
-def _detect_counts(cfg, noise, const, lut, rng, ch, b, theta) -> list[int]:
-    """Compose the aligned channel, observe a block of symbol vectors through
-    the front end and count each detector's bit errors (``cfg.detectors`` order)."""
-    h_eq = effective_channel(ch, theta)
-    sent = rng.integers(0, const.order, size=(cfg.num_users, cfg.symbols_per_trial))
-    y = front_end(h_eq, const.points[sent], b, noise, rng)
+    m, k, n = cfg.num_cells, cfg.num_users, cfg.symbols_per_trial
+    lo = np.array([b for _, _, b, _ in drawn])
+    h_eq = np.empty((len(drawn), m, k), dtype=complex)
+    sent = np.empty((len(drawn), k, n), dtype=np.intp)
+    y = np.empty((len(drawn), m, n), dtype=complex)
+    for i, ((rng, ch, b, _), theta) in enumerate(zip(drawn, thetas)):
+        h_eq[i] = effective_channel(ch, theta)
+        sent[i] = rng.integers(0, const.order, size=(k, n))
+        y[i] = front_end(h_eq[i], const.points[sent[i]], b, noise, rng)
     observed = {"y": y, "z": np.abs(y)}
-    return [int(lut[sent, kernel(observed[reads], h_eq, b, const, cfg)].sum())
-            for reads, kernel in (_DETECTORS[det] for det in cfg.detectors)]
+    return np.stack([lut[sent, kernel(observed[reads], h_eq, lo, const, cfg)].sum(axis=(1, 2))
+                     for reads, kernel in (_DETECTORS[det] for det in cfg.detectors)], axis=1)
 
 
 def _fold_point(cfg: SimConfig, eb_n0_db: float,

@@ -25,7 +25,7 @@ from atomris.config import (
     parse_config_text,
     write_manifest,
 )
-from atomris.errors import ConfigError
+from atomris.errors import ConfigError, SingularMatrixError
 from atomris.risopt import AdamConfig, build_rank_one_cache, canonicalize_phases, objective
 from atomris.sim import DETECTOR_NAMES, SimConfig, draw_channels, trial_seed, validate_config
 
@@ -366,6 +366,10 @@ class TestCommands:
         ("channel", "paths", "1" + "0" * 20),
         pytest.param("channel", "paths", "1" + "0" * 400, id="channel-paths-1e400"),
         ("sim", "symbols_per_trial", "1" + "0" * 20),
+        # A (4, 2^56) observation fits numpy's index range; the batch's
+        # (6, 4, 2^56) complex observations do not.
+        pytest.param("sim", "symbols_per_trial", f"{2**56}\ncells = 4",
+                     id="sim-symbols_per_trial-2^56-batch-observations"),
         ("adam", "max_iters", "1" + "0" * 20),
     ])
     def test_invalid_field_is_exit_2(self, tmp_path, capsys, section, key, value):
@@ -415,6 +419,18 @@ class TestCommands:
         out = tmp_path / "x.csv"
         assert main(["ber", "--config", path, "--out", str(out), "--threads", "-3"]) == 2
         assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_singular_trial_in_a_batch_is_exit_2(self, tmp_path, capsys, rank_deficient):
+        """A rank-deficient channel in trial 3 of a batch ends ``ber`` with
+        exit 2 and one error line, that trial's own refusal, writing no
+        CSV."""
+        composed = rank_deficient(3)
+        out = tmp_path / "x.csv"
+        assert main(["ber", "--config", write_config(tmp_path), "--out", str(out)]) == 2
+        with pytest.raises(SingularMatrixError) as alone:
+            detect.ls_estimate(composed[3], np.ones((8, 1)))
+        assert capsys.readouterr().err == f"error: {alone.value}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["1", "2"])

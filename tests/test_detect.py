@@ -556,6 +556,109 @@ class TestPrunedSearch:
         assert np.array_equal(got, full_matrix_exhaustive(z, h_eq, b, c))
 
 
+def trial_stack(n_trials, m, k, c, seed, n_obs=24):
+    """Complex and magnitude observations (n_trials, m, n_obs) of a stack
+    of strong-LO trials, each noisier than the last, with their channels
+    and LOs; trial 1's LO is weak on all but K - 1 cells, so its bound
+    gives no search."""
+    rng = np.random.default_rng(seed)
+    ys, hs, bs = [], [], []
+    for t in range(n_trials):
+        h, b = strong_lo_system(m, k, seed + t, leak=0.2, lo_margin=2.0)
+        if t == 1:
+            b[k - 1:] *= 1e-3
+        noise = 0.2 * (1 + t) * c.min_distance * complex_normal(rng, (m, n_obs))
+        ys.append(h @ c.points[rng.integers(0, c.order, (k, n_obs))] + b[:, None] + noise)
+        hs.append(h)
+        bs.append(b)
+    y = np.array(ys)
+    return y, np.abs(y), np.array(hs), np.array(bs)
+
+
+def assert_rows_are_single_trial_calls(kernel, stacks, *shared):
+    """``kernel`` on ``stacks``, arrays with a leading trial axis, returns
+    byte for byte its calls on one trial at a time."""
+    got = kernel(*stacks, *shared)
+    rows = np.array([kernel(*(a[t] for a in stacks), *shared) for t in range(len(stacks[0]))])
+    assert got.shape == rows.shape and got.dtype == rows.dtype
+    assert got.tobytes() == rows.tobytes()
+
+
+class TestStackedTrials:
+    """Every kernel takes leading trial axes, and a stack's rows are its
+    single-trial calls bit for bit: the campaign detects a batch of 8
+    trials (or a shorter tail batch) in one call per detector."""
+
+    @pytest.mark.parametrize("k, m", [(3, 8), (8, 16)], ids=["K3", "K8"])
+    @pytest.mark.parametrize("n_trials", [1, 3, 8], ids=["one", "tail-of-3", "batch-of-8"])
+    def test_rows_equal_single_trial_calls(self, monkeypatch, k, m, n_trials):
+        """Also across trial 1, whose bound gives no search, so that the
+        full search decides it; at K = 3 the block holds one candidate,
+        so the pruned search runs as it does at K = 8."""
+        c = make_pam(4)
+        y, z, h, b = trial_stack(n_trials, m, k, c, seed=70 + k)
+        assert_rows_are_single_trial_calls(ls_estimate, (h, y - b[..., None]))
+        assert_rows_are_single_trial_calls(detect_proposed_batch, (z, h, b), c)
+        assert_rows_are_single_trial_calls(detect_zf_batch, (y, h, b), c)
+        if k == 3:
+            monkeypatch.setattr(detect, "_BLOCK_BYTES", block_budget(1, m, z.shape[-1]))
+        searched = detect._pruned_search(z, h, b, c) >= 0
+        assert searched[:1].all() and not searched[1:2].any()
+        assert_rows_are_single_trial_calls(detect._pruned_search, (z, h, b), c)
+        assert_rows_are_single_trial_calls(detect_exhaustive_batch, (z, h, b), c)
+        assert np.array_equal(detect_exhaustive_batch(z, h, b, c),
+                              [full_matrix_exhaustive(z[t], h[t], b[t], c)
+                               for t in range(n_trials)])
+
+    @pytest.mark.parametrize("k, m", [(3, 8), (8, 16)], ids=["K3", "K8"])
+    @pytest.mark.parametrize("n_trials", [3, 8], ids=["tail-of-3", "batch-of-8"])
+    def test_each_trial_spills_against_its_own_budget(self, monkeypatch, k, m, n_trials):
+        """With a node budget that some trials' trees outgrow and others'
+        do not, each trial of a stack spills the observations its
+        single-trial call spills, and the stack decides as those calls."""
+        c = make_pam(4)
+        y, z, h, b = trial_stack(n_trials, m, k, c, seed=80 + k)
+        if k == 3:
+            monkeypatch.setattr(detect, "_BLOCK_BYTES", block_budget(1, m, z.shape[-1]))
+        searched = [t for t in range(n_trials) if t != 1]
+        for nodes in np.unique(np.round(2 ** np.arange(5, 14, 0.25)).astype(int)):
+            monkeypatch.setattr(detect, "_NODE_WORDS", int(nodes) * (k + 6))
+            spills = [(detect._pruned_search(z[t], h[t], b[t], c) < 0).any() for t in searched]
+            if any(spills) and not all(spills):
+                break
+        else:
+            pytest.fail("no budget spills in some trials but not in others")
+        assert_rows_are_single_trial_calls(detect._pruned_search, (z, h, b), c)
+        assert_rows_are_single_trial_calls(detect_exhaustive_batch, (z, h, b), c)
+
+    def test_first_refused_trial_raises_its_own_refusal(self):
+        """Trials 3 and 6 of eight have rank-deficient channels: the stack
+        is refused with trial 3's error, condition number included, as
+        its single-trial call is; trial 6's differs."""
+        c = make_pam(4)
+        y, z, h, b = trial_stack(8, 8, 3, c, seed=90)
+        for t in (3, 6):
+            h[t, :, 1] = h[t, :, 0] + 1e-7 * t * h[t, :, 1]
+        alone = []
+        for t in (3, 6):
+            with pytest.raises(SingularMatrixError) as info:
+                detect_proposed_batch(z[t], h[t], b[t], c)
+            alone.append(str(info.value))
+        assert alone[0] != alone[1]
+        for kernel, obs in ((detect_proposed_batch, z), (detect_zf_batch, y)):
+            with pytest.raises(SingularMatrixError) as info:
+                kernel(obs, h, b, c)
+            assert str(info.value) == alone[0]
+
+    def test_mismatched_trial_axes_refused(self):
+        c = make_pam(4)
+        y, z, h, b = trial_stack(3, 8, 3, c, seed=91)
+        with pytest.raises(ValueError, match="rhs"):
+            ls_estimate(h, y[:2] - b[:2, :, None])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            detect_exhaustive_batch(z[:2], h, b, c)
+
+
 class TestZfGenie:
     def test_noiseless_exact(self):
         rng = np.random.default_rng(30)

@@ -76,8 +76,10 @@ class TestValidation:
 
     @pytest.mark.parametrize("field, unit_bytes, shape", [
         ("max_iters", 8 * 8, lambda v: (v, 8)),  # the traces of a batch of 8 trials
-        ("num_cells", 8 * 8 * 48, lambda v: (8, v, 48)),  # its aligned operand, 2N = 48
-        ("symbols_per_trial", 16 * 12, lambda v: (12, 2 * v)),  # complex observations, M = 12
+        # the batch's complex observations, n = 30 (its aligned operand, 2N = 48
+        # floats a row, is smaller)
+        ("num_cells", 16 * 8 * 30, lambda v: (8, v, 2 * 30)),
+        ("symbols_per_trial", 16 * 8 * 12, lambda v: (8, 12, 2 * v)),  # the same, M = 12
     ])
     def test_size_refused_exactly_where_numpy_refuses(self, field, unit_bytes, shape):
         """The smallest size whose array numpy refuses (as float64 here) is
@@ -323,6 +325,24 @@ class TestRunBer:
         with pytest.raises(RuntimeError, match="draw failed"):
             run_ber(SMALL, threads)
         assert threading.active_count() == baseline
+
+    def test_singular_trial_refused_as_alone(self, rank_deficient):
+        """Trials 3 and 6 of a batch of 8 compose rank-deficient channels:
+        the campaign stops with trial 3's SingularMatrixError, its own
+        condition number in the message, as a call on that trial alone
+        stops."""
+        from atomris.detect import ls_estimate
+        from atomris.errors import SingularMatrixError
+
+        composed = rank_deficient(3, 6)
+        with pytest.raises(SingularMatrixError) as batch:
+            run_ber(replace(SMALL, trials_per_point=8))
+        alone = []
+        for t in (3, 6):
+            with pytest.raises(SingularMatrixError) as info:
+                ls_estimate(composed[t], np.ones((SMALL.num_cells, 1)))
+            alone.append(str(info.value))
+        assert str(batch.value) == alone[0] != alone[1]
 
     def test_grid_partition_merges_to_full(self):
         full = run_ber(SMALL)
