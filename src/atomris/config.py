@@ -150,8 +150,8 @@ def _read_ini(text: str, source: str) -> configparser.ConfigParser:
 
 
 def _read_text(path, what: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
+    try:  # "utf-8-sig" also reads a file that starts with a byte-order mark
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None

@@ -51,10 +51,11 @@ rescoring: scores may differ in the last bits, and decisions only where
 two candidates tie to within rounding.
 
 All kernels are batched: columns of ``s``, ``y`` and ``z`` are symbol
-vectors, and every kernel returns one column per observation.  The
-detectors and ``ls_estimate`` also take leading trial axes, one channel
-and LO per trial; each trial's result is, bit for bit, that of a call on
-the trial alone.
+vectors, and every kernel returns one column per observation.  Every
+kernel also takes leading trial axes, one channel and LO per trial; each
+trial's result is, bit for bit, that of a call on the trial alone.  No
+kernel reads a random generator: ``front_end`` adds the noise draw it is
+given.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import math
 import numpy as np
 
 from .errors import BudgetExceededError, SingularMatrixError
-from .modem import Constellation, NoiseSpec, slice_to_indices
+from .modem import Constellation, slice_to_indices
 
 __all__ = [
     "front_end",
@@ -91,27 +92,23 @@ _NODE_WORDS = _BLOCK_BYTES // 8
 _COND_LIMIT = 1e12
 
 
-def front_end(
-    h_eq: np.ndarray,
-    s: np.ndarray,
-    b: np.ndarray,
-    noise: NoiseSpec,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Complex observations y = H_eq s + b + n for symbol vectors ``s``
-    (K, n); the photodetectors report z = |y|.
-
-    The noise is circularly-symmetric Gaussian of total variance
-    ``noise.sigma2`` per cell, drawn as the real (M, n) normals, then the
-    imaginary ones.
+def front_end(h_eq: np.ndarray, s: np.ndarray, b: np.ndarray, awgn: np.ndarray) -> np.ndarray:
+    """Complex observations y = H_eq s + b + n of symbol vectors ``s``
+    (..., K, n) under the noise draw ``awgn`` (..., M, n); the
+    photodetectors report z = |y|.  ``h_eq`` (..., M, K) and ``b`` (..., M)
+    carry the same leading trial axes, and each trial's rows are those of
+    a call on the trial alone.
     """
-    m, k = h_eq.shape
-    if s.ndim != 2 or s.shape[0] != k or b.shape != (m,):
-        raise ValueError(f"s {s.shape} and b {b.shape} do not fit a ({m}, {k}) channel")
-    shape = (m, s.shape[1])
-    scale = math.sqrt(noise.sigma2 / 2.0)
-    awgn = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return h_eq @ s + b[:, None] + awgn
+    h_eq, s, b = np.asarray(h_eq), np.asarray(s), np.asarray(b)
+    *lead, m, k = h_eq.shape
+    if (s.shape[:-1] != (*lead, k) or b.shape != (*lead, m)
+            or np.shape(awgn) != (*lead, m, s.shape[-1])):
+        raise ValueError(f"s {s.shape}, b {b.shape} and noise {np.shape(awgn)} "
+                         f"do not fit a {h_eq.shape} channel")
+    y = np.matmul(h_eq, s, dtype=complex)
+    y += b[..., None]
+    y += awgn
+    return y
 
 
 def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:

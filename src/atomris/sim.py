@@ -19,19 +19,20 @@ fold (``_fold_point``), the only code that knows the stop rule, adds a
 point's records in batch order: the point stops after the first batch at
 which every detector has reached the error target.
 
-A batch is a three-stage pipeline: per trial, draw the channels, LO and
-starting phases (``_draw_start``); align all of the batch's trials in one
-batched optimizer loop over their factored operands (each trial's
-de-phased h_rv as a real (M, 2N) matrix, and h_ur^T); compose, observe,
-detect and count (``_finish_batch`` runs the last two).  In stage 3 a
-short loop per trial does what uses its generator: compose its aligned
-channel, draw its symbols and observe them through the front end, into
-(B, M, K) channels and (B, M, n) observations.  Each detector then
-decides the whole batch in one call, and the counts are one table
-lookup.  Each trial consumes its own generator in the order a lone trial
-would (``optimize_aligned_phases``, then its symbols and noise), and the
-rows of the batched loop and of each detector equal single-trial calls
-bit for bit, so which trials share a batch does not change any output.
+A batch is a three-stage pipeline.  Stage 1 (``_draw_start``) draws each
+trial's whole random stream from its generator, in a fixed order:
+channels, LO, starting phases, symbol indices and noise.  No generator
+leaves it.  Stage 2 aligns all of the batch's trials in one batched
+optimizer loop over their factored operands (each trial's de-phased h_rv
+as a real (M, 2N) matrix, and h_ur^T).  Stage 3 composes each trial's
+aligned channel into (B, M, K) channels, observes the batch through the
+front end in one call, and each detector decides the whole batch in one
+call; the counts are one table lookup (``_finish_batch`` runs stages 2
+and 3).  A trial draws the stream a lone trial draws
+(``optimize_aligned_phases``, then its symbols and noise), and the rows
+of the batched loop, the front end and each detector equal single-trial
+calls bit for bit, so which trials share a batch does not change any
+output.
 
 With one thread a campaign holds one batch at a time.  With ``run_ber``'s
 ``threads`` > 1, only the first stage runs on worker threads, one batch
@@ -76,7 +77,7 @@ from .detect import (
     front_end,
 )
 from .errors import BudgetExceededError, ConfigError
-from .modem import NoiseSpec, hamming_table, make_pam, noise_sigma
+from .modem import hamming_table, make_pam, noise_sigma
 from .risopt import (
     AdamConfig,
     ConvergenceTrace,
@@ -318,30 +319,31 @@ def run_convergence(cfg: SimConfig) -> tuple[ChannelSet, np.ndarray, Convergence
 
 
 def _draw_start(cfg: SimConfig, eb_n0_db: float, t: int):
-    """Stage 1 of trial ``t``: its generator, channels, LO and starting
-    phases, drawn in the campaign's order."""
+    """Stage 1 of trial ``t``: its whole random stream, in the campaign's
+    order.  Returns its channels, LO, starting phases, symbol indices
+    (K, n) and noise (M, n); no generator leaves it."""
     rng, ch, b = _draw_trial(cfg, eb_n0_db, t)
-    return rng, ch, b, random_phases(cfg.num_elements, rng)
+    theta0 = random_phases(cfg.num_elements, rng)
+    sent = rng.integers(0, cfg.mod_order, size=(cfg.num_users, cfg.symbols_per_trial))
+    # Circularly-symmetric noise of total variance sigma2 per cell: the
+    # real normals, then the imaginary ones.
+    shape = (cfg.num_cells, cfg.symbols_per_trial)
+    awgn = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    awgn *= math.sqrt(noise_sigma(eb_n0_db, cfg.mod_order).sigma2 / 2.0)
+    return ch, b, theta0, sent, awgn
 
 
-def _finish_batch(cfg: SimConfig, noise: NoiseSpec, const, lut, drawn: list) -> np.ndarray:
+def _finish_batch(cfg: SimConfig, const, lut, drawn: list) -> np.ndarray:
     """Stages 2 and 3 of a batch of ``_draw_start`` results: ``_align``
-    aligns all trials in one batched Adam loop; per trial, compose the
-    aligned channel and observe a block of symbol vectors through the
-    front end, then each detector decides the whole batch in one call.
-    Returns the batch record: each trial's bit errors, an int array
-    (trials, detectors) in ``cfg.detectors`` order."""
-    thetas, _ = _align([(ch, b) for _, ch, b, _ in drawn],
-                       np.array([theta0 for *_, theta0 in drawn]), cfg.adam)
-    m, k, n = cfg.num_cells, cfg.num_users, cfg.symbols_per_trial
-    lo = np.array([b for _, _, b, _ in drawn])
-    h_eq = np.empty((len(drawn), m, k), dtype=complex)
-    sent = np.empty((len(drawn), k, n), dtype=np.intp)
-    y = np.empty((len(drawn), m, n), dtype=complex)
-    for i, ((rng, ch, b, _), theta) in enumerate(zip(drawn, thetas)):
-        h_eq[i] = effective_channel(ch, theta)
-        sent[i] = rng.integers(0, const.order, size=(k, n))
-        y[i] = front_end(h_eq[i], const.points[sent[i]], b, noise, rng)
+    aligns all trials in one batched Adam loop, each trial composes its
+    aligned channel, and the front end and each detector take the whole
+    batch in one call.  Returns the batch record: each trial's bit errors,
+    an int array (trials, detectors) in ``cfg.detectors`` order."""
+    chs, lo, theta0, sent, awgn = zip(*drawn)
+    thetas, _ = _align(list(zip(chs, lo)), np.array(theta0), cfg.adam)
+    h_eq = np.array([effective_channel(ch, theta) for ch, theta in zip(chs, thetas)])
+    lo, sent = np.array(lo), np.array(sent)
+    y = front_end(h_eq, const.points[sent], lo, np.array(awgn))
     observed = {"y": y, "z": np.abs(y)}
     return np.stack([lut[sent, kernel(observed[reads], h_eq, lo, const, cfg)].sum(axis=(1, 2))
                      for reads, kernel in (_DETECTORS[det] for det in cfg.detectors)], axis=1)
@@ -442,10 +444,8 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
     records: list[BerRecord] = []
     try:
         for p, db in enumerate(cfg.eb_n0_grid_db):
-            noise = noise_sigma(db, cfg.mod_order)
-            records += _fold_point(cfg, db, (
-                _finish_batch(cfg, noise, const, lut, draws.take(p, j))
-                for j in range(len(draws.starts))))
+            records += _fold_point(cfg, db, (_finish_batch(cfg, const, lut, draws.take(p, j))
+                                             for j in range(len(draws.starts))))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

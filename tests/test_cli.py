@@ -1,5 +1,6 @@
 """Tests for the command-line interface and configuration files."""
 
+import codecs
 import os
 import re
 import subprocess
@@ -305,6 +306,13 @@ class TestManifest:
         with pytest.raises(ConfigError, match=re.escape("[DEFAULT]")):
             load_manifest(path)
 
+    def test_byte_order_mark_manifest_loads(self, tmp_path):
+        path = tmp_path / "out.csv.manifest"
+        write_manifest(parse_config_text(BASE_CONFIG), path, ["out.csv"], "0.1.0")
+        plain = load_manifest(path)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert load_manifest(path) == plain
+
     def test_non_utf8_manifest_named(self, tmp_path):
         path = tmp_path / "out.csv.manifest"
         write_manifest(SimConfig(), path, ["out.csv"], "0.1.0")
@@ -508,6 +516,20 @@ class TestCommands:
     def test_unreadable_config_is_exit_2(self, tmp_path):
         assert main(["ber", "--config", str(tmp_path / "absent.ini"),
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_byte_order_mark_config_runs(self, tmp_path):
+        """A config saved with a UTF-8 byte-order mark, as some editors save
+        it, loads to the plain file's config, and ``ber`` writes the plain
+        file's CSV."""
+        plain = write_config(tmp_path)
+        path = tmp_path / "bom.ini"
+        path.write_bytes(codecs.BOM_UTF8 + BASE_CONFIG.encode())
+        assert load_config(path) == load_config(plain)
+        outs = []
+        for config in (plain, str(path)):
+            outs.append(tmp_path / f"{Path(config).stem}.csv")
+            assert main(["ber", "--config", config, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_non_utf8_config_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "run.ini"

@@ -20,9 +20,9 @@ from atomris.detect import (
     ls_estimate,
 )
 from atomris.errors import BudgetExceededError, SingularMatrixError
-from atomris.modem import NoiseSpec, make_pam
+from atomris.modem import make_pam
 from atomris.risopt import AdamConfig
-from atomris.sim import optimize_aligned_phases
+from atomris.sim import SimConfig, _draw_start, optimize_aligned_phases
 
 
 def aligned_system(m, k, seed, lo_mag=500.0):
@@ -33,9 +33,6 @@ def aligned_system(m, k, seed, lo_mag=500.0):
     b = lo_mag * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
     h_eq = np.exp(1j * np.angle(b))[:, None] * h_opt
     return h_eq, h_opt, b
-
-
-NOISELESS = NoiseSpec(0.0)
 
 
 def complex_normal(rng, shape):
@@ -68,7 +65,7 @@ class TestFrontEnd:
     def test_zero_channel_returns_lo_magnitude(self):
         rng = np.random.default_rng(0)
         b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        z = np.abs(front_end(np.zeros((5, 2)), np.zeros((2, 1)), b, NOISELESS, rng))
+        z = np.abs(front_end(np.zeros((5, 2)), np.zeros((2, 1)), b, np.zeros((5, 1))))
         assert np.allclose(z[:, 0], np.abs(b))
 
     def test_aligned_exact_regime(self):
@@ -76,7 +73,7 @@ class TestFrontEnd:
         |b| + h_opt s."""
         h_eq, h_opt, b = aligned_system(6, 2, 1)
         s = np.array([1.2, -0.7])
-        z = np.abs(front_end(h_eq, column(s), b, NOISELESS, np.random.default_rng(0)))
+        z = np.abs(front_end(h_eq, column(s), b, np.zeros((6, 1))))
         assert np.allclose(z[:, 0], np.abs(b) + h_opt @ s, atol=1e-9)
 
     def test_zero_noise_spec_is_exact(self):
@@ -84,41 +81,57 @@ class TestFrontEnd:
         h_eq = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         s = rng.standard_normal((2, 3))
-        y = front_end(h_eq, s, b, NOISELESS, rng)
+        y = front_end(h_eq, s, b, np.zeros((4, 3)))
         assert np.array_equal(np.abs(y), np.abs(h_eq @ s + b[:, None]))
 
+    def test_noise_added_last(self):
+        """y is (H_eq s + b) + n, rounded in that order, bit for bit."""
+        rng = np.random.default_rng(8)
+        h_eq = complex_normal(rng, (4, 2))
+        b = complex_normal(rng, 4)
+        s = rng.standard_normal((2, 3))
+        n = 1e-3 * complex_normal(rng, (4, 3))
+        assert front_end(h_eq, s, b, n).tobytes() == (h_eq @ s + b[:, None] + n).tobytes()
+
     def test_global_phase_invariance(self):
-        """Rotating h_eq, b, and n by a common phase leaves z unchanged
-        (a fixed noise draw n enters through the LO argument)."""
+        """Rotating h_eq, b, and n by a common phase leaves z unchanged."""
         rng = np.random.default_rng(2)
         h_eq = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        n = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        n = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
         s = rng.standard_normal((2, 5))
         rot = np.exp(1j * 0.77)
-        z1 = np.abs(front_end(h_eq, s, b + n, NOISELESS, rng))
-        z2 = np.abs(front_end(rot * h_eq, s, rot * (b + n), NOISELESS, rng))
+        z1 = np.abs(front_end(h_eq, s, b, n))
+        z2 = np.abs(front_end(rot * h_eq, s, rot * b, rot * n))
         assert np.allclose(z1, z2, atol=1e-12)
+
+    @staticmethod
+    def campaign_noise(cells, symbols, mod_order, eb_n0_db):
+        """The noise the campaign draws for its first trial at ``eb_n0_db``:
+        ``cells`` x ``symbols`` samples from ``sim._draw_start``."""
+        cfg = SimConfig(num_cells=cells, num_elements=2, num_users=1, mod_order=mod_order,
+                        symbols_per_trial=symbols, eb_n0_grid_db=(eb_n0_db,))
+        return _draw_start(cfg, eb_n0_db, 0)[-1]
 
     def test_noise_variance_split(self):
         """Empirical variance of z around |b| matches sigma^2/2 (in-phase
-        component only, strong-LO regime)."""
-        m = 20000
+        component only, strong-LO regime) for the campaign's noise at
+        Eb/N0 = -3 dB, sigma^2 = 1 / (log2 Q 10^(Eb/N0 / 10))."""
+        m, n = 200, 100
+        sigma2 = 1.0 / (1 * 10 ** (-3.0 / 10))
         b = np.full(m, 1e4 + 0j)
-        y = front_end(
-            np.zeros((m, 1)), np.zeros((1, 1)), b, NoiseSpec(2.0), np.random.default_rng(3)
-        )
-        assert np.var(np.abs(y[:, 0]) - np.abs(b)) == pytest.approx(1.0, rel=0.05)
+        y = front_end(np.zeros((m, 1)), np.zeros((1, n)), b, self.campaign_noise(m, n, 2, -3.0))
+        assert np.var(np.abs(y) - np.abs(b)[:, None]) == pytest.approx(sigma2 / 2, rel=0.05)
 
     def test_rician_mean_against_quadrature(self):
         """With s = 0, the mean of z matches E|nu + n| computed by
-        Gauss-Hermite quadrature over the complex noise."""
+        Gauss-Hermite quadrature over the complex noise, for the
+        campaign's noise at Eb/N0 = 0 dB and Q = 2 (sigma^2 = 1)."""
         nu, sigma2 = 5.0, 1.0
-        m = 200000
+        m, n = 400, 500
         b = np.full(m, nu + 0j)
-        z = np.abs(front_end(
-            np.zeros((m, 1)), np.zeros((1, 1)), b, NoiseSpec(sigma2), np.random.default_rng(4)
-        ))
+        z = np.abs(front_end(np.zeros((m, 1)), np.zeros((1, n)), b,
+                             self.campaign_noise(m, n, 2, 0.0)))
         nodes, weights = np.polynomial.hermite_e.hermegauss(80)
         sd = np.sqrt(sigma2 / 2.0)
         xs = nu + sd * nodes[:, None]
@@ -130,13 +143,13 @@ class TestFrontEnd:
         assert expected - nu == pytest.approx(sigma2 / (4 * nu), rel=0.05)
 
     def test_dimension_check(self):
-        rng = np.random.default_rng(0)
+        lo = np.zeros(3, dtype=complex)
         with pytest.raises(ValueError):
-            front_end(np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(3, dtype=complex),
-                      NOISELESS, rng)
+            front_end(np.zeros((3, 2)), np.zeros((3, 1)), lo, np.zeros((3, 1)))
         with pytest.raises(ValueError):  # one symbol vector must be a column
-            front_end(np.zeros((3, 2)), np.zeros(2), np.zeros(3, dtype=complex),
-                      NOISELESS, rng)
+            front_end(np.zeros((3, 2)), np.zeros(2), lo, np.zeros(3))
+        with pytest.raises(ValueError):  # the noise must fit the observations
+            front_end(np.zeros((3, 2)), np.zeros((2, 4)), lo, np.zeros((3, 1)))
 
 
 class TestProposedDetector:
@@ -586,8 +599,8 @@ def assert_rows_are_single_trial_calls(kernel, stacks, *shared):
 
 class TestStackedTrials:
     """Every kernel takes leading trial axes, and a stack's rows are its
-    single-trial calls bit for bit: the campaign detects a batch of 8
-    trials (or a shorter tail batch) in one call per detector."""
+    single-trial calls bit for bit: the campaign observes and detects a
+    batch of 8 trials (or a shorter tail batch) in one call per kernel."""
 
     @pytest.mark.parametrize("k, m", [(3, 8), (8, 16)], ids=["K3", "K8"])
     @pytest.mark.parametrize("n_trials", [1, 3, 8], ids=["one", "tail-of-3", "batch-of-8"])
@@ -597,6 +610,9 @@ class TestStackedTrials:
         so the pruned search runs as it does at K = 8."""
         c = make_pam(4)
         y, z, h, b = trial_stack(n_trials, m, k, c, seed=70 + k)
+        rng = np.random.default_rng(k)
+        s = c.points[rng.integers(0, c.order, (n_trials, k, z.shape[-1]))]
+        assert_rows_are_single_trial_calls(front_end, (h, s, b, complex_normal(rng, y.shape)))
         assert_rows_are_single_trial_calls(ls_estimate, (h, y - b[..., None]))
         assert_rows_are_single_trial_calls(detect_proposed_batch, (z, h, b), c)
         assert_rows_are_single_trial_calls(detect_zf_batch, (y, h, b), c)
@@ -653,6 +669,10 @@ class TestStackedTrials:
     def test_mismatched_trial_axes_refused(self):
         c = make_pam(4)
         y, z, h, b = trial_stack(3, 8, 3, c, seed=91)
+        s = np.zeros((3, 3, y.shape[-1]))
+        for args in ((h, s[:2], b, y), (h, s, b[:2], y), (h, s, b, y[:2]), (h[:2], s, b, y)):
+            with pytest.raises(ValueError, match="do not fit"):
+                front_end(*args)
         with pytest.raises(ValueError, match="rhs"):
             ls_estimate(h, y[:2] - b[:2, :, None])
         with pytest.raises(ValueError, match="shape mismatch"):

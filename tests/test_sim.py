@@ -160,6 +160,47 @@ class TestTrialSeeding:
         assert np.array_equal(a, b)
 
 
+class TestStageOne:
+    """``_draw_start`` draws a trial's whole random stream; the stages
+    after it read no generator."""
+
+    def test_stream_order_is_the_lone_trial_chain(self):
+        from atomris.channel import gen_lo_vector
+        from atomris.modem import noise_sigma
+        from atomris.risopt import random_phases
+
+        db, t = -22.0, 7
+        rng = np.random.default_rng(trial_seed(SMALL.master_seed, db, t))
+        ch = sim.draw_channels(SMALL, rng)
+        b = gen_lo_vector(SMALL.num_cells, SMALL.lo, rng)
+        theta0 = random_phases(SMALL.num_elements, rng)
+        sent = rng.integers(0, SMALL.mod_order, (SMALL.num_users, SMALL.symbols_per_trial))
+        shape = (SMALL.num_cells, SMALL.symbols_per_trial)
+        scale = math.sqrt(noise_sigma(db, SMALL.mod_order).sigma2 / 2.0)
+        noise = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        want = (ch.h_ur, ch.h_rv, ch.h_uv, b, theta0, sent, noise)
+        got_ch, *got = sim._draw_start(SMALL, db, t)
+        got = (got_ch.h_ur, got_ch.h_rv, got_ch.h_uv, *got)
+        assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
+            (a.dtype, a.shape, a.tobytes()) for a in want]
+
+    def test_no_generator_after_stage_one(self):
+        """A drawn batch holds arrays and channel sets only, and finishing it
+        twice gives one batch record."""
+        from atomris.channel import ChannelSet
+        from atomris.modem import hamming_table, make_pam
+
+        drawn = [sim._draw_start(SMALL, -22.0, t) for t in range(5)]
+        for ch, *arrays in drawn:
+            assert isinstance(ch, ChannelSet)
+            assert all(isinstance(a, np.ndarray) for a in arrays)
+        const = make_pam(SMALL.mod_order)
+        first, second = (sim._finish_batch(SMALL, const, hamming_table(const), drawn)
+                         for _ in range(2))
+        assert first.shape == (5, len(SMALL.detectors)) and first.sum() > 0
+        assert np.array_equal(first, second)
+
+
 class TestRunBer:
     def test_record_invariants(self):
         records = run_ber(SMALL)
@@ -226,7 +267,8 @@ class TestRunBer:
     def test_matches_per_trial_reference(self):
         """The batched campaign (a batch of 8 trials, then one of 3) counts
         what the single-trial chain of public functions counts, trial by
-        trial."""
+        trial, with the symbols and noise drawn after the alignment's
+        starting phases."""
         from atomris.channel import effective_channel, gen_lo_vector
         from atomris.detect import (
             detect_exhaustive_batch, detect_proposed_batch, detect_zf_batch, front_end,
@@ -245,7 +287,10 @@ class TestRunBer:
             theta, _ = optimize_aligned_phases(ch, b, cfg.adam, rng)
             h_eq = effective_channel(ch, theta)
             sent = rng.integers(0, const.order, size=(cfg.num_users, cfg.symbols_per_trial))
-            y = front_end(h_eq, const.points[sent], b, noise_sigma(-24.0, cfg.mod_order), rng)
+            shape = (cfg.num_cells, cfg.symbols_per_trial)
+            scale = math.sqrt(noise_sigma(-24.0, cfg.mod_order).sigma2 / 2.0)
+            noise = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            y = front_end(h_eq, const.points[sent], b, noise)
             got = {
                 "proposed": detect_proposed_batch(np.abs(y), h_eq, b, const),
                 "exhaustive": detect_exhaustive_batch(np.abs(y), h_eq, b, const),
