@@ -67,7 +67,7 @@ class PhysicalPathParams:
 
     def __post_init__(self):
         if not 1 <= self.num_paths <= np.iinfo(np.intp).max:  # beyond it, no numpy size
-            raise ValueError(f"num_paths must be >= 1 and at most {np.iinfo(np.intp).max}")
+            raise ValueError(f"num_paths (paths) must be >= 1 and at most {np.iinfo(np.intp).max}")
         if not math.isfinite(self.coupling_gain):
             raise ValueError(f"coupling_gain must be finite, got {self.coupling_gain}")
         _check_path_loss_span(self.path_loss_span)
@@ -131,10 +131,11 @@ def _check_entry_scale(peak: float, names: str) -> None:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """The three channel matrices of one realization.
+    """The three channel matrices of one realization, or of a stack of them.
 
     Invariants: ``h_ur`` is N x K, ``h_rv`` is M x N, ``h_uv`` is M x K,
-    with consistent inner dimensions.  N = 0 (no RIS) is allowed.
+    with consistent inner dimensions.  N = 0 (no RIS) is allowed.  A stack,
+    such as a campaign batch, has the same leading axes on all three.
     """
 
     h_ur: np.ndarray
@@ -148,17 +149,19 @@ class ChannelSet:
         object.__setattr__(self, "h_ur", h_ur)
         object.__setattr__(self, "h_rv", h_rv)
         object.__setattr__(self, "h_uv", h_uv)
-        if h_ur.ndim != 2 or h_rv.ndim != 2 or h_uv.ndim != 2:
-            raise ValueError("channel matrices must be 2-D")
-        n, k = h_ur.shape
-        m = h_rv.shape[0]
-        if h_rv.shape[1] != n:
+        if min(h_ur.ndim, h_rv.ndim, h_uv.ndim) < 2 or not (
+                h_ur.shape[:-2] == h_rv.shape[:-2] == h_uv.shape[:-2]):
+            raise ValueError("channel matrices must be 2-D, or stacks with equal leading "
+                             f"axes; got {h_ur.shape}, {h_rv.shape} and {h_uv.shape}")
+        n, k = h_ur.shape[-2:]
+        m = h_rv.shape[-2]
+        if h_rv.shape[-1] != n:
             raise ValueError(
-                f"h_rv has {h_rv.shape[1]} columns but h_ur has {n} rows"
+                f"h_rv has {h_rv.shape[-1]} columns but h_ur has {n} rows"
             )
-        if h_uv.shape != (m, k):
+        if h_uv.shape[-2:] != (m, k):
             raise ValueError(
-                f"h_uv shape {h_uv.shape} inconsistent with (M={m}, K={k})"
+                f"h_uv shape {h_uv.shape[-2:]} inconsistent with (M={m}, K={k})"
             )
         for name, mat in (("h_ur", h_ur), ("h_rv", h_rv), ("h_uv", h_uv)):
             if mat.size and not np.all(np.isfinite(mat)):
@@ -166,15 +169,15 @@ class ChannelSet:
 
     @property
     def num_cells(self) -> int:
-        return self.h_rv.shape[0]
+        return self.h_rv.shape[-2]
 
     @property
     def num_elements(self) -> int:
-        return self.h_ur.shape[0]
+        return self.h_ur.shape[-2]
 
     @property
     def num_users(self) -> int:
-        return self.h_ur.shape[1]
+        return self.h_ur.shape[-1]
 
 
 def gen_user_ris_channel(num_users: int, num_elements: int, rng: np.random.Generator) -> np.ndarray:
@@ -298,10 +301,12 @@ def gen_lo_vector(num_cells: int, params: LOParams, rng: np.random.Generator) ->
 
 
 def effective_channel(ch: ChannelSet, theta: np.ndarray) -> np.ndarray:
-    """Compose the M x K effective channel h_rv @ diag(exp(j theta)) @ h_ur + h_uv."""
+    """Compose the M x K effective channel h_rv @ diag(exp(j theta)) @ h_ur + h_uv;
+    a stack of sets takes theta (..., N) and gives (..., M, K), each matrix
+    bit for bit its own set's call."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (ch.num_elements,):
+    if theta.shape != ch.h_ur.shape[:-1]:
         raise ValueError(
-            f"theta has shape {theta.shape}, expected ({ch.num_elements},)"
+            f"theta has shape {theta.shape}, expected {ch.h_ur.shape[:-1]}"
         )
-    return (ch.h_rv * np.exp(1j * theta)) @ ch.h_ur + ch.h_uv
+    return (ch.h_rv * np.exp(1j * theta)[..., None, :]) @ ch.h_ur + ch.h_uv

@@ -51,11 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="print the default configuration and exit")
         if name == "ber":
             cmd.add_argument("--threads", type=int, default=1,
-                             help="threads that draw the channels: the calling "
-                                  "thread and N-1 workers drawing the next batch "
-                                  "while it aligns and detects (0: one per CPU; at "
-                                  "most 8, one per trial of a batch); the CSV does "
-                                  "not depend on it")
+                             help="threads that draw each trial's random stream (channels, "
+                                  "LO, starting phases, symbols and noise): the calling "
+                                  "thread and N-1 workers drawing the next batch while it "
+                                  "aligns and detects (0: one per CPU; at most 8, one per "
+                                  "trial of a batch); the CSV does not depend on it")
     return parser
 
 

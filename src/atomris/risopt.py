@@ -100,19 +100,17 @@ class ConvergenceTrace:
         return self.objective.size
 
 
-def build_rank_one_cache(ch: ChannelSet, out: tuple | None = None) -> tuple:
+def build_rank_one_cache(ch: ChannelSet) -> tuple:
     """The factored operand of J: the pair (R, G), where R is the real
     (M, 2N) view of j conj(h_rv), whose column pairs are (Im h_rv, Re h_rv),
-    and G = h_ur^T (K, N).  Every evaluation of J reads this pair.
-    ``out``, when given, is the pair of arrays written into (a trial's
-    slots of a batch's buffers); otherwise one is made.
+    and G = h_ur^T (K, N), both contiguous.  Every evaluation of J reads
+    this pair.  A stack of channel sets gives a stack of pairs,
+    (..., M, 2N) and (..., K, N), whose rows are the single-set pairs.
     """
-    m, n, k = ch.num_cells, ch.num_elements, ch.num_users
-    r, g = out if out is not None else (np.empty((m, 2 * n)), np.empty((k, n), dtype=complex))
-    r[:, 0::2] = ch.h_rv.imag
-    r[:, 1::2] = ch.h_rv.real
-    g[...] = ch.h_ur.T
-    return r, g
+    r = np.empty((*ch.h_rv.shape[:-1], 2 * ch.num_elements))
+    r[..., 0::2] = ch.h_rv.imag
+    r[..., 1::2] = ch.h_rv.real
+    return r, np.ascontiguousarray(np.swapaxes(ch.h_ur, -1, -2))
 
 
 def _evaluator(op: tuple, q0: np.ndarray):
@@ -218,14 +216,15 @@ def adam_optimize_batch(
     """Momentum gradient descent with bias-corrected first/second moments,
     for B independent trials in one loop.
 
-    ``op`` is the pair (R, G), (B, M, 2N) and (B, K, N), each trial's
-    ``build_rank_one_cache``; ``q0`` (B, M, K) is each Im(h_uv) and
-    ``theta0`` (B, N) the starting phases.  Exactly ``cfg.max_iters``
-    gradient evaluations are performed per trial, and every row is
-    bit-identical to running that trial alone (B = 1).  Each evaluation
-    after the first reads e^{j theta} as the previous one turned by the
-    step (see the module docstring).  Returns the final phases (B, N) and
-    one trace per trial recording J and ||grad||_2 at each evaluated point.
+    ``op`` is the pair (R, G), (B, M, 2N) and (B, K, N), the
+    ``build_rank_one_cache`` of the trials' stacked channel sets; ``q0``
+    (B, M, K) is each Im(h_uv) and ``theta0`` (B, N) the starting phases.
+    Exactly ``cfg.max_iters`` gradient evaluations are performed per
+    trial, and every row is bit-identical to running that trial alone
+    (B = 1).  Each evaluation after the first reads e^{j theta} as the
+    previous one turned by the step (see the module docstring).  Returns
+    the final phases (B, N) and one trace per trial recording J and
+    ||grad||_2 at each evaluated point.
     """
     evaluate = _evaluator(op, q0)
     theta = np.array(theta0, dtype=float)

@@ -22,17 +22,17 @@ which every detector has reached the error target.
 A batch is a three-stage pipeline.  Stage 1 (``_draw_start``) draws each
 trial's whole random stream from its generator, in a fixed order:
 channels, LO, starting phases, symbol indices and noise.  No generator
-leaves it.  Stage 2 aligns all of the batch's trials in one batched
-optimizer loop over their factored operands (each trial's de-phased h_rv
-as a real (M, 2N) matrix, and h_ur^T).  Stage 3 composes each trial's
-aligned channel into (B, M, K) channels, observes the batch through the
-front end in one call, and each detector decides the whole batch in one
-call; the counts are one table lookup (``_finish_batch`` runs stages 2
-and 3).  A trial draws the stream a lone trial draws
+leaves it; the batch is stacked into one ``ChannelSet`` and arrays with a
+leading trial axis.  Stage 2 aligns all of its trials in one batched
+optimizer loop over the factored operand of the de-phased stack (h_rv as
+a real (B, M, 2N) array, and h_ur^T).  Stage 3 composes the aligned
+(B, M, K) channels in one ``effective_channel`` call, observes the batch
+through the front end in one call, and each detector decides the whole
+batch in one call; the counts are one table lookup (``_finish_batch``
+runs stages 2 and 3).  A trial draws the stream a lone trial draws
 (``optimize_aligned_phases``, then its symbols and noise), and the rows
-of the batched loop, the front end and each detector equal single-trial
-calls bit for bit, so which trials share a batch does not change any
-output.
+of every stacked call equal single-trial calls bit for bit, so which
+trials share a batch does not change any output.
 
 With one thread a campaign holds one batch at a time.  With ``run_ber``'s
 ``threads`` > 1, only the first stage runs on worker threads, one batch
@@ -166,25 +166,25 @@ def _make_record(db: float, det: str, bits: int, errors: int, reason: str) -> Be
 def validate_config(cfg: SimConfig) -> None:
     """Reject inconsistent campaign configurations before any computation."""
     if cfg.num_cells < 1:
-        raise ConfigError("num_cells must be >= 1")
+        raise ConfigError("num_cells ([system] cells) must be >= 1")
     if cfg.num_elements < 0:
-        raise ConfigError("num_elements must be >= 0")
+        raise ConfigError("num_elements ([system] ris_elements) must be >= 0")
     if cfg.num_users < 1:
-        raise ConfigError("num_users must be >= 1")
+        raise ConfigError("num_users ([system] users) must be >= 1")
     variance = cfg.channel.entry_variance
     if variance < sys.float_info.min:  # squares of such entries underflow
         raise ConfigError(f"section [channel]: entries have variance {variance:.3g}, below "
-                          "the smallest normal float: coupling_gain or path_loss_span is "
-                          "0 or too small")
+                          "the smallest normal float: coupling_gain or path_loss_span "
+                          "(path_loss_min, path_loss_max) is 0 or too small")
     if cfg.num_users > cfg.num_cells:
         raise ConfigError(
-            f"num_users ({cfg.num_users}) exceeds num_cells ({cfg.num_cells}); "
-            "least-squares detection needs K <= M"
+            f"num_users ([system] users = {cfg.num_users}) exceeds num_cells ([system] "
+            f"cells = {cfg.num_cells}); least-squares detection needs K <= M"
         )
     try:
         make_pam(cfg.mod_order)
     except ValueError as exc:
-        raise ConfigError(f"mod_order: {exc}") from None
+        raise ConfigError(f"mod_order: {exc} for [system] pam_order") from None
     if not cfg.eb_n0_grid_db:
         raise ConfigError("eb_n0_grid_db must be nonempty")
     for db in cfg.eb_n0_grid_db:  # nan, +-inf and |db| > ~3080 have no noise variance
@@ -227,7 +227,8 @@ def validate_config(cfg: SimConfig) -> None:
     if cfg.error_target is not None and cfg.error_target < 1:
         raise ConfigError("error_target must be >= 1 or None")
     # The largest array a trial shapes from each group of size fields: the
-    # two channel draws, the batch's aligned operand, its complex
+    # two channel draws, the batch's aligned operand (whose bytes are those
+    # of its stacked (batch, M, N) complex channels too), its complex
     # observations (which bound its (batch, K, n) symbol and decision
     # arrays too, as K <= M) and the optimizer's traces.  numpy refuses a
     # shape whose nonzero sizes multiply past its index range, which would
@@ -264,34 +265,28 @@ def draw_channels(cfg: SimConfig, rng: np.random.Generator) -> ChannelSet:
     )
 
 
-def _draw_trial(cfg: SimConfig, eb_n0_db: float, t: int):
-    """Trial ``t`` of grid point ``eb_n0_db``: its generator, channels and
-    LO, drawn in the campaign's order."""
-    rng = np.random.default_rng(trial_seed(cfg.master_seed, eb_n0_db, t))
-    return rng, draw_channels(cfg, rng), gen_lo_vector(cfg.num_cells, cfg.lo, rng)
-
-
 def _dephase(ch: ChannelSet, b: np.ndarray) -> ChannelSet:
     """The channels a trial aligns: rows of h_rv and h_uv de-phased by
-    exp(-j angle(b))."""
-    rot = np.exp(-1j * np.angle(b))[:, None]
+    exp(-j angle(b)); a stack of trials takes ``b`` (..., M)."""
+    rot = np.exp(-1j * np.angle(b))[..., None]
     return ChannelSet(ch.h_ur, rot * ch.h_rv, rot * ch.h_uv)
 
 
-def _align(pairs: list, theta0: np.ndarray, adam: AdamConfig):
-    """Align B (channels, LO) pairs from ``theta0`` (B, N) in one batched
-    optimizer loop on their ``_dephase``d channels; returns
-    ``adam_optimize_batch``'s phases and traces.  The batch's factored
-    operand, (B, M, 2N) and (B, K, N), lives only for the call."""
-    m, n, k = pairs[0][0].num_cells, pairs[0][0].num_elements, pairs[0][0].num_users
-    r = np.empty((len(pairs), m, 2 * n))
-    g = np.empty((len(pairs), k, n), dtype=complex)
-    q0 = np.empty((len(pairs), m, k))
-    for i, (ch, b) in enumerate(pairs):
-        dephased = _dephase(ch, b)
-        build_rank_one_cache(dephased, out=(r[i], g[i]))
-        q0[i] = dephased.h_uv.imag
-    return adam_optimize_batch((r, g), q0, theta0, adam)
+def _stack(drawn: list) -> tuple:
+    """B trials' records, each a ChannelSet followed by arrays, as one:
+    the stacked ChannelSet and arrays, each with a leading trial axis."""
+    chs, *arrays = zip(*drawn)
+    ch = ChannelSet(*(np.stack(mats) for mats in zip(*((c.h_ur, c.h_rv, c.h_uv) for c in chs))))
+    return ch, *(np.stack(a) for a in arrays)
+
+
+def _align(ch: ChannelSet, b: np.ndarray, theta0: np.ndarray, adam: AdamConfig):
+    """Align a stack of B trials' channels and LO (B, M) from ``theta0``
+    (B, N) in one batched optimizer loop on their ``_dephase``d channels;
+    returns ``adam_optimize_batch``'s phases and traces.  The batch's
+    factored operand, (B, M, 2N) and (B, K, N), lives only for the call."""
+    dephased = _dephase(ch, b)
+    return adam_optimize_batch(build_rank_one_cache(dephased), dephased.h_uv.imag, theta0, adam)
 
 
 def optimize_aligned_phases(
@@ -304,7 +299,7 @@ def optimize_aligned_phases(
     H_eq s o exp(-j angle(b)) real for every real s.  This is a batch of
     one trial: a campaign trial gets the same phases from its batch.
     """
-    thetas, traces = _align([(ch, b)], random_phases(ch.num_elements, rng)[None], adam)
+    thetas, traces = _align(*_stack([(ch, b, random_phases(ch.num_elements, rng))]), adam)
     return thetas[0], traces[0]
 
 
@@ -313,16 +308,18 @@ def run_convergence(cfg: SimConfig) -> tuple[ChannelSet, np.ndarray, Convergence
     ``trial_offset``), drawn and aligned as ``run_ber`` does it.  Returns
     its de-phased channels, the final phases and the optimizer trace."""
     validate_config(cfg)
-    rng, ch, b = _draw_trial(cfg, cfg.eb_n0_grid_db[0], cfg.trial_offset)
-    theta, trace = optimize_aligned_phases(ch, b, cfg.adam, rng)
-    return _dephase(ch, b), theta, trace
+    ch, b, theta0, *_ = _draw_start(cfg, cfg.eb_n0_grid_db[0], cfg.trial_offset)
+    thetas, traces = _align(*_stack([(ch, b, theta0)]), cfg.adam)
+    return _dephase(ch, b), thetas[0], traces[0]
 
 
 def _draw_start(cfg: SimConfig, eb_n0_db: float, t: int):
     """Stage 1 of trial ``t``: its whole random stream, in the campaign's
     order.  Returns its channels, LO, starting phases, symbol indices
     (K, n) and noise (M, n); no generator leaves it."""
-    rng, ch, b = _draw_trial(cfg, eb_n0_db, t)
+    rng = np.random.default_rng(trial_seed(cfg.master_seed, eb_n0_db, t))
+    ch = draw_channels(cfg, rng)
+    b = gen_lo_vector(cfg.num_cells, cfg.lo, rng)
     theta0 = random_phases(cfg.num_elements, rng)
     sent = rng.integers(0, cfg.mod_order, size=(cfg.num_users, cfg.symbols_per_trial))
     # Circularly-symmetric noise of total variance sigma2 per cell: the
@@ -333,17 +330,15 @@ def _draw_start(cfg: SimConfig, eb_n0_db: float, t: int):
     return ch, b, theta0, sent, awgn
 
 
-def _finish_batch(cfg: SimConfig, const, lut, drawn: list) -> np.ndarray:
-    """Stages 2 and 3 of a batch of ``_draw_start`` results: ``_align``
-    aligns all trials in one batched Adam loop, each trial composes its
-    aligned channel, and the front end and each detector take the whole
-    batch in one call.  Returns the batch record: each trial's bit errors,
-    an int array (trials, detectors) in ``cfg.detectors`` order."""
-    chs, lo, theta0, sent, awgn = zip(*drawn)
-    thetas, _ = _align(list(zip(chs, lo)), np.array(theta0), cfg.adam)
-    h_eq = np.array([effective_channel(ch, theta) for ch, theta in zip(chs, thetas)])
-    lo, sent = np.array(lo), np.array(sent)
-    y = front_end(h_eq, const.points[sent], lo, np.array(awgn))
+def _finish_batch(cfg: SimConfig, const, lut, batch: tuple) -> np.ndarray:
+    """Stages 2 and 3 of a ``_stack``ed batch: ``_align`` aligns all trials
+    in one batched Adam loop, one ``effective_channel`` call composes their
+    channels, and the front end and each detector take the whole batch in
+    one call.  Returns the batch record: each trial's bit errors, an int
+    array (trials, detectors) in ``cfg.detectors`` order."""
+    ch, lo, theta0, sent, awgn = batch
+    h_eq = effective_channel(ch, _align(ch, lo, theta0, cfg.adam)[0])
+    y = front_end(h_eq, const.points[sent], lo, awgn)
     observed = {"y": y, "z": np.abs(y)}
     return np.stack([lut[sent, kernel(observed[reads], h_eq, lo, const, cfg)].sum(axis=(1, 2))
                      for reads, kernel in (_DETECTORS[det] for det in cfg.detectors)], axis=1)
@@ -400,11 +395,12 @@ class _LookAhead:
         self.queued = (p, j, [self.pool.submit(_draw_start, self.cfg, grid[p], t)
                               for t in (self._trials(j) if p < len(grid) else ())])
 
-    def take(self, p: int, j: int) -> list:
-        """The ``_draw_start`` results of point ``p``'s batch ``j``, in trial order."""
+    def take(self, p: int, j: int) -> tuple:
+        """The ``_draw_start`` results of point ``p``'s batch ``j``, in trial
+        order, ``_stack``ed; no trial's own arrays outlive the call."""
         db, trials = self.cfg.eb_n0_grid_db[p], self._trials(j)
         if self.pool is None:
-            return [_draw_start(self.cfg, db, t) for t in trials]
+            return _stack([_draw_start(self.cfg, db, t) for t in trials])
         if self.queued[:2] != (p, j):
             for future in self.queued[2]:
                 future.cancel()
@@ -416,7 +412,7 @@ class _LookAhead:
                 drawn[i] = _draw_start(self.cfg, db, trials[i])
         drawn = [d or f.result() for d, f in zip(drawn, futures)]
         self._queue(*((p, j + 1) if j + 1 < len(self.starts) else (p + 1, 0)))
-        return drawn
+        return _stack(drawn)
 
 
 def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:

@@ -365,6 +365,10 @@ class TestEffectiveChannel:
         ch = self.make_set(4, 3, 2, 7)
         with pytest.raises(ValueError):
             effective_channel(ch, np.zeros(5))
+        stack = ChannelSet(*(np.stack([a, a]) for a in (ch.h_ur, ch.h_rv, ch.h_uv)))
+        for theta in (np.zeros(3), np.zeros((3, 3)), np.zeros((2, 1, 3))):
+            with pytest.raises(ValueError, match="theta has shape"):
+                effective_channel(stack, theta)
 
     def test_no_ris_elements(self):
         ch = ChannelSet(
@@ -392,3 +396,30 @@ class TestChannelSetValidation:
         with pytest.raises(ValueError, match="finite"):
             ChannelSet(h_ur=np.zeros((3, 2)), h_rv=np.zeros((4, 3)), h_uv=bad)
 
+    def test_stack_of_sets(self):
+        """Leading axes in front of all three matrices make a stack; the
+        sizes are read from the last two axes."""
+        ch = ChannelSet(np.zeros((2, 5, 3, 2)), np.zeros((2, 5, 4, 3)), np.zeros((2, 5, 4, 2)))
+        assert (ch.num_cells, ch.num_elements, ch.num_users) == (4, 3, 2)
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3, 2), (3, 4, 3), (2, 4, 2)),
+        ((2, 3, 2), (2, 4, 3), (4, 2)),
+        ((3, 2), (2, 4, 3), (2, 4, 2)),
+        ((2, 3, 2), (2, 4, 3), (2, 1, 4, 2)),
+        ((3,), (4, 3), (4, 3)),
+        ((3, 2), (4,), (4, 2)),
+        ((3, 2), (4, 3), ()),
+    ], ids=["trials-3-vs-2", "h_uv-unstacked", "h_ur-unstacked", "h_uv-extra-axis",
+            "h_ur-1d", "h_rv-1d", "h_uv-scalar"])
+    def test_leading_axes_must_agree(self, shapes):
+        """Mismatched leading axes, and matrices of fewer than 2 dimensions,
+        are refused."""
+        with pytest.raises(ValueError, match="leading axes"):
+            ChannelSet(*(np.zeros(shape) for shape in shapes))
+
+    def test_inconsistent_inner_dims_in_a_stack(self):
+        with pytest.raises(ValueError, match="columns"):
+            ChannelSet(np.zeros((2, 3, 2)), np.zeros((2, 4, 5)), np.zeros((2, 4, 2)))
+        with pytest.raises(ValueError, match="inconsistent"):
+            ChannelSet(np.zeros((2, 3, 2)), np.zeros((2, 4, 3)), np.zeros((2, 5, 2)))

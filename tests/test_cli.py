@@ -379,13 +379,20 @@ class TestCommands:
         pytest.param("sim", "symbols_per_trial", f"{2**56}\ncells = 4",
                      id="sim-symbols_per_trial-2^56-batch-observations"),
         ("adam", "max_iters", "1" + "0" * 20),
+        # [system] checks of the campaign, named by the file's keys.
+        ("system", "pam_order", "3"),
+        ("system", "cells", "0"),
+        ("system", "users", "0"),
+        ("system", "ris_elements", "-1"),
+        pytest.param("system", "users", "99\ncells = 4", id="system-users-99-above-cells-4"),
     ])
     def test_invalid_field_is_exit_2(self, tmp_path, capsys, section, key, value):
-        """Rejected before any trial runs, with the field named."""
+        """Rejected before any trial runs, with the field named by its key,
+        a whole word (``paths``, not the ``num_paths`` it sets)."""
         path = write_config(tmp_path, with_field(section, key, value))
         assert main(["ber", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
-        assert key.removesuffix("_min") in err
+        assert re.search(rf"\b{key}\b", err), err
         if section != "sim":
             assert f"[{section}]" in err
         assert not (tmp_path / "x.csv").exists()
@@ -442,11 +449,11 @@ class TestCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("module, name", [(sim, "_draw_trial"),
+    @pytest.mark.parametrize("module, name", [(sim, "_draw_start"),
                                               (detect, "_full_search")])
     def test_out_of_memory_is_exit_4(self, tmp_path, capsys, monkeypatch, threads,
                                      module, name):
-        """A campaign the machine cannot hold, in a channel draw (on a pool
+        """A campaign the machine cannot hold, in a trial's draw (on a pool
         worker when ``threads`` is 2) or in the full search, ends with one
         error line naming the sizes and exit 4, writing no CSV or manifest."""
         def out_of_memory(*args):
@@ -479,14 +486,14 @@ class TestCommands:
         thread and 7 workers; the thread count is read while they draw."""
         path = write_config(tmp_path, BASE_CONFIG.replace("trials_per_point = 6",
                                                           "trials_per_point = 20"))
-        draw_trial = sim._draw_trial
+        draw_start = sim._draw_start
         running = []
 
-        def counting_draw_trial(*args):
+        def counting_draw_start(*args):
             running.append(threading.active_count())
-            return draw_trial(*args)
+            return draw_start(*args)
 
-        monkeypatch.setattr(sim, "_draw_trial", counting_draw_trial)
+        monkeypatch.setattr(sim, "_draw_start", counting_draw_start)
         outs = []
         for threads, most in (("1", 0), ("1000000", sim._BATCH_SIZE - 1)):
             out = tmp_path / f"t{threads}.csv"
@@ -806,7 +813,11 @@ class TestGoldenCampaigns:
     count.  Each is also run with one and two pool workers drawing the
     next batch while the calling thread aligns and detects; in
     ``golden_early_stop`` the look-ahead a stop makes useless is
-    discarded."""
+    discarded.  ``golden_convergence.csv`` and
+    ``golden_convergence_phases.txt`` are the ``convergence`` and
+    ``optimize`` outputs of ``golden_convergence.ini`` (M = 36, N = 150,
+    K = 3, 20 iterations), written when those commands still drew their
+    trial through a chain of their own beside the campaign's."""
 
     DATA = Path(__file__).resolve().parent / "data"
 
@@ -821,3 +832,13 @@ class TestGoldenCampaigns:
         assert main(["ber", "--config", str(self.DATA / f"{name}.ini"), "--out", str(out),
                      "--threads", str(threads)]) == 0
         assert out.read_bytes() == (self.DATA / f"{name}.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, golden", [
+        ("convergence", "golden_convergence.csv"),
+        ("optimize", "golden_convergence_phases.txt"),
+    ])
+    def test_single_trial_output_byte_identical(self, tmp_path, command, golden):
+        out = tmp_path / golden
+        assert main([command, "--config", str(self.DATA / "golden_convergence.ini"),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (self.DATA / golden).read_bytes()

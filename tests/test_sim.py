@@ -185,20 +185,59 @@ class TestStageOne:
             (a.dtype, a.shape, a.tobytes()) for a in want]
 
     def test_no_generator_after_stage_one(self):
-        """A drawn batch holds arrays and channel sets only, and finishing it
-        twice gives one batch record."""
+        """A drawn batch holds arrays and channel sets only, before and after
+        it is stacked, and finishing the stacked batch twice gives one batch
+        record."""
         from atomris.channel import ChannelSet
         from atomris.modem import hamming_table, make_pam
 
         drawn = [sim._draw_start(SMALL, -22.0, t) for t in range(5)]
-        for ch, *arrays in drawn:
+        batch = sim._stack(drawn)
+        for ch, *arrays in (*drawn, batch):
             assert isinstance(ch, ChannelSet)
             assert all(isinstance(a, np.ndarray) for a in arrays)
+        assert batch[0].h_rv.shape == (5, SMALL.num_cells, SMALL.num_elements)
+        assert all(len(a) == 5 for a in batch[1:])
         const = make_pam(SMALL.mod_order)
-        first, second = (sim._finish_batch(SMALL, const, hamming_table(const), drawn)
+        first, second = (sim._finish_batch(SMALL, const, hamming_table(const), batch)
                          for _ in range(2))
         assert first.shape == (5, len(SMALL.detectors)) and first.sum() > 0
         assert np.array_equal(first, second)
+
+
+def _exact_bytes(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestStackedChannels:
+    """Stage 2 and the compose read a batch as one stacked ``ChannelSet``:
+    the rows of ``_dephase``, ``build_rank_one_cache``, ``_align`` and
+    ``effective_channel`` on a stack of campaign draws are their
+    single-trial calls bit for bit (``_align``'s a batch of one)."""
+
+    @pytest.mark.parametrize("n", [24, 0], ids=["N24", "no-RIS"])
+    @pytest.mark.parametrize("n_trials", [1, 3, 8], ids=["one", "tail-of-3", "batch-of-8"])
+    def test_rows_equal_single_trial_calls(self, n, n_trials):
+        from atomris.channel import effective_channel
+        from atomris.risopt import build_rank_one_cache
+
+        cfg = replace(SMALL, num_elements=n, adam=AdamConfig(max_iters=15))
+        drawn = [sim._draw_start(cfg, -22.0, t) for t in range(n_trials)]
+        ch, b, theta0, *_ = sim._stack(drawn)
+        dephased = sim._dephase(ch, b)
+        r, g = build_rank_one_cache(dephased)
+        assert r.flags.c_contiguous and g.flags.c_contiguous
+        thetas, traces = sim._align(ch, b, theta0, cfg.adam)
+        h_eq = effective_channel(ch, thetas)
+        assert h_eq.shape == (n_trials, cfg.num_cells, cfg.num_users)
+        for t, (ch1, b1, theta1, *_) in enumerate(drawn):
+            one = sim._dephase(ch1, b1)
+            (theta,), (trace,) = sim._align(*sim._stack([(ch1, b1, theta1)]), cfg.adam)
+            got = (dephased.h_ur[t], dephased.h_rv[t], dephased.h_uv[t], r[t], g[t],
+                   thetas[t], traces[t].objective, traces[t].grad_norm, h_eq[t])
+            want = (one.h_ur, one.h_rv, one.h_uv, *build_rank_one_cache(one),
+                    theta, trace.objective, trace.grad_norm, effective_channel(ch1, thetas[t]))
+            assert _exact_bytes(got) == _exact_bytes(want), t
 
 
 class TestRunBer:
@@ -358,14 +397,14 @@ class TestRunBer:
         """A draw that raises, on a worker or on the calling thread, ends
         ``run_ber`` with the exception it raised at one thread, and no
         worker outlives the call."""
-        draw_trial = sim._draw_trial
+        draw_start = sim._draw_start
 
-        def failing_draw_trial(cfg, eb_n0_db, t):
+        def failing_draw_start(cfg, eb_n0_db, t):
             if t == 10:  # the second batch: drawn ahead on the pool
                 raise RuntimeError("draw failed")
-            return draw_trial(cfg, eb_n0_db, t)
+            return draw_start(cfg, eb_n0_db, t)
 
-        monkeypatch.setattr(sim, "_draw_trial", failing_draw_trial)
+        monkeypatch.setattr(sim, "_draw_start", failing_draw_start)
         baseline = threading.active_count()
         with pytest.raises(RuntimeError, match="draw failed"):
             run_ber(SMALL, threads)
