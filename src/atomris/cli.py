@@ -51,11 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="print the default configuration and exit")
         if name == "ber":
             cmd.add_argument("--threads", type=int, default=1,
-                             help="threads that draw each trial's random stream (channels, "
-                                  "LO, starting phases, symbols and noise): the calling "
-                                  "thread and N-1 workers drawing the next batch while it "
-                                  "aligns and detects (0: one per CPU; at most 8, one per "
-                                  "trial of a batch); the CSV does not depend on it")
+                             help="N >= 2, or 0 on a machine with two or more CPUs, starts one "
+                                  "worker that draws the next batch's trials while the calling "
+                                  "thread aligns and detects; the CSV does not depend on it.  No "
+                                  "run measured more than one worker on more than two CPUs: for "
+                                  "more cores, see README, 'Spreading a campaign over processes'")
     return parser
 
 

@@ -212,8 +212,9 @@ def detect_exhaustive_batch(
         raise ValueError(
             f"shape mismatch: z {z.shape}, b {b.shape}, channel {h_eq.shape}"
         )
-    if not np.isfinite(z).all():
-        raise ValueError("z must be finite")
+    for name, arr in (("z", z), ("h_eq", h_eq), ("b", b)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
     q, n_obs = c.order, z.shape[-1]
     if q**k > budget:
         raise BudgetExceededError(

@@ -35,10 +35,6 @@ class Constellation:
     def bits_per_symbol(self) -> int:
         return self.order.bit_length() - 1
 
-    @property
-    def min_distance(self) -> float:
-        return float(np.min(np.diff(self.points)))
-
 
 @dataclass(frozen=True)
 class NoiseSpec:

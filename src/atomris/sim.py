@@ -35,16 +35,17 @@ of every stacked call equal single-trial calls bit for bit, so which
 trials share a batch does not change any output.
 
 With one thread a campaign holds one batch at a time.  With ``run_ber``'s
-``threads`` > 1, only the first stage runs on worker threads, one batch
-ahead: the pool draws the next batch of the flat (point, batch) order
-while the calling thread aligns and detects the current one, so a
-campaign holds at most two batches.  The draw is a few large ufuncs over
-(M, N, L) arrays, which release the GIL, and it touches no BLAS; each
-trial's generator is used by one thread in its usual order, so the
-outputs do not depend on the thread count.  Stages 2 and 3 stay on the
-calling thread: the Adam loop and the detectors are many small numpy
+``threads`` > 1, only the first stage runs on a worker thread, one batch
+ahead: one worker draws the next batch of the flat (point, batch) order,
+trial by trial, while the calling thread aligns and detects the current
+one, so a campaign holds at most two batches.  The draw is a few large
+ufuncs over (M, N, L) arrays, which release the GIL, and it touches no
+BLAS; each trial's generator is used by one thread in its usual order, so
+the outputs do not depend on the thread count.  Stages 2 and 3 stay on
+the calling thread: the Adam loop and the detectors are many small numpy
 calls that hold the GIL, and threading them measured slower than one
-thread.
+thread.  So did a second drawing worker: the calling thread is the
+critical path, and each worker takes the GIL from it between ufuncs.
 
 The convergence experiment is the campaign's first trial aligned alone,
 so its trace and phases are those of a trial the BER counts.
@@ -297,8 +298,12 @@ def optimize_aligned_phases(
     Runs the Frobenius-objective optimizer on the channel set with its
     rows de-phased by exp(-j angle(b)); a zero objective there makes
     H_eq s o exp(-j angle(b)) real for every real s.  This is a batch of
-    one trial: a campaign trial gets the same phases from its batch.
+    one trial: a campaign trial gets the same phases from its batch.  A
+    non-finite LO is refused before any draw.  Its only caller outside
+    the tests is perfbench's traced replay; ROADMAP item 6 deletes both.
     """
+    if not np.isfinite(b).all():
+        raise ValueError("the LO b must be finite")
     thetas, traces = _align(*_stack([(ch, b, random_phases(ch.num_elements, rng))]), adam)
     return thetas[0], traces[0]
 
@@ -418,23 +423,22 @@ class _LookAhead:
 def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
     """Run the full campaign and return one record per (Eb/N0, detector).
 
-    With ``threads`` > 1 (0: ``os.cpu_count()``; at most one per trial of
-    a batch), a pool of ``threads - 1`` workers draws each batch while the
-    calling thread aligns and detects the one before it (``_LookAhead``);
-    one thread makes no pool.  The records do not depend on it (see the
-    module docstring), and no worker outlives the call.  To spread a
-    campaign over processes, run grid or trial slices and combine them
-    with ``merge_records``."""
+    With any ``threads`` >= 2 (0: ``os.cpu_count()``) and more than one
+    trial per point, one worker draws each batch while the calling thread
+    aligns and detects the one before it (``_LookAhead``); one thread
+    makes no pool.  The records do not depend on it (see the module
+    docstring), and no worker outlives the call.  To use more cores, run
+    grid or trial slices in processes and combine them with
+    ``merge_records``."""
     validate_config(cfg)
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     const = make_pam(cfg.mod_order)
     lut = hamming_table(const)
-    workers = min(threads or os.cpu_count() or 1, _BATCH_SIZE, cfg.trials_per_point)
     pool = None
-    if workers > 1:
+    if min(threads or os.cpu_count() or 1, cfg.trials_per_point) > 1:
         from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(workers - 1)
+        pool = ThreadPoolExecutor(1)
     draws = _LookAhead(cfg, pool)
 
     records: list[BerRecord] = []

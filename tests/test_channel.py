@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from atomris import channel
 from atomris.channel import (
@@ -161,8 +162,8 @@ class TestFoldedCouplingDraw:
     def test_default_model_bit_identical_to_tensor_formula(self):
         """The default draw, and the default model with any number of
         paths, equals its closed form (``np.sum`` over paths) on a cloned
-        generator, bit for bit: the path sum adds slices in numpy's own
-        order, which splits runs longer than 64 paths."""
+        generator, bit for bit: at L = 4 the path sum adds slices in
+        numpy's own order, and every other L is ``np.sum`` itself."""
         for num_paths in (*range(1, 9), 64, 65, 130):
             params = PhysicalPathParams(num_paths=num_paths)
             rng_a, rng_b = rng_for(5), rng_for(5)
@@ -180,6 +181,24 @@ class TestFoldedCouplingDraw:
         folded = gen_physical_channel(5, 7, params, rng_a)
         assert folded.tobytes() == closed_form_draw(5, 7, params, rng_b).tobytes()
         assert not np.signbit(folded.view(float)).any()
+
+    @settings(deadline=None, max_examples=200)
+    @given(lead=st.lists(st.integers(0, 5), min_size=1, max_size=2),
+           num_paths=st.one_of(st.just(4), st.integers(1, 140)),
+           data=st.data())
+    def test_path_sum_is_numpy_sum(self, lead, num_paths, data):
+        """On any finite stack of path terms, with signed zeros, subnormals
+        and magnitudes up to 1e150, and with zero-size leading axes, the
+        path sum is ``np.sum`` over the path axis byte for byte."""
+        special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-310, 1e150, -1e150])
+        finite = st.floats(-1e150, 1e150, allow_nan=False, allow_subnormal=True)
+        parts = data.draw(arrays(float, (*lead, num_paths, 2),  # real, imaginary
+                                 elements=st.one_of(special, finite)))
+        terms = parts.view(complex)[..., 0]
+        expected = np.sum(terms, axis=-1)
+        got = channel._path_sum(terms)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
     def test_coupling_constants_computed_once(self, monkeypatch):
         """The normalization is fixed when the parameters are built; draws

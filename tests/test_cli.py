@@ -482,8 +482,8 @@ class TestCommands:
 
     def test_threads_capped_at_batch_size(self, tmp_path, monkeypatch):
         """``--threads 1000000`` writes the ``--threads 1`` CSV and draws
-        with at most one thread per trial of a batch of 8: the calling
-        thread and 7 workers; the thread count is read while they draw."""
+        on the calling thread and one worker, as any N >= 2 does; the
+        thread count is read while they draw."""
         path = write_config(tmp_path, BASE_CONFIG.replace("trials_per_point = 6",
                                                           "trials_per_point = 20"))
         draw_start = sim._draw_start
@@ -495,7 +495,7 @@ class TestCommands:
 
         monkeypatch.setattr(sim, "_draw_start", counting_draw_start)
         outs = []
-        for threads, most in (("1", 0), ("1000000", sim._BATCH_SIZE - 1)):
+        for threads, most in (("1", 0), ("1000000", 1)):
             out = tmp_path / f"t{threads}.csv"
             before = threading.active_count()
             running.clear()

@@ -330,6 +330,18 @@ class TestExhaustiveDetector:
             detect_exhaustive_batch(z, np.ones((16, users), dtype=complex),
                                     np.full(16, 50.0 + 0j), make_pam(4))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["h_eq", "b"])
+    @pytest.mark.parametrize("users", [2, 8])
+    def test_non_finite_channel_or_lo_rejected(self, users, name, value):
+        """One non-finite entry in the channel or the LO is refused, naming
+        it, on either search, as the proposed detector's least squares
+        refuses it; no candidate is returned."""
+        args = {"h_eq": np.ones((16, users), dtype=complex), "b": np.full(16, 50.0 + 0j)}
+        args[name][(3, 1)[:args[name].ndim]] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            detect_exhaustive_batch(np.ones((16, 3)), args["h_eq"], args["b"], make_pam(4))
+
     def test_budget_refusal(self):
         c = make_pam(16)
         h_eq = np.ones((8, 6), dtype=complex)
@@ -485,7 +497,7 @@ class TestPrunedSearch:
         h_eq, b = strong_lo_system(m, k, seed)
         rng = np.random.default_rng(seed + 1)
         sent = rng.integers(0, q, (k, n_obs))
-        scale = noise * c.min_distance
+        scale = noise * np.diff(c.points).min()
         z = np.abs(h_eq @ c.points[sent] + b[:, None] + scale * complex_normal(rng, (m, n_obs)))
         expected = full_matrix_exhaustive(z, h_eq, b, c)
         best = detect._pruned_search(z, h_eq, b, c)
@@ -580,7 +592,7 @@ def trial_stack(n_trials, m, k, c, seed, n_obs=24):
         h, b = strong_lo_system(m, k, seed + t, leak=0.2, lo_margin=2.0)
         if t == 1:
             b[k - 1:] *= 1e-3
-        noise = 0.2 * (1 + t) * c.min_distance * complex_normal(rng, (m, n_obs))
+        noise = 0.2 * (1 + t) * np.diff(c.points).min() * complex_normal(rng, (m, n_obs))
         ys.append(h @ c.points[rng.integers(0, c.order, (k, n_obs))] + b[:, None] + noise)
         hs.append(h)
         bs.append(b)

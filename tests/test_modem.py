@@ -61,7 +61,7 @@ class TestDemodulate:
         changes its index (exhaustive sweep)."""
         c = make_pam(order)
         for delta in (-0.49, -0.2, 0.0, 0.2, 0.49):
-            values = c.points + delta * c.min_distance
+            values = c.points + delta * np.diff(c.points).min()
             assert np.array_equal(slice_to_indices(values, c), np.arange(order))
 
     def test_nearest_neighbor_rule(self):

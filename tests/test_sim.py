@@ -132,6 +132,23 @@ class TestConvergence:
         )
         assert np.all(trace.objective == trace.objective[0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lo_rejected(self, value):
+        """``optimize_aligned_phases`` refuses an LO with one NaN or
+        infinite entry, naming the LO, before it draws the starting
+        phases."""
+        from atomris.sim import draw_channels, optimize_aligned_phases
+
+        cfg = replace(SMALL, adam=AdamConfig(max_iters=3))
+        rng = np.random.default_rng(3)
+        ch = draw_channels(cfg, rng)
+        b = np.full(cfg.num_cells, 1e4 + 0j)
+        b[5] = value
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="LO b must be finite"):
+            optimize_aligned_phases(ch, b, cfg.adam, rng)
+        assert rng.bit_generator.state == state
+
     def test_deterministic_replay(self):
         _, _, t1 = run_convergence(SimConfig(master_seed=8))
         _, _, t2 = run_convergence(SimConfig(master_seed=8))
@@ -356,8 +373,9 @@ class TestRunBer:
         assert records_to_csv(merged) == records_to_csv(full)
 
     def test_draw_threads_do_not_change_records(self):
-        """Batches of 8 and 4 trials, drawn one batch ahead by pools of 1,
-        2 and 4 workers that the calling thread takes trials from, give the
+        """Batches of 8 and 4 trials, drawn one batch ahead by the one
+        worker that ``threads`` 0, 2, 3 and 5 each start, and by the
+        calling thread taking the trials it has not started, give the
         one-thread records, also with more threads than cores switching
         every microsecond, and when points stop on the error target (after
         two and three batches, and at the cap of 4 + 1/2 batches) with their
