@@ -168,16 +168,8 @@ class ChannelSet:
                 raise ValueError(f"{name} contains non-finite entries")
 
     @property
-    def num_cells(self) -> int:
-        return self.h_rv.shape[-2]
-
-    @property
     def num_elements(self) -> int:
         return self.h_ur.shape[-2]
-
-    @property
-    def num_users(self) -> int:
-        return self.h_ur.shape[-1]
 
 
 def gen_user_ris_channel(num_users: int, num_elements: int, rng: np.random.Generator) -> np.ndarray:
@@ -299,4 +291,6 @@ def effective_channel(ch: ChannelSet, theta: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"theta has shape {theta.shape}, expected {ch.h_ur.shape[:-1]}"
         )
+    if not np.isfinite(theta).all():
+        raise ValueError("theta must be finite")
     return (ch.h_rv * np.exp(1j * theta)[..., None, :]) @ ch.h_ur + ch.h_uv

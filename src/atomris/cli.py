@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import default_config_text, load_config, write_manifest
 from .errors import BudgetExceededError, ConfigError, SingularMatrixError
-from .risopt import build_rank_one_cache, canonicalize_phases, objective
+from .risopt import build_rank_one_cache, objective
 from .sim import SimConfig, run_ber, run_convergence, validate_config, write_records_csv
 
 EXIT_OK = 0
@@ -98,7 +98,7 @@ def _check_writable(path) -> None:
 
 def cmd_optimize(cfg: SimConfig, out_path: str) -> int:
     dephased, theta, _ = run_convergence(cfg)
-    theta = canonicalize_phases(theta)
+    theta = np.mod(theta, 2.0 * np.pi)
     final = objective(theta, build_rank_one_cache(dephased), dephased.h_uv)
     save_phase_solution(out_path, cfg, theta, final)
     return EXIT_OK

@@ -55,7 +55,10 @@ vectors, and every kernel returns one column per observation.  Every
 kernel also takes leading trial axes, one channel and LO per trial; each
 trial's result is, bit for bit, that of a call on the trial alone.  No
 kernel reads a random generator: ``front_end`` adds the noise draw it is
-given.
+given.  Every detector first passes its observation, channel and LO
+through ``_detector_inputs``, so each refuses a non-finite entry, or
+leading axes or an M that disagree, with a ``ValueError`` that names the
+input.
 """
 
 from __future__ import annotations
@@ -118,7 +121,8 @@ def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``h_eq`` (..., M, K) and ``rhs`` (..., M, n) may carry the same leading
     trial axes; the estimate is (..., K, n), each trial's the one a call on
     that trial alone returns.  A refusal is the first refused trial's, with
-    its own condition number.
+    its own condition number.  A non-finite ``h_eq`` is refused by name
+    before any Gram matrix is formed.
 
     The solve runs on each H scaled by the power of two 2^-e that brings
     its largest real or imaginary part into [1/2, 1), so its Gram matrix
@@ -127,6 +131,8 @@ def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     h_eq = np.ascontiguousarray(h_eq, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
+    if not np.isfinite(h_eq).all():
+        raise ValueError("h_eq must be finite")
     *lead, m, k = h_eq.shape
     if k > m:
         raise ValueError(f"more users ({k}) than cells ({m}); least squares undefined")
@@ -159,6 +165,21 @@ def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return s_hat.reshape(*lead, k, rhs.shape[-1])
 
 
+def _detector_inputs(obs, name: str, dtype: type, h_eq, b) -> tuple[np.ndarray, ...]:
+    """The input contract of every detector: the observation ``obs``
+    (..., M, n), called ``name``, as ``dtype``, and the channel (..., M, K)
+    and LO (..., M) as complex.  Leading trial axes or an M that disagree
+    are refused with all three shapes, and a non-finite entry naming its
+    array, before any detector reads them."""
+    obs, h_eq, b = np.asarray(obs, dtype), np.asarray(h_eq, complex), np.asarray(b, complex)
+    if not obs.shape[:-1] == b.shape == h_eq.shape[:-1]:
+        raise ValueError(f"shape mismatch: {name} {obs.shape}, b {b.shape}, channel {h_eq.shape}")
+    for label, arr in ((name, obs), ("h_eq", h_eq), ("b", b)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{label} must be finite")
+    return obs, h_eq, b
+
+
 def detect_proposed_batch(
     z: np.ndarray, h_eq: np.ndarray, b: np.ndarray, c: Constellation
 ) -> np.ndarray:
@@ -169,9 +190,7 @@ def detect_proposed_batch(
     phase is re-attached to z, the complex LO subtracted, and the real
     part of the LS estimate sliced per user.
     """
-    z = np.asarray(z, dtype=float)
-    h_eq = np.asarray(h_eq, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    z, h_eq, b = _detector_inputs(z, "z", float, h_eq, b)
     rhs = z * np.exp(1j * np.angle(b))[..., None]
     rhs -= b[..., None]
     s_hat = ls_estimate(h_eq, rhs).real
@@ -204,17 +223,8 @@ def detect_exhaustive_batch(
     search takes all trials in one call, and the second pass and the full
     search run trial by trial.
     """
-    z = np.asarray(z, dtype=float)
-    h_eq = np.asarray(h_eq, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    z, h_eq, b = _detector_inputs(z, "z", float, h_eq, b)
     *lead, m, k = h_eq.shape
-    if z.shape[:-1] != (*lead, m) or b.shape != (*lead, m):
-        raise ValueError(
-            f"shape mismatch: z {z.shape}, b {b.shape}, channel {h_eq.shape}"
-        )
-    for name, arr in (("z", z), ("h_eq", h_eq), ("b", b)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} must be finite")
     q, n_obs = c.order, z.shape[-1]
     if q**k > budget:
         raise BudgetExceededError(
@@ -432,7 +442,6 @@ def detect_zf_batch(
 ) -> np.ndarray:
     """Genie zero-forcing on complex observations y = H_eq s + b + n, with
     the leading trial axes of ``detect_proposed_batch``."""
-    y = np.asarray(y, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    y, h_eq, b = _detector_inputs(y, "y", complex, h_eq, b)
     s_hat = ls_estimate(h_eq, y - b[..., None]).real
     return slice_to_indices(s_hat, c)

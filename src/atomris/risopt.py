@@ -58,7 +58,6 @@ __all__ = [
     "objective_and_gradient",
     "random_phases",
     "adam_optimize_batch",
-    "canonicalize_phases",
     "gradient_op_count",
 ]
 
@@ -170,6 +169,8 @@ def _single(theta, op: tuple, h_uv):
         raise ValueError(f"R has shape {r.shape}, expected (M, 2N) = ({m}, {2 * n})")
     if theta.shape != (n,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({n},)")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta must be finite")
     if h_uv.shape != (m, k):
         raise ValueError(f"h_uv has shape {h_uv.shape}, expected (M, K) = ({m}, {k})")
     return theta[None], (r[None], g[None]), h_uv.imag[None]
@@ -198,11 +199,6 @@ def gradient_op_count(op: tuple) -> int:
     squares (3 M K)."""
     (k, n), m = op[1].shape, op[0].shape[0]
     return 8 * n * m * k + 2 * n + 13 * n * k + 3 * m * k
-
-
-def canonicalize_phases(theta: np.ndarray) -> np.ndarray:
-    """Wrap phases into [0, 2pi)."""
-    return np.mod(np.asarray(theta, dtype=float), 2.0 * np.pi)
 
 
 def random_phases(num_elements: int, rng: np.random.Generator) -> np.ndarray:

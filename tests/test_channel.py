@@ -395,6 +395,16 @@ class TestEffectiveChannel:
         )
         assert np.allclose(effective_channel(ch, np.zeros(0)), ch.h_uv)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_rejected(self, value):
+        """One non-finite phase is refused by name, not composed into a
+        non-finite matrix (NaN) or a RuntimeWarning (+-inf)."""
+        ch = self.make_set(4, 3, 2, 8)
+        theta = np.zeros(3)
+        theta[1] = value
+        with pytest.raises(ValueError, match="theta must be finite"):
+            effective_channel(ch, theta)
+
 
 class TestChannelSetValidation:
     def test_inconsistent_inner_dims(self):
@@ -419,7 +429,9 @@ class TestChannelSetValidation:
         """Leading axes in front of all three matrices make a stack; the
         sizes are read from the last two axes."""
         ch = ChannelSet(np.zeros((2, 5, 3, 2)), np.zeros((2, 5, 4, 3)), np.zeros((2, 5, 4, 2)))
-        assert (ch.num_cells, ch.num_elements, ch.num_users) == (4, 3, 2)
+        assert (ch.h_ur.shape, ch.h_rv.shape, ch.h_uv.shape) == (
+            (2, 5, 3, 2), (2, 5, 4, 3), (2, 5, 4, 2))
+        assert ch.num_elements == 3
 
     @pytest.mark.parametrize("shapes", [
         ((2, 3, 2), (3, 4, 3), (2, 4, 2)),

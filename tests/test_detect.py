@@ -253,6 +253,17 @@ class TestProposedDetector:
         except SingularMatrixError:
             pass
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_channel_refused_by_name(self, value):
+        """Called directly, a non-finite channel is refused by name before
+        its Gram matrix is formed, not as numpy's LinAlgError or a
+        RuntimeWarning from the condition number."""
+        h = np.ones((4, 2), dtype=complex)
+        h[:, 1] = np.arange(4)
+        h[2, 0] = value
+        with pytest.raises(ValueError, match="h_eq must be finite"):
+            ls_estimate(h, np.ones((4, 1)))
+
     @pytest.mark.parametrize("entry", [0.0, 5e-324])
     def test_zero_or_subnormal_channel_refused(self, entry):
         """An all-zero or all-subnormal H is refused as singular, not
@@ -689,6 +700,43 @@ class TestStackedTrials:
             ls_estimate(h, y[:2] - b[:2, :, None])
         with pytest.raises(ValueError, match="shape mismatch"):
             detect_exhaustive_batch(z[:2], h, b, c)
+
+
+class TestDetectorContract:
+    """The three detectors accept the same inputs: an observation, a
+    channel and an LO with equal leading trial axes and M, every entry
+    finite; anything else is refused with a ValueError naming it."""
+
+    DETECTORS = [(detect_proposed_batch, "z"), (detect_exhaustive_batch, "z"),
+                 (detect_zf_batch, "y")]
+    IDS = ["proposed", "exhaustive", "zf_genie"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("arg", ["obs", "h_eq", "b"])
+    @pytest.mark.parametrize("detector, name", DETECTORS, ids=IDS)
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one-trial", "stack-of-two"])
+    def test_non_finite_input_refused_by_name(self, detector, name, arg, value, stacked):
+        """One non-finite entry, in the last trial of a stack, is refused
+        before any estimate or search, naming the observation (``z`` or
+        ``y``), ``h_eq`` or ``b``."""
+        c = make_pam(4)
+        y, z, h, b = trial_stack(2, 8, 3, c, seed=95)
+        args = {"obs": z if name == "z" else y, "h_eq": h, "b": b}
+        last = {key: arr[1] for key, arr in args.items()}  # views into the stack
+        last[arg][(3, 1)[:last[arg].ndim]] = value
+        if not stacked:
+            args = last
+        with pytest.raises(ValueError, match=f"{name if arg == 'obs' else arg} must be finite"):
+            detector(args["obs"], args["h_eq"], args["b"], c)
+
+    @pytest.mark.parametrize("detector, name", DETECTORS, ids=IDS)
+    def test_one_lo_for_a_stack_refused(self, detector, name):
+        """An (M,) LO is not broadcast over a (2, M, K) stack: each trial
+        carries its own."""
+        c = make_pam(4)
+        y, z, h, b = trial_stack(2, 8, 3, c, seed=96)
+        with pytest.raises(ValueError, match=f"shape mismatch: {name} "):
+            detector(z if name == "z" else y, h, b[0], c)
 
 
 class TestZfGenie:

@@ -11,7 +11,6 @@ from atomris.risopt import (
     AdamConfig,
     adam_optimize_batch,
     build_rank_one_cache,
-    canonicalize_phases,
     gradient_op_count,
     objective,
     objective_and_gradient,
@@ -157,6 +156,17 @@ class TestObjective:
         cache = build_rank_one_cache(ch)
         with pytest.raises(ValueError):
             objective(np.zeros(5), cache, ch.h_uv)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kernel", [objective, objective_and_gradient])
+    def test_non_finite_phase_rejected(self, kernel, value):
+        """One non-finite phase is refused by name, not evaluated into a
+        non-finite J (NaN) or a RuntimeWarning (+-inf)."""
+        ch = random_set(3, 4, 2, 7)
+        theta = np.zeros(4)
+        theta[2] = value
+        with pytest.raises(ValueError, match="theta must be finite"):
+            kernel(theta, build_rank_one_cache(ch), ch.h_uv)
 
     @pytest.mark.parametrize("n", [0, 1, 24])
     def test_same_value_as_objective_and_gradient(self, n):
@@ -434,9 +444,3 @@ class TestOpCounting:
             counts[n] = gradient_op_count(build_rank_one_cache(ch))
         assert counts[400] / counts[200] == pytest.approx(2.0, rel=0.05)
         assert counts[200] / counts[100] == pytest.approx(2.0, rel=0.05)
-
-    def test_canonicalize(self):
-        theta = np.array([-0.1, 2 * np.pi + 0.5, 7 * np.pi])
-        wrapped = canonicalize_phases(theta)
-        assert np.all((wrapped >= 0) & (wrapped < 2 * np.pi))
-        assert np.allclose(np.exp(1j * wrapped), np.exp(1j * theta), atol=1e-12)
