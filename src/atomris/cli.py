@@ -99,7 +99,7 @@ def _check_writable(path) -> None:
 def cmd_optimize(cfg: SimConfig, out_path: str) -> int:
     dephased, theta, _ = run_convergence(cfg)
     theta = np.mod(theta, 2.0 * np.pi)
-    final = objective(theta, build_rank_one_cache(dephased), dephased.h_uv)
+    final = float(objective(theta, build_rank_one_cache(dephased), dephased.h_uv))
     save_phase_solution(out_path, cfg, theta, final)
     return EXIT_OK
 

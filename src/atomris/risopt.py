@@ -18,8 +18,9 @@ gradient is
 because (Q^T @ R).view(complex) = Q^T j conj(A).  Finite differences
 confirm it (see tests); descent steps use theta <- theta - eta * step.  An
 objective/gradient evaluation is two real K x 2N x M products plus 2N
-trigonometric calls.  The optimizer runs a batch of independent trials
-through one loop; a single trial is a batch too.
+trigonometric calls.  Every entry takes any leading trial axes (none is
+one trial) and runs them through one loop, refusing a non-finite phase
+or mismatched shapes by name.
 
 The loop forms e^{j theta} with cos and sin of theta once, at its start.
 After each step Delta (theta -= Delta, applied to theta as before) it
@@ -89,14 +90,14 @@ class AdamConfig:
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
-    """Objective and gradient-norm history, one entry per gradient
-    evaluation (the first entry is the initial point)."""
+    """Objective and gradient-norm history (..., max_iters), one entry per
+    gradient evaluation (the first is the initial point) and trial."""
 
     objective: np.ndarray
     grad_norm: np.ndarray
 
     def __len__(self) -> int:
-        return self.objective.size
+        return self.objective.shape[-1]
 
 
 def build_rank_one_cache(ch: ChannelSet) -> tuple:
@@ -158,36 +159,36 @@ def _phasor(theta: np.ndarray) -> np.ndarray:
     return phasor
 
 
-def _single(theta, op: tuple, h_uv):
-    """Validated one-trial arguments: theta (1, N), (R, G) as (1, M, 2N) and
-    (1, K, N), and Im(h_uv) (1, M, K), a batch of one."""
+def _inputs(theta, op: tuple, h_uv):
+    """Every entry's contract: theta (..., N), (R, G) (..., M, 2N) and
+    (..., K, N) and h_uv (..., M, K) share their leading axes.  Returns
+    theta, (R, G) and Im(h_uv) with those axes flattened, and the axes."""
     theta = np.asarray(theta, dtype=float)
     h_uv = np.asarray(h_uv, dtype=complex)
     r, g = op
-    (k, n), m = g.shape, r.shape[0]
-    if r.shape != (m, 2 * n):
-        raise ValueError(f"R has shape {r.shape}, expected (M, 2N) = ({m}, {2 * n})")
-    if theta.shape != (n,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({n},)")
+    # A size of -1 matches no shape, so a missing axis fails the check below.
+    lead, (m, k) = h_uv.shape[:-2], (h_uv.shape[-2:] if h_uv.ndim > 1 else (-1, -1))
+    n = theta.shape[-1] if theta.ndim else -1
+    if (theta.shape, r.shape, g.shape) != ((*lead, n), (*lead, m, 2 * n), (*lead, k, n)):
+        raise ValueError(f"shape mismatch: theta {theta.shape}, R {r.shape}, G {g.shape}, "
+                         f"h_uv {h_uv.shape}")
     if not np.isfinite(theta).all():
         raise ValueError("theta must be finite")
-    if h_uv.shape != (m, k):
-        raise ValueError(f"h_uv has shape {h_uv.shape}, expected (M, K) = ({m}, {k})")
-    return theta[None], (r[None], g[None]), h_uv.imag[None]
+    b = math.prod(lead)
+    return (theta.reshape(b, n), (r.reshape(b, m, 2 * n), g.reshape(b, k, n)),
+            h_uv.imag.reshape(b, m, k), lead)
 
 
-def objective(theta: np.ndarray, op: tuple, h_uv: np.ndarray) -> float:
-    """J(theta) = squared Frobenius norm of Im(H_eq)."""
+def objective(theta: np.ndarray, op: tuple, h_uv: np.ndarray):
+    """J(theta) (...) = squared Frobenius norm of Im(H_eq)."""
     return objective_and_gradient(theta, op, h_uv)[0]
 
 
-def objective_and_gradient(
-    theta: np.ndarray, op: tuple, h_uv: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Evaluate J and its gradient in one pass (one gradient evaluation)."""
-    theta, op, q0 = _single(theta, op, h_uv)
+def objective_and_gradient(theta: np.ndarray, op: tuple, h_uv: np.ndarray) -> tuple:
+    """J (...) and its gradient (..., N) in one gradient evaluation."""
+    theta, op, q0, lead = _inputs(theta, op, h_uv)
     j_val, grad = _evaluator(op, q0)(_phasor(theta))
-    return float(j_val[0]), grad[0]
+    return j_val.reshape(lead)[()], grad.reshape(*lead, theta.shape[1])
 
 
 def gradient_op_count(op: tuple) -> int:
@@ -196,8 +197,11 @@ def gradient_op_count(op: tuple) -> int:
     (residual and projections, 8 N M K), the 2N trigonometric calls, the
     two complex products forming X^T and the gradient terms (12 N K), the
     sum over users with the factor 2 (N K), and the residual's offset and
-    squares (3 M K)."""
-    (k, n), m = op[1].shape, op[0].shape[0]
+    squares (3 M K).  A stacked operand counts as one trial."""
+    r, g = op
+    theta, _, q0, _ = _inputs(np.zeros(g.shape[:-2] + g.shape[-1:]), op,
+                              np.zeros(r.shape[:-1] + g.shape[-2:-1]))
+    (_, m, k), n = q0.shape, theta.shape[1]
     return 8 * n * m * k + 2 * n + 13 * n * k + 3 * m * k
 
 
@@ -207,23 +211,23 @@ def random_phases(num_elements: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def adam_optimize_batch(
-    op: tuple, q0: np.ndarray, theta0: np.ndarray, cfg: AdamConfig
-) -> tuple[np.ndarray, list[ConvergenceTrace]]:
+    theta0: np.ndarray, op: tuple, h_uv: np.ndarray, cfg: AdamConfig
+) -> tuple[np.ndarray, ConvergenceTrace]:
     """Momentum gradient descent with bias-corrected first/second moments,
-    for B independent trials in one loop.
+    for all trials of the objective's arguments in one loop.
 
-    ``op`` is the pair (R, G), (B, M, 2N) and (B, K, N), the
-    ``build_rank_one_cache`` of the trials' stacked channel sets; ``q0``
-    (B, M, K) is each Im(h_uv) and ``theta0`` (B, N) the starting phases.
-    Exactly ``cfg.max_iters`` gradient evaluations are performed per
-    trial, and every row is bit-identical to running that trial alone
-    (B = 1).  Each evaluation after the first reads e^{j theta} as the
-    previous one turned by the step (see the module docstring).  Returns
-    the final phases (B, N) and one trace per trial recording J and
-    ||grad||_2 at each evaluated point.
+    ``theta0`` (..., N) are the starting phases, ``op`` the
+    ``build_rank_one_cache`` of the trials' channel sets and ``h_uv``
+    (..., M, K) their direct channels.  Exactly ``cfg.max_iters``
+    gradient evaluations are performed per trial, and every row is
+    bit-identical to running that trial alone.  Each evaluation after the
+    first reads e^{j theta} as the previous one turned by the step (see
+    the module docstring).  Returns the final phases (..., N) and one
+    trace recording J and ||grad||_2 at each evaluated point.
     """
+    theta0, op, q0, lead = _inputs(theta0, op, h_uv)
     evaluate = _evaluator(op, q0)
-    theta = np.array(theta0, dtype=float)
+    theta = theta0.copy()
     phasor = _phasor(theta)
     turned = np.empty_like(phasor)
     turn = np.empty_like(phasor)
@@ -259,6 +263,5 @@ def adam_optimize_batch(
             np.sin(tmp, out=turn.imag[:, 0])
             np.multiply(phasor, turn, out=turned)  # not in place, as in _evaluator
             phasor, turned = turned, phasor
-    return theta, [
-        ConvergenceTrace(obj.copy(), np.sqrt(gsq)) for obj, gsq in zip(obj_hist.T, gsq_hist.T)
-    ]
+    return theta.reshape(*lead, theta.shape[1]), ConvergenceTrace(
+        *(a.T.reshape(*lead, cfg.max_iters) for a in (obj_hist, np.sqrt(gsq_hist))))

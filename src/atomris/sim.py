@@ -282,12 +282,12 @@ def _stack(drawn: list) -> tuple:
 
 
 def _align(ch: ChannelSet, b: np.ndarray, theta0: np.ndarray, adam: AdamConfig):
-    """Align a stack of B trials' channels and LO (B, M) from ``theta0``
-    (B, N) in one batched optimizer loop on their ``_dephase``d channels;
-    returns ``adam_optimize_batch``'s phases and traces.  The batch's
-    factored operand, (B, M, 2N) and (B, K, N), lives only for the call."""
+    """Align trials' channels and LO (..., M) from ``theta0`` (..., N) in
+    one optimizer loop on their ``_dephase``d channels; returns
+    ``adam_optimize_batch``'s phases and trace.  The factored operand,
+    (..., M, 2N) and (..., K, N), lives only for the call."""
     dephased = _dephase(ch, b)
-    return adam_optimize_batch(build_rank_one_cache(dephased), dephased.h_uv.imag, theta0, adam)
+    return adam_optimize_batch(theta0, build_rank_one_cache(dephased), dephased.h_uv, adam)
 
 
 def optimize_aligned_phases(
@@ -297,15 +297,15 @@ def optimize_aligned_phases(
 
     Runs the Frobenius-objective optimizer on the channel set with its
     rows de-phased by exp(-j angle(b)); a zero objective there makes
-    H_eq s o exp(-j angle(b)) real for every real s.  This is a batch of
-    one trial: a campaign trial gets the same phases from its batch.  A
-    non-finite LO is refused before any draw.  Its only caller outside
-    the tests is perfbench's traced replay; ROADMAP item 6 deletes both.
+    H_eq s o exp(-j angle(b)) real for every real s.  This is one trial,
+    with a (max_iters,) trace; a campaign trial gets the same phases from
+    its batch.  A non-finite LO is refused before any draw.  Its only
+    caller outside the tests is perfbench's traced replay; ROADMAP item 6
+    deletes both.
     """
     if not np.isfinite(b).all():
         raise ValueError("the LO b must be finite")
-    thetas, traces = _align(*_stack([(ch, b, random_phases(ch.num_elements, rng))]), adam)
-    return thetas[0], traces[0]
+    return _align(ch, b, random_phases(ch.num_elements, rng), adam)
 
 
 def run_convergence(cfg: SimConfig) -> tuple[ChannelSet, np.ndarray, ConvergenceTrace]:
@@ -314,8 +314,7 @@ def run_convergence(cfg: SimConfig) -> tuple[ChannelSet, np.ndarray, Convergence
     its de-phased channels, the final phases and the optimizer trace."""
     validate_config(cfg)
     ch, b, theta0, *_ = _draw_start(cfg, cfg.eb_n0_grid_db[0], cfg.trial_offset)
-    thetas, traces = _align(*_stack([(ch, b, theta0)]), cfg.adam)
-    return _dephase(ch, b), thetas[0], traces[0]
+    return _dephase(ch, b), *_align(ch, b, theta0, cfg.adam)
 
 
 def _draw_start(cfg: SimConfig, eb_n0_db: float, t: int):

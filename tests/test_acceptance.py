@@ -206,8 +206,8 @@ def test_criterion_4_oracle_equivalence():
         alpha = np.sqrt(np.array([2.0, 3.0][:n]))
         theta0 = 2.0 * np.pi * np.mod(shift + np.arange(restarts)[:, None] * alpha, 1.0)
         op = tuple(np.broadcast_to(a, (restarts, *a.shape)) for a in cache)
-        q0 = np.broadcast_to(ch.h_uv.imag, (restarts, m, k))
-        thetas, _ = adam_optimize_batch(op, q0, theta0, cfg)
+        h_uv = np.broadcast_to(ch.h_uv, (restarts, m, k))
+        thetas, _ = adam_optimize_batch(theta0, op, h_uv, cfg)
         best_j = min(objective(theta, cache, ch.h_uv) for theta in thetas)
         worst = max(worst, best_j - grid_j)
     ok = worst <= 1e-3

@@ -763,16 +763,16 @@ class TestOptimizeCommand:
         with monkeypatch.context() as patch:
             patch.setattr(sim, "_align", recording_align)
             sim.run_ber(load_config(path))
-        thetas, traces = aligned[0]
+        thetas, trace = aligned[0]
         assert thetas.shape == (8, 16)
 
-        phases, trace = tmp_path / "phases.txt", tmp_path / "trace.csv"
+        phases, trace_csv = tmp_path / "phases.txt", tmp_path / "trace.csv"
         assert main(["optimize", "--config", path, "--out", str(phases)]) == 0
-        assert main(["convergence", "--config", path, "--out", str(trace)]) == 0
+        assert main(["convergence", "--config", path, "--out", str(trace_csv)]) == 0
         assert np.array_equal(read_phase_file(phases)["theta"], np.mod(thetas[0], 2.0 * np.pi))
-        rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
-        assert [float(r[1]) for r in rows] == traces[0].objective.tolist()
-        assert [float(r[2]) for r in rows] == traces[0].grad_norm.tolist()
+        rows = [line.split(",") for line in trace_csv.read_text().splitlines()[1:]]
+        assert [float(r[1]) for r in rows] == trace.objective[0].tolist()
+        assert [float(r[2]) for r in rows] == trace.grad_norm[0].tolist()
 
 
 class TestPhaseFile:

@@ -28,15 +28,6 @@ def random_set(m, n, k, seed):
     )
 
 
-def adam_alone(op, q0, adam, theta0):
-    """One trial, operand ``op`` and Im(h_uv) ``q0``, through
-    ``adam_optimize_batch`` as a batch of one."""
-    thetas, traces = adam_optimize_batch(
-        tuple(a[None] for a in op), q0[None], np.asarray(theta0)[None], adam
-    )
-    return thetas[0], traces[0]
-
-
 def finite_difference(theta, cache, h_uv, step=1e-6):
     fd = np.empty(theta.size)
     for n in range(theta.size):
@@ -157,17 +148,6 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective(np.zeros(5), cache, ch.h_uv)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("kernel", [objective, objective_and_gradient])
-    def test_non_finite_phase_rejected(self, kernel, value):
-        """One non-finite phase is refused by name, not evaluated into a
-        non-finite J (NaN) or a RuntimeWarning (+-inf)."""
-        ch = random_set(3, 4, 2, 7)
-        theta = np.zeros(4)
-        theta[2] = value
-        with pytest.raises(ValueError, match="theta must be finite"):
-            kernel(theta, build_rank_one_cache(ch), ch.h_uv)
-
     @pytest.mark.parametrize("n", [0, 1, 24])
     def test_same_value_as_objective_and_gradient(self, n):
         """Both read the one evaluation kernel: bit-identical J,
@@ -222,8 +202,8 @@ class TestAdam:
     def test_fixed_point_at_zero_gradient(self):
         """All-real channels at theta = 0: phases never move."""
         ch = ChannelSet(np.ones((3, 2)), np.ones((4, 3)), np.ones((4, 2)))
-        theta, trace = adam_alone(
-            build_rank_one_cache(ch), ch.h_uv.imag, AdamConfig(max_iters=20), np.zeros(3)
+        theta, trace = adam_optimize_batch(
+            np.zeros(3), build_rank_one_cache(ch), ch.h_uv, AdamConfig(max_iters=20)
         )
         assert np.array_equal(theta, np.zeros(3))
         assert np.allclose(trace.objective, 0.0)
@@ -273,7 +253,7 @@ class TestAdam:
 
 
 def dephased_problem(cfg, trial):
-    """A campaign trial's de-phased operand and Im(h_uv), its starting
+    """A campaign trial's de-phased operand and h_uv, its starting
     phases, and the (channels, LO, generator) that optimize_aligned_phases
     gets for the same trial."""
     rng = np.random.default_rng(trial_seed(cfg.master_seed, -20.0, trial))
@@ -285,22 +265,19 @@ def dephased_problem(cfg, trial):
     theta0 = random_phases(cfg.num_elements, rng)
     rng.bit_generator.state = state
     op = build_rank_one_cache(dephased)
-    return op, dephased.h_uv.imag, theta0, (ch, b, rng)
+    return op, dephased.h_uv, theta0, (ch, b, rng)
 
 
 class TestBatchedAdam:
-    """Each row of the batched Adam loop equals its trial run alone."""
+    """Each row of the batched Adam loop, and of the objective on a stack,
+    equals its trial run alone, and its trace's rows equal that trial's
+    trace."""
 
     CFGS = {
         "k2": SimConfig(num_cells=12, num_elements=24, num_users=2, master_seed=4),
         "k8": SimConfig(num_cells=16, num_elements=40, num_users=8, master_seed=4),
+        "no-ris": SimConfig(num_cells=12, num_elements=0, num_users=2, master_seed=4),
     }
-
-    def run_batch(self, problems, adam):
-        op = tuple(np.stack([p[0][i] for p in problems]) for i in range(2))
-        q0 = np.stack([p[1] for p in problems])
-        theta0 = np.stack([p[2] for p in problems])
-        return adam_optimize_batch(op, q0, theta0, adam)
 
     @pytest.mark.parametrize("batch", [1, 3, 8])
     def test_rows_equal_single_trial_runs(self, batch):
@@ -310,29 +287,58 @@ class TestBatchedAdam:
     def check_rows(self, cfg, batch):
         adam = AdamConfig(max_iters=60)
         problems = [dephased_problem(cfg, t) for t in range(batch)]
-        thetas, traces = self.run_batch(problems, adam)
+        op = tuple(np.stack([p[0][i] for p in problems]) for i in range(2))
+        h_uv = np.stack([p[1] for p in problems])
+        theta0 = np.stack([p[2] for p in problems])
+        thetas, trace = adam_optimize_batch(theta0, op, h_uv, adam)
+        j_vals, grads = objective_and_gradient(theta0, op, h_uv)
         assert thetas.shape == (batch, cfg.num_elements)
-        for (op, q0, theta0, (ch, b, rng)), theta, trace in zip(problems, thetas, traces):
-            alone, alone_trace = adam_alone(op, q0, adam, theta0)
+        assert trace.objective.shape == trace.grad_norm.shape == (batch, 60) and len(trace) == 60
+        assert j_vals.shape == (batch,) and grads.shape == (batch, cfg.num_elements)
+        assert gradient_op_count(op) == gradient_op_count(problems[0][0])
+        for i, (one_op, one_h_uv, start, (ch, b, rng)) in enumerate(problems):
+            alone, alone_trace = adam_optimize_batch(start, one_op, one_h_uv, adam)
             aligned, aligned_trace = optimize_aligned_phases(ch, b, adam, rng)
             for other, other_trace in ((alone, alone_trace), (aligned, aligned_trace)):
-                assert np.array_equal(theta, other)
-                assert np.array_equal(trace.objective, other_trace.objective)
-                assert np.array_equal(trace.grad_norm, other_trace.grad_norm)
+                assert np.array_equal(thetas[i], other)
+                assert np.array_equal(trace.objective[i], other_trace.objective)
+                assert np.array_equal(trace.grad_norm[i], other_trace.grad_norm)
+            j_val, grad = objective_and_gradient(start, one_op, one_h_uv)
+            assert (j_vals[i].tobytes(), grads[i].tobytes()) == (j_val.tobytes(), grad.tobytes())
 
         # Broadcast rows: one trial's operand under every row, from each
         # problem's start (criterion 4 runs its restarts this way).
-        op, q0 = problems[0][0], problems[0][1]
-        theta0 = np.stack([p[2] for p in problems])
+        op, h_uv = problems[0][0], problems[0][1]
         broadcast = tuple(np.broadcast_to(a, (batch, *a.shape)) for a in op)
-        thetas, traces = adam_optimize_batch(
-            broadcast, np.broadcast_to(q0, (batch, *q0.shape)), theta0, adam
+        thetas, trace = adam_optimize_batch(
+            theta0, broadcast, np.broadcast_to(h_uv, (batch, *h_uv.shape)), adam
         )
-        for start, theta, trace in zip(theta0, thetas, traces):
-            alone, alone_trace = adam_alone(op, q0, adam, start)
+        for start, theta, objective_row, grad_norm_row in zip(
+                theta0, thetas, trace.objective, trace.grad_norm):
+            alone, alone_trace = adam_optimize_batch(start, op, h_uv, adam)
             assert np.array_equal(theta, alone)
-            assert np.array_equal(trace.objective, alone_trace.objective)
-            assert np.array_equal(trace.grad_norm, alone_trace.grad_norm)
+            assert np.array_equal(objective_row, alone_trace.objective)
+            assert np.array_equal(grad_norm_row, alone_trace.grad_norm)
+
+    def test_leading_axes(self):
+        """Trials stacked on two leading axes (2, 3) give the rows of the
+        same six trials stacked on one."""
+        rng = np.random.default_rng(15)
+        m, n, k = 4, 6, 2
+        op = (rng.standard_normal((2, 3, m, 2 * n)),
+              rng.standard_normal((2, 3, k, n)) + 1j * rng.standard_normal((2, 3, k, n)))
+        h_uv = rng.standard_normal((2, 3, m, k)) + 1j * rng.standard_normal((2, 3, m, k))
+        theta0 = rng.uniform(0, 2 * np.pi, (2, 3, n))
+        adam = AdamConfig(max_iters=10)
+        thetas, trace = adam_optimize_batch(theta0, op, h_uv, adam)
+        flat = [a.reshape(6, *a.shape[2:]) for a in (theta0, *op, h_uv)]
+        flat_thetas, flat_trace = adam_optimize_batch(flat[0], tuple(flat[1:3]), flat[3], adam)
+        assert thetas.shape == (2, 3, n) and trace.objective.shape == (2, 3, 10)
+        assert np.array_equal(thetas.reshape(6, n), flat_thetas)
+        assert np.array_equal(trace.objective.reshape(6, 10), flat_trace.objective)
+        assert np.array_equal(trace.grad_norm.reshape(6, 10), flat_trace.grad_norm)
+        assert np.array_equal(objective(theta0, op, h_uv).reshape(6),
+                              objective(flat[0], tuple(flat[1:3]), flat[3]))
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 1), (3, 2, 1), (2, 1, 2), (5, 7, 3)])
     def test_small_rows_equal_single_trial_runs(self, shape):
@@ -345,14 +351,14 @@ class TestBatchedAdam:
         batch, adam = 5, AdamConfig(max_iters=30)
         op = (rng.standard_normal((batch, m, 2 * n)),
               rng.standard_normal((batch, k, n)) + 1j * rng.standard_normal((batch, k, n)))
-        q0 = rng.standard_normal((batch, m, k))
+        h_uv = 1j * rng.standard_normal((batch, m, k))
         theta0 = rng.uniform(0, 2 * np.pi, (batch, n))
-        thetas, traces = adam_optimize_batch(op, q0, theta0, adam)
-        for i, (theta, trace) in enumerate(zip(thetas, traces)):
-            alone, alone_trace = adam_alone((op[0][i], op[1][i]), q0[i], adam, theta0[i])
+        thetas, trace = adam_optimize_batch(theta0, op, h_uv, adam)
+        for i, theta in enumerate(thetas):
+            alone, alone_trace = adam_optimize_batch(theta0[i], (op[0][i], op[1][i]), h_uv[i], adam)
             assert np.array_equal(theta, alone)
-            assert np.array_equal(trace.objective, alone_trace.objective)
-            assert np.array_equal(trace.grad_norm, alone_trace.grad_norm)
+            assert np.array_equal(trace.objective[i], alone_trace.objective)
+            assert np.array_equal(trace.grad_norm[i], alone_trace.grad_norm)
 
     @pytest.mark.parametrize("max_iters", [1, 2, 50])
     def test_trace_is_objective_at_each_iterate(self, max_iters):
@@ -361,24 +367,87 @@ class TestBatchedAdam:
         phases as ``objective`` computes it, within 1e-12 relative (the
         first exactly).  Iteration i's phases are what a run of i
         iterations returns; theta0 for i = 0."""
-        op, q0, theta0, _ = dephased_problem(SimConfig(master_seed=4), 0)
-        _, trace = adam_alone(op, q0, AdamConfig(max_iters=max_iters), theta0)
-        assert trace.objective[0] == objective(theta0, op, 1j * q0)
+        op, h_uv, theta0, _ = dephased_problem(SimConfig(master_seed=4), 0)
+        _, trace = adam_optimize_batch(theta0, op, h_uv, AdamConfig(max_iters=max_iters))
+        assert trace.objective[0] == objective(theta0, op, h_uv)
         for i, j_val in enumerate(trace.objective[1:], start=1):
-            theta, _ = adam_alone(op, q0, AdamConfig(max_iters=i), theta0)
-            assert j_val == pytest.approx(objective(theta, op, 1j * q0), rel=1e-12, abs=0.0)
+            theta, _ = adam_optimize_batch(theta0, op, h_uv, AdamConfig(max_iters=i))
+            assert j_val == pytest.approx(objective(theta, op, h_uv), rel=1e-12, abs=0.0)
 
     def test_no_ris_rows(self):
         """N = 0: nothing to optimize; each row records the direct J at
         every iteration, with a zero gradient."""
         q0 = np.random.default_rng(9).standard_normal((3, 4, 2))
         op = (np.zeros((3, 4, 0)), np.zeros((3, 2, 0), dtype=complex))
-        thetas, traces = adam_optimize_batch(op, q0, np.zeros((3, 0)), AdamConfig(max_iters=5))
+        thetas, trace = adam_optimize_batch(np.zeros((3, 0)), op, 1j * q0, AdamConfig(max_iters=5))
         assert thetas.shape == (3, 0)
-        for row, trace in zip(q0, traces):
-            assert len(trace) == 5
-            assert trace.objective == pytest.approx(np.full(5, np.sum(row * row)))
-            assert np.all(trace.grad_norm == 0.0)
+        assert len(trace) == 5
+        for row, objective_row, grad_norm_row in zip(q0, trace.objective, trace.grad_norm):
+            assert objective_row == pytest.approx(np.full(5, np.sum(row * row)))
+            assert np.all(grad_norm_row == 0.0)
+
+
+class TestOptimizerContract:
+    """Every entry reads its arguments through one contract: shapes that
+    disagree and non-finite phases are refused by name, on one trial and
+    on a stack, and a call in the old argument order fails."""
+
+    @staticmethod
+    def problem(lead):
+        rng = np.random.default_rng(31)
+        m, n, k = 4, 5, 2
+        op = (rng.standard_normal((*lead, m, 2 * n)),
+              rng.standard_normal((*lead, k, n)) + 1j * rng.standard_normal((*lead, k, n)))
+        h_uv = rng.standard_normal((*lead, m, k)) + 1j * rng.standard_normal((*lead, m, k))
+        return rng.uniform(0, 2 * np.pi, (*lead, n)), op, h_uv
+
+    ENTRIES = {
+        "objective": objective,
+        "objective_and_gradient": objective_and_gradient,
+        "adam_optimize_batch": lambda theta, op, h_uv: adam_optimize_batch(
+            theta, op, h_uv, AdamConfig(max_iters=3)),
+    }
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["one", "stack-of-2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_non_finite_phase_rejected(self, entry, value, lead):
+        """One non-finite phase is refused by name, not evaluated into a
+        non-finite J (NaN) or a RuntimeWarning (+-inf)."""
+        theta, op, h_uv = self.problem(lead)
+        theta[..., 2] = value
+        with pytest.raises(ValueError, match="theta must be finite"):
+            self.ENTRIES[entry](theta, op, h_uv)
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["one", "stack-of-2"])
+    @pytest.mark.parametrize("bad", ["theta-N", "R-M", "R-2N", "G-K", "G-N", "h_uv-M", "h_uv-K",
+                                     "theta-lead", "R-lead", "G-lead", "h_uv-lead"])
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_shape_mismatch_rejected(self, entry, bad, lead):
+        theta, (r, g), h_uv = self.problem(lead)
+        arrays = {"theta": theta, "R": r, "G": g, "h_uv": h_uv}
+        name, axis = bad.split("-")
+        a = arrays[name]
+        if axis == "lead":
+            arrays[name] = np.stack([a, a])  # one leading axis more
+        else:
+            axis = {"theta-N": -1, "R-M": -2, "R-2N": -1, "G-K": -2, "G-N": -1,
+                    "h_uv-M": -2, "h_uv-K": -1}[bad]
+            arrays[name] = np.delete(a, 0, axis=axis)
+        message = r"shape mismatch: theta \(.*\), R \(.*\), G \(.*\), h_uv \(.*\)"
+        with pytest.raises(ValueError, match=message):
+            self.ENTRIES[entry](arrays["theta"], (arrays["R"], arrays["G"]), arrays["h_uv"])
+        if bad in ("R-2N", "G-N", "R-lead", "G-lead"):  # an operand alone sets M and K
+            with pytest.raises(ValueError, match=message):
+                gradient_op_count((arrays["R"], arrays["G"]))
+
+    def test_old_argument_order_fails(self):
+        """``adam_optimize_batch(op, Im(h_uv), theta0, cfg)``, the order
+        before the entries shared the objective's, raises on a stack that
+        this order used to optimize."""
+        theta, op, h_uv = self.problem((2,))
+        with pytest.raises(ValueError):
+            adam_optimize_batch(op, h_uv.imag, theta, AdamConfig(max_iters=3))
 
 
 def aligned_instance(m, n, k, seed, complex_lo):

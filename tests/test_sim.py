@@ -126,9 +126,8 @@ class TestConvergence:
         ch = ChannelSet(
             h_ur=np.ones((4, 2)), h_rv=np.ones((5, 4)), h_uv=np.ones((5, 2))
         )
-        r, g = build_rank_one_cache(ch)
-        _, (trace,) = adam_optimize_batch(
-            (r[None], g[None]), ch.h_uv.imag[None], np.zeros((1, 4)), AdamConfig(max_iters=30)
+        _, trace = adam_optimize_batch(
+            np.zeros(4), build_rank_one_cache(ch), ch.h_uv, AdamConfig(max_iters=30)
         )
         assert np.all(trace.objective == trace.objective[0])
 
@@ -228,15 +227,17 @@ def _exact_bytes(arrays):
 
 class TestStackedChannels:
     """Stage 2 and the compose read a batch as one stacked ``ChannelSet``:
-    the rows of ``_dephase``, ``build_rank_one_cache``, ``_align`` and
+    the rows of ``_dephase``, ``build_rank_one_cache``, ``_align`` (its
+    phases and its trace's rows), ``objective_and_gradient`` and
     ``effective_channel`` on a stack of campaign draws are their
-    single-trial calls bit for bit (``_align``'s a batch of one)."""
+    single-trial calls bit for bit, and ``gradient_op_count`` reads the
+    stacked operand as one trial's."""
 
     @pytest.mark.parametrize("n", [24, 0], ids=["N24", "no-RIS"])
     @pytest.mark.parametrize("n_trials", [1, 3, 8], ids=["one", "tail-of-3", "batch-of-8"])
     def test_rows_equal_single_trial_calls(self, n, n_trials):
         from atomris.channel import effective_channel
-        from atomris.risopt import build_rank_one_cache
+        from atomris.risopt import build_rank_one_cache, gradient_op_count, objective_and_gradient
 
         cfg = replace(SMALL, num_elements=n, adam=AdamConfig(max_iters=15))
         drawn = [sim._draw_start(cfg, -22.0, t) for t in range(n_trials)]
@@ -245,15 +246,22 @@ class TestStackedChannels:
         r, g = build_rank_one_cache(dephased)
         assert r.flags.c_contiguous and g.flags.c_contiguous
         thetas, traces = sim._align(ch, b, theta0, cfg.adam)
+        j_vals, grads = objective_and_gradient(theta0, (r, g), dephased.h_uv)
         h_eq = effective_channel(ch, thetas)
         assert h_eq.shape == (n_trials, cfg.num_cells, cfg.num_users)
+        assert traces.objective.shape == (n_trials, cfg.adam.max_iters)
         for t, (ch1, b1, theta1, *_) in enumerate(drawn):
             one = sim._dephase(ch1, b1)
-            (theta,), (trace,) = sim._align(*sim._stack([(ch1, b1, theta1)]), cfg.adam)
+            one_op = build_rank_one_cache(one)
+            theta, trace = sim._align(ch1, b1, theta1, cfg.adam)
+            assert gradient_op_count((r, g)) == gradient_op_count(one_op)
             got = (dephased.h_ur[t], dephased.h_rv[t], dephased.h_uv[t], r[t], g[t],
-                   thetas[t], traces[t].objective, traces[t].grad_norm, h_eq[t])
-            want = (one.h_ur, one.h_rv, one.h_uv, *build_rank_one_cache(one),
-                    theta, trace.objective, trace.grad_norm, effective_channel(ch1, thetas[t]))
+                   thetas[t], traces.objective[t], traces.grad_norm[t], j_vals[t], grads[t],
+                   h_eq[t])
+            want = (one.h_ur, one.h_rv, one.h_uv, *one_op,
+                    theta, trace.objective, trace.grad_norm,
+                    *objective_and_gradient(theta1, one_op, one.h_uv),
+                    effective_channel(ch1, thetas[t]))
             assert _exact_bytes(got) == _exact_bytes(want), t
 
 
