@@ -131,8 +131,6 @@ def main(argv=None) -> int:
         cfg = _load(args)
         if not args.out:
             raise ConfigError("--out is required")
-        if args.command == "ber" and args.threads < 0:
-            raise ConfigError(f"--threads must be >= 0, got {args.threads}")
         _check_writable(args.out)
         if args.command == "ber":
             _check_writable(f"{args.out}.manifest")

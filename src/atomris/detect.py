@@ -1,13 +1,14 @@
 """Magnitude-only front end and the three symbol detectors.
 
 The photodetectors report only z = |H_eq s + b + n|.  With the RIS phases
-aligned to the LO and a strong LO, z is approximately |b| + H_opt s plus
-residual noise, so re-attaching the LO phase and subtracting b yields a
-linear system the least-squares detector inverts directly.  The genie ZF
-detector consumes the complex observation (known phase) and lower-bounds
-the proposed (linear) detector only: it is zero forcing, and on the almost
-lossless magnitude readout the exhaustive maximum-likelihood search beats
-zero forcing even with known phase.
+aligned to the LO and a strong LO, the observation's phase is close to
+the LO's, so the proposed detector is the genie's zero forcing with the
+LO's phase in place of the observation's: both slice the least-squares
+estimate from y - b, the genie on the complex observation y and the
+proposed detector on z e^{j angle(b)}.  The genie lower-bounds the
+proposed detector only: it is zero forcing, and on the almost lossless
+magnitude readout the exhaustive maximum-likelihood search beats zero
+forcing even with known phase.
 
 The exhaustive detector is exact maximum likelihood on the magnitude
 model: it returns the candidate of least ||z - |H_eq s + b|||^2, ties
@@ -31,16 +32,6 @@ keeps each trial's bound, QR and node budget apart (a trial spills only
 against its own budget) and grows the trees of all trials' observations
 at once, so its tree state is up to one budget per trial; the second
 pass and the full search run trial by trial.
-
-On the detect-heavy grid (K = 8, M = 16, 100 observations per call;
--27, -24, -18 and -15 dB, 32 trials, seeds 1 to 3) a call took 0.95 ms
-at the median and 1.25 ms on average, against 17 ms for the full search
-(interleaved in one process on a 2-vCPU VM).  The first pass spilled 95
-of the 24 000 observations in 7 of the 240 calls; the second pass
-decided 53 of them, and 4 calls still reached the full search.  On the
--27 and -24 dB points without an error target (192 calls) 20 calls
-spilled 92 observations, the second pass decided 70, and 9 calls reached
-the full search.
 
 The full search takes its candidates in blocks of prefix x suffix
 candidates, so its memory is bounded by one block rather than by Q^K.
@@ -180,21 +171,24 @@ def _detector_inputs(obs, name: str, dtype: type, h_eq, b) -> tuple[np.ndarray, 
     return obs, h_eq, b
 
 
+def _zero_forcing(y: np.ndarray, h_eq: np.ndarray, b: np.ndarray, c: Constellation) -> np.ndarray:
+    """The least-squares receivers' one kernel: the real part of the LS
+    estimate from y - b, sliced per user."""
+    return slice_to_indices(ls_estimate(h_eq, y - b[..., None]).real, c)
+
+
 def detect_proposed_batch(
     z: np.ndarray, h_eq: np.ndarray, b: np.ndarray, c: Constellation
 ) -> np.ndarray:
     """Least-squares detection of a batch of magnitude observations.
 
     ``z`` has shape (..., M, n), with a channel (..., M, K) and LO
-    (..., M) per trial; returns constellation indices (..., K, n).  The LO
-    phase is re-attached to z, the complex LO subtracted, and the real
-    part of the LS estimate sliced per user.
+    (..., M) per trial; returns constellation indices (..., K, n).  This
+    is ``detect_zf_batch`` with the LO's phase in place of the
+    observation's: the genie on y = z e^{j angle(b)}.
     """
     z, h_eq, b = _detector_inputs(z, "z", float, h_eq, b)
-    rhs = z * np.exp(1j * np.angle(b))[..., None]
-    rhs -= b[..., None]
-    s_hat = ls_estimate(h_eq, rhs).real
-    return slice_to_indices(s_hat, c)
+    return _zero_forcing(z * np.exp(1j * np.angle(b))[..., None], h_eq, b, c)
 
 
 def enumerate_symbol_vectors(c: Constellation, num_users: int) -> np.ndarray:
@@ -443,5 +437,4 @@ def detect_zf_batch(
     """Genie zero-forcing on complex observations y = H_eq s + b + n, with
     the leading trial axes of ``detect_proposed_batch``."""
     y, h_eq, b = _detector_inputs(y, "y", complex, h_eq, b)
-    s_hat = ls_estimate(h_eq, y - b[..., None]).real
-    return slice_to_indices(s_hat, c)
+    return _zero_forcing(y, h_eq, b, c)

@@ -431,7 +431,7 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
     ``merge_records``."""
     validate_config(cfg)
     if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
+        raise ConfigError(f"threads (--threads) must be >= 0, got {threads}")
     const = make_pam(cfg.mod_order)
     lut = hamming_table(const)
     pool = None

@@ -592,15 +592,16 @@ class TestPrunedSearch:
         assert np.array_equal(got, full_matrix_exhaustive(z, h_eq, b, c))
 
 
-def trial_stack(n_trials, m, k, c, seed, n_obs=24):
+def trial_stack(n_trials, m, k, c, seed, n_obs=24, lo_margin=2.0):
     """Complex and magnitude observations (n_trials, m, n_obs) of a stack
-    of strong-LO trials, each noisier than the last, with their channels
-    and LOs; trial 1's LO is weak on all but K - 1 cells, so its bound
-    gives no search."""
+    of trials, each noisier than the last, with their channels and LOs;
+    the LO is strong at the default ``lo_margin`` (see
+    ``strong_lo_system``), and trial 1's LO is weak on all but K - 1
+    cells, so its bound gives no search."""
     rng = np.random.default_rng(seed)
     ys, hs, bs = [], [], []
     for t in range(n_trials):
-        h, b = strong_lo_system(m, k, seed + t, leak=0.2, lo_margin=2.0)
+        h, b = strong_lo_system(m, k, seed + t, leak=0.2, lo_margin=lo_margin)
         if t == 1:
             b[k - 1:] *= 1e-3
         noise = 0.2 * (1 + t) * np.diff(c.points).min() * complex_normal(rng, (m, n_obs))
@@ -700,6 +701,30 @@ class TestStackedTrials:
             ls_estimate(h, y[:2] - b[:2, :, None])
         with pytest.raises(ValueError, match="shape mismatch"):
             detect_exhaustive_batch(z[:2], h, b, c)
+
+
+class TestZeroForcing:
+    """The least-squares receivers are one kernel: ``proposed`` is the
+    genie's zero forcing with the LO's phase in place of the
+    observation's."""
+
+    @pytest.mark.parametrize("lo_margin", [2.0, 0.05], ids=["strong-lo", "weak-lo"])
+    @pytest.mark.parametrize("n_trials", [None, 1, 3, 8],
+                             ids=["one-trial", "stack-of-1", "tail-of-3", "batch-of-8"])
+    def test_proposed_is_zf_on_the_lo_phase(self, n_trials, lo_margin):
+        """Byte for byte, on one trial and on stacks; under a weak LO the
+        observation's phase is far from the LO's, so ``proposed`` differs
+        from the genie on y and the identity is not the genie's own."""
+        c = make_pam(4)
+        y, z, h, b = trial_stack(n_trials or 1, 8, 3, c, seed=97, lo_margin=lo_margin)
+        if n_trials is None:
+            y, z, h, b = y[0], z[0], h[0], b[0]
+        got = detect_proposed_batch(z, h, b, c)
+        rephased = detect_zf_batch(z * np.exp(1j * np.angle(b))[..., None], h, b, c)
+        assert got.shape == rephased.shape and got.dtype == rephased.dtype
+        assert got.tobytes() == rephased.tobytes()
+        if lo_margin < 1:
+            assert (got != detect_zf_batch(y, h, b, c)).any()
 
 
 class TestDetectorContract:
