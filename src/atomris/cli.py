@@ -53,9 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--threads", type=int, default=1,
                              help="N >= 2, or 0 on a machine with two or more CPUs, starts one "
                                   "worker that draws the next batch's trials while the calling "
-                                  "thread aligns and detects; the CSV does not depend on it.  No "
-                                  "run measured more than one worker on more than two CPUs: for "
-                                  "more cores, see README, 'Spreading a campaign over processes'")
+                                  "thread aligns and detects; the CSV does not depend on it.  It "
+                                  "is slower than one thread at K = 8 (README, the table under "
+                                  "'CLI').  For more cores, see README, 'Spreading a campaign "
+                                  "over processes'")
     return parser
 
 

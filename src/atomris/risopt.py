@@ -24,17 +24,13 @@ or mismatched shapes by name.
 
 The loop forms e^{j theta} with cos and sin of theta once, at its start.
 After each step Delta (theta -= Delta, applied to theta as before) it
-turns that phasor by e^{-j Delta} instead.  Adam's steps are small
-angles, whose cos and sin take libm's fast path: about 6 against 9 ns an
-element for full-range theta on a 2-vCPU VM, and alignment ran about a
-fifth faster.  The phasor then drifts from e^{j theta} in the last bits,
-so the phases and traces differ from a loop taking cos and sin of theta
-at every step: over 100 steps on eight reference-shape trials by at most
-6e-14 rad and 1.5e-14 of J.  Over thousands of steps J nears 0, the
-steps follow rounding noise and the two loops drift apart (1.6e-6 rad
-after 1000 steps, 9e-3 after 10^4), each deterministically.
-``objective`` and ``objective_and_gradient`` take cos and sin of the
-theta they are given.
+turns that phasor by e^{-j Delta} instead, because Adam's steps are small
+angles, whose cos and sin take libm's fast path.  The phasor then drifts
+from e^{j theta} in the last bits, so the phases and traces differ from a
+loop taking cos and sin of theta at every step by rounding only, and
+deterministically; near J = 0 the steps follow that rounding, so over
+thousands of steps the two loops drift further apart.  ``objective`` and
+``objective_and_gradient`` take cos and sin of the theta they are given.
 
 Minimizing J on channels whose rows have been de-phased by the LO
 (multiply h_rv and h_uv by exp(-j angle(b)) row-wise) aligns the effective

@@ -34,18 +34,21 @@ runs stages 2 and 3).  A trial draws the stream a lone trial draws
 of every stacked call equal single-trial calls bit for bit, so which
 trials share a batch does not change any output.
 
-With one thread a campaign holds one batch at a time.  With ``run_ber``'s
-``threads`` > 1, only the first stage runs on a worker thread, one batch
-ahead: one worker draws the next batch of the flat (point, batch) order,
-trial by trial, while the calling thread aligns and detects the current
-one, so a campaign holds at most two batches.  The draw is a few large
-ufuncs over (M, N, L) arrays, which release the GIL, and it touches no
-BLAS; each trial's generator is used by one thread in its usual order, so
-the outputs do not depend on the thread count.  Stages 2 and 3 stay on
-the calling thread: the Adam loop and the detectors are many small numpy
-calls that hold the GIL, and threading them measured slower than one
-thread.  So did a second drawing worker: the calling thread is the
-critical path, and each worker takes the GIL from it between ufuncs.
+The campaign's batches are numbered once, in its flat (point, batch)
+order: with b batches per point, batch i (``_batch``) is point i // b's
+batch i % b.  With one thread a campaign holds one batch at a time.  With
+``run_ber``'s ``threads`` > 1, only the first stage runs on a worker
+thread, one batch ahead: once the calling thread takes batch i, the
+worker draws batch i + 1, trial by trial, while the calling thread aligns
+and detects batch i, so a campaign holds at most two batches.  The draw
+is a few large ufuncs over (M, N, L) arrays, which release the GIL, and
+it touches no BLAS; each trial's generator is used by one thread in its
+usual order, so the outputs do not depend on the thread count.  Stages 2
+and 3 stay on the calling thread: the Adam loop and the detectors are
+many small numpy calls that hold the GIL, and threading them measured
+slower than one thread.  So did a second drawing worker: the calling
+thread is the critical path, and each worker takes the GIL from it
+between ufuncs.
 
 The convergence experiment is the campaign's first trial aligned alone,
 so its trace and phases are those of a trial the BER counts.
@@ -58,7 +61,6 @@ import os
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -101,9 +103,6 @@ __all__ = [
     "records_to_csv",
     "write_records_csv",
 ]
-
-if TYPE_CHECKING:  # imported by run_ber, and only when it makes a pool
-    from concurrent.futures import ThreadPoolExecutor
 
 # Each detector: the observation it reads (the magnitudes "z" or the complex
 # "y") and its kernel (observation, h_eq, b, constellation, config) -> decisions,
@@ -300,8 +299,7 @@ def optimize_aligned_phases(
     H_eq s o exp(-j angle(b)) real for every real s.  This is one trial,
     with a (max_iters,) trace; a campaign trial gets the same phases from
     its batch.  A non-finite LO is refused before any draw.  Its only
-    caller outside the tests is perfbench's traced replay; ROADMAP item 6
-    deletes both.
+    caller outside the tests is perfbench's traced replay.
     """
     if not np.isfinite(b).all():
         raise ValueError("the LO b must be finite")
@@ -368,55 +366,12 @@ def _fold_point(cfg: SimConfig, eb_n0_db: float,
             for det, e in zip(cfg.detectors, errors)]
 
 
-class _LookAhead:
-    """Stage 1 of ``run_ber``: the drawn trials of each batch, taken in the
-    campaign's flat (point, batch) order.
-
-    Without a pool, ``take`` draws the batch on the calling thread.  With
-    one, each batch is queued as one task per trial when the caller takes
-    the batch before it, so the pool draws it while the caller aligns and
-    detects.  Taking a batch cancels every task the pool has not started
-    and draws those trials on the calling thread, last first, so the pool
-    and the caller meet in the middle; it waits only for the running tasks,
-    then queues the next batch.  A batch not queued yet (a call's first, or
-    the next point's after a stop) is queued and taken at once, and a
-    look-ahead the stop made useless is cancelled, or discarded if running.
-    Batch ranges are made when queued, so at most two batches are held.
-    """
-
-    def __init__(self, cfg: SimConfig, pool: ThreadPoolExecutor | None):
-        self.cfg, self.pool = cfg, pool
-        self.starts = range(cfg.trial_offset, cfg.trial_offset + cfg.trials_per_point,
-                            _BATCH_SIZE)
-        self.queued = (None, None, [])  # (point, batch, one future per trial)
-
-    def _trials(self, j: int) -> range:
-        return range(self.starts[j], min(self.starts[j] + _BATCH_SIZE, self.starts.stop))
-
-    def _queue(self, p: int, j: int) -> None:
-        """Queue point ``p``'s batch ``j`` on the pool; past the last point, nothing."""
-        grid = self.cfg.eb_n0_grid_db
-        self.queued = (p, j, [self.pool.submit(_draw_start, self.cfg, grid[p], t)
-                              for t in (self._trials(j) if p < len(grid) else ())])
-
-    def take(self, p: int, j: int) -> tuple:
-        """The ``_draw_start`` results of point ``p``'s batch ``j``, in trial
-        order, ``_stack``ed; no trial's own arrays outlive the call."""
-        db, trials = self.cfg.eb_n0_grid_db[p], self._trials(j)
-        if self.pool is None:
-            return _stack([_draw_start(self.cfg, db, t) for t in trials])
-        if self.queued[:2] != (p, j):
-            for future in self.queued[2]:
-                future.cancel()
-            self._queue(p, j)
-        futures = self.queued[2]
-        drawn = [None] * len(trials)
-        for i in reversed(range(len(trials))):
-            if futures[i].cancel():
-                drawn[i] = _draw_start(self.cfg, db, trials[i])
-        drawn = [d or f.result() for d, f in zip(drawn, futures)]
-        self._queue(*((p, j + 1) if j + 1 < len(self.starts) else (p + 1, 0)))
-        return _stack(drawn)
+def _batch(cfg: SimConfig, i: int) -> tuple[float, range]:
+    """Batch ``i`` of the campaign's flat (point, batch) order: its grid
+    point's Eb/N0 and its range of trials."""
+    trials = range(cfg.trial_offset, cfg.trial_offset + cfg.trials_per_point)
+    p, j = divmod(i, len(trials[::_BATCH_SIZE]))
+    return cfg.eb_n0_grid_db[p], trials[j * _BATCH_SIZE:(j + 1) * _BATCH_SIZE]
 
 
 def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
@@ -424,27 +379,57 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
 
     With any ``threads`` >= 2 (0: ``os.cpu_count()``) and more than one
     trial per point, one worker draws each batch while the calling thread
-    aligns and detects the one before it (``_LookAhead``); one thread
-    makes no pool.  The records do not depend on it (see the module
-    docstring), and no worker outlives the call.  To use more cores, run
-    grid or trial slices in processes and combine them with
-    ``merge_records``."""
+    aligns and detects the one before it; one thread makes no pool.
+    ``take(i)`` returns batch ``i``'s drawn trials, ``_stack``ed.  With a
+    pool, batch ``i + 1`` is queued as one task per trial once batch ``i``
+    is taken.  Taking batch ``i`` cancels every task of it the worker has
+    not started and draws those trials on the calling thread, last first,
+    so the two meet in the middle; it waits only for the running task.  A
+    batch not queued yet (a call's first, or a point's first after a
+    stop) is queued and taken at once, and a look-ahead the stop made
+    useless is cancelled, or discarded if running.  Trial ranges are made
+    when queued, so at most two batches are held.  The records do not
+    depend on ``threads`` (see the module docstring), and no worker
+    outlives the call.  To use more cores, run grid or trial slices in
+    processes and combine them with ``merge_records``."""
     validate_config(cfg)
     if threads < 0:
         raise ConfigError(f"threads (--threads) must be >= 0, got {threads}")
     const = make_pam(cfg.mod_order)
     lut = hamming_table(const)
+    per_point = len(range(0, cfg.trials_per_point, _BATCH_SIZE))  # batches per point
     pool = None
     if min(threads or os.cpu_count() or 1, cfg.trials_per_point) > 1:
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(1)
-    draws = _LookAhead(cfg, pool)
+    queued: tuple = (-1, [])  # a batch number and one future per trial
+
+    def queue(i: int) -> None:
+        nonlocal queued
+        db, trials = _batch(cfg, i)
+        queued = (i, [pool.submit(_draw_start, cfg, db, t) for t in trials])
+
+    def take(i: int) -> tuple:
+        db, trials = _batch(cfg, i)
+        if pool is None:
+            return _stack([_draw_start(cfg, db, t) for t in trials])
+        if queued[0] != i:
+            for future in queued[1]:
+                future.cancel()
+            queue(i)
+        futures = queued[1]
+        mine = {k: _draw_start(cfg, db, trials[k])
+                for k in reversed(range(len(trials))) if futures[k].cancel()}
+        drawn = [mine[k] if k in mine else f.result() for k, f in enumerate(futures)]
+        if i + 1 < len(cfg.eb_n0_grid_db) * per_point:
+            queue(i + 1)
+        return _stack(drawn)
 
     records: list[BerRecord] = []
     try:
         for p, db in enumerate(cfg.eb_n0_grid_db):
-            records += _fold_point(cfg, db, (_finish_batch(cfg, const, lut, draws.take(p, j))
-                                             for j in range(len(draws.starts))))
+            records += _fold_point(cfg, db, (_finish_batch(cfg, const, lut, take(i))
+                                             for i in range(p * per_point, (p + 1) * per_point)))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -455,34 +440,24 @@ def merge_records(a: list[BerRecord], b: list[BerRecord]) -> list[BerRecord]:
     """Combine two campaigns: counts add on matching (eb_n0_db, detector)
     keys (-0.0 and 0.0 are one key), unmatched records pass through.
     Associative and commutative."""
-
-    def keyed(records, source):
-        out = {}
+    merged: dict[tuple[float, str], BerRecord] = {}
+    for source, records in (("first", a), ("second", b)):
+        seen = set()
         for rec in records:
             key = (rec.eb_n0_db, rec.detector)
-            if key in out:
+            if key in seen:
                 raise ValueError(f"duplicate record key {key} in {source} input")
-            out[key] = rec
-        return out
-
-    left = keyed(a, "first")
-    right = keyed(b, "second")
-    merged = []
-    for key in sorted(set(left) | set(right)):
-        if key in left and key in right:
-            x, y = left[key], right[key]
-            reason = x.stop_reason if x.stop_reason == y.stop_reason else "mixed"
-            # -0.0 meets 0.0 as one point: keep a sign only both sides share.
-            same_sign = math.copysign(1.0, x.eb_n0_db) == math.copysign(1.0, y.eb_n0_db)
-            merged.append(
-                _make_record(
-                    x.eb_n0_db if same_sign else 0.0, key[1], x.bits_sent + y.bits_sent,
-                    x.bit_errors + y.bit_errors, reason,
-                )
-            )
-        else:
-            merged.append(left.get(key) or right[key])
-    return merged
+            seen.add(key)
+            if key in merged:
+                x = merged[key]
+                reason = x.stop_reason if x.stop_reason == rec.stop_reason else "mixed"
+                # -0.0 meets 0.0 as one point: keep a sign only both sides share.
+                same_sign = math.copysign(1.0, x.eb_n0_db) == math.copysign(1.0, rec.eb_n0_db)
+                rec = _make_record(x.eb_n0_db if same_sign else 0.0, rec.detector,
+                                   x.bits_sent + rec.bits_sent, x.bit_errors + rec.bit_errors,
+                                   reason)
+            merged[key] = rec
+    return [merged[key] for key in sorted(merged)]
 
 
 def records_to_csv(records: list[BerRecord]) -> str:

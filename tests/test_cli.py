@@ -262,6 +262,25 @@ class TestConfigParsing:
         for text in blocks:
             validate_config(parse_config_text(text, source="README.md"))
 
+    def test_readme_process_split_matches_one_run(self, tmp_path):
+        """README's ``python`` block, run as written next to a small
+        ``run.ini``, spreads 1000 trials over two spawned processes and
+        merges their records into a ``ber.csv`` byte-identical to the one
+        ``atomris ber`` writes for the whole campaign."""
+        blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+        (script,) = [text for text in blocks if "merge_records" in text]
+        (tmp_path / "split.py").write_text(script)
+        ini = tmp_path / "run.ini"
+        ini.write_text("[system]\ncells = 4\nris_elements = 3\nusers = 2\npam_order = 4\n\n"
+                       "[sim]\neb_n0_grid_db = -20\ntrials_per_point = 1000\n"
+                       "symbols_per_trial = 10\nerror_target = none\n")
+        src = str(Path(atomris.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "split.py"], cwd=tmp_path,
+                       env=dict(os.environ, PYTHONPATH=path), check=True, timeout=300)
+        assert main(["ber", "--config", str(ini), "--out", str(tmp_path / "one.csv")]) == 0
+        assert (tmp_path / "ber.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
     def test_empty_grid_rejected_downstream(self):
         text = BASE_CONFIG.replace("eb_n0_grid_db = -26,-22", "eb_n0_grid_db =")
         cfg = parse_config_text(text)
