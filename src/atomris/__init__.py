@@ -6,4 +6,4 @@ photodetector front end with least-squares / exhaustive / genie-ZF
 detection, and seeded Monte-Carlo BER campaigns.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

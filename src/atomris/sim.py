@@ -1,54 +1,59 @@
 """Seeded Monte-Carlo BER campaigns and convergence experiments.
 
-Campaign structure: for each Eb/N0 grid point and each trial, a fresh
-channel realization is drawn, the RIS phases are optimized once (the
-optimizer runs on the LO-de-phased channels so the effective channel
-aligns with the LO phase), and a block of random symbol vectors is
-transmitted through the magnitude front end.  All enabled detectors see
-identical observations, so detector comparisons are paired.
+Campaign structure: each trial draws a channel realization, its RIS
+phases are optimized once (on the LO-de-phased channels, so the
+effective channel aligns with the LO phase), and a block of random
+symbol vectors is sent through the magnitude front end at every Eb/N0
+grid point, under one unit-noise draw that each point scales to its own
+noise level.  Every point thus sees the same channels, symbols and noise
+shape (common random numbers), and all enabled detectors see identical
+observations, so comparisons across points and detectors are paired.
 
 Every trial derives its own generator from
-``SeedSequence(master_seed, spawn_key=(point_key, trial_index))`` where
-``point_key`` is the bit pattern of the Eb/N0 value (-0.0 keyed as 0.0).
-Keying on the value rather than the grid position means splitting a grid
-across runs, or (with no error target) the trials by ``trial_offset``,
-and merging the records reproduces a single run exactly; this is how a
-campaign is spread over processes.  Each fixed-size batch of trials
-returns a batch record, its trials' bit errors per detector, and one pure
-fold (``_fold_point``), the only code that knows the stop rule, adds a
+``SeedSequence(master_seed, spawn_key=(trial_index,))``, keyed by the
+absolute trial index alone.  So splitting a grid across runs, or (with
+no error target) the trials by ``trial_offset``, and merging the records
+reproduces a single run exactly; this is how a campaign is spread over
+processes.  Each fixed-size batch of trials gives, at each grid point, a
+batch record, its trials' bit errors per detector, and one pure fold
+step (``_fold_point``), the only code that knows the stop rule, adds a
 point's records in batch order: the point stops after the first batch at
-which every detector has reached the error target.
+which every detector has reached the error target.  A point's records
+depend only on its own trial prefix, never on the other points.
 
 A batch is a three-stage pipeline.  Stage 1 (``_draw_start``) draws each
 trial's whole random stream from its generator, in a fixed order:
-channels, LO, starting phases, symbol indices and noise.  No generator
-leaves it; the batch is stacked into one ``ChannelSet`` and arrays with a
-leading trial axis.  Stage 2 aligns all of its trials in one batched
-optimizer loop over the factored operand of the de-phased stack (h_rv as
-a real (B, M, 2N) array, and h_ur^T).  Stage 3 composes the aligned
-(B, M, K) channels in one ``effective_channel`` call, observes the batch
-through the front end in one call, and each detector decides the whole
-batch in one call; the counts are one table lookup (``_finish_batch``
-runs stages 2 and 3).  A trial draws the stream a lone trial draws
-(``optimize_aligned_phases``, then its symbols and noise), and the rows
-of every stacked call equal single-trial calls bit for bit, so which
-trials share a batch does not change any output.
+channels, LO, starting phases, symbol indices and unit complex noise.  No
+generator leaves it; the batch is stacked into one ``ChannelSet`` and
+arrays with a leading trial axis.  Stage 2 aligns all of its trials in
+one batched optimizer loop over the factored operand of the de-phased
+stack (h_rv as a real (B, M, 2N) array, and h_ur^T), and composes the
+aligned (B, M, K) channels in one ``effective_channel`` call.  Stage 3
+runs at each point that has not stopped: it scales the noise, observes
+the batch through the front end in one call, and each detector decides
+the whole batch in one call; the counts are one table lookup
+(``_finish_batch`` runs stages 2 and 3).  A trial draws the stream a
+lone trial draws (``optimize_aligned_phases``, then its symbols and
+noise), and the rows of every stacked call equal single-trial calls bit
+for bit, so which trials share a batch does not change any output.
 
-The campaign's batches are numbered once, in its flat (point, batch)
-order: with b batches per point, batch i (``_batch``) is point i // b's
-batch i % b.  With one thread a campaign holds one batch at a time.  With
-``run_ber``'s ``threads`` > 1, only the first stage runs on a worker
-thread, one batch ahead: once the calling thread takes batch i, the
-worker draws batch i + 1, trial by trial, while the calling thread aligns
-and detects batch i, so a campaign holds at most two batches.  The draw
-is a few large ufuncs over (M, N, L) arrays, which release the GIL, and
-it touches no BLAS; each trial's generator is used by one thread in its
-usual order, so the outputs do not depend on the thread count.  Stages 2
-and 3 stay on the calling thread: the Adam loop and the detectors are
-many small numpy calls that hold the GIL, and threading them measured
-slower than one thread.  So did a second drawing worker: the calling
-thread is the critical path, and each worker takes the GIL from it
-between ufuncs.
+The campaign's batches are numbered once: batch j (``_batch``) holds
+trials ``trial_offset + 8j`` on.  They run in turn until the last one,
+or until every point has stopped, so a campaign draws and aligns the
+trials of its longest-running point, once each.  With one
+thread a campaign holds one batch at a time.  With ``run_ber``'s
+``threads`` > 1, only the first stage runs on a worker thread, one batch
+ahead: once the calling thread takes batch j, the worker draws batch
+j + 1, trial by trial, while the calling thread aligns batch j and
+detects it at every point, so a campaign holds at most two batches.  The
+draw is a few large ufuncs over (M, N, L) arrays, which release the GIL,
+and it touches no BLAS; each trial's generator is used by one thread in
+its usual order, so the outputs do not depend on the thread count.
+Stages 2 and 3 stay on the calling thread: the Adam loop and the
+detectors are many small numpy calls that hold the GIL, and threading
+them measured slower than one thread.  So did a second drawing worker:
+the calling thread is the critical path, and each worker takes the GIL
+from it between ufuncs.
 
 The convergence experiment is the campaign's first trial aligned alone,
 so its trace and phases are those of a trial the BER counts.
@@ -59,7 +64,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,12 +251,14 @@ def validate_config(cfg: SimConfig) -> None:
                               "array, beyond numpy's index range")
 
 
-def trial_seed(master_seed: int, eb_n0_db: float, trial_index: int) -> np.random.SeedSequence:
-    """Splittable per-trial seed, keyed by the Eb/N0 bit pattern so grid
-    partitions reproduce the trials of a single full run.  Adding 0.0 maps
-    -0.0 to 0.0, which is the same grid point to the record merge."""
-    point_key = int(np.float64(eb_n0_db + 0.0).view(np.uint64))
-    return np.random.SeedSequence(master_seed, spawn_key=(point_key, trial_index))
+def trial_seed(master_seed: int, eb_n0_db: float | None,
+               trial_index: int) -> np.random.SeedSequence:
+    """Splittable seed of trial ``trial_index``, keyed by its absolute index
+    alone: grid and trial partitions reproduce the trials of a single full
+    run, and every grid point reads the same trial.  ``eb_n0_db`` is unused;
+    it stays only while perfbench's traced replay, which passes each grid
+    point, calls this (see ROADMAP)."""
+    return np.random.SeedSequence(master_seed, spawn_key=(trial_index,))
 
 
 def draw_channels(cfg: SimConfig, rng: np.random.Generator) -> ChannelSet:
@@ -307,133 +313,137 @@ def optimize_aligned_phases(
 
 
 def run_convergence(cfg: SimConfig) -> tuple[ChannelSet, np.ndarray, ConvergenceTrace]:
-    """The campaign's first trial (the first grid point's trial
-    ``trial_offset``), drawn and aligned as ``run_ber`` does it.  Returns
-    its de-phased channels, the final phases and the optimizer trace."""
+    """The campaign's first trial, trial ``trial_offset``, drawn and
+    aligned as ``run_ber`` does it.  Returns its de-phased channels, the
+    final phases and the optimizer trace."""
     validate_config(cfg)
-    ch, b, theta0, *_ = _draw_start(cfg, cfg.eb_n0_grid_db[0], cfg.trial_offset)
+    ch, b, theta0, *_ = _draw_start(cfg, cfg.trial_offset)
     return _dephase(ch, b), *_align(ch, b, theta0, cfg.adam)
 
 
-def _draw_start(cfg: SimConfig, eb_n0_db: float, t: int):
+def _draw_start(cfg: SimConfig, t: int):
     """Stage 1 of trial ``t``: its whole random stream, in the campaign's
     order.  Returns its channels, LO, starting phases, symbol indices
-    (K, n) and noise (M, n); no generator leaves it."""
-    rng = np.random.default_rng(trial_seed(cfg.master_seed, eb_n0_db, t))
+    (K, n) and unit complex noise (M, n), N(0, 1) + jN(0, 1) per entry,
+    which each grid point scales by sqrt(sigma2 / 2); no generator leaves
+    it."""
+    rng = np.random.default_rng(trial_seed(cfg.master_seed, None, t))
     ch = draw_channels(cfg, rng)
     b = gen_lo_vector(cfg.num_cells, cfg.lo, rng)
     theta0 = random_phases(cfg.num_elements, rng)
     sent = rng.integers(0, cfg.mod_order, size=(cfg.num_users, cfg.symbols_per_trial))
-    # Circularly-symmetric noise of total variance sigma2 per cell: the
-    # real normals, then the imaginary ones.
+    # The real normals, then the imaginary ones.
     shape = (cfg.num_cells, cfg.symbols_per_trial)
-    awgn = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    awgn *= math.sqrt(noise_sigma(eb_n0_db, cfg.mod_order).sigma2 / 2.0)
-    return ch, b, theta0, sent, awgn
+    return ch, b, theta0, sent, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _finish_batch(cfg: SimConfig, const, lut, batch: tuple) -> np.ndarray:
+def _finish_batch(cfg: SimConfig, const, lut, batch: tuple, scales: list) -> list:
     """Stages 2 and 3 of a ``_stack``ed batch: ``_align`` aligns all trials
-    in one batched Adam loop, one ``effective_channel`` call composes their
-    channels, and the front end and each detector take the whole batch in
-    one call.  Returns the batch record: each trial's bit errors, an int
-    array (trials, detectors) in ``cfg.detectors`` order."""
-    ch, lo, theta0, sent, awgn = batch
+    in one batched Adam loop and one ``effective_channel`` call composes
+    their channels.  Then, for each noise scale sqrt(sigma2 / 2) in
+    ``scales`` (one per grid point), the front end and each detector take
+    the whole batch in one call.  Returns one batch record per scale: each
+    trial's bit errors, an int array (trials, detectors) in
+    ``cfg.detectors`` order."""
+    ch, lo, theta0, sent, noise = batch
     h_eq = effective_channel(ch, _align(ch, lo, theta0, cfg.adam)[0])
-    y = front_end(h_eq, const.points[sent], lo, awgn)
-    observed = {"y": y, "z": np.abs(y)}
-    return np.stack([lut[sent, kernel(observed[reads], h_eq, lo, const, cfg)].sum(axis=(1, 2))
-                     for reads, kernel in (_DETECTORS[det] for det in cfg.detectors)], axis=1)
+    symbols = const.points[sent]
+    records = []
+    for scale in scales:
+        y = front_end(h_eq, symbols, lo, noise * scale)
+        observed = {"y": y, "z": np.abs(y)}
+        records.append(np.stack(
+            [lut[sent, kernel(observed[reads], h_eq, lo, const, cfg)].sum(axis=(1, 2))
+             for reads, kernel in (_DETECTORS[det] for det in cfg.detectors)], axis=1))
+    return records
 
 
-def _fold_point(cfg: SimConfig, eb_n0_db: float,
-                records: Iterable[np.ndarray]) -> list[BerRecord]:
-    """Fold a grid point's batch records, in batch order, into one record
-    per detector: the only code that knows the stop rule.  It adds the
-    errors and stops after the first batch at which every detector has
-    reached ``error_target``, pulling no record past it."""
-    trials = 0
-    errors = np.zeros(len(cfg.detectors), dtype=np.int64)
-    reason = "trial_cap"
-    for record in records:
-        trials += len(record)
-        errors += record.sum(axis=0)
-        if cfg.error_target is not None and errors.min() >= cfg.error_target:
-            reason = "error_target"
-            break
-    bits = trials * cfg.num_users * make_pam(cfg.mod_order).bits_per_symbol * cfg.symbols_per_trial
-    return [_make_record(eb_n0_db, det, bits, int(e), reason)
-            for det, e in zip(cfg.detectors, errors)]
+def _fold_point(cfg: SimConfig, tally: tuple, record: np.ndarray) -> tuple[tuple, bool]:
+    """One step of a grid point's fold: add its next batch record, in
+    batch order, to its tally (trials, errors per detector).  Returns the
+    new tally and whether the point stops there: the only code that knows
+    the stop rule.  A point stops after the first batch at which every
+    detector has reached ``error_target``, and takes no record past it."""
+    trials, errors = tally
+    errors = errors + record.sum(axis=0)
+    stop = cfg.error_target is not None and bool(errors.min() >= cfg.error_target)
+    return (trials + len(record), errors), stop
 
 
-def _batch(cfg: SimConfig, i: int) -> tuple[float, range]:
-    """Batch ``i`` of the campaign's flat (point, batch) order: its grid
-    point's Eb/N0 and its range of trials."""
+def _batch(cfg: SimConfig, j: int) -> range:
+    """Batch ``j``'s trials: up to ``_BATCH_SIZE`` trial indices from
+    ``trial_offset + j * _BATCH_SIZE`` on, within the trial cap (none past
+    the last batch)."""
     trials = range(cfg.trial_offset, cfg.trial_offset + cfg.trials_per_point)
-    p, j = divmod(i, len(trials[::_BATCH_SIZE]))
-    return cfg.eb_n0_grid_db[p], trials[j * _BATCH_SIZE:(j + 1) * _BATCH_SIZE]
+    return trials[j * _BATCH_SIZE:(j + 1) * _BATCH_SIZE]
 
 
 def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
     """Run the full campaign and return one record per (Eb/N0, detector).
 
-    With any ``threads`` >= 2 (0: ``os.cpu_count()``) and more than one
-    trial per point, one worker draws each batch while the calling thread
-    aligns and detects the one before it; one thread makes no pool.
-    ``take(i)`` returns batch ``i``'s drawn trials, ``_stack``ed.  With a
-    pool, batch ``i + 1`` is queued as one task per trial once batch ``i``
-    is taken.  Taking batch ``i`` cancels every task of it the worker has
-    not started and draws those trials on the calling thread, last first,
-    so the two meet in the middle; it waits only for the running task.  A
-    batch not queued yet (a call's first, or a point's first after a
-    stop) is queued and taken at once, and a look-ahead the stop made
-    useless is cancelled, or discarded if running.  Trial ranges are made
-    when queued, so at most two batches are held.  The records do not
-    depend on ``threads`` (see the module docstring), and no worker
-    outlives the call.  To use more cores, run grid or trial slices in
-    processes and combine them with ``merge_records``."""
+    Batches run in turn until the last one or until every point has
+    stopped; each is drawn and aligned once and detected at every point
+    that has not stopped.  With any ``threads`` >= 2 (0:
+    ``os.cpu_count()``) and more than one trial per point, one worker
+    draws each batch while the calling thread aligns and detects the one
+    before it; one thread makes no pool.  With a pool, batch ``j + 1`` is
+    queued as one task per trial once batch ``j`` is taken.  Taking batch
+    ``j`` cancels every task of it the worker has not started and draws
+    those trials on the calling thread, last first, so the two meet in
+    the middle; it waits only for the running task.  A look-ahead that
+    the last point's stop made useless is cancelled, or discarded if
+    running.  So at most two batches are held.  The records do not depend
+    on ``threads`` (see the module docstring), and no worker outlives the
+    call.  To use more cores, run grid or trial slices in processes and
+    combine them with ``merge_records``."""
     validate_config(cfg)
     if threads < 0:
         raise ConfigError(f"threads (--threads) must be >= 0, got {threads}")
     const = make_pam(cfg.mod_order)
     lut = hamming_table(const)
-    per_point = len(range(0, cfg.trials_per_point, _BATCH_SIZE))  # batches per point
+    grid = cfg.eb_n0_grid_db
+    scales = [math.sqrt(noise_sigma(db, cfg.mod_order).sigma2 / 2.0) for db in grid]
     pool = None
     if min(threads or os.cpu_count() or 1, cfg.trials_per_point) > 1:
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(1)
-    queued: tuple = (-1, [])  # a batch number and one future per trial
+    queued: list = []  # with a pool: one future per trial of the batch taken next
 
-    def queue(i: int) -> None:
+    def queue(j: int) -> None:
         nonlocal queued
-        db, trials = _batch(cfg, i)
-        queued = (i, [pool.submit(_draw_start, cfg, db, t) for t in trials])
+        queued = [pool.submit(_draw_start, cfg, t) for t in _batch(cfg, j)]
 
-    def take(i: int) -> tuple:
-        db, trials = _batch(cfg, i)
+    def take(j: int) -> tuple:
+        trials = _batch(cfg, j)
         if pool is None:
-            return _stack([_draw_start(cfg, db, t) for t in trials])
-        if queued[0] != i:
-            for future in queued[1]:
-                future.cancel()
-            queue(i)
-        futures = queued[1]
-        mine = {k: _draw_start(cfg, db, trials[k])
-                for k in reversed(range(len(trials))) if futures[k].cancel()}
-        drawn = [mine[k] if k in mine else f.result() for k, f in enumerate(futures)]
-        if i + 1 < len(cfg.eb_n0_grid_db) * per_point:
-            queue(i + 1)
+            return _stack([_draw_start(cfg, t) for t in trials])
+        mine = {k: _draw_start(cfg, trials[k])
+                for k in reversed(range(len(trials))) if queued[k].cancel()}
+        drawn = [mine[k] if k in mine else f.result() for k, f in enumerate(queued)]
+        queue(j + 1)
         return _stack(drawn)
 
-    records: list[BerRecord] = []
+    tallies = [(0, np.zeros(len(cfg.detectors), dtype=np.int64))] * len(grid)
+    live = list(range(len(grid)))  # the points that have not stopped
     try:
-        for p, db in enumerate(cfg.eb_n0_grid_db):
-            records += _fold_point(cfg, db, (_finish_batch(cfg, const, lut, take(i))
-                                             for i in range(p * per_point, (p + 1) * per_point)))
+        if pool is not None:
+            queue(0)
+        j = 0
+        while live and _batch(cfg, j):
+            records = _finish_batch(cfg, const, lut, take(j), [scales[p] for p in live])
+            for p, record in dict(zip(live, records)).items():
+                tallies[p], stop = _fold_point(cfg, tallies[p], record)
+                if stop:
+                    live.remove(p)
+            j += 1
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return records
+    bits = cfg.num_users * const.bits_per_symbol * cfg.symbols_per_trial
+    return [_make_record(db, det, trials * bits, int(e),
+                         "trial_cap" if p in live else "error_target")
+            for p, (db, (trials, errors)) in enumerate(zip(grid, tallies))
+            for det, e in zip(cfg.detectors, errors)]
 
 
 def merge_records(a: list[BerRecord], b: list[BerRecord]) -> list[BerRecord]:

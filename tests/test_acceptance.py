@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` (the campaign-backed
-criteria take a few minutes).
+criteria take about ten seconds).
 
 Criterion 6 asserts the partial order the receivers promise, within
 3-sigma bands: BER(zf_genie) <= BER(proposed) (known phase bounds the

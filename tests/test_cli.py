@@ -86,8 +86,8 @@ def with_field(section, key, value):
 
 
 def first_trial(cfg):
-    """The channels and LO of the campaign's first trial (the first grid
-    point's trial ``trial_offset``), drawn through the public functions."""
+    """The channels and LO of the campaign's first trial (trial
+    ``trial_offset``), drawn through the public functions."""
     rng = np.random.default_rng(
         trial_seed(cfg.master_seed, cfg.eb_n0_grid_db[0], cfg.trial_offset))
     ch = draw_channels(cfg, rng)
@@ -502,7 +502,8 @@ class TestCommands:
     def test_threads_capped_at_batch_size(self, tmp_path, monkeypatch):
         """``--threads 1000000`` writes the ``--threads 1`` CSV and draws
         on the calling thread and one worker, as any N >= 2 does; the
-        thread count is read while they draw."""
+        thread count is read while they draw, once per trial for both
+        grid points."""
         path = write_config(tmp_path, BASE_CONFIG.replace("trials_per_point = 6",
                                                           "trials_per_point = 20"))
         draw_start = sim._draw_start
@@ -520,7 +521,7 @@ class TestCommands:
             running.clear()
             assert main(["ber", "--config", path, "--out", str(out),
                          "--threads", threads]) == 0
-            assert len(running) == 2 * 20
+            assert len(running) == 20
             assert max(running) - before <= most
             outs.append(out.read_bytes())
         assert max(running) > before  # the last run's workers were drawing
@@ -767,8 +768,8 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("offset", [0, 5])
     def test_first_campaign_trial(self, tmp_path, monkeypatch, offset):
         """``optimize``'s phases and ``convergence``'s trace are row 0 of
-        the first batch of 8 trials ``run_ber`` aligns: the first grid
-        point's trial ``trial_offset``."""
+        the first batch of 8 trials ``run_ber`` aligns: trial
+        ``trial_offset``."""
         text = BASE_CONFIG.replace("trials_per_point = 6",
                                    f"trials_per_point = 8\ntrial_offset = {offset}")
         path = write_config(tmp_path, text)
@@ -817,26 +818,22 @@ class TestPhaseFile:
 
 class TestGoldenCampaigns:
     """Committed ``ber`` outputs: a change to the trial pipeline that moves
-    any count fails here.  Each CSV in tests/data was written by ``atomris
-    ber --config <name>.ini``: the first two when the optimizer still read
-    the (2N, M K) stack of rank-one terms; ``golden_channel_lo``, an
-    unnormalized non-default channel and LO, when the coupling was still
-    drawn through a dipole, hbar and an incidence axis; ``golden_k4``
-    (every call a full search of one block) and ``golden_no_ris`` (N = 0)
-    when the full search still split its scoring GEMM over runs of
-    observations and the effective channel and the channel draw still
-    special-cased N = 0;
-    ``golden_early_stop``, whose points stop on the error target after
-    one, two, three and five batches or at the trial cap, when every
-    batch was still drawn on one thread.  None of these changes moved any
-    count.  Each is also run with one and two pool workers drawing the
+    any count fails here.  Each CSV in tests/data is the output of
+    ``atomris ber --config <name>.ini``: the reference shape, K = 8 (the
+    pruned search), an unnormalized non-default channel and LO
+    (``golden_channel_lo``), K = 4 (every call a full search of one
+    block), N = 0 (``golden_no_ris``), and ``golden_early_stop``, whose
+    points stop on the error target after different batches or at the
+    trial cap.  Each is also run with one and two pool workers drawing the
     next batch while the calling thread aligns and detects; in
     ``golden_early_stop`` the look-ahead a stop makes useless is
     discarded.  ``golden_convergence.csv`` and
     ``golden_convergence_phases.txt`` are the ``convergence`` and
     ``optimize`` outputs of ``golden_convergence.ini`` (M = 36, N = 150,
-    K = 3, 20 iterations), written when those commands still drew their
-    trial through a chain of their own beside the campaign's."""
+    K = 3, 20 iterations).  All eight were last written when trial
+    streams came to be keyed by the trial index alone, so that every
+    grid point reads the same trials; the refactors before that, back to
+    the optimizer's (2N, M K) stack of rank-one terms, moved no count."""
 
     DATA = Path(__file__).resolve().parent / "data"
 

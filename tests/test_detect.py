@@ -1,5 +1,6 @@
 """Tests for the magnitude front end and the three detectors."""
 
+import math
 import tracemalloc
 from itertools import product
 
@@ -20,7 +21,7 @@ from atomris.detect import (
     ls_estimate,
 )
 from atomris.errors import BudgetExceededError, SingularMatrixError
-from atomris.modem import make_pam
+from atomris.modem import make_pam, noise_sigma
 from atomris.risopt import AdamConfig
 from atomris.sim import SimConfig, _draw_start, optimize_aligned_phases
 
@@ -107,11 +108,13 @@ class TestFrontEnd:
 
     @staticmethod
     def campaign_noise(cells, symbols, mod_order, eb_n0_db):
-        """The noise the campaign draws for its first trial at ``eb_n0_db``:
-        ``cells`` x ``symbols`` samples from ``sim._draw_start``."""
+        """The noise of the campaign's first trial at ``eb_n0_db``: the unit
+        noise ``sim._draw_start`` draws (``cells`` x ``symbols`` samples),
+        scaled by sqrt(sigma^2 / 2) as each grid point scales it."""
         cfg = SimConfig(num_cells=cells, num_elements=2, num_users=1, mod_order=mod_order,
-                        symbols_per_trial=symbols, eb_n0_grid_db=(eb_n0_db,))
-        return _draw_start(cfg, eb_n0_db, 0)[-1]
+                        symbols_per_trial=symbols)
+        scale = math.sqrt(noise_sigma(eb_n0_db, mod_order).sigma2 / 2.0)
+        return _draw_start(cfg, 0)[-1] * scale
 
     def test_noise_variance_split(self):
         """Empirical variance of z around |b| matches sigma^2/2 (in-phase

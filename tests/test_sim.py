@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo campaign engine."""
 
+import functools
 import math
 import sys
 import threading
@@ -156,13 +157,13 @@ class TestConvergence:
 
 
 class TestTrialSeeding:
-    def test_distinct_across_points_and_trials(self):
-        seeds = {
-            tuple(trial_seed(1, db, t).generate_state(4))
-            for db in (-20.0, -10.0)
-            for t in range(5)
-        }
-        assert len(seeds) == 10
+    def test_distinct_across_trials_shared_across_points(self):
+        """Each trial index has its own key, and every grid point reads the
+        same one: the Eb/N0 argument is not part of the key."""
+        keys = {db: [tuple(trial_seed(1, db, t).generate_state(4)) for t in range(5)]
+                for db in (-20.0, -10.0, 0.0)}
+        assert len(set(keys[-20.0])) == 5
+        assert keys[-20.0] == keys[-10.0] == keys[0.0]
 
     def test_keyed_by_value_not_position(self):
         a = trial_seed(1, -20.0, 3).generate_state(4)
@@ -182,32 +183,30 @@ class TestStageOne:
 
     def test_stream_order_is_the_lone_trial_chain(self):
         from atomris.channel import gen_lo_vector
-        from atomris.modem import noise_sigma
         from atomris.risopt import random_phases
 
-        db, t = -22.0, 7
-        rng = np.random.default_rng(trial_seed(SMALL.master_seed, db, t))
+        t = 7
+        rng = np.random.default_rng(trial_seed(SMALL.master_seed, -22.0, t))
         ch = sim.draw_channels(SMALL, rng)
         b = gen_lo_vector(SMALL.num_cells, SMALL.lo, rng)
         theta0 = random_phases(SMALL.num_elements, rng)
         sent = rng.integers(0, SMALL.mod_order, (SMALL.num_users, SMALL.symbols_per_trial))
         shape = (SMALL.num_cells, SMALL.symbols_per_trial)
-        scale = math.sqrt(noise_sigma(db, SMALL.mod_order).sigma2 / 2.0)
-        noise = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # unit noise
         want = (ch.h_ur, ch.h_rv, ch.h_uv, b, theta0, sent, noise)
-        got_ch, *got = sim._draw_start(SMALL, db, t)
+        got_ch, *got = sim._draw_start(SMALL, t)
         got = (got_ch.h_ur, got_ch.h_rv, got_ch.h_uv, *got)
         assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
             (a.dtype, a.shape, a.tobytes()) for a in want]
 
     def test_no_generator_after_stage_one(self):
         """A drawn batch holds arrays and channel sets only, before and after
-        it is stacked, and finishing the stacked batch twice gives one batch
-        record."""
+        it is stacked, and finishing the stacked batch twice gives the same
+        batch records, one per noise scale."""
         from atomris.channel import ChannelSet
         from atomris.modem import hamming_table, make_pam
 
-        drawn = [sim._draw_start(SMALL, -22.0, t) for t in range(5)]
+        drawn = [sim._draw_start(SMALL, t) for t in range(5)]
         batch = sim._stack(drawn)
         for ch, *arrays in (*drawn, batch):
             assert isinstance(ch, ChannelSet)
@@ -215,10 +214,12 @@ class TestStageOne:
         assert batch[0].h_rv.shape == (5, SMALL.num_cells, SMALL.num_elements)
         assert all(len(a) == 5 for a in batch[1:])
         const = make_pam(SMALL.mod_order)
-        first, second = (sim._finish_batch(SMALL, const, hamming_table(const), batch)
+        scales = [6.0, 10.0]  # about sqrt(sigma2 / 2) at -22 and -26 dB
+        first, second = (sim._finish_batch(SMALL, const, hamming_table(const), batch, scales)
                          for _ in range(2))
-        assert first.shape == (5, len(SMALL.detectors)) and first.sum() > 0
-        assert np.array_equal(first, second)
+        assert [r.shape for r in first] == [(5, len(SMALL.detectors))] * 2
+        assert 0 < first[0].sum() < first[1].sum()
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 def _exact_bytes(arrays):
@@ -240,7 +241,7 @@ class TestStackedChannels:
         from atomris.risopt import build_rank_one_cache, gradient_op_count, objective_and_gradient
 
         cfg = replace(SMALL, num_elements=n, adam=AdamConfig(max_iters=15))
-        drawn = [sim._draw_start(cfg, -22.0, t) for t in range(n_trials)]
+        drawn = [sim._draw_start(cfg, t) for t in range(n_trials)]
         ch, b, theta0, *_ = sim._stack(drawn)
         dephased = sim._dephase(ch, b)
         r, g = build_rank_one_cache(dephased)
@@ -265,6 +266,11 @@ class TestStackedChannels:
             assert _exact_bytes(got) == _exact_bytes(want), t
 
 
+# Three points that stop on the error target after 2, 3 and 6 batches.
+_STOPS = replace(SMALL, eb_n0_grid_db=(-30.0, -22.0, -18.0), error_target=400,
+                 trials_per_point=100)
+
+
 class TestRunBer:
     def test_record_invariants(self):
         records = run_ber(SMALL)
@@ -277,13 +283,15 @@ class TestRunBer:
             assert rec.stop_reason == "trial_cap"
             assert type(rec.bits_sent) is int and type(rec.bit_errors) is int
 
-    def test_batches_made_one_at_a_time(self):
+    @pytest.mark.parametrize("cap", [10**7, 10**20])
+    def test_batches_made_one_at_a_time(self, cap):
         """A point that stops after its first batch holds only that batch
         (and, with a pool, the look-ahead the stop discards), however many
-        trials its cap allows."""
+        trials its cap allows, also past the 2^63 items a Python ``len``
+        can count."""
         cfg = replace(SMALL, num_cells=4, num_elements=3, num_users=2,
                       eb_n0_grid_db=(-30.0,), symbols_per_trial=10,
-                      detectors=("proposed",), error_target=1, trials_per_point=10**7)
+                      detectors=("proposed",), error_target=1, trials_per_point=cap)
         for threads in (1, 2):
             tracemalloc.start()
             try:
@@ -425,10 +433,10 @@ class TestRunBer:
         worker outlives the call."""
         draw_start = sim._draw_start
 
-        def failing_draw_start(cfg, eb_n0_db, t):
+        def failing_draw_start(cfg, t):
             if t == 10:  # the second batch: drawn ahead on the pool
                 raise RuntimeError("draw failed")
-            return draw_start(cfg, eb_n0_db, t)
+            return draw_start(cfg, t)
 
         monkeypatch.setattr(sim, "_draw_start", failing_draw_start)
         baseline = threading.active_count()
@@ -454,11 +462,36 @@ class TestRunBer:
             alone.append(str(info.value))
         assert str(batch.value) == alone[0] != alone[1]
 
-    def test_grid_partition_merges_to_full(self):
-        full = run_ber(SMALL)
-        g1 = run_ber(replace(SMALL, eb_n0_grid_db=(-26.0,)))
-        g2 = run_ber(replace(SMALL, eb_n0_grid_db=(-22.0,)))
-        assert records_to_csv(merge_records(g1, g2)) == records_to_csv(full)
+    @pytest.mark.parametrize("cfg", [SMALL, _STOPS], ids=["no-target", "error-target"])
+    def test_grid_partition_merges_to_full(self, cfg):
+        """Each point of a multi-point run equals a one-point run at that
+        point, also when the points stop on the error target after
+        different batches (2, 3 and 6 of ``_STOPS``'s 13), so grid slices
+        merge to the full run."""
+        full = run_ber(cfg)
+        points = [run_ber(replace(cfg, eb_n0_grid_db=(db,))) for db in cfg.eb_n0_grid_db]
+        assert [rec for records in points for rec in records] == full
+        assert records_to_csv(functools.reduce(merge_records, points)) == records_to_csv(full)
+
+    def test_each_trial_drawn_once_for_the_grid(self, monkeypatch):
+        """A 3-point campaign draws each of its trials once, not once per
+        point; with an error target, only the trials of its longest-running
+        point (48 of a cap of 100)."""
+        draw_start = sim._draw_start
+        drawn = []
+
+        def counting_draw_start(cfg, t):
+            drawn.append(t)
+            return draw_start(cfg, t)
+
+        monkeypatch.setattr(sim, "_draw_start", counting_draw_start)
+        run_ber(replace(_STOPS, error_target=None, trials_per_point=20, trial_offset=3))
+        assert drawn == list(range(3, 23))
+        drawn.clear()
+        trials = [r.bits_sent // (2 * 2 * SMALL.symbols_per_trial) for r in run_ber(_STOPS)
+                  if r.detector == "proposed"]
+        assert trials == [16, 24, 48]
+        assert drawn == list(range(48))
 
     def test_early_abort_records_reason(self):
         cfg = replace(SMALL, eb_n0_grid_db=(-40.0,), error_target=5,
@@ -518,50 +551,38 @@ def _batch_record(trials, errors):
     return record
 
 
-def _feed(records, stop_expected):
-    """Yield ``records``; with ``stop_expected``, fail if pulled once more."""
-    yield from records
-    if stop_expected:
-        raise AssertionError("the fold pulled a batch record past its stop")
-
-
 class TestFoldPoint:
-    """The fold alone, on synthetic batch records: no trial runs."""
+    """The fold step alone, on synthetic batch records: no trial runs."""
 
     CFG = replace(SMALL, detectors=("proposed", "zf_genie"), error_target=10)
-    BITS_PER_TRIAL = 2 * 2 * 30  # K log2(Q) symbols_per_trial
 
-    def fold(self, records, stop_expected):
-        return sim._fold_point(self.CFG, -24.0, _feed(records, stop_expected))
+    def steps(self, records, cfg=CFG):
+        """The tally (trials, errors) and the stop flag after each of
+        ``records``, stepped from an empty tally as ``run_ber`` steps it."""
+        tally = (0, np.zeros(len(cfg.detectors), dtype=np.int64))
+        out = []
+        for record in records:
+            tally, stop = sim._fold_point(cfg, tally, record)
+            out.append((tally[0], tally[1].tolist(), stop))
+        return out
 
     def test_stops_after_the_batch_where_every_detector_reaches_the_target(self):
         records = [_batch_record(8, (4, 12)), _batch_record(8, (4, 0)), _batch_record(8, (2, 0))]
-        folded = self.fold(records, stop_expected=True)
-        assert [(r.detector, r.bits_sent, r.bit_errors, r.stop_reason) for r in folded] == [
-            ("proposed", 24 * self.BITS_PER_TRIAL, 10, "error_target"),
-            ("zf_genie", 24 * self.BITS_PER_TRIAL, 12, "error_target"),
-        ]
+        assert self.steps(records) == [
+            (8, [4, 12], False), (16, [8, 12], False), (24, [10, 12], True)]
 
     def test_one_detector_at_the_target_does_not_stop(self):
         records = [_batch_record(8, (50, 9)), _batch_record(8, (50, 0))]
-        folded = self.fold(records, stop_expected=False)
-        assert [(r.bit_errors, r.stop_reason) for r in folded] == [
-            (100, "trial_cap"), (9, "trial_cap"),
-        ]
+        assert self.steps(records) == [(8, [50, 9], False), (16, [100, 9], False)]
 
     def test_partial_last_batch_at_the_trial_cap(self):
         records = [_batch_record(8, (1, 2)), _batch_record(8, (0, 0)), _batch_record(3, (3, 0))]
-        folded = self.fold(records, stop_expected=False)
-        for rec, errors in zip(folded, (4, 2)):
-            assert rec == sim._make_record(-24.0, rec.detector, 19 * self.BITS_PER_TRIAL,
-                                           errors, "trial_cap")
-            assert "np." not in repr(rec)
+        assert self.steps(records)[-1] == (19, [4, 2], False)
 
     def test_no_target_never_stops(self):
         records = [_batch_record(8, (500, 500))] * 3
-        folded = sim._fold_point(replace(self.CFG, error_target=None), -24.0, iter(records))
-        assert [(r.bits_sent, r.stop_reason) for r in folded] == [
-            (24 * self.BITS_PER_TRIAL, "trial_cap")] * 2
+        steps = self.steps(records, replace(self.CFG, error_target=None))
+        assert [stop for *_, stop in steps] == [False] * 3
 
 
 class TestMergeRecords:
@@ -665,13 +686,15 @@ class TestTrialSeedProperties:
         assert np.array_equal(neg.generate_state(4), pos.generate_state(4))
 
     @given(st.floats(allow_nan=False, allow_infinity=False),
-           st.floats(allow_nan=False, allow_infinity=False))
-    @example(1.0, np.nextafter(1.0, 2.0))
-    @example(5e-324, 0.0)
-    @example(-5e-324, -0.0)
-    def test_distinct_points_get_distinct_keys(self, x, y):
-        assume(x != y)
-        assert trial_seed(3, x, 0).spawn_key != trial_seed(3, y, 0).spawn_key
+           st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 2**32))
+    @example(1.0, np.nextafter(1.0, 2.0), 0)
+    @example(5e-324, 0.0, 7)
+    @example(-5e-324, -0.0, 7)
+    def test_key_ignores_the_point_and_separates_trials(self, x, y, trial):
+        """Any two grid points key a trial alike, and the next trial apart."""
+        key = trial_seed(3, x, trial).spawn_key
+        assert trial_seed(3, y, trial).spawn_key == key
+        assert trial_seed(3, y, trial + 1).spawn_key != key
 
 
 class TestCsv:
