@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="N >= 2, or 0 on a machine with two or more CPUs, starts one "
                                   "worker that draws the next batch's trials while the calling "
                                   "thread aligns and detects; the CSV does not depend on it.  It "
-                                  "gains 1.3-1.5x at M = 36, K = 3 over many batches, and nothing "
+                                  "gains 1.3-1.4x at M = 36, K = 3 over many batches, and nothing "
                                   "on a call of one batch (8 trials) or at K = 8 (README, the "
                                   "table under 'CLI').  For more cores, see README, 'Spreading a "
                                   "campaign over processes'")

@@ -27,19 +27,28 @@ just those gives them the whole budget.  The full search decides what
 that leaves, and every observation when fewer than K cells qualify or the
 linear model is rank-deficient.
 
-A campaign detects a batch of trials in one call.  The pruned search
-keeps each trial's bound, QR and node budget apart (a trial spills only
-against its own budget) and grows the trees of all trials' observations
-at once, so its tree state is up to one budget per trial; the second
-pass and the full search run trial by trial.
+Every detector is a receiver built once per channel: a function of the
+channel, the LO and the constellation (``_proposed``, ``_zero_forcing``,
+``_exhaustive``) that does the work that reads no observation and returns
+the function of the observation; each ``detect_*_batch`` is that
+composition on one call.  A campaign builds its receivers once per batch
+of trials and calls them at every Eb/N0 point, where only the noise
+differs.  The least-squares receivers form H^H, the Gram matrix and its
+condition number once; the full search, when Q^K fits one block, forms
+every trial's candidate table once, so a call is one scoring GEMM per
+trial; the pruned search forms each trial's bound and QR once.  The
+pruned search grows the trees of all trials' observations at once, and a
+trial spills only against its own budget, so its tree state is up to one
+budget per trial; the second pass and the full search over what remains
+run trial by trial, on each call.
 
 The full search takes its candidates in blocks of prefix x suffix
-candidates, so its memory is bounded by one block rather than by Q^K.
-Each field is a prefix base H_hi s_hi + b plus a suffix field H_lo s_lo,
-scored by a GEMM that folds in the squared norm.  That sum rounds
-differently from one H_eq s + b product, as does the pruned search's
-rescoring: scores may differ in the last bits, and decisions only where
-two candidates tie to within rounding.
+candidates, so its memory is bounded by one block rather than by Q^K
+(``_candidate_blocks``).  Each field is a prefix base H_hi s_hi + b plus
+a suffix field H_lo s_lo, scored by a GEMM that folds in the squared
+norm.  That sum rounds differently from one H_eq s + b product, as does
+the pruned search's rescoring: scores may differ in the last bits, and
+decisions only where two candidates tie to within rounding.
 
 All kernels are batched: columns of ``s``, ``y`` and ``z`` are symbol
 vectors, and every kernel returns one column per observation.  Every
@@ -49,7 +58,8 @@ kernel reads a random generator: ``front_end`` adds the noise draw it is
 given.  Every detector first passes its observation, channel and LO
 through ``_detector_inputs``, so each refuses a non-finite entry, or
 leading axes or an M that disagree, with a ``ValueError`` that names the
-input.
+input.  The receivers check nothing themselves: a campaign checks its
+channel and LO once per batch and each observation once per point.
 """
 
 from __future__ import annotations
@@ -91,7 +101,7 @@ def front_end(h_eq: np.ndarray, s: np.ndarray, b: np.ndarray, awgn: np.ndarray) 
     (..., K, n) under the noise draw ``awgn`` (..., M, n); the
     photodetectors report z = |y|.  ``h_eq`` (..., M, K) and ``b`` (..., M)
     carry the same leading trial axes, and each trial's rows are those of
-    a call on the trial alone.
+    a call on the trial alone.  It is ``_front_end(h_eq, s, b)(awgn)``.
     """
     h_eq, s, b = np.asarray(h_eq), np.asarray(s), np.asarray(b)
     *lead, m, k = h_eq.shape
@@ -99,10 +109,15 @@ def front_end(h_eq: np.ndarray, s: np.ndarray, b: np.ndarray, awgn: np.ndarray) 
             or np.shape(awgn) != (*lead, m, s.shape[-1])):
         raise ValueError(f"s {s.shape}, b {b.shape} and noise {np.shape(awgn)} "
                          f"do not fit a {h_eq.shape} channel")
-    y = np.matmul(h_eq, s, dtype=complex)
-    y += b[..., None]
-    y += awgn
-    return y
+    return _front_end(h_eq, s, b)(awgn)
+
+
+def _front_end(h_eq: np.ndarray, s: np.ndarray, b: np.ndarray):
+    """The front end with its noiseless part H_eq s + b formed once: the
+    returned function maps a noise draw n to y = (H_eq s + b) + n."""
+    clean = np.matmul(h_eq, s, dtype=complex)
+    clean += b[..., None]
+    return lambda awgn: clean + awgn
 
 
 def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -118,20 +133,26 @@ def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     The solve runs on each H scaled by the power of two 2^-e that brings
     its largest real or imaginary part into [1/2, 1), so its Gram matrix
     cannot underflow, and the estimate is scaled back by 2^-e.  Scaling by
-    a power of two is exact, so in the normal range it changes no bit.
+    a power of two is exact, so in the normal range it changes no bit.  It
+    is ``_least_squares(h_eq)(rhs)``.
     """
+    return _least_squares(h_eq)(rhs)
+
+
+def _least_squares(h_eq: np.ndarray):
+    """``ls_estimate`` built once per channel: the checks of ``h_eq``, its
+    scaling, H^H, the Gram matrix and its condition number.  The returned
+    function maps a right-hand side (..., M, n) to the estimate, or to the
+    refusal, that ``ls_estimate`` gives."""
     h_eq = np.ascontiguousarray(h_eq, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex)
     if not np.isfinite(h_eq).all():
         raise ValueError("h_eq must be finite")
-    *lead, m, k = h_eq.shape
+    shape = h_eq.shape
+    *lead, m, k = shape
     if k > m:
         raise ValueError(f"more users ({k}) than cells ({m}); least squares undefined")
-    if rhs.shape[:-1] != (*lead, m):
-        raise ValueError(f"rhs {rhs.shape} does not fit a {h_eq.shape} channel")
     trials = math.prod(lead)
     h_eq = h_eq.reshape(trials, m, k)
-    rhs = rhs.reshape(trials, m, rhs.shape[-1])
     _, exp = np.frexp(np.abs(h_eq.view(float)).max(axis=(1, 2), initial=0.0))
     exp = -exp[:, None, None]
     h_eq = np.ldexp(h_eq.view(float), exp).view(complex)
@@ -142,18 +163,34 @@ def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # among them is the earlier refusal.
     refused = ~(cond <= _COND_LIMIT)  # nan too
     solved = int(np.argmax(refused)) if refused.any() else trials
-    # A huge rhs can take H^H rhs or the estimate beyond the float range: refused next.
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_hat = np.linalg.solve(gram[:solved], h_adj[:solved] @ rhs[:solved])
-        s_hat = np.ldexp(s_hat.view(float), exp[:solved]).view(complex)
-    if (lost := ~np.isfinite(s_hat).all(axis=(1, 2))).any():
-        raise SingularMatrixError(
-            f"H^H H gives a non-finite estimate (condition {cond[np.argmax(lost)]:.3e})")
-    if solved < trials:
-        raise SingularMatrixError(
-            f"H^H H is numerically singular (condition number {cond[solved]:.3e})"
-        )
-    return s_hat.reshape(*lead, k, rhs.shape[-1])
+    gram, h_adj, exp = gram[:solved], h_adj[:solved], exp[:solved]
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=complex)
+        if rhs.shape[:-1] != (*lead, m):
+            raise ValueError(f"rhs {rhs.shape} does not fit a {shape} channel")
+        n = rhs.shape[-1]
+        # A huge rhs can take H^H rhs or the estimate beyond the float range: refused next.
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_hat = np.linalg.solve(gram, h_adj @ rhs.reshape(trials, m, n)[:solved])
+            s_hat = np.ldexp(s_hat.view(float), exp).view(complex)
+        if (lost := ~np.isfinite(s_hat).all(axis=(1, 2))).any():
+            raise SingularMatrixError(
+                f"H^H H gives a non-finite estimate (condition {cond[np.argmax(lost)]:.3e})")
+        if solved < trials:
+            raise SingularMatrixError(
+                f"H^H H is numerically singular (condition number {cond[solved]:.3e})"
+            )
+        return s_hat.reshape(*lead, k, n)
+
+    return solve
+
+
+def _require_finite(**arrays: np.ndarray) -> None:
+    """Refuse the first of ``arrays`` with a non-finite entry, by its name."""
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
 
 
 def _detector_inputs(obs, name: str, dtype: type, h_eq, b) -> tuple[np.ndarray, ...]:
@@ -165,16 +202,24 @@ def _detector_inputs(obs, name: str, dtype: type, h_eq, b) -> tuple[np.ndarray, 
     obs, h_eq, b = np.asarray(obs, dtype), np.asarray(h_eq, complex), np.asarray(b, complex)
     if not obs.shape[:-1] == b.shape == h_eq.shape[:-1]:
         raise ValueError(f"shape mismatch: {name} {obs.shape}, b {b.shape}, channel {h_eq.shape}")
-    for label, arr in ((name, obs), ("h_eq", h_eq), ("b", b)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{label} must be finite")
+    _require_finite(**{name: obs}, h_eq=h_eq, b=b)
     return obs, h_eq, b
 
 
-def _zero_forcing(y: np.ndarray, h_eq: np.ndarray, b: np.ndarray, c: Constellation) -> np.ndarray:
-    """The least-squares receivers' one kernel: the real part of the LS
-    estimate from y - b, sliced per user."""
-    return slice_to_indices(ls_estimate(h_eq, y - b[..., None]).real, c)
+def _zero_forcing(h_eq: np.ndarray, b: np.ndarray, c: Constellation):
+    """The least-squares receivers' one kernel, built once per channel: the
+    returned function slices, per user, the real part of the LS estimate
+    from y - b."""
+    solve = _least_squares(h_eq)
+    return lambda y: slice_to_indices(solve(y - b[..., None]).real, c)
+
+
+def _proposed(h_eq: np.ndarray, b: np.ndarray, c: Constellation):
+    """The proposed receiver: ``_zero_forcing`` on y = z e^{j angle(b)},
+    with the LO's phase formed once."""
+    zero_forcing = _zero_forcing(h_eq, b, c)
+    phase = np.exp(1j * np.angle(b))[..., None]
+    return lambda z: zero_forcing(z * phase)
 
 
 def detect_proposed_batch(
@@ -188,7 +233,7 @@ def detect_proposed_batch(
     observation's: the genie on y = z e^{j angle(b)}.
     """
     z, h_eq, b = _detector_inputs(z, "z", float, h_eq, b)
-    return _zero_forcing(z * np.exp(1j * np.angle(b))[..., None], h_eq, b, c)
+    return _proposed(h_eq, b, c)(z)
 
 
 def enumerate_symbol_vectors(c: Constellation, num_users: int) -> np.ndarray:
@@ -215,27 +260,46 @@ def detect_exhaustive_batch(
     spilled, and the full search the rest.  Shapes are those of
     ``detect_proposed_batch``; with leading trial axes the first pruned
     search takes all trials in one call, and the second pass and the full
-    search run trial by trial.
+    search over what it leaves run trial by trial.
     """
     z, h_eq, b = _detector_inputs(z, "z", float, h_eq, b)
+    return _exhaustive(h_eq, b, c, budget, z.shape[-1])(z)
+
+
+def _exhaustive(h_eq: np.ndarray, b: np.ndarray, c: Constellation, budget: int, n_obs: int):
+    """The exhaustive receiver for observations of ``n_obs`` columns, built
+    once per channel.  The full search, when Q^K fits one block, takes its
+    candidate table from here; otherwise the pruned search takes its bound
+    and QR.  The second pruned pass and the full search over what the
+    first leaves run on each call, trial by trial."""
     *lead, m, k = h_eq.shape
-    q, n_obs = c.order, z.shape[-1]
+    q = c.order
     if q**k > budget:
         raise BudgetExceededError(
             f"exhaustive search needs Q^K = {q}^{k} = {q**k} candidates "
             f"(budget {budget})"
         )
-    best = np.full((*lead, n_obs), -1, dtype=np.intp)
-    if q**k > _block_size(m, n_obs):
-        best = _pruned_search(z, h_eq, b, c)
+
+    def decisions(best: np.ndarray) -> np.ndarray:
+        return np.stack(np.unravel_index(best, (q,) * k), axis=-2)
+
+    if q**k <= _block_size(m, n_obs):
+        ((_, table),) = _candidate_blocks(h_eq, b, c, n_obs)
+        return lambda z: decisions(_full_search(z, h_eq, b, c, table))
+    tree = _search_tree(h_eq, b, c)
     trials = math.prod(lead)
-    for row, z_t, h_t, b_t in zip(best.reshape(trials, n_obs), z.reshape(trials, m, n_obs),
-                                  h_eq.reshape(trials, m, k), b.reshape(trials, m)):
-        if 0 < (rest := row < 0).sum() < rest.size:  # spills get the whole node budget
-            row[rest] = _pruned_search(z_t[:, rest], h_t, b_t, c)
-        if (rest := row < 0).any():
-            row[rest] = _full_search(z_t[:, rest], h_t, b_t, c)
-    return np.stack(np.unravel_index(best, (q,) * k), axis=-2)
+
+    def detect(z: np.ndarray) -> np.ndarray:
+        best = _pruned_search(z, h_eq, b, c, tree)
+        for row, z_t, h_t, b_t in zip(best.reshape(trials, n_obs), z.reshape(trials, m, n_obs),
+                                      h_eq.reshape(trials, m, k), b.reshape(trials, m)):
+            if 0 < (rest := row < 0).sum() < rest.size:  # spills get the whole node budget
+                row[rest] = _pruned_search(z_t[:, rest], h_t, b_t, c)
+            if (rest := row < 0).any():
+                row[rest] = _full_search(z_t[:, rest], h_t, b_t, c)
+        return decisions(best)
+
+    return detect
 
 
 def _block_size(m: int, n_obs: int) -> int:
@@ -244,48 +308,66 @@ def _block_size(m: int, n_obs: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * (4 * m + 1 + n_obs)))
 
 
-def _full_search(z: np.ndarray, h_eq: np.ndarray, b: np.ndarray, c: Constellation) -> np.ndarray:
-    """Lexicographic index of each observation's best candidate among all
-    Q^K.
+def _candidate_blocks(h_eq: np.ndarray, b: np.ndarray, c: Constellation, n_obs: int):
+    """The full search's candidates for observations of ``n_obs`` columns,
+    a block at a time: each block's first lexicographic index and its
+    table [|field|; sum |field|^2], (..., M + 1, block) for a channel
+    (..., M, K) and LO (..., M).
 
     Candidate j is the prefix j // Q^k_lo of the leading users and the
     suffix j % Q^k_lo of the trailing k_lo users, where Q^k_lo is the
     largest power that fits one block.  The suffix fields H_lo s_lo and
     the prefix bases H_hi s_hi + b are computed once; a block is a run of
     prefixes times every suffix, and its fields are one broadcast sum of
-    the two tables.  Its (n, block) scores are
-    [-2 z^T, 1] [|field|; sum |field|^2], with the ||z||^2 term (constant
-    per observation) dropped, one GEMM per block.  A block's first
-    minimum replaces the running best only when strictly smaller, so ties
-    keep the lexicographic order.
+    the two tables.
     """
-    m, k = h_eq.shape
-    q, n_obs = c.order, z.shape[1]
+    *lead, m, k = h_eq.shape
+    q = c.order
     block = _block_size(m, n_obs)
     k_lo = 0
     while k_lo < k and q ** (k_lo + 1) <= block:
         k_lo += 1
     k_hi = k - k_lo
-    suffix = h_eq[:, k_hi:] @ c.points[enumerate_symbol_vectors(c, k_lo)]
-    prefix = h_eq[:, :k_hi] @ c.points[enumerate_symbol_vectors(c, k_hi)] + b[:, None]
+    suffix = h_eq[..., k_hi:] @ c.points[enumerate_symbol_vectors(c, k_lo)]
+    prefix = h_eq[..., :k_hi] @ c.points[enumerate_symbol_vectors(c, k_hi)] + b[..., None]
     n_suffix, n_prefix = q**k_lo, q**k_hi
     step = min(max(1, block // n_suffix), n_prefix)  # prefixes per block
-    # Scaling z by -2 is exact.
-    weights = np.concatenate((-2.0 * z.T, np.ones((n_obs, 1))), axis=1)
-    rows = np.arange(n_obs)
-    best = np.zeros(n_obs, dtype=np.intp)
-    best_score = np.full(n_obs, np.inf)
     for first in range(0, n_prefix, step):
-        field = (prefix[:, first:first + step, None] + suffix[:, None, :]).reshape(m, -1)
-        mag = np.empty((m + 1, field.shape[1]))
-        np.abs(field, out=mag[:m])
+        field = (prefix[..., first:first + step, None]
+                 + suffix[..., None, :]).reshape(*lead, m, -1)
+        mag = np.empty((*lead, m + 1, field.shape[-1]))
+        np.abs(field, out=mag[..., :m, :])
         del field
-        np.sum(np.square(mag[:m]), axis=0, out=mag[m])
+        np.sum(np.square(mag[..., :m, :]), axis=-2, out=mag[..., m, :])
+        yield first * n_suffix, mag
+
+
+def _full_search(
+    z: np.ndarray, h_eq: np.ndarray, b: np.ndarray, c: Constellation, table=None
+) -> np.ndarray:
+    """Lexicographic index of each observation's best candidate among all
+    Q^K.  ``z`` (..., M, n), ``h_eq`` (..., M, K) and ``b`` (..., M) carry
+    the same leading trial axes; the result is (..., n).
+
+    The candidates come from ``_candidate_blocks``, or, when all Q^K fit
+    one block, from ``table``, that block's table built once per channel.
+    A block's (n, block) scores are [-2 z^T, 1] [|field|; sum |field|^2],
+    with the ||z||^2 term (constant per observation) dropped, one GEMM per
+    block and trial.  A block's first minimum replaces the running best
+    only when strictly smaller, so ties keep the lexicographic order.
+    """
+    *lead, m, n_obs = z.shape
+    # Scaling z by -2 is exact.
+    weights = np.concatenate((-2.0 * np.swapaxes(z, -1, -2), np.ones((*lead, n_obs, 1))),
+                             axis=-1)
+    best = np.zeros((*lead, n_obs), dtype=np.intp)
+    best_score = np.full((*lead, n_obs), np.inf)
+    for first, mag in _candidate_blocks(h_eq, b, c, n_obs) if table is None else [(0, table)]:
         scores = weights @ mag
-        arg = np.argmin(scores, axis=1)
-        score = scores[rows, arg]
+        arg = np.argmin(scores, axis=-1)
+        score = np.take_along_axis(scores, arg[..., None], axis=-1)[..., 0]
         better = score < best_score
-        best[better] = arg[better] + first * n_suffix
+        best[better] = arg[better] + first
         best_score[better] = score[better]
     return best
 
@@ -311,8 +393,38 @@ def _magnitude_bound(
     return cells, g.real[cells], leak**2 / (2.0 * (mag_b[cells] - spread[cells]))
 
 
+def _search_tree(h_eq: np.ndarray, b: np.ndarray, c: Constellation) -> tuple:
+    """The pruned search's channel half for a channel (..., M, K) and LO
+    (..., M): the trials whose bound gives a search (K usable cells and a
+    G of full rank), and for each its usable cells, |b| on them, the
+    orthonormal basis Q and triangle R of G = Q R with G's columns in
+    order of norm, that order, and ||delta||."""
+    *lead, m, k = h_eq.shape
+    trials = math.prod(lead)
+    h_eq, b = h_eq.reshape(trials, m, k), b.reshape(trials, m)
+    p_max = np.abs(c.points).max()
+    searched, cells, mag_b, basis, r, order, slack = [], [], [], [], [], [], []
+    for t in range(trials):
+        cells_t, model, width = _magnitude_bound(h_eq[t], b[t], p_max)
+        if model.shape[0] < k:
+            continue
+        col_order = np.argsort(np.linalg.norm(model, axis=0), kind="stable")
+        basis_t, r_t = np.linalg.qr(model[:, col_order])
+        diag = np.abs(np.diag(r_t))
+        if not diag.min() > 1e-12 * diag.max():  # also refuses nan
+            continue
+        searched.append(t)
+        cells.append(cells_t)
+        mag_b.append(np.abs(b[t, cells_t]))
+        basis.append(basis_t)
+        r.append(r_t)
+        order.append(col_order)
+        slack.append(np.linalg.norm(width))
+    return searched, cells, mag_b, basis, np.array(r), np.array(order), np.array(slack)
+
+
 def _pruned_search(
-    z: np.ndarray, h_eq: np.ndarray, b: np.ndarray, c: Constellation
+    z: np.ndarray, h_eq: np.ndarray, b: np.ndarray, c: Constellation, tree=None
 ) -> np.ndarray:
     """Lexicographic index of each observation's best candidate, found by
     scoring only the candidates the bound of ``_magnitude_bound`` cannot
@@ -320,7 +432,8 @@ def _pruned_search(
     ``_NODE_WORDS``, and across a trial when its bound gives no search:
     fewer than K usable cells or a rank-deficient G.  ``z`` (..., M, n),
     ``h_eq`` (..., M, K) and ``b`` (..., M) carry the same leading trial
-    axes; the result is (..., n).
+    axes; the result is (..., n).  ``tree`` is the channel's
+    ``_search_tree``, built once per channel (here when not given).
 
     A candidate with ||z' - G s|| > sqrt(T) + ||delta||, z' = z - |b| on
     the usable cells, scores worse than T, the exact score of the Babai
@@ -342,34 +455,23 @@ def _pruned_search(
     *lead, m, n_obs = z.shape
     k = h_eq.shape[-1]
     trials = math.prod(lead)
+    searched, cells, mag_b, bases, r, order, slack = (
+        _search_tree(h_eq, b, c) if tree is None else tree)
     z, h_eq, b = z.reshape(trials, m, n_obs), h_eq.reshape(trials, m, k), b.reshape(trials, m)
     points, q = c.points, c.order
     best = np.full((trials, n_obs), -1, dtype=np.intp)
-    p_max = np.abs(points).max()
-    searched, slack, order, r, y, outside = [], [], [], [], [], []
-    for t in range(trials):
-        cells, model, width = _magnitude_bound(h_eq[t], b[t], p_max)
-        if model.shape[0] < k:
-            continue
-        col_order = np.argsort(np.linalg.norm(model, axis=0), kind="stable")
-        basis, r_t = np.linalg.qr(model[:, col_order])
-        diag = np.abs(np.diag(r_t))
-        if not diag.min() > 1e-12 * diag.max():  # also refuses nan
-            continue
-        z_lin = z[t, cells] - np.abs(b[t, cells])[:, None]
-        y_t = basis.T @ z_lin
-        searched.append(t)
-        slack.append(np.linalg.norm(width))
-        order.append(col_order)
-        r.append(r_t)
-        y.append(y_t)
-        outside.append(np.sum(np.square(z_lin - basis @ y_t), axis=0))
     if not searched:
         return best.reshape(*lead, n_obs)
+    y, outside = [], []
+    for t, cells_t, mag_t, basis in zip(searched, cells, mag_b, bases):
+        z_lin = z[t, cells_t] - mag_t[:, None]
+        y_t = basis.T @ z_lin
+        y.append(y_t)
+        outside.append(np.sum(np.square(z_lin - basis @ y_t), axis=0))
     n_sets = len(searched)
     if n_sets < trials:
         z, h_eq, b = z[searched], h_eq[searched], b[searched]
-    order, r, y = np.array(order), np.array(r), np.array(y)
+    y = np.array(y)
 
     # Babai point: slice the levels from the root down, cancelling each.
     babai = np.empty((n_sets, k, n_obs), dtype=np.intp)
@@ -382,7 +484,7 @@ def _pruned_search(
     dev = np.abs(h_eq @ points[sym] + b[:, :, None])
     np.square(np.subtract(z, dev, out=dev), out=dev)
     # A margin far above rounding keeps every candidate the bound admits.
-    radius = (np.sqrt(np.sum(dev, axis=1)) + np.array(slack)[:, None]
+    radius = (np.sqrt(np.sum(dev, axis=1)) + slack[:, None]
               + 1e-8 * np.linalg.norm(z, axis=1))
     bound = (np.square(radius) - np.array(outside)).ravel()
 
@@ -437,4 +539,4 @@ def detect_zf_batch(
     """Genie zero-forcing on complex observations y = H_eq s + b + n, with
     the leading trial axes of ``detect_proposed_batch``."""
     y, h_eq, b = _detector_inputs(y, "y", complex, h_eq, b)
-    return _zero_forcing(y, h_eq, b, c)
+    return _zero_forcing(h_eq, b, c)(y)

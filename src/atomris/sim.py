@@ -29,13 +29,17 @@ arrays with a leading trial axis.  Stage 2 aligns all of its trials in
 one batched optimizer loop over the factored operand of the de-phased
 stack (h_rv as a real (B, M, 2N) array, and h_ur^T), and composes the
 aligned (B, M, K) channels in one ``effective_channel`` call.  Stage 3
-runs at each point that has not stopped: it scales the noise, observes
-the batch through the front end in one call, and each detector decides
-the whole batch in one call; the counts are one table lookup
-(``_finish_batch`` runs stages 2 and 3).  A trial draws the stream a
-lone trial draws (``optimize_aligned_phases``, then its symbols and
-noise), and the rows of every stacked call equal single-trial calls bit
-for bit, so which trials share a batch does not change any output.
+first does, once for the batch, the work that reads no noise: the front
+end's H s + b and each detector's receiver (the ``detect`` kernels'
+channel halves: the least-squares Gram matrices and condition numbers,
+the full search's candidate tables, the pruned search's bounds and QRs).
+Then, at each point that has not stopped, it scales the noise and adds
+it to H s + b, and each receiver decides the whole batch in one call;
+the counts are one table lookup (``_finish_batch`` runs stages 2 and 3).
+A trial draws the stream a lone trial draws (``optimize_aligned_phases``,
+then its symbols and noise), and the rows of every stacked call equal
+single-trial calls bit for bit, so which trials share a batch does not
+change any output.
 
 The campaign's batches are numbered once: batch j (``_batch``) holds
 trials ``trial_offset + 8j`` on.  They run in turn until the last one,
@@ -77,12 +81,7 @@ from .channel import (
     gen_physical_channel,
     gen_user_ris_channel,
 )
-from .detect import (
-    detect_exhaustive_batch,
-    detect_proposed_batch,
-    detect_zf_batch,
-    front_end,
-)
+from .detect import _exhaustive, _front_end, _proposed, _require_finite, _zero_forcing
 from .errors import BudgetExceededError, ConfigError
 from .modem import hamming_table, make_pam, noise_sigma
 from .risopt import (
@@ -109,13 +108,14 @@ __all__ = [
 ]
 
 # Each detector: the observation it reads (the magnitudes "z" or the complex
-# "y") and its kernel (observation, h_eq, b, constellation, config) -> decisions,
-# called once per batch on arrays with a leading trial axis.
+# "y") and its receiver (h_eq, b, constellation, config) -> (observation ->
+# decisions), built once per batch on arrays with a leading trial axis and
+# called at every grid point.
 _DETECTORS = {
-    "proposed": ("z", lambda z, h_eq, b, c, cfg: detect_proposed_batch(z, h_eq, b, c)),
-    "exhaustive": ("z", lambda z, h_eq, b, c, cfg: detect_exhaustive_batch(
-        z, h_eq, b, c, cfg.exhaustive_budget)),
-    "zf_genie": ("y", lambda y, h_eq, b, c, cfg: detect_zf_batch(y, h_eq, b, c)),
+    "proposed": ("z", lambda h_eq, b, c, cfg: _proposed(h_eq, b, c)),
+    "exhaustive": ("z", lambda h_eq, b, c, cfg: _exhaustive(
+        h_eq, b, c, cfg.exhaustive_budget, cfg.symbols_per_trial)),
+    "zf_genie": ("y", lambda h_eq, b, c, cfg: _zero_forcing(h_eq, b, c)),
 }
 DETECTOR_NAMES = tuple(_DETECTORS)
 
@@ -340,21 +340,26 @@ def _draw_start(cfg: SimConfig, t: int):
 def _finish_batch(cfg: SimConfig, const, lut, batch: tuple, scales: list) -> list:
     """Stages 2 and 3 of a ``_stack``ed batch: ``_align`` aligns all trials
     in one batched Adam loop and one ``effective_channel`` call composes
-    their channels.  Then, for each noise scale sqrt(sigma2 / 2) in
-    ``scales`` (one per grid point), the front end and each detector take
-    the whole batch in one call.  Returns one batch record per scale: each
-    trial's bit errors, an int array (trials, detectors) in
+    their channels.  The front end's H s + b and each detector's receiver
+    are then built once, and at each noise scale sqrt(sigma2 / 2) in
+    ``scales`` (one per grid point) each receiver decides the whole
+    batch's observations in one call.  Returns one batch record per scale:
+    each trial's bit errors, an int array (trials, detectors) in
     ``cfg.detectors`` order."""
     ch, lo, theta0, sent, noise = batch
     h_eq = effective_channel(ch, _align(ch, lo, theta0, cfg.adam)[0])
-    symbols = const.points[sent]
+    del batch, ch  # drop the stacked channels before the receivers' tables are built
+    _require_finite(h_eq=h_eq, b=lo)
+    observe = _front_end(h_eq, const.points[sent], lo)
+    receivers = [(reads, build(h_eq, lo, const, cfg))
+                 for reads, build in (_DETECTORS[det] for det in cfg.detectors)]
     records = []
     for scale in scales:
-        y = front_end(h_eq, symbols, lo, noise * scale)
+        y = observe(noise * scale)
         observed = {"y": y, "z": np.abs(y)}
-        records.append(np.stack(
-            [lut[sent, kernel(observed[reads], h_eq, lo, const, cfg)].sum(axis=(1, 2))
-             for reads, kernel in (_DETECTORS[det] for det in cfg.detectors)], axis=1))
+        _require_finite(**{reads: observed[reads] for reads, _ in receivers})
+        records.append(np.stack([lut[sent, receive(observed[reads])].sum(axis=(1, 2))
+                                 for reads, receive in receivers], axis=1))
     return records
 
 

@@ -23,7 +23,7 @@ from atomris.detect import (
 from atomris.errors import BudgetExceededError, SingularMatrixError
 from atomris.modem import make_pam, noise_sigma
 from atomris.risopt import AdamConfig
-from atomris.sim import SimConfig, _draw_start, optimize_aligned_phases
+from atomris.sim import SimConfig, _align, _draw_start, _stack, optimize_aligned_phases
 
 
 def aligned_system(m, k, seed, lo_mag=500.0):
@@ -255,6 +255,33 @@ class TestProposedDetector:
             assert np.isfinite(ls_estimate(h, rhs)).all()
         except SingularMatrixError:
             pass
+
+    @settings(deadline=None, max_examples=60)
+    @given(m=st.integers(1, 8), n_trials=st.sampled_from([None, 1, 3]),
+           shift=st.sampled_from([-300, 300]), data=st.data())
+    def test_split_least_squares_is_ls_estimate(self, m, n_trials, shift, data):
+        """``_least_squares`` built once on channels scaled by 2^+-300 and
+        called on three right-hand sides gives, byte for byte, what
+        ``ls_estimate`` gives on each: the estimate, or the same refusal.
+        Entries of H lie between 1e-3 and 1e3 in magnitude before scaling."""
+        k = data.draw(st.integers(1, m))
+        lead = () if n_trials is None else (n_trials,)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        h = np.ldexp(1.0, shift) * (complex_normal(rng, (*lead, m, k))
+                                    * 10.0 ** rng.uniform(-3, 3, (*lead, m, k)))
+        solve = detect._least_squares(h)
+        for _ in range(3):
+            rhs = complex_normal(rng, (*lead, m, 2)) * 10.0 ** rng.uniform(-3, 3)
+            try:
+                want = ls_estimate(h, rhs)
+            except SingularMatrixError as exc:
+                with pytest.raises(SingularMatrixError) as info:
+                    solve(rhs)
+                assert str(info.value) == str(exc)
+                continue
+            got = solve(rhs)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_channel_refused_by_name(self, value):
@@ -677,7 +704,11 @@ class TestStackedTrials:
     def test_first_refused_trial_raises_its_own_refusal(self):
         """Trials 3 and 6 of eight have rank-deficient channels: the stack
         is refused with trial 3's error, condition number included, as
-        its single-trial call is; trial 6's differs."""
+        its single-trial call is; trial 6's differs.  A receiver built
+        once on the stack refuses nothing until it is called, and then
+        each call with trial 3's error; an observation that takes trial
+        1's estimate beyond the float range is refused first, with trial
+        1's own non-finite refusal."""
         c = make_pam(4)
         y, z, h, b = trial_stack(8, 8, 3, c, seed=90)
         for t in (3, 6):
@@ -688,10 +719,23 @@ class TestStackedTrials:
                 detect_proposed_batch(z[t], h[t], b[t], c)
             alone.append(str(info.value))
         assert alone[0] != alone[1]
-        for kernel, obs in ((detect_proposed_batch, z), (detect_zf_batch, y)):
+        huge_z, huge_y = z.copy(), y.copy()
+        huge_z[1], huge_y[1] = 1e308, 1e308
+        for kernel, build, obs, huge in ((detect_proposed_batch, detect._proposed, z, huge_z),
+                                          (detect_zf_batch, detect._zero_forcing, y, huge_y)):
             with pytest.raises(SingularMatrixError) as info:
                 kernel(obs, h, b, c)
             assert str(info.value) == alone[0]
+            receive = build(h, b, c)
+            for scale in (1.0, 0.5, 2.0):
+                with pytest.raises(SingularMatrixError) as info:
+                    receive(scale * obs)
+                assert str(info.value) == alone[0]
+            with pytest.raises(SingularMatrixError, match="non-finite") as first:
+                kernel(huge[1], h[1], b[1], c)
+            with pytest.raises(SingularMatrixError) as info:
+                receive(huge)
+            assert str(info.value) == str(first.value)
 
     def test_mismatched_trial_axes_refused(self):
         c = make_pam(4)
@@ -704,6 +748,56 @@ class TestStackedTrials:
             ls_estimate(h, y[:2] - b[:2, :, None])
         with pytest.raises(ValueError, match="shape mismatch"):
             detect_exhaustive_batch(z[:2], h, b, c)
+
+
+def campaign_batch(m, n, k, n_trials, n_obs=24, seed=3):
+    """A campaign's first ``n_trials`` trials as ``run_ber`` draws and
+    aligns a batch: their aligned channels (n_trials, m, k), LOs, symbol
+    indices and unit noise."""
+    cfg = SimConfig(num_cells=m, num_elements=n, num_users=k, symbols_per_trial=n_obs,
+                    trials_per_point=n_trials, master_seed=seed)
+    ch, b, theta0, sent, noise = _stack([_draw_start(cfg, t) for t in range(n_trials)])
+    return effective_channel(ch, _align(ch, b, theta0, cfg.adam)[0]), b, sent, noise
+
+
+class TestReceiversBuiltOnce:
+    """A campaign builds the front end's H s + b and each receiver once per
+    batch, and calls them at every grid point: built once and called at
+    three noise scales, each decides byte for byte as its ``detect_*``
+    call on that scale's observation."""
+
+    SCALES = [math.sqrt(noise_sigma(db, 4).sigma2 / 2.0) for db in (-30.0, -24.0, -18.0)]
+
+    @pytest.mark.parametrize("m, n, k", [(36, 150, 3), (36, 150, 4), (16, 60, 8), (12, 0, 3)],
+                             ids=["K3-one-block", "K4-one-block", "K8-pruned-spills", "N0"])
+    @pytest.mark.parametrize("n_trials", [1, 3, 8], ids=["one", "tail-of-3", "batch-of-8"])
+    def test_one_build_decides_as_each_call(self, monkeypatch, m, n, k, n_trials):
+        """At K = 8 a node budget of 20 nodes per observation makes the
+        pruned search spill at some scale, so the second pass and the
+        full search run too."""
+        c = make_pam(4)
+        h, b, sent, noise = campaign_batch(m, n, k, n_trials)
+        n_obs = noise.shape[-1]
+        assert (c.order**k > detect._block_size(m, n_obs)) == (k == 8)
+        if k == 8:
+            monkeypatch.setattr(detect, "_NODE_WORDS", 20 * n_obs * (k + 6))
+        s = c.points[sent]
+        observe = detect._front_end(h, s, b)
+        receivers = [(detect._proposed(h, b, c), "z", detect_proposed_batch),
+                     (detect._exhaustive(h, b, c, 2**20, n_obs), "z", detect_exhaustive_batch),
+                     (detect._zero_forcing(h, b, c), "y", detect_zf_batch)]
+        spilled = False
+        for scale in self.SCALES:
+            awgn = noise * scale
+            y = observe(awgn)
+            assert y.tobytes() == front_end(h, s, b, awgn).tobytes()
+            observed = {"y": y, "z": np.abs(y)}
+            for receive, reads, detector in receivers:
+                got, want = receive(observed[reads]), detector(observed[reads], h, b, c)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            spilled |= bool((detect._pruned_search(observed["z"], h, b, c) < 0).any())
+        assert spilled == (k == 8)
 
 
 class TestZeroForcing:

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from atomris import sim
 from atomris.channel import LOParams, PhysicalPathParams
+from atomris.config import load_config
 from atomris.errors import BudgetExceededError, ConfigError
 from atomris.risopt import AdamConfig
 from atomris.sim import (
@@ -270,6 +272,11 @@ class TestStackedChannels:
 _STOPS = replace(SMALL, eb_n0_grid_db=(-30.0, -22.0, -18.0), error_target=400,
                  trials_per_point=100)
 
+# Two goldens' campaigns: the reference shape, whose exhaustive detector is
+# the one-block full search, and K = 8, whose is the pruned search.
+_GOLDENS = {name: load_config(Path(__file__).parent / "data" / f"{name}.ini")
+            for name in ("golden_ref_k3", "golden_detect_k8")}
+
 
 class TestRunBer:
     def test_record_invariants(self):
@@ -462,12 +469,15 @@ class TestRunBer:
             alone.append(str(info.value))
         assert str(batch.value) == alone[0] != alone[1]
 
-    @pytest.mark.parametrize("cfg", [SMALL, _STOPS], ids=["no-target", "error-target"])
+    @pytest.mark.parametrize("cfg", [SMALL, _STOPS, *_GOLDENS.values()],
+                             ids=["no-target", "error-target", *_GOLDENS])
     def test_grid_partition_merges_to_full(self, cfg):
         """Each point of a multi-point run equals a one-point run at that
         point, also when the points stop on the error target after
-        different batches (2, 3 and 6 of ``_STOPS``'s 13), so grid slices
-        merge to the full run."""
+        different batches (2, 3 and 6 of ``_STOPS``'s 13), and at the
+        shapes two goldens pin, where every point of a batch calls the
+        receivers built once for it, so grid slices merge to the full
+        run."""
         full = run_ber(cfg)
         points = [run_ber(replace(cfg, eb_n0_grid_db=(db,))) for db in cfg.eb_n0_grid_db]
         assert [rec for records in points for rec in records] == full
