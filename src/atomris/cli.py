@@ -11,6 +11,7 @@ run that needs more memory than the machine has.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -31,6 +32,8 @@ EXIT_BUDGET = 4
 _PHASE_FILE_MAGIC = "# atomris-phase-solution v1"
 
 
+# Built once per process, which may call ``main`` many times.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atomris",

@@ -27,20 +27,21 @@ just those gives them the whole budget.  The full search decides what
 that leaves, and every observation when fewer than K cells qualify or the
 linear model is rank-deficient.
 
-Every detector is a receiver built once per channel: a function of the
-channel, the LO and the constellation (``_proposed``, ``_zero_forcing``,
-``_exhaustive``) that does the work that reads no observation and returns
-the function of the observation; each ``detect_*_batch`` is that
-composition on one call.  A campaign builds its receivers once per batch
-of trials and calls them at every Eb/N0 point, where only the noise
-differs.  The least-squares receivers form H^H, the Gram matrix and its
-condition number once; the full search, when Q^K fits one block, forms
-every trial's candidate table once, so a call is one scoring GEMM per
-trial; the pruned search forms each trial's bound and QR once.  The
-pruned search grows the trees of all trials' observations at once, and a
-trial spills only against its own budget, so its tree state is up to one
-budget per trial; the second pass and the full search over what remains
-run trial by trial, on each call.
+There are two receivers, each built once per channel: a function of the
+channel, the LO and the constellation (``_zero_forcing``, ``_exhaustive``)
+that does the work that reads no observation and returns the function of
+the observation.  The genie calls ``_zero_forcing`` on y and the proposed
+detector on z e^{j angle(b)}, so the two share one receiver; each
+``detect_*_batch`` is that composition on one call.  A campaign builds
+each receiver once per batch of trials and calls it at every Eb/N0
+point, where only the noise differs.  The least-squares receiver forms
+H^H, the Gram matrix and its condition number once; the full search,
+when Q^K fits one block, forms every trial's candidate table once, so a
+call is one scoring GEMM per trial; the pruned search forms each trial's
+bound and QR once.  The pruned search grows the trees of all trials'
+observations at once, and a trial spills only against its own budget,
+so its tree state is up to one budget per trial; the second pass and the
+full search over what remains run trial by trial, on each call.
 
 The full search takes its candidates in blocks of prefix x suffix
 candidates, so its memory is bounded by one block rather than by Q^K
@@ -207,19 +208,12 @@ def _detector_inputs(obs, name: str, dtype: type, h_eq, b) -> tuple[np.ndarray, 
 
 
 def _zero_forcing(h_eq: np.ndarray, b: np.ndarray, c: Constellation):
-    """The least-squares receivers' one kernel, built once per channel: the
-    returned function slices, per user, the real part of the LS estimate
-    from y - b."""
+    """The least-squares receiver, built once per channel: the returned
+    function slices, per user, the real part of the LS estimate from
+    y - b.  The genie reads it on y, the proposed detector on
+    z e^{j angle(b)}."""
     solve = _least_squares(h_eq)
     return lambda y: slice_to_indices(solve(y - b[..., None]).real, c)
-
-
-def _proposed(h_eq: np.ndarray, b: np.ndarray, c: Constellation):
-    """The proposed receiver: ``_zero_forcing`` on y = z e^{j angle(b)},
-    with the LO's phase formed once."""
-    zero_forcing = _zero_forcing(h_eq, b, c)
-    phase = np.exp(1j * np.angle(b))[..., None]
-    return lambda z: zero_forcing(z * phase)
 
 
 def detect_proposed_batch(
@@ -233,7 +227,7 @@ def detect_proposed_batch(
     observation's: the genie on y = z e^{j angle(b)}.
     """
     z, h_eq, b = _detector_inputs(z, "z", float, h_eq, b)
-    return _proposed(h_eq, b, c)(z)
+    return _zero_forcing(h_eq, b, c)(z * np.exp(1j * np.angle(b))[..., None])
 
 
 def enumerate_symbol_vectors(c: Constellation, num_users: int) -> np.ndarray:

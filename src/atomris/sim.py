@@ -30,12 +30,15 @@ one batched optimizer loop over the factored operand of the de-phased
 stack (h_rv as a real (B, M, 2N) array, and h_ur^T), and composes the
 aligned (B, M, K) channels in one ``effective_channel`` call.  Stage 3
 first does, once for the batch, the work that reads no noise: the front
-end's H s + b and each detector's receiver (the ``detect`` kernels'
-channel halves: the least-squares Gram matrices and condition numbers,
-the full search's candidate tables, the pruned search's bounds and QRs).
-Then, at each point that has not stopped, it scales the noise and adds
-it to H s + b, and each receiver decides the whole batch in one call;
-the counts are one table lookup (``_finish_batch`` runs stages 2 and 3).
+end's H s + b and each receiver a configured detector names (the
+``detect`` kernels' channel halves: the least-squares Gram matrices and
+condition numbers, the full search's candidate tables, the pruned
+search's bounds and QRs).  ``proposed`` and ``zf_genie`` share one
+least-squares receiver, which the genie reads on y and ``proposed`` on
+the magnitudes re-phased to the LO, z e^{j angle(b)}.  Then, at each
+point that has not stopped, it scales the noise and adds it to H s + b,
+and each detector decides the whole batch in one call; the counts are
+one table lookup (``_finish_batch`` runs stages 2 and 3).
 A trial draws the stream a lone trial draws (``optimize_aligned_phases``,
 then its symbols and noise), and the rows of every stacked call equal
 single-trial calls bit for bit, so which trials share a batch does not
@@ -81,7 +84,7 @@ from .channel import (
     gen_physical_channel,
     gen_user_ris_channel,
 )
-from .detect import _exhaustive, _front_end, _proposed, _require_finite, _zero_forcing
+from .detect import _exhaustive, _front_end, _require_finite, _zero_forcing
 from .errors import BudgetExceededError, ConfigError
 from .modem import hamming_table, make_pam, noise_sigma
 from .risopt import (
@@ -107,15 +110,16 @@ __all__ = [
     "write_records_csv",
 ]
 
-# Each detector: the observation it reads (the magnitudes "z" or the complex
-# "y") and its receiver (h_eq, b, constellation, config) -> (observation ->
-# decisions), built once per batch on arrays with a leading trial axis and
-# called at every grid point.
+# Each detector: the observation it reads (the complex "y", the magnitudes
+# "z", or those re-phased to the LO) and its receiver, a ``detect`` kernel
+# (h_eq, b, constellation, ...) -> (observation -> decisions).  A batch
+# builds each receiver once, however many detectors name it, on arrays with
+# a leading trial axis, and calls it at every grid point.
+_REPHASED = "z e^{j angle(b)}"
 _DETECTORS = {
-    "proposed": ("z", lambda h_eq, b, c, cfg: _proposed(h_eq, b, c)),
-    "exhaustive": ("z", lambda h_eq, b, c, cfg: _exhaustive(
-        h_eq, b, c, cfg.exhaustive_budget, cfg.symbols_per_trial)),
-    "zf_genie": ("y", lambda h_eq, b, c, cfg: _zero_forcing(h_eq, b, c)),
+    "proposed": (_REPHASED, _zero_forcing),
+    "exhaustive": ("z", _exhaustive),
+    "zf_genie": ("y", _zero_forcing),
 }
 DETECTOR_NAMES = tuple(_DETECTORS)
 
@@ -123,6 +127,11 @@ DETECTOR_NAMES = tuple(_DETECTORS)
 # in fixed-size batches; the size decides which trials run under an error
 # target, so it is a constant.
 _BATCH_SIZE = 8
+
+# ``validate_config`` bounds the optimizer's sums as if every CN(0, 1) entry
+# of h_ur had a magnitude below this tail factor; one exceeds it with
+# probability e^-64, about 1.6e-28, per draw.
+_TAIL = 8.0
 
 
 @dataclass(frozen=True)
@@ -249,6 +258,20 @@ def validate_config(cfg: SimConfig) -> None:
         if itemsize * math.prod(d for d in shape if d) > np.iinfo(np.intp).max:
             raise ConfigError(f"{fields} too large: the campaign would shape a {shape} "
                               "array, beyond numpy's index range")
+    # Unnormalized entries of h_rv and h_uv reach peak = L |gain| path_loss_max.
+    # Taking each |h_ur| entry below _TAIL, |H_eq| <= h = peak (N _TAIL + 1)
+    # and |dJ/dtheta_n| <= g = 2 M K _TAIL peak h, so the optimizer's J <= M K
+    # h^2, ||grad||^2 <= N g^2 and Adam's grad^2 stay finite while these do.
+    if not cfg.channel.normalize:
+        ch = cfg.channel
+        peak = ch.num_paths * abs(ch.coupling_gain) * ch.path_loss_span[1]
+        h = peak * (n * _TAIL + 1.0)
+        g = 2.0 * m * k * _TAIL * peak * h
+        if not math.isfinite(m * k * h * h + n * g * g):
+            raise ConfigError(
+                f"section [channel]: with normalize = false, coupling_gain {ch.coupling_gain:.3g}, "
+                f"paths and path_loss_max give entries that overflow the phase optimizer at "
+                f"M = {m}, N = {n}, K = {k}; reduce them or set normalize = true")
 
 
 def trial_seed(master_seed: int, eb_n0_db: float | None,
@@ -340,10 +363,12 @@ def _draw_start(cfg: SimConfig, t: int):
 def _finish_batch(cfg: SimConfig, const, lut, batch: tuple, scales: list) -> list:
     """Stages 2 and 3 of a ``_stack``ed batch: ``_align`` aligns all trials
     in one batched Adam loop and one ``effective_channel`` call composes
-    their channels.  The front end's H s + b and each detector's receiver
-    are then built once, and at each noise scale sqrt(sigma2 / 2) in
-    ``scales`` (one per grid point) each receiver decides the whole
-    batch's observations in one call.  Returns one batch record per scale:
+    their channels.  The front end's H s + b, each receiver the configured
+    detectors name (one ``_zero_forcing`` for ``proposed`` and
+    ``zf_genie``) and, for ``proposed``, the LO's phasor are then formed
+    once, and at each noise scale sqrt(sigma2 / 2) in ``scales`` (one per
+    grid point) each detector decides the whole batch's observations in
+    one call.  Returns one batch record per scale:
     each trial's bit errors, an int array (trials, detectors) in
     ``cfg.detectors`` order."""
     ch, lo, theta0, sent, noise = batch
@@ -351,16 +376,24 @@ def _finish_batch(cfg: SimConfig, const, lut, batch: tuple, scales: list) -> lis
     del batch, ch  # drop the stacked channels before the receivers' tables are built
     _require_finite(h_eq=h_eq, b=lo)
     observe = _front_end(h_eq, const.points[sent], lo)
-    receivers = [(reads, build(h_eq, lo, const, cfg))
-                 for reads, build in (_DETECTORS[det] for det in cfg.detectors)]
-    records = []
-    for scale in scales:
+    rows = [_DETECTORS[det] for det in cfg.detectors]
+    options = {_zero_forcing: (), _exhaustive: (cfg.exhaustive_budget, cfg.symbols_per_trial)}
+    # One receiver per kernel k, however many rows name it.
+    receivers = {k: k(h_eq, lo, const, *options[k]) for k in dict.fromkeys(k for _, k in rows)}
+    phase = np.exp(1j * np.angle(lo))[..., None] if "proposed" in cfg.detectors else None
+
+    def record(scale: float) -> np.ndarray:
         y = observe(noise * scale)
-        observed = {"y": y, "z": np.abs(y)}
-        _require_finite(**{reads: observed[reads] for reads, _ in receivers})
-        records.append(np.stack([lut[sent, receive(observed[reads])].sum(axis=(1, 2))
-                                 for reads, receive in receivers], axis=1))
-    return records
+        z = np.abs(y)
+        # Each observation is formed as its row reads it, so the re-phased
+        # one lives only for its receiver's call.
+        observed = {"y": lambda: y, "z": lambda: z, _REPHASED: lambda: z * phase}
+        # z e^{j angle(b)} is finite where z is: each row checks "y" or "z".
+        _require_finite(**{reads[0]: observed[reads[0]]() for reads, _ in rows})
+        return np.stack([lut[sent, receivers[k](observed[reads]())].sum(axis=(1, 2))
+                         for reads, k in rows], axis=1)
+
+    return [record(scale) for scale in scales]
 
 
 def _fold_point(cfg: SimConfig, tally: tuple, record: np.ndarray) -> tuple[tuple, bool]:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +449,47 @@ class TestCommands:
         assert main(["ber", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
         assert out.exists()
 
+    OVERFLOW_CONFIG = """\
+[system]
+cells = 4
+ris_elements = 6
+users = 2
+
+[channel]
+coupling_gain = {gain}
+normalize = false
+
+[sim]
+eb_n0_grid_db = 0
+trials_per_point = 2
+"""
+
+    @pytest.mark.parametrize("command", ["ber", "convergence", "optimize"])
+    def test_channel_overflowing_the_optimizer_is_exit_2(self, tmp_path, capsys, command):
+        """An unnormalized coupling gain of 1e77 at M = 4, N = 6, K = 2
+        took the optimizer's ||grad||^2 and Adam's grad^2 past the float
+        range, so ``proposed`` read BER 0.49 and ``convergence`` wrote
+        grad_norm = inf, with exit 0.  It is refused before any trial, by
+        its [channel] fields, and so is 2.4e74, just past the bound."""
+        for gain in ("1e77", "2.4e74"):
+            path = write_config(tmp_path, self.OVERFLOW_CONFIG.format(gain=gain))
+            out = tmp_path / "x.out"
+            assert main([command, "--config", path, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "[channel]" in err and re.search(r"\bcoupling_gain\b", err), err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ber", "convergence", "optimize"])
+    def test_channel_just_inside_the_optimizer_bound_runs(self, tmp_path, command):
+        """A gain of 2.3e74, just inside the bound at that shape, runs with
+        RuntimeWarnings as errors and writes finite numbers."""
+        path = write_config(tmp_path, self.OVERFLOW_CONFIG.format(gain="2.3e74"))
+        out = tmp_path / "x.out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", path, "--out", str(out)]) == 0
+        assert not re.search(r"\b(inf|nan)\b", out.read_text())
+
     def test_negative_threads_is_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path)
         out = tmp_path / "x.csv"
@@ -700,6 +742,36 @@ class TestCommands:
         split_rows = (l_out.read_text().splitlines()[1:]
                       + h_out.read_text().splitlines()[1:])
         assert sorted(full_rows[1:]) == sorted(split_rows)
+
+    def test_calls_in_one_process_write_what_separate_processes_write(
+            self, tmp_path, monkeypatch):
+        """``main`` builds its parser once per process: three calls in one
+        process write the files that three processes write, byte for byte
+        (the manifests but for their timestamps)."""
+        config = write_config(tmp_path)
+        calls = [["ber", "--threads", "2", "--out", "a.csv"],
+                 ["convergence", "--out", "trace.csv"],
+                 ["ber", "--seed", "5", "--out", "b.csv"]]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(atomris.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+        together, apart = tmp_path / "together", tmp_path / "apart"
+        together.mkdir()
+        apart.mkdir()
+        monkeypatch.chdir(together)
+        for args in calls:
+            assert main([*args, "--config", config]) == 0
+        for args in calls:
+            subprocess.run([sys.executable, "-m", "atomris.cli", *args, "--config", config],
+                           cwd=apart, env=env, check=True, timeout=300)
+        names = sorted(p.name for p in together.iterdir())
+        assert names == sorted(p.name for p in apart.iterdir())
+        assert names == ["a.csv", "a.csv.manifest", "b.csv", "b.csv.manifest", "trace.csv"]
+        for name in names:
+            a, b = ([line for line in (d / name).read_text().splitlines()
+                     if not line.startswith("timestamp = ")] for d in (together, apart))
+            assert a == b, name
+        assert cli._build_parser() is cli._build_parser()
 
     def test_convergence_csv(self, tmp_path):
         path = write_config(tmp_path)

@@ -721,20 +721,22 @@ class TestStackedTrials:
         assert alone[0] != alone[1]
         huge_z, huge_y = z.copy(), y.copy()
         huge_z[1], huge_y[1] = 1e308, 1e308
-        for kernel, build, obs, huge in ((detect_proposed_batch, detect._proposed, z, huge_z),
-                                          (detect_zf_batch, detect._zero_forcing, y, huge_y)):
+        phase = np.exp(1j * np.angle(b))[..., None]
+        # The one receiver reads z e^{j angle(b)} for ``proposed`` and y for the genie.
+        for kernel, obs, huge, read in ((detect_proposed_batch, z, huge_z, lambda z: z * phase),
+                                         (detect_zf_batch, y, huge_y, lambda y: y)):
             with pytest.raises(SingularMatrixError) as info:
                 kernel(obs, h, b, c)
             assert str(info.value) == alone[0]
-            receive = build(h, b, c)
+            receive = detect._zero_forcing(h, b, c)
             for scale in (1.0, 0.5, 2.0):
                 with pytest.raises(SingularMatrixError) as info:
-                    receive(scale * obs)
+                    receive(read(scale * obs))
                 assert str(info.value) == alone[0]
             with pytest.raises(SingularMatrixError, match="non-finite") as first:
                 kernel(huge[1], h[1], b[1], c)
             with pytest.raises(SingularMatrixError) as info:
-                receive(huge)
+                receive(read(huge))
             assert str(info.value) == str(first.value)
 
     def test_mismatched_trial_axes_refused(self):
@@ -764,7 +766,8 @@ class TestReceiversBuiltOnce:
     """A campaign builds the front end's H s + b and each receiver once per
     batch, and calls them at every grid point: built once and called at
     three noise scales, each decides byte for byte as its ``detect_*``
-    call on that scale's observation."""
+    call on that scale's observation.  ``proposed`` reads the genie's
+    ``_zero_forcing`` on z e^{j angle(b)}."""
 
     SCALES = [math.sqrt(noise_sigma(db, 4).sigma2 / 2.0) for db in (-30.0, -24.0, -18.0)]
 
@@ -783,9 +786,12 @@ class TestReceiversBuiltOnce:
             monkeypatch.setattr(detect, "_NODE_WORDS", 20 * n_obs * (k + 6))
         s = c.points[sent]
         observe = detect._front_end(h, s, b)
-        receivers = [(detect._proposed(h, b, c), "z", detect_proposed_batch),
+        # ``proposed`` and the genie share one least-squares receiver, as in a campaign.
+        zero_forcing = detect._zero_forcing(h, b, c)
+        phase = np.exp(1j * np.angle(b))[..., None]
+        receivers = [(lambda z: zero_forcing(z * phase), "z", detect_proposed_batch),
                      (detect._exhaustive(h, b, c, 2**20, n_obs), "z", detect_exhaustive_batch),
-                     (detect._zero_forcing(h, b, c), "y", detect_zf_batch)]
+                     (zero_forcing, "y", detect_zf_batch)]
         spilled = False
         for scale in self.SCALES:
             awgn = noise * scale

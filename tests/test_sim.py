@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from atomris import sim
+from atomris import detect, sim
 from atomris.channel import LOParams, PhysicalPathParams
 from atomris.config import load_config
 from atomris.errors import BudgetExceededError, ConfigError
@@ -111,6 +111,18 @@ class TestValidation:
         assert params.entry_variance == 0.0
         with pytest.raises(ConfigError, match=r"\[channel\].*variance 0"):
             validate_config(replace(SMALL, channel=params))
+
+
+    def test_optimizer_overflow_bound_only_for_unnormalized_channels(self):
+        """A coupling gain of 1e77 overflows the optimizer's sums only when
+        drawn unnormalized; normalized channels are not bounded, and a
+        campaign with no RIS is bounded by J alone."""
+        big = PhysicalPathParams(coupling_gain=1e77)
+        validate_config(replace(SMALL, channel=big))
+        with pytest.raises(ConfigError, match=r"\[channel\].*coupling_gain"):
+            validate_config(replace(SMALL, channel=replace(big, normalize=False)))
+        no_ris = replace(SMALL, num_elements=0, channel=replace(big, normalize=False))
+        validate_config(replace(no_ris, channel=replace(no_ris.channel, coupling_gain=1e150)))
 
 
 class TestConvergence:
@@ -502,6 +514,26 @@ class TestRunBer:
                   if r.detector == "proposed"]
         assert trials == [16, 24, 48]
         assert drawn == list(range(48))
+
+    def test_one_least_squares_receiver_per_batch(self, monkeypatch):
+        """``proposed`` and ``zf_genie`` share one least-squares receiver: a
+        batch builds one ``_least_squares`` for all its grid points and
+        both detectors, and a campaign of two batches two."""
+        least_squares = detect._least_squares
+        built = []
+
+        def counting_least_squares(h_eq):
+            built.append(h_eq.shape)
+            return least_squares(h_eq)
+
+        monkeypatch.setattr(detect, "_least_squares", counting_least_squares)
+        cfg = replace(_STOPS, error_target=None, trials_per_point=8)
+        assert {"proposed", "zf_genie"} <= set(cfg.detectors) and len(cfg.eb_n0_grid_db) == 3
+        run_ber(cfg)
+        assert built == [(8, 12, 2)]
+        built.clear()
+        run_ber(replace(cfg, trials_per_point=11))
+        assert built == [(8, 12, 2), (3, 12, 2)]
 
     def test_early_abort_records_reason(self):
         cfg = replace(SMALL, eb_n0_grid_db=(-40.0,), error_target=5,
