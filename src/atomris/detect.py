@@ -4,8 +4,11 @@ The photodetectors report only z = |H_eq s + b + n|.  With the RIS phases
 aligned to the LO and a strong LO, the observation's phase is close to
 the LO's, so the proposed detector is the genie's zero forcing with the
 LO's phase in place of the observation's: both slice the least-squares
-estimate from y - b, the genie on the complex observation y and the
-proposed detector on z e^{j angle(b)}.  The genie lower-bounds the
+estimate W (y - b), W = (H^H H)^-1 H^H, the genie on the complex
+observation y and the proposed detector on y = z e^{j angle(b)}.  As
+z e^{j angle(b)} - b = e^{j angle(b)} (z - |b|), the proposed detector is
+a fixed real map of the magnitudes, Re(W diag(e^{j angle(b)})) (z - |b|).
+The genie lower-bounds the
 proposed detector only: it is zero forcing, and on the almost lossless
 magnitude readout the exhaustive maximum-likelihood search beats zero
 forcing even with known phase.
@@ -31,11 +34,13 @@ There are two receivers, each built once per channel: a function of the
 channel, the LO and the constellation (``_zero_forcing``, ``_exhaustive``)
 that does the work that reads no observation and returns the function of
 the observation.  The genie calls ``_zero_forcing`` on y and the proposed
-detector on z e^{j angle(b)}, so the two share one receiver; each
-``detect_*_batch`` is that composition on one call.  A campaign builds
-each receiver once per batch of trials and calls it at every Eb/N0
-point, where only the noise differs.  The least-squares receiver forms
-H^H, the Gram matrix and its condition number once; the full search,
+detector on z, so the two share one receiver; each ``detect_*_batch`` is
+that composition on one call.  A campaign builds each receiver once per
+batch of trials and calls it at every Eb/N0 point, where only the noise
+differs.  The least-squares receiver forms the Gram matrix, its
+condition number and the pseudo-inverse W once, so a call is one GEMM
+per trial: W (y - b) on a complex y, or, through the real map, on the
+real z - |b|; the full search,
 when Q^K fits one block, forms every trial's candidate table once, so a
 call is one scoring GEMM per trial; the pruned search forms each trial's
 bound and QR once.  The pruned search grows the trees of all trials'
@@ -115,15 +120,17 @@ def front_end(h_eq: np.ndarray, s: np.ndarray, b: np.ndarray, awgn: np.ndarray) 
 
 def _front_end(h_eq: np.ndarray, s: np.ndarray, b: np.ndarray):
     """The front end with its noiseless part H_eq s + b formed once: the
-    returned function maps a noise draw n to y = (H_eq s + b) + n."""
+    returned function maps a noise draw n to y = (H_eq s + b) + n, written
+    into ``out`` when one is given (``out`` may be n itself)."""
     clean = np.matmul(h_eq, s, dtype=complex)
     clean += b[..., None]
-    return lambda awgn: clean + awgn
+    return lambda awgn, out=None: np.add(clean, awgn, out=out)
 
 
 def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Pre-slicing least-squares estimate (H^H H)^-1 H^H rhs, solved from
-    the normal equations after a condition check, and refused if not finite.
+    """Pre-slicing least-squares estimate W rhs, W = (H^H H)^-1 H^H solved
+    from the normal equations after a condition check, and refused if not
+    finite.
 
     ``h_eq`` (..., M, K) and ``rhs`` (..., M, n) may carry the same leading
     trial axes; the estimate is (..., K, n), each trial's the one a call on
@@ -131,20 +138,28 @@ def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     its own condition number.  A non-finite ``h_eq`` is refused by name
     before any Gram matrix is formed.
 
-    The solve runs on each H scaled by the power of two 2^-e that brings
+    W is formed from each H scaled by the power of two 2^-e that brings
     its largest real or imaginary part into [1/2, 1), so its Gram matrix
     cannot underflow, and the estimate is scaled back by 2^-e.  Scaling by
-    a power of two is exact, so in the normal range it changes no bit.  It
-    is ``_least_squares(h_eq)(rhs)``.
+    a power of two is exact, so in the normal range it changes no bit, and
+    scaling H and rhs by one power of two leaves the estimate as it is.
+    It is ``_least_squares(h_eq)(rhs)``.
     """
     return _least_squares(h_eq)(rhs)
 
 
 def _least_squares(h_eq: np.ndarray):
     """``ls_estimate`` built once per channel: the checks of ``h_eq``, its
-    scaling, H^H, the Gram matrix and its condition number.  The returned
-    function maps a right-hand side (..., M, n) to the estimate, or to the
-    refusal, that ``ls_estimate`` gives."""
+    scaling, the Gram matrix, its condition number and, for each trial
+    before the first refused one, the pseudo-inverse W = (H^H H)^-1 H^H of
+    the scaled H.  The returned function maps a right-hand side (..., M, n)
+    to the estimate, or to the refusal, that ``ls_estimate`` gives: one
+    batched GEMM W rhs, scaled back by 2^-e.
+
+    Given ``phase`` (..., M), it maps a real right-hand side x to the real
+    estimate Re(W diag(phase)) x instead, with the same scaling and
+    refusals; the real map costs K M products, against its GEMM's K M n.
+    """
     h_eq = np.ascontiguousarray(h_eq, dtype=complex)
     if not np.isfinite(h_eq).all():
         raise ValueError("h_eq must be finite")
@@ -164,17 +179,20 @@ def _least_squares(h_eq: np.ndarray):
     # among them is the earlier refusal.
     refused = ~(cond <= _COND_LIMIT)  # nan too
     solved = int(np.argmax(refused)) if refused.any() else trials
-    gram, h_adj, exp = gram[:solved], h_adj[:solved], exp[:solved]
+    pinv = np.linalg.solve(gram[:solved], h_adj[:solved])
+    exp = exp[:solved]
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=complex)
+    def solve(rhs: np.ndarray, phase: np.ndarray | None = None) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=complex if phase is None else float)
         if rhs.shape[:-1] != (*lead, m):
             raise ValueError(f"rhs {rhs.shape} does not fit a {shape} channel")
         n = rhs.shape[-1]
-        # A huge rhs can take H^H rhs or the estimate beyond the float range: refused next.
+        w = pinv if phase is None else np.ascontiguousarray(
+            (pinv * np.reshape(phase, (trials, 1, m))[:solved]).real)
+        # A huge rhs can take the estimate beyond the float range: refused next.
         with np.errstate(over="ignore", invalid="ignore"):
-            s_hat = np.linalg.solve(gram, h_adj @ rhs.reshape(trials, m, n)[:solved])
-            s_hat = np.ldexp(s_hat.view(float), exp).view(complex)
+            s_hat = w @ rhs.reshape(trials, m, n)[:solved]
+            s_hat = np.ldexp(s_hat.view(float), exp).view(s_hat.dtype)
         if (lost := ~np.isfinite(s_hat).all(axis=(1, 2))).any():
             raise SingularMatrixError(
                 f"H^H H gives a non-finite estimate (condition {cond[np.argmax(lost)]:.3e})")
@@ -210,10 +228,19 @@ def _detector_inputs(obs, name: str, dtype: type, h_eq, b) -> tuple[np.ndarray, 
 def _zero_forcing(h_eq: np.ndarray, b: np.ndarray, c: Constellation):
     """The least-squares receiver, built once per channel: the returned
     function slices, per user, the real part of the LS estimate from
-    y - b.  The genie reads it on y, the proposed detector on
-    z e^{j angle(b)}."""
+    y - b.  The genie reads it on a complex y, through W; the proposed
+    detector on real magnitudes z, as if y were z e^{j angle(b)}:
+    W (z e^{j angle(b)} - b) = W diag(e^{j angle(b)}) (z - |b|), read
+    through the real map Re(W diag(e^{j angle(b)}))."""
     solve = _least_squares(h_eq)
-    return lambda y: slice_to_indices(solve(y - b[..., None]).real, c)
+    phase, mag_b = np.exp(1j * np.angle(b)), np.abs(b)[..., None]
+
+    def receive(obs: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(obs):
+            return slice_to_indices(solve(obs - b[..., None]).real, c)
+        return slice_to_indices(solve(obs - mag_b, phase), c)
+
+    return receive
 
 
 def detect_proposed_batch(
@@ -224,10 +251,11 @@ def detect_proposed_batch(
     ``z`` has shape (..., M, n), with a channel (..., M, K) and LO
     (..., M) per trial; returns constellation indices (..., K, n).  This
     is ``detect_zf_batch`` with the LO's phase in place of the
-    observation's: the genie on y = z e^{j angle(b)}.
+    observation's: the genie on y = z e^{j angle(b)}, read through a real
+    map of z.
     """
     z, h_eq, b = _detector_inputs(z, "z", float, h_eq, b)
-    return _zero_forcing(h_eq, b, c)(z * np.exp(1j * np.angle(b))[..., None])
+    return _zero_forcing(h_eq, b, c)(z)
 
 
 def enumerate_symbol_vectors(c: Constellation, num_users: int) -> np.ndarray:

@@ -31,14 +31,15 @@ stack (h_rv as a real (B, M, 2N) array, and h_ur^T), and composes the
 aligned (B, M, K) channels in one ``effective_channel`` call.  Stage 3
 first does, once for the batch, the work that reads no noise: the front
 end's H s + b and each receiver a configured detector names (the
-``detect`` kernels' channel halves: the least-squares Gram matrices and
-condition numbers, the full search's candidate tables, the pruned
-search's bounds and QRs).  ``proposed`` and ``zf_genie`` share one
-least-squares receiver, which the genie reads on y and ``proposed`` on
-the magnitudes re-phased to the LO, z e^{j angle(b)}.  Then, at each
-point that has not stopped, it scales the noise and adds it to H s + b,
-and each detector decides the whole batch in one call; the counts are
-one table lookup (``_finish_batch`` runs stages 2 and 3).
+``detect`` kernels' channel halves: the least-squares Gram matrices,
+condition numbers and pseudo-inverses W, the full search's candidate
+tables, the pruned search's bounds and QRs).  ``proposed`` and
+``zf_genie`` share one least-squares receiver, which the genie reads on
+y through W and ``proposed`` on the magnitudes z through the real map
+Re(W diag(e^{j angle(b)})).  Then, at each point that has not stopped, it
+writes the scaled noise plus H s + b, and |y|, into two arrays of the
+batch, and each detector decides the whole batch in one call; the counts
+are one table lookup (``_finish_batch`` runs stages 2 and 3).
 A trial draws the stream a lone trial draws (``optimize_aligned_phases``,
 then its symbols and noise), and the rows of every stacked call equal
 single-trial calls bit for bit, so which trials share a batch does not
@@ -110,14 +111,14 @@ __all__ = [
     "write_records_csv",
 ]
 
-# Each detector: the observation it reads (the complex "y", the magnitudes
-# "z", or those re-phased to the LO) and its receiver, a ``detect`` kernel
-# (h_eq, b, constellation, ...) -> (observation -> decisions).  A batch
-# builds each receiver once, however many detectors name it, on arrays with
-# a leading trial axis, and calls it at every grid point.
-_REPHASED = "z e^{j angle(b)}"
+# Each detector: the observation it reads (the complex "y" or the magnitudes
+# "z") and its receiver, a ``detect`` kernel (h_eq, b, constellation, ...)
+# -> (observation -> decisions).  A batch builds each receiver once, however
+# many detectors name it, on arrays with a leading trial axis, and calls it
+# at every grid point; the least-squares receiver reads y through the
+# pseudo-inverse W and z through the real map Re(W diag(e^{j angle(b)})).
 _DETECTORS = {
-    "proposed": (_REPHASED, _zero_forcing),
+    "proposed": ("z", _zero_forcing),
     "exhaustive": ("z", _exhaustive),
     "zf_genie": ("y", _zero_forcing),
 }
@@ -363,14 +364,14 @@ def _draw_start(cfg: SimConfig, t: int):
 def _finish_batch(cfg: SimConfig, const, lut, batch: tuple, scales: list) -> list:
     """Stages 2 and 3 of a ``_stack``ed batch: ``_align`` aligns all trials
     in one batched Adam loop and one ``effective_channel`` call composes
-    their channels.  The front end's H s + b, each receiver the configured
-    detectors name (one ``_zero_forcing`` for ``proposed`` and
-    ``zf_genie``) and, for ``proposed``, the LO's phasor are then formed
-    once, and at each noise scale sqrt(sigma2 / 2) in ``scales`` (one per
-    grid point) each detector decides the whole batch's observations in
-    one call.  Returns one batch record per scale:
-    each trial's bit errors, an int array (trials, detectors) in
-    ``cfg.detectors`` order."""
+    their channels.  The front end's H s + b and each receiver the
+    configured detectors name (one ``_zero_forcing`` for ``proposed`` and
+    ``zf_genie``) are then formed once, and at each noise scale
+    sqrt(sigma2 / 2) in ``scales`` (one per grid point) the observations
+    y and z = |y| are written into two arrays of the batch and each
+    detector decides the whole batch's observations in one call.  Returns
+    one batch record per scale: each trial's bit errors, an int array
+    (trials, detectors) in ``cfg.detectors`` order."""
     ch, lo, theta0, sent, noise = batch
     h_eq = effective_channel(ch, _align(ch, lo, theta0, cfg.adam)[0])
     del batch, ch  # drop the stacked channels before the receivers' tables are built
@@ -380,17 +381,14 @@ def _finish_batch(cfg: SimConfig, const, lut, batch: tuple, scales: list) -> lis
     options = {_zero_forcing: (), _exhaustive: (cfg.exhaustive_budget, cfg.symbols_per_trial)}
     # One receiver per kernel k, however many rows name it.
     receivers = {k: k(h_eq, lo, const, *options[k]) for k in dict.fromkeys(k for _, k in rows)}
-    phase = np.exp(1j * np.angle(lo))[..., None] if "proposed" in cfg.detectors else None
+    y, z = np.empty_like(noise), np.empty(noise.shape)
+    observed = {"y": y, "z": z}
 
     def record(scale: float) -> np.ndarray:
-        y = observe(noise * scale)
-        z = np.abs(y)
-        # Each observation is formed as its row reads it, so the re-phased
-        # one lives only for its receiver's call.
-        observed = {"y": lambda: y, "z": lambda: z, _REPHASED: lambda: z * phase}
-        # z e^{j angle(b)} is finite where z is: each row checks "y" or "z".
-        _require_finite(**{reads[0]: observed[reads[0]]() for reads, _ in rows})
-        return np.stack([lut[sent, receivers[k](observed[reads]())].sum(axis=(1, 2))
+        observe(np.multiply(noise, scale, out=y), out=y)
+        np.abs(y, out=z)
+        _require_finite(**{reads: observed[reads] for reads, _ in rows})
+        return np.stack([lut[sent, receivers[k](observed[reads])].sum(axis=(1, 2))
                          for reads, k in rows], axis=1)
 
     return [record(scale) for scale in scales]

@@ -14,6 +14,7 @@ maximum-likelihood search beats linear zero forcing even when the latter
 knows the phase.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -321,6 +322,15 @@ def test_criterion_6_detector_ordering(ordering_campaign):
         "exhaustive worse than proposed beyond 3-sigma bands at " + ", ".join(exh_bad)
     )
     assert gap_ok, f"proposed-to-genie gap {gap} dB exceeds 1 dB"
+
+
+def test_criterion_6_counts_are_pinned(ordering_campaign):
+    """The criterion-6 CSV, every count of its 15 records, is the one the
+    campaign has written since its last change of counts: a floating-point
+    change that moves any count fails here, not only in a benchmark."""
+    records = [rec for recs in ordering_campaign.values() for rec in recs]
+    csv = records_to_csv(records)
+    assert hashlib.md5(csv.encode()).hexdigest() == "cdbd1c33ea76633007b7a8c3a158711b", csv
 
 
 def test_criterion_7_multiuser_degradation():

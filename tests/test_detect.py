@@ -195,6 +195,46 @@ class TestProposedDetector:
         assert np.linalg.norm(got - s) <= 10 * k * np.finfo(float).eps * cond * np.linalg.norm(s)
 
     @settings(deadline=None)
+    @given(m=st.integers(1, 12), data=st.data())
+    def test_ls_agrees_with_lstsq(self, m, data):
+        """On H = U diag(sv) V^H with singular values in [1, 1e3] and a
+        right-hand side off the range of H, the estimate is
+        ``np.linalg.lstsq``'s to within 10 M cond(H^H H) eps, relative to
+        ||x|| + ||rhs|| / sv_min: forming W = (H^H H)^-1 H^H and the
+        estimate W rhs loses at most that much."""
+        k = data.draw(st.integers(1, m))
+        sv = np.array(data.draw(st.lists(st.floats(1.0, 1e3), min_size=k, max_size=k)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        u = np.linalg.qr(complex_normal(rng, (m, k)))[0]
+        v = np.linalg.qr(complex_normal(rng, (k, k)))[0]
+        h = (u * sv) @ v.conj().T
+        rhs = complex_normal(rng, (m, 3)) * 10.0 ** rng.uniform(-3, 3)
+        oracle = np.linalg.lstsq(h, rhs, rcond=None)[0]
+        cond = (sv.max() / sv.min()) ** 2
+        scale = np.linalg.norm(oracle) + np.linalg.norm(rhs) / sv.min()
+        assert (np.linalg.norm(ls_estimate(h, rhs) - oracle)
+                <= 10 * m * np.finfo(float).eps * cond * scale)
+
+    @settings(deadline=None)
+    @given(m=st.integers(1, 8), shift=st.integers(-500, 500), data=st.data())
+    def test_scaling_channel_and_rhs_together_keeps_the_estimate(self, m, shift, data):
+        """Scaling H and the right-hand side by the same 2^shift leaves the
+        estimate bit for bit: W is formed on H brought to unit scale, and
+        W (2^shift rhs) scaled back by 2^-(e + shift) rounds as W rhs
+        scaled back by 2^-e.  Entries of H and rhs lie between 1e-3 and
+        1e3 in magnitude."""
+        k = data.draw(st.integers(1, m))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        h = complex_normal(rng, (m, k)) * 10.0 ** rng.uniform(-3, 3, (m, k))
+        rhs = complex_normal(rng, (m, 3)) * 10.0 ** rng.uniform(-3, 3, (m, 3))
+        try:
+            s_hat = ls_estimate(h, rhs)
+        except SingularMatrixError:
+            assume(False)
+        scaled = ls_estimate(np.ldexp(1.0, shift) * h, np.ldexp(1.0, shift) * rhs)
+        assert scaled.tobytes() == s_hat.tobytes()
+
+    @settings(deadline=None)
     @given(m=st.integers(2, 12), data=st.data())
     def test_ls_rank_deficient_raises(self, m, data):
         """H = A B with inner dimension r < K has rank r: refused."""
@@ -680,6 +720,27 @@ class TestStackedTrials:
                               [full_matrix_exhaustive(z[t], h[t], b[t], c)
                                for t in range(n_trials)])
 
+    @settings(deadline=None, max_examples=40)
+    @given(m=st.integers(1, 12), n_trials=st.integers(1, 8), data=st.data())
+    def test_least_squares_rows_equal_single_trial_calls(self, m, n_trials, data):
+        """On drawn stacks whose trials span scales from 1e-3 to 1e3, the
+        least-squares estimate and both least-squares detectors return,
+        byte for byte, their single-trial calls."""
+        k = data.draw(st.integers(1, m))
+        n_obs = data.draw(st.integers(1, 5))
+        c = make_pam(data.draw(st.sampled_from([2, 4, 8])))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        h = complex_normal(rng, (n_trials, m, k)) * 10.0 ** rng.uniform(-3, 3, (n_trials, 1, 1))
+        b = complex_normal(rng, (n_trials, m))
+        y = complex_normal(rng, (n_trials, m, n_obs))
+        try:
+            ls_estimate(h, y)
+        except SingularMatrixError:
+            assume(False)
+        assert_rows_are_single_trial_calls(ls_estimate, (h, y))
+        assert_rows_are_single_trial_calls(detect_zf_batch, (y, h, b), c)
+        assert_rows_are_single_trial_calls(detect_proposed_batch, (np.abs(y), h, b), c)
+
     @pytest.mark.parametrize("k, m", [(3, 8), (8, 16)], ids=["K3", "K8"])
     @pytest.mark.parametrize("n_trials", [3, 8], ids=["tail-of-3", "batch-of-8"])
     def test_each_trial_spills_against_its_own_budget(self, monkeypatch, k, m, n_trials):
@@ -767,7 +828,7 @@ class TestReceiversBuiltOnce:
     batch, and calls them at every grid point: built once and called at
     three noise scales, each decides byte for byte as its ``detect_*``
     call on that scale's observation.  ``proposed`` reads the genie's
-    ``_zero_forcing`` on z e^{j angle(b)}."""
+    ``_zero_forcing`` on z, as the campaign does."""
 
     SCALES = [math.sqrt(noise_sigma(db, 4).sigma2 / 2.0) for db in (-30.0, -24.0, -18.0)]
 
@@ -788,8 +849,7 @@ class TestReceiversBuiltOnce:
         observe = detect._front_end(h, s, b)
         # ``proposed`` and the genie share one least-squares receiver, as in a campaign.
         zero_forcing = detect._zero_forcing(h, b, c)
-        phase = np.exp(1j * np.angle(b))[..., None]
-        receivers = [(lambda z: zero_forcing(z * phase), "z", detect_proposed_batch),
+        receivers = [(zero_forcing, "z", detect_proposed_batch),
                      (detect._exhaustive(h, b, c, 2**20, n_obs), "z", detect_exhaustive_batch),
                      (zero_forcing, "y", detect_zf_batch)]
         spilled = False
@@ -828,6 +888,27 @@ class TestZeroForcing:
         assert got.tobytes() == rephased.tobytes()
         if lo_margin < 1:
             assert (got != detect_zf_batch(y, h, b, c)).any()
+
+    @pytest.mark.parametrize("m, n, k", [(36, 150, 3), (16, 60, 8)], ids=["reference", "K8"])
+    def test_magnitude_row_decides_as_the_rephased_observation(self, m, n, k):
+        """On seeded campaign batches of 8 trials, at three noise scales,
+        the receiver read on z decides as the same receiver read on
+        z e^{j angle(b)}, and the estimates before slicing,
+        Re(W diag(e^{j angle(b)})) (z - |b|) and Re(W (z e^{j angle(b)} - b)),
+        agree to 1e-12 of each trial's largest."""
+        c = make_pam(4)
+        h, b, sent, noise = campaign_batch(m, n, k, 8, n_obs=100, seed=11)
+        phase = np.exp(1j * np.angle(b))
+        receive, solve = detect._zero_forcing(h, b, c), detect._least_squares(h)
+        observe = detect._front_end(h, c.points[sent], b)
+        for scale in TestReceiversBuiltOnce.SCALES:
+            z = np.abs(observe(noise * scale))
+            rephased = z * phase[..., None]
+            assert np.array_equal(receive(z), receive(rephased))
+            got = solve(z - np.abs(b)[..., None], phase)
+            want = solve(rephased - b[..., None]).real
+            largest = np.abs(want).max(axis=(1, 2), keepdims=True)
+            assert (np.abs(got - want) <= 1e-12 * largest).all()
 
 
 class TestDetectorContract:

@@ -535,6 +535,32 @@ class TestRunBer:
         run_ber(replace(cfg, trials_per_point=11))
         assert built == [(8, 12, 2), (3, 12, 2)]
 
+    def test_points_solve_nothing_and_reuse_the_batch_buffers(self, monkeypatch):
+        """A one-batch, three-point campaign with both least-squares
+        detectors calls ``np.linalg.solve`` once, for the batch's
+        pseudo-inverses, and at every point reads y (complex) and z (real)
+        from the same two arrays: no point solves normal equations or
+        allocates an observation, and none is re-phased."""
+        solve, require_finite = np.linalg.solve, sim._require_finite
+        solves, observations = [], []
+
+        def counting_solve(*args):
+            solves.append(args[0].shape)
+            return solve(*args)
+
+        def recording_require_finite(**arrays):
+            if "h_eq" not in arrays:
+                observations.append({name: (a.ctypes.data, a.dtype) for name, a in arrays.items()})
+            require_finite(**arrays)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(sim, "_require_finite", recording_require_finite)
+        cfg = replace(_STOPS, error_target=None, trials_per_point=8)
+        run_ber(cfg)
+        assert solves == [(8, 2, 2)]
+        assert len(observations) == 3 and all(o == observations[0] for o in observations)
+        assert [dtype for _, dtype in observations[0].values()] == [float, complex]
+
     def test_early_abort_records_reason(self):
         cfg = replace(SMALL, eb_n0_grid_db=(-40.0,), error_target=5,
                       trials_per_point=40)
