@@ -172,22 +172,65 @@ class ChannelSet:
         return self.h_ur.shape[-2]
 
 
+def _workspace(terms: int, floats: int = 0) -> tuple:
+    """Scratch for draws of up to ``terms`` path terms and ``floats``
+    normals: two float arrays and one complex array, each flat.  A drawing
+    thread reuses one for every matrix it draws (``_carve`` shapes it)."""
+    size = max(terms, floats)
+    return np.empty(size), np.empty(size), np.empty(terms, dtype=complex)
+
+
+def _carve(buf: np.ndarray, shape) -> np.ndarray:
+    """The first prod(shape) entries of the flat ``buf``, as ``shape``."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
 def gen_user_ris_channel(num_users: int, num_elements: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the N x K user-to-RIS matrix with i.i.d. CN(0, 1) entries.
     N = 0 (no RIS) is an empty draw that leaves ``rng`` untouched."""
     if num_users < 1 or num_elements < 0:
         raise ValueError("num_users must be >= 1 and num_elements >= 0")
-    re = rng.standard_normal((num_elements, num_users))
-    im = rng.standard_normal((num_elements, num_users))
-    return (re + 1j * im) / math.sqrt(2.0)
+    out = np.empty((num_elements, num_users), dtype=complex)
+    _fill_user_ris(out, rng, _workspace(0, out.size))
+    return out
 
 
-def _draw_path_loss(shape, span, rng: np.random.Generator) -> np.ndarray:
+def _fill_user_ris(out: np.ndarray, rng: np.random.Generator, work: tuple) -> None:
+    """``gen_user_ris_channel``'s draw, (re + j im) / sqrt(2), written into
+    ``out`` (N, K) through the scratch ``work``."""
+    _fill_complex_normal(out, rng, work)
+    out /= math.sqrt(2.0)
+
+
+def _fill_complex_normal(out: np.ndarray, rng: np.random.Generator, work: tuple) -> None:
+    """re + j im of standard normals, the real ones drawn first, written
+    into the complex ``out`` through the scratch ``work``."""
+    re, im = _carve(work[0], out.shape), _carve(work[1], out.shape)
+    rng.standard_normal(out=re)
+    rng.standard_normal(out=im)
+    np.multiply(1j, im, out=out)
+    np.add(re, out, out=out)
+
+
+def _uniform(rng: np.random.Generator, out: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``rng.uniform(low, high, out.shape)`` written into ``out``, bit for
+    bit: numpy draws low + (high - low) u, and adding a zero ``low`` to the
+    nonnegative (high - low) u changes nothing."""
+    rng.random(out=out)
+    out *= high - low
+    if low:
+        out += low
+    return out
+
+
+def _draw_path_loss(out: np.ndarray, span, rng: np.random.Generator) -> np.ndarray:
+    """Path losses log-uniform on ``span``, written into ``out``; a
+    collapsed span is constant and draws nothing."""
     lo, hi = span
     if lo == hi:
-        return np.full(shape, float(lo))
-    rho = rng.uniform(math.log(lo), math.log(hi), shape)
-    return np.exp(rho, out=rho)
+        out.fill(lo)
+        return out
+    return np.exp(_uniform(rng, out, math.log(lo), math.log(hi)), out=out)
 
 
 # Below this relative width of a path-loss span, (hi^2 - lo^2) / (2 log(hi/lo))
@@ -216,14 +259,16 @@ def _normalization_variance(params: PhysicalPathParams) -> float:
     return params.num_paths * (gain * gain / 2.0) * second_moment
 
 
-def _path_terms(shape, span, rng):
-    """Per-path polarization factor cos(psi), path loss and phase, each of
-    ``shape``, drawn in the order polarization angle, path loss, phase."""
-    psi = rng.uniform(0.0, 2.0 * np.pi, shape)
-    coupling = np.cos(psi, out=psi)
-    rho = _draw_path_loss(shape, span, rng)
-    phi = rng.uniform(0.0, 2.0 * np.pi, shape)
-    return coupling, rho, phi
+def _path_terms(span, rng: np.random.Generator, gain: float, amplitude: np.ndarray,
+                phase: np.ndarray) -> None:
+    """Draw each path's polarization angle psi, path loss and phase, in that
+    order, into the float arrays ``amplitude`` and ``phase`` of one shape:
+    ``amplitude`` ends as cos(psi) gain path_loss (the loss is drawn into
+    ``phase`` and used before the phases are drawn there)."""
+    np.cos(_uniform(rng, amplitude, 0.0, 2.0 * np.pi), out=amplitude)
+    amplitude *= gain
+    amplitude *= _draw_path_loss(phase, span, rng)
+    _uniform(rng, phase, 0.0, 2.0 * np.pi)
 
 
 def gen_physical_channel(
@@ -238,26 +283,30 @@ def gen_physical_channel(
     """
     if num_cells < 1 or num_cols < 0:
         raise ValueError("num_cells must be >= 1 and num_cols >= 0")
-    shape = (num_cells, num_cols, params.num_paths)
-    coupling, rho, phi = _path_terms(shape, params.path_loss_span, rng)
-    coupling *= params.coupling_gain
-    # Each (M, cols, L) temporary is freed once used: while a campaign batch
-    # draws, this peak adds to the channels its earlier trials hold.
-    coupling *= rho
-    del rho
-    rotation = 1j * phi
-    del phi
-    np.exp(rotation, out=rotation)
-    np.multiply(coupling, rotation, out=rotation)
-    del coupling
-    entries = _path_sum(rotation)
+    out = np.empty((num_cells, num_cols), dtype=complex)
+    _fill_physical(out, params, rng, _workspace(out.size * params.num_paths))
+    return out
+
+
+def _fill_physical(out: np.ndarray, params: PhysicalPathParams, rng: np.random.Generator,
+                   work: tuple) -> None:
+    """``gen_physical_channel``'s draw, written into ``out`` (M, cols)
+    through the scratch ``work``, whose three (M, cols, L) arrays hold the
+    path terms."""
+    shape = (*out.shape, params.num_paths)
+    amplitude, phase, terms = (_carve(buf, shape) for buf in work)
+    _path_terms(params.path_loss_span, rng, params.coupling_gain, amplitude, phase)
+    np.multiply(1j, phase, out=terms)
+    np.exp(terms, out=terms)
+    np.multiply(amplitude, terms, out=terms)
+    _path_sum(terms, out)
     if params.normalize:
-        entries /= params._entry_sd
-    return entries
+        out /= params._entry_sd
 
 
-def _path_sum(terms: np.ndarray) -> np.ndarray:
-    """``np.sum(terms, axis=-1)`` bit for bit.
+def _path_sum(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.sum(terms, axis=-1)`` bit for bit, written into ``out`` when one
+    is given; ``terms`` is overwritten.
 
     At L = 4, the default and the only path count the benchmark's
     workloads draw, numpy sums the four values as (t0 + t1) + (t2 + t3) and adds that to
@@ -265,9 +314,9 @@ def _path_sum(terms: np.ndarray) -> np.ndarray:
     Every other L is numpy's own sum.
     """
     if terms.shape[-1] != 4:
-        return np.sum(terms, axis=-1)
-    total = terms[..., 0] + terms[..., 1]
-    total += terms[..., 2] + terms[..., 3]
+        return np.sum(terms, axis=-1, out=out)
+    total = np.add(terms[..., 0], terms[..., 1], out=out)
+    total += np.add(terms[..., 2], terms[..., 3], out=terms[..., 2])
     total += 0.0  # makes a -0.0 sum 0.0
     return total
 
@@ -278,8 +327,9 @@ def gen_lo_vector(num_cells: int, params: LOParams, rng: np.random.Generator) ->
     sqrt(power)."""
     if num_cells < 1:
         raise ValueError("num_cells must be >= 1")
-    coupling, rho, phi = _path_terms((num_cells,), params.path_loss_span, rng)
-    return coupling * math.sqrt(params.power) * rho * np.exp(1j * phi)
+    amplitude, phase = np.empty(num_cells), np.empty(num_cells)
+    _path_terms(params.path_loss_span, rng, math.sqrt(params.power), amplitude, phase)
+    return amplitude * np.exp(1j * phase)
 
 
 def effective_channel(ch: ChannelSet, theta: np.ndarray) -> np.ndarray:

@@ -113,38 +113,41 @@ def _evaluator(op: tuple, q0: np.ndarray):
     """An evaluation of J (B,) and dJ/dtheta (B, N) for B trials at once.
 
     ``op`` is the batch's (R, G), (B, M, 2N) and (B, K, N); ``q0`` is each
-    trial's Im(h_uv), (B, M, K).  The returned function maps the phasors
-    e^{j theta} (B, 1, N) to (J, gradient); both live in buffers that the
-    next call overwrites.  Every product runs per trial (numpy's matmul
-    loops GEMM over the batch axis), and no complex product is written
-    over one of its operands (numpy computes a lone in-place element
-    without FMA), so row b is bit-identical to evaluating trial b alone.
+    trial's Im(h_uv), (B, M, K).  Returns a function of the phasors
+    e^{j theta} (B, 1, N), and the arrays J (B,) and gradient (B, N) that
+    each of its calls overwrites; every view it reads is taken here,
+    once.  Every product runs per trial (numpy's matmul loops GEMM over
+    the batch axis), and no complex product is written over one of its
+    operands (numpy computes a lone in-place element without FMA), so row
+    b is bit-identical to evaluating trial b alone.
     """
     r, g = op
     b, k, n = g.shape
     q0t = np.ascontiguousarray(q0.transpose(0, 2, 1))
     r_t = r.transpose(0, 2, 1)
     x = np.empty((b, k, n), dtype=complex)
+    x_real = x.view(float)
     u = np.empty_like(x)
+    u_real = u.view(float)
     terms = np.empty_like(x)
+    terms_imag = terms.imag
     q = np.empty_like(q0t)
     q_row, q_col = q.reshape(b, 1, -1), q.reshape(b, -1, 1)
     j_val = np.empty((b, 1, 1))
     grad = np.empty((b, n))
 
-    def evaluate(phasor: np.ndarray):
+    def evaluate(phasor: np.ndarray) -> None:
         np.multiply(phasor, g, out=x)  # X^T
-        np.matmul(x.view(float), r_t, out=q)
+        np.matmul(x_real, r_t, out=q)
         np.add(q, q0t, out=q)  # Q^T = Im(H_eq)^T
-        np.matmul(q, r, out=u.view(float))
+        np.matmul(q, r, out=u_real)
         np.conjugate(x, out=x)
         np.multiply(x, u, out=terms)
-        np.sum(terms.imag, axis=1, out=grad)
+        np.add.reduce(terms_imag, axis=1, out=grad)  # np.sum, without its Python wrapper
         np.multiply(grad, 2.0, out=grad)
         np.matmul(q_row, q_col, out=j_val)
-        return j_val[:, 0, 0], grad
 
-    return evaluate
+    return evaluate, j_val[:, 0, 0], grad
 
 
 def _phasor(theta: np.ndarray) -> np.ndarray:
@@ -183,7 +186,8 @@ def objective(theta: np.ndarray, op: tuple, h_uv: np.ndarray):
 def objective_and_gradient(theta: np.ndarray, op: tuple, h_uv: np.ndarray) -> tuple:
     """J (...) and its gradient (..., N) in one gradient evaluation."""
     theta, op, q0, lead = _inputs(theta, op, h_uv)
-    j_val, grad = _evaluator(op, q0)(_phasor(theta))
+    evaluate, j_val, grad = _evaluator(op, q0)
+    evaluate(_phasor(theta))
     return j_val.reshape(lead)[()], grad.reshape(*lead, theta.shape[1])
 
 
@@ -207,8 +211,8 @@ def random_phases(num_elements: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def adam_optimize_batch(
-    theta0: np.ndarray, op: tuple, h_uv: np.ndarray, cfg: AdamConfig
-) -> tuple[np.ndarray, ConvergenceTrace]:
+    theta0: np.ndarray, op: tuple, h_uv: np.ndarray, cfg: AdamConfig, *, _trace: bool = True
+) -> tuple[np.ndarray, ConvergenceTrace | None]:
     """Momentum gradient descent with bias-corrected first/second moments,
     for all trials of the objective's arguments in one loop.
 
@@ -219,24 +223,31 @@ def adam_optimize_batch(
     bit-identical to running that trial alone.  Each evaluation after the
     first reads e^{j theta} as the previous one turned by the step (see
     the module docstring).  Returns the final phases (..., N) and one
-    trace recording J and ||grad||_2 at each evaluated point.
+    trace recording J and ||grad||_2 at each evaluated point; with the
+    private ``_trace=False`` (a campaign reads only the phases) it records
+    nothing and returns None in place of the trace, with the same phases.
     """
     theta0, op, q0, lead = _inputs(theta0, op, h_uv)
-    evaluate = _evaluator(op, q0)
+    evaluate, j_val, g = _evaluator(op, q0)
+    g_row, g_col = g[:, None, :], g[:, :, None]
     theta = theta0.copy()
     phasor = _phasor(theta)
     turned = np.empty_like(phasor)
     turn = np.empty_like(phasor)
+    turn_re, turn_im = turn.real[:, 0], turn.imag[:, 0]
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     m_hat = np.empty_like(theta)
     tmp = np.empty_like(theta)
-    obj_hist = np.empty((cfg.max_iters, theta.shape[0]))
-    gsq_hist = np.empty_like(obj_hist)
+    if _trace:
+        obj_hist = np.empty((cfg.max_iters, theta.shape[0]))
+        gsq_hist = np.empty_like(obj_hist)
+        gsq_rows = gsq_hist[:, :, None, None]
     for it in range(1, cfg.max_iters + 1):
-        j_val, g = evaluate(phasor)
-        obj_hist[it - 1] = j_val
-        np.matmul(g[:, None, :], g[:, :, None], out=gsq_hist[it - 1, :, None, None])
+        evaluate(phasor)
+        if _trace:
+            obj_hist[it - 1] = j_val
+            np.matmul(g_row, g_col, out=gsq_rows[it - 1])
         # The arithmetic of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
         # theta -= step m_hat / (sqrt(v_hat) + eps), in place.
         m *= cfg.beta1
@@ -254,10 +265,13 @@ def adam_optimize_batch(
         m_hat /= tmp
         theta -= m_hat
         if it < cfg.max_iters:  # turn e^{j theta} by e^{-j m_hat}: cos, sin of small angles
-            np.cos(m_hat, out=turn.real[:, 0])
+            np.cos(m_hat, out=turn_re)
             np.negative(m_hat, out=tmp)
-            np.sin(tmp, out=turn.imag[:, 0])
+            np.sin(tmp, out=turn_im)
             np.multiply(phasor, turn, out=turned)  # not in place, as in _evaluator
             phasor, turned = turned, phasor
-    return theta.reshape(*lead, theta.shape[1]), ConvergenceTrace(
+    theta = theta.reshape(*lead, theta.shape[1])
+    if not _trace:
+        return theta, None
+    return theta, ConvergenceTrace(
         *(a.T.reshape(*lead, cfg.max_iters) for a in (obj_hist, np.sqrt(gsq_hist))))

@@ -23,24 +23,28 @@ depend only on its own trial prefix, never on the other points.
 
 A batch is a three-stage pipeline.  Stage 1 (``_draw_start``) draws each
 trial's whole random stream from its generator, in a fixed order:
-channels, LO, starting phases, symbol indices and unit complex noise.  No
-generator leaves it; the batch is stacked into one ``ChannelSet`` and
-arrays with a leading trial axis.  Stage 2 aligns all of its trials in
-one batched optimizer loop over the factored operand of the de-phased
-stack (h_rv as a real (B, M, 2N) array, and h_ur^T), and composes the
-aligned (B, M, K) channels in one ``effective_channel`` call.  Stage 3
-first does, once for the batch, the work that reads no noise: the front
-end's H s + b and each receiver a configured detector names (the
-``detect`` kernels' channel halves: the least-squares Gram matrices,
+channels, LO, starting phases, symbol indices and unit complex noise,
+and writes it into the trial's rows of the batch's arrays, one per draw
+with a leading trial axis, allocated once per batch (``_new_block``).
+Each drawing thread draws every trial through one scratch of (M, N, L)
+path terms.  No generator leaves it, and the batch's channels become one
+``ChannelSet``, checked once.  Stage 2 aligns all of its trials in
+one batched optimizer loop, which records no trace, over the factored
+operand of the de-phased stack (h_rv as a real (B, M, 2N) array, and
+h_ur^T), and composes the aligned (B, M, K) channels in one
+``effective_channel`` call.  Stage 3 first does, once for the batch,
+the work that reads no noise: the front end's H s + b and each receiver
+a configured detector names (the ``detect`` kernels' channel halves:
+the least-squares Gram matrices,
 condition numbers and pseudo-inverses W, the full search's candidate
 tables, the pruned search's bounds and QRs).  ``proposed`` and
 ``zf_genie`` share one least-squares receiver, which the genie reads on
 y through W and ``proposed`` on the magnitudes z through the real map
 Re(W diag(e^{j angle(b)})).  Then, at each point that has not stopped, it
 writes the scaled noise plus H s + b, and |y|, into two arrays of the
-batch, and each detector decides the whole batch in one call; the counts
-are one table lookup (``_finish_batch`` runs stages 2 and 3).
-A trial draws the stream a lone trial draws (``optimize_aligned_phases``,
+batch, and each detector decides the whole batch in one call; the
+counts are one table lookup (``_finish_batch`` runs stages 2 and 3).  A
+trial draws the stream a lone trial draws (``optimize_aligned_phases``,
 then its symbols and noise), and the rows of every stacked call equal
 single-trial calls bit for bit, so which trials share a batch does not
 change any output.
@@ -80,10 +84,12 @@ from .channel import (
     ChannelSet,
     LOParams,
     PhysicalPathParams,
+    _fill_complex_normal,
+    _fill_physical,
+    _fill_user_ris,
+    _workspace,
     effective_channel,
     gen_lo_vector,
-    gen_physical_channel,
-    gen_user_ris_channel,
 )
 from .detect import _exhaustive, _front_end, _require_finite, _zero_forcing
 from .errors import BudgetExceededError, ConfigError
@@ -286,13 +292,21 @@ def trial_seed(master_seed: int, eb_n0_db: float | None,
 
 
 def draw_channels(cfg: SimConfig, rng: np.random.Generator) -> ChannelSet:
-    """One channel realization, in a fixed draw order (h_ur, h_rv, h_uv)."""
+    """One channel realization, drawn as a campaign trial draws its rows
+    of a block (``_draw_channels``)."""
     m, n, k = cfg.num_cells, cfg.num_elements, cfg.num_users
-    return ChannelSet(
-        h_ur=gen_user_ris_channel(k, n, rng),
-        h_rv=gen_physical_channel(m, n, cfg.channel, rng),
-        h_uv=gen_physical_channel(m, k, cfg.channel, rng),
-    )
+    mats = tuple(np.empty(shape, dtype=complex) for shape in ((n, k), (m, n), (m, k)))
+    _draw_channels(cfg, rng, mats, _trial_workspace(cfg))
+    return ChannelSet(*mats)
+
+
+def _draw_channels(cfg: SimConfig, rng: np.random.Generator, mats, work: tuple) -> None:
+    """Draw h_ur, h_rv and h_uv, in that order, into ``mats`` through the
+    drawing thread's scratch ``work``."""
+    h_ur, h_rv, h_uv = mats
+    _fill_user_ris(h_ur, rng, work)
+    _fill_physical(h_rv, cfg.channel, rng, work)
+    _fill_physical(h_uv, cfg.channel, rng, work)
 
 
 def _dephase(ch: ChannelSet, b: np.ndarray) -> ChannelSet:
@@ -302,21 +316,16 @@ def _dephase(ch: ChannelSet, b: np.ndarray) -> ChannelSet:
     return ChannelSet(ch.h_ur, rot * ch.h_rv, rot * ch.h_uv)
 
 
-def _stack(drawn: list) -> tuple:
-    """B trials' records, each a ChannelSet followed by arrays, as one:
-    the stacked ChannelSet and arrays, each with a leading trial axis."""
-    chs, *arrays = zip(*drawn)
-    ch = ChannelSet(*(np.stack(mats) for mats in zip(*((c.h_ur, c.h_rv, c.h_uv) for c in chs))))
-    return ch, *(np.stack(a) for a in arrays)
-
-
-def _align(ch: ChannelSet, b: np.ndarray, theta0: np.ndarray, adam: AdamConfig):
+def _align(ch: ChannelSet, b: np.ndarray, theta0: np.ndarray, adam: AdamConfig,
+           trace: bool = True):
     """Align trials' channels and LO (..., M) from ``theta0`` (..., N) in
     one optimizer loop on their ``_dephase``d channels; returns
-    ``adam_optimize_batch``'s phases and trace.  The factored operand,
+    ``adam_optimize_batch``'s phases and trace (None without ``trace``:
+    the campaign reads only the phases).  The factored operand,
     (..., M, 2N) and (..., K, N), lives only for the call."""
     dephased = _dephase(ch, b)
-    return adam_optimize_batch(theta0, build_rank_one_cache(dephased), dephased.h_uv, adam)
+    return adam_optimize_batch(theta0, build_rank_one_cache(dephased), dephased.h_uv, adam,
+                               _trace=trace)
 
 
 def optimize_aligned_phases(
@@ -341,39 +350,72 @@ def run_convergence(cfg: SimConfig) -> tuple[ChannelSet, np.ndarray, Convergence
     aligned as ``run_ber`` does it.  Returns its de-phased channels, the
     final phases and the optimizer trace."""
     validate_config(cfg)
-    ch, b, theta0, *_ = _draw_start(cfg, cfg.trial_offset)
+    ch, b, theta0, *_ = _seal([a[0] for a in _draw_block(cfg, [cfg.trial_offset])])
     return _dephase(ch, b), *_align(ch, b, theta0, cfg.adam)
 
 
-def _draw_start(cfg: SimConfig, t: int):
+def _new_block(cfg: SimConfig, size: int) -> list:
+    """A block of ``size`` trials to draw into: one array per draw, with a
+    leading trial axis: h_ur, h_rv, h_uv, LO, starting phases, symbol
+    indices (K, n) and unit noise (M, n)."""
+    m, n, k, s = cfg.num_cells, cfg.num_elements, cfg.num_users, cfg.symbols_per_trial
+    return [np.empty((size, *shape), dtype) for shape, dtype in (
+        ((n, k), complex), ((m, n), complex), ((m, k), complex), ((m,), complex),
+        ((n,), float), ((k, s), np.int64), ((m, s), complex))]
+
+
+def _trial_workspace(cfg: SimConfig) -> tuple:
+    """A drawing thread's scratch for any of a trial's draws: the path
+    terms of h_rv or h_uv, (M, max(N, K), L), and the noise's halves
+    (h_ur's N K normals fit too, as K <= M)."""
+    m, paths = cfg.num_cells, cfg.channel.num_paths
+    return _workspace(m * max(cfg.num_elements, cfg.num_users) * paths,
+                      m * cfg.symbols_per_trial)
+
+
+def _seal(block: list) -> tuple:
+    """A drawn block as stage 2 reads it: one ``ChannelSet``, built and
+    checked once, and the other arrays."""
+    return ChannelSet(*block[:3]), *block[3:]
+
+
+def _draw_block(cfg: SimConfig, trials) -> list:
+    """Stage 1 of ``trials`` on the calling thread, into a new block."""
+    block, work = _new_block(cfg, len(trials)), _trial_workspace(cfg)
+    for i, t in enumerate(trials):
+        _draw_start(cfg, t, block, i, work)
+    return block
+
+
+def _draw_start(cfg: SimConfig, t: int, block: list, i: int, work: tuple) -> None:
     """Stage 1 of trial ``t``: its whole random stream, in the campaign's
-    order.  Returns its channels, LO, starting phases, symbol indices
-    (K, n) and unit complex noise (M, n), N(0, 1) + jN(0, 1) per entry,
-    which each grid point scales by sqrt(sigma2 / 2); no generator leaves
-    it."""
+    order, written into row ``i`` of ``block`` (``_new_block``) through
+    the drawing thread's scratch ``work``.  The unit complex noise is
+    N(0, 1) + jN(0, 1) per entry, which each grid point scales by
+    sqrt(sigma2 / 2); no generator leaves it."""
     rng = np.random.default_rng(trial_seed(cfg.master_seed, None, t))
-    ch = draw_channels(cfg, rng)
-    b = gen_lo_vector(cfg.num_cells, cfg.lo, rng)
-    theta0 = random_phases(cfg.num_elements, rng)
-    sent = rng.integers(0, cfg.mod_order, size=(cfg.num_users, cfg.symbols_per_trial))
-    # The real normals, then the imaginary ones.
-    shape = (cfg.num_cells, cfg.symbols_per_trial)
-    return ch, b, theta0, sent, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    h_ur, h_rv, h_uv, b, theta0, sent, noise = (a[i] for a in block)
+    _draw_channels(cfg, rng, (h_ur, h_rv, h_uv), work)
+    b[...] = gen_lo_vector(cfg.num_cells, cfg.lo, rng)
+    theta0[...] = random_phases(cfg.num_elements, rng)
+    sent[...] = rng.integers(0, cfg.mod_order, size=sent.shape)
+    _fill_complex_normal(noise, rng, work)
 
 
 def _finish_batch(cfg: SimConfig, const, lut, batch: tuple, scales: list) -> list:
-    """Stages 2 and 3 of a ``_stack``ed batch: ``_align`` aligns all trials
-    in one batched Adam loop and one ``effective_channel`` call composes
-    their channels.  The front end's H s + b and each receiver the
-    configured detectors name (one ``_zero_forcing`` for ``proposed`` and
-    ``zf_genie``) are then formed once, and at each noise scale
+    """Stages 2 and 3 of a drawn batch: ``_align`` aligns all trials
+    in one batched Adam loop, recording no trace, and one
+    ``effective_channel`` call composes their channels.  The front end's
+    H s + b and each receiver the configured detectors name (one
+    ``_zero_forcing`` for ``proposed`` and ``zf_genie``) are then formed
+    once, and at each noise scale
     sqrt(sigma2 / 2) in ``scales`` (one per grid point) the observations
     y and z = |y| are written into two arrays of the batch and each
     detector decides the whole batch's observations in one call.  Returns
     one batch record per scale: each trial's bit errors, an int array
     (trials, detectors) in ``cfg.detectors`` order."""
     ch, lo, theta0, sent, noise = batch
-    h_eq = effective_channel(ch, _align(ch, lo, theta0, cfg.adam)[0])
+    h_eq = effective_channel(ch, _align(ch, lo, theta0, cfg.adam, trace=False)[0])
     del batch, ch  # drop the stacked channels before the receivers' tables are built
     _require_finite(h_eq=h_eq, b=lo)
     observe = _front_end(h_eq, const.points[sent], lo)
@@ -431,7 +473,11 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
     running.  So at most two batches are held.  The records do not depend
     on ``threads`` (see the module docstring), and no worker outlives the
     call.  To use more cores, run grid or trial slices in processes and
-    combine them with ``merge_records``."""
+    combine them with ``merge_records``.  Since version 0.2.0 a grid
+    slice draws and aligns every trial of the campaign (each point reads
+    the same trials), so a grid split over P processes draws and aligns
+    each trial P times, and a split into trial slices once: prefer trial
+    slices when ``error_target`` is None."""
     validate_config(cfg)
     if threads < 0:
         raise ConfigError(f"threads (--threads) must be >= 0, got {threads}")
@@ -443,21 +489,32 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
     if min(threads or os.cpu_count() or 1, cfg.trials_per_point) > 1:
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(1)
-    queued: list = []  # with a pool: one future per trial of the batch taken next
+    # With a pool: the block taken next and one future per trial drawing
+    # into it, all through one scratch of the worker's, which lives until
+    # the last of them has run.
+    queued: tuple = ()
 
     def queue(j: int) -> None:
         nonlocal queued
-        queued = [pool.submit(_draw_start, cfg, t) for t in _batch(cfg, j)]
+        trials = _batch(cfg, j)
+        block, work = _new_block(cfg, len(trials)), _trial_workspace(cfg) if trials else None
+        queued = block, [pool.submit(_draw_start, cfg, t, block, i, work)
+                         for i, t in enumerate(trials)]
 
     def take(j: int) -> tuple:
         trials = _batch(cfg, j)
         if pool is None:
-            return _stack([_draw_start(cfg, t) for t in trials])
-        mine = {k: _draw_start(cfg, trials[k])
-                for k in reversed(range(len(trials))) if queued[k].cancel()}
-        drawn = [mine[k] if k in mine else f.result() for k, f in enumerate(queued)]
+            return _seal(_draw_block(cfg, trials))
+        block, futures = queued
+        work = _trial_workspace(cfg)  # the calling thread's, freed before it aligns
+        for i in reversed(range(len(trials))):  # one at a time, to meet the worker
+            if futures[i].cancel():
+                _draw_start(cfg, trials[i], block, i, work)
+        for f in futures:
+            if not f.cancelled():
+                f.result()
         queue(j + 1)
-        return _stack(drawn)
+        return _seal(block)
 
     tallies = [(0, np.zeros(len(cfg.detectors), dtype=np.int64))] * len(grid)
     live = list(range(len(grid)))  # the points that have not stopped

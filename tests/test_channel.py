@@ -225,7 +225,7 @@ class TestPathLossDraw:
         """In [lo, hi], or within one ulp of the ends as the draw rounds
         them: exp(log(lo)) and exp(log(hi)) can be ulps off lo and hi."""
         hi = lo * ratio
-        draws = channel._draw_path_loss((400,), (lo, hi), rng_for(seed))
+        draws = channel._draw_path_loss(np.empty(400), (lo, hi), rng_for(seed))
         ends = np.exp(np.array([math.log(lo), math.log(hi)]))
         assert np.all(draws >= min(lo, np.nextafter(ends[0], 0.0)))
         assert np.all(draws <= max(hi, np.nextafter(ends[1], np.inf)))
@@ -234,7 +234,7 @@ class TestPathLossDraw:
     def test_collapsed_span_is_constant_and_draws_nothing(self, lo, seed):
         rng = rng_for(seed)
         state = rng.bit_generator.state
-        draws = channel._draw_path_loss((3, 4), (lo, lo), rng)
+        draws = channel._draw_path_loss(np.empty((3, 4)), (lo, lo), rng)
         assert draws.shape == (3, 4) and np.all(draws == lo)
         assert rng.bit_generator.state == state
 

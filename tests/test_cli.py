@@ -839,24 +839,27 @@ class TestOptimizeCommand:
 
     @pytest.mark.parametrize("offset", [0, 5])
     def test_first_campaign_trial(self, tmp_path, monkeypatch, offset):
-        """``optimize``'s phases and ``convergence``'s trace are row 0 of
-        the first batch of 8 trials ``run_ber`` aligns: trial
-        ``trial_offset``."""
+        """``optimize``'s phases are row 0 of the phases of the first batch
+        of 8 trials ``run_ber`` aligns (trial ``trial_offset``), which the
+        campaign's loop finds without a trace, and ``convergence``'s trace
+        is row 0 of that batch's traced loop."""
         text = BASE_CONFIG.replace("trials_per_point = 6",
                                    f"trials_per_point = 8\ntrial_offset = {offset}")
         path = write_config(tmp_path, text)
         aligned = []
         align = sim._align
 
-        def recording_align(*args):
-            aligned.append(align(*args))
-            return aligned[-1]
+        def recording_align(*args, **kwargs):
+            aligned.append((args, align(*args, **kwargs)))
+            return aligned[-1][1]
 
         with monkeypatch.context() as patch:
             patch.setattr(sim, "_align", recording_align)
             sim.run_ber(load_config(path))
-        thetas, trace = aligned[0]
-        assert thetas.shape == (8, 16)
+        args, (thetas, untraced) = aligned[0]
+        assert thetas.shape == (8, 16) and untraced is None
+        traced, trace = align(*args)
+        assert traced.tobytes() == thetas.tobytes()
 
         phases, trace_csv = tmp_path / "phases.txt", tmp_path / "trace.csv"
         assert main(["optimize", "--config", path, "--out", str(phases)]) == 0

@@ -23,7 +23,7 @@ from atomris.detect import (
 from atomris.errors import BudgetExceededError, SingularMatrixError
 from atomris.modem import make_pam, noise_sigma
 from atomris.risopt import AdamConfig
-from atomris.sim import SimConfig, _align, _draw_start, _stack, optimize_aligned_phases
+from atomris.sim import SimConfig, _align, _draw_block, _seal, optimize_aligned_phases
 
 
 def aligned_system(m, k, seed, lo_mag=500.0):
@@ -114,7 +114,7 @@ class TestFrontEnd:
         cfg = SimConfig(num_cells=cells, num_elements=2, num_users=1, mod_order=mod_order,
                         symbols_per_trial=symbols)
         scale = math.sqrt(noise_sigma(eb_n0_db, mod_order).sigma2 / 2.0)
-        return _draw_start(cfg, 0)[-1] * scale
+        return _draw_block(cfg, [0])[-1][0] * scale
 
     def test_noise_variance_split(self):
         """Empirical variance of z around |b| matches sigma^2/2 (in-phase
@@ -819,7 +819,7 @@ def campaign_batch(m, n, k, n_trials, n_obs=24, seed=3):
     indices and unit noise."""
     cfg = SimConfig(num_cells=m, num_elements=n, num_users=k, symbols_per_trial=n_obs,
                     trials_per_point=n_trials, master_seed=seed)
-    ch, b, theta0, sent, noise = _stack([_draw_start(cfg, t) for t in range(n_trials)])
+    ch, b, theta0, sent, noise = _seal(_draw_block(cfg, range(n_trials)))
     return effective_channel(ch, _align(ch, b, theta0, cfg.adam)[0]), b, sent, noise
 
 

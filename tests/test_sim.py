@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atomris import detect, sim
@@ -191,40 +191,92 @@ class TestTrialSeeding:
         assert np.array_equal(a, b)
 
 
+def lone_trial(cfg, t):
+    """Trial ``t``'s stream drawn through the public one-trial functions,
+    in the campaign's order: h_ur, h_rv, h_uv, LO, starting phases, symbol
+    indices and unit noise."""
+    from atomris.channel import gen_lo_vector
+    from atomris.risopt import random_phases
+
+    rng = np.random.default_rng(trial_seed(cfg.master_seed, -22.0, t))
+    ch = sim.draw_channels(cfg, rng)
+    b = gen_lo_vector(cfg.num_cells, cfg.lo, rng)
+    theta0 = random_phases(cfg.num_elements, rng)
+    sent = rng.integers(0, cfg.mod_order, (cfg.num_users, cfg.symbols_per_trial))
+    shape = (cfg.num_cells, cfg.symbols_per_trial)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # unit noise
+    return ch.h_ur, ch.h_rv, ch.h_uv, b, theta0, sent, noise
+
+
 class TestStageOne:
-    """``_draw_start`` draws a trial's whole random stream; the stages
-    after it read no generator."""
+    """``_draw_start`` draws a trial's whole random stream into its rows of
+    a block; the stages after it read no generator."""
 
     def test_stream_order_is_the_lone_trial_chain(self):
-        from atomris.channel import gen_lo_vector
-        from atomris.risopt import random_phases
-
         t = 7
-        rng = np.random.default_rng(trial_seed(SMALL.master_seed, -22.0, t))
-        ch = sim.draw_channels(SMALL, rng)
-        b = gen_lo_vector(SMALL.num_cells, SMALL.lo, rng)
-        theta0 = random_phases(SMALL.num_elements, rng)
-        sent = rng.integers(0, SMALL.mod_order, (SMALL.num_users, SMALL.symbols_per_trial))
-        shape = (SMALL.num_cells, SMALL.symbols_per_trial)
-        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # unit noise
-        want = (ch.h_ur, ch.h_rv, ch.h_uv, b, theta0, sent, noise)
-        got_ch, *got = sim._draw_start(SMALL, t)
-        got = (got_ch.h_ur, got_ch.h_rv, got_ch.h_uv, *got)
-        assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
-            (a.dtype, a.shape, a.tobytes()) for a in want]
+        got = [a[0] for a in sim._draw_block(SMALL, [t])]
+        assert _exact_bytes(got) == _exact_bytes(lone_trial(SMALL, t))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("cfg", [
+        replace(SMALL, trials_per_point=11, trial_offset=5),
+        replace(SMALL, num_cells=36, num_elements=150, num_users=3, symbols_per_trial=100,
+                trials_per_point=11),
+        replace(SMALL, num_elements=0, trials_per_point=11),
+        replace(SMALL, channel=PhysicalPathParams(num_paths=3, path_loss_span=(0.5, 0.5)),
+                trials_per_point=11)],
+        ids=["small", "reference", "no-RIS", "L3-fixed-loss"])
+    def test_block_rows_are_lone_trials(self, monkeypatch, cfg, threads):
+        """Every block ``run_ber`` takes, at ``threads`` 1 and 2 and for the
+        short last block of 3 trials, holds in each row the lone trial's
+        draws bit for bit; the ``ChannelSet`` is built once per block."""
+        from atomris.channel import ChannelSet
+
+        taken = []
+        monkeypatch.setattr(sim, "_finish_batch",
+                            lambda cfg, const, lut, batch, scales: taken.append(batch) or
+                            [np.zeros((len(batch[1]), len(cfg.detectors)), np.int64)] * len(scales))
+        built = []
+        post_init = ChannelSet.__post_init__
+        monkeypatch.setattr(ChannelSet, "__post_init__",
+                            lambda ch: built.append(ch.h_rv.shape) or post_init(ch))
+        run_ber(cfg, threads)
+        assert [len(batch[1]) for batch in taken] == [8, 3]
+        assert len(built) == 2
+        rows = [(ch.h_ur[i], ch.h_rv[i], ch.h_uv[i], *(a[i] for a in rest))
+                for ch, *rest in taken for i in range(len(rest[0]))]
+        for t, row in zip(range(cfg.trial_offset, cfg.trial_offset + 11), rows, strict=True):
+            assert _exact_bytes(row) == _exact_bytes(lone_trial(cfg, t)), t
+
+    @settings(deadline=None, max_examples=50)
+    @given(seed=st.integers(0, 2**63), lo=st.floats(1e-3, 1e3), ratio=st.floats(1.0, 1e3),
+           low=st.sampled_from([0.0, -3.0, 1.5]))
+    def test_uniform_in_place_is_numpy_uniform(self, seed, lo, ratio, low):
+        """The draw's uniforms, ``rng.random`` scaled in place, are
+        ``rng.uniform``'s bits, and so are its log-uniform path losses."""
+        from atomris import channel
+
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = channel._uniform(rng_a, np.empty((3, 50)), low, low + 2.0 * np.pi)
+        assert got.tobytes() == rng_b.uniform(low, low + 2.0 * np.pi, (3, 50)).tobytes()
+        span = (lo, lo * ratio)
+        got = channel._draw_path_loss(np.empty(200), span, rng_a)
+        want = (np.full(200, lo) if span[0] == span[1] else
+                np.exp(rng_b.uniform(math.log(span[0]), math.log(span[1]), 200)))
+        assert got.tobytes() == want.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_no_generator_after_stage_one(self):
-        """A drawn batch holds arrays and channel sets only, before and after
-        it is stacked, and finishing the stacked batch twice gives the same
-        batch records, one per noise scale."""
+        """A drawn batch holds arrays and one channel set only, and
+        finishing it twice gives the same batch records, one per noise
+        scale."""
         from atomris.channel import ChannelSet
         from atomris.modem import hamming_table, make_pam
 
-        drawn = [sim._draw_start(SMALL, t) for t in range(5)]
-        batch = sim._stack(drawn)
-        for ch, *arrays in (*drawn, batch):
-            assert isinstance(ch, ChannelSet)
-            assert all(isinstance(a, np.ndarray) for a in arrays)
+        batch = sim._seal(sim._draw_block(SMALL, range(5)))
+        ch, *arrays = batch
+        assert isinstance(ch, ChannelSet)
+        assert all(isinstance(a, np.ndarray) for a in arrays)
         assert batch[0].h_rv.shape == (5, SMALL.num_cells, SMALL.num_elements)
         assert all(len(a) == 5 for a in batch[1:])
         const = make_pam(SMALL.mod_order)
@@ -240,6 +292,28 @@ def _exact_bytes(arrays):
     return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
+class TestUntracedLoop:
+    """A campaign's Adam loop records no trace and finds the phases the
+    traced loop finds, bit for bit."""
+
+    @pytest.mark.parametrize("m, n, k", [(36, 150, 3), (16, 150, 8)], ids=["reference", "K8"])
+    def test_phases_equal_the_traced_loop(self, m, n, k):
+        from atomris.risopt import adam_optimize_batch, build_rank_one_cache
+
+        cfg = SimConfig(num_cells=m, num_elements=n, num_users=k, trials_per_point=8,
+                        master_seed=5)
+        ch, b, theta0, *_ = sim._seal(sim._draw_block(cfg, range(8)))
+        dephased = sim._dephase(ch, b)
+        args = (theta0, build_rank_one_cache(dephased), dephased.h_uv, cfg.adam)
+        traced, trace = adam_optimize_batch(*args)
+        untraced, none = adam_optimize_batch(*args, _trace=False)
+        assert none is None and trace.objective.shape == (8, cfg.adam.max_iters)
+        assert untraced.shape == traced.shape == (8, n)
+        assert untraced.tobytes() == traced.tobytes()
+        thetas, none = sim._align(ch, b, theta0, cfg.adam, trace=False)
+        assert none is None and thetas.tobytes() == traced.tobytes()
+
+
 class TestStackedChannels:
     """Stage 2 and the compose read a batch as one stacked ``ChannelSet``:
     the rows of ``_dephase``, ``build_rank_one_cache``, ``_align`` (its
@@ -251,12 +325,11 @@ class TestStackedChannels:
     @pytest.mark.parametrize("n", [24, 0], ids=["N24", "no-RIS"])
     @pytest.mark.parametrize("n_trials", [1, 3, 8], ids=["one", "tail-of-3", "batch-of-8"])
     def test_rows_equal_single_trial_calls(self, n, n_trials):
-        from atomris.channel import effective_channel
+        from atomris.channel import ChannelSet, effective_channel
         from atomris.risopt import build_rank_one_cache, gradient_op_count, objective_and_gradient
 
         cfg = replace(SMALL, num_elements=n, adam=AdamConfig(max_iters=15))
-        drawn = [sim._draw_start(cfg, t) for t in range(n_trials)]
-        ch, b, theta0, *_ = sim._stack(drawn)
+        ch, b, theta0, *_ = sim._seal(sim._draw_block(cfg, range(n_trials)))
         dephased = sim._dephase(ch, b)
         r, g = build_rank_one_cache(dephased)
         assert r.flags.c_contiguous and g.flags.c_contiguous
@@ -265,7 +338,9 @@ class TestStackedChannels:
         h_eq = effective_channel(ch, thetas)
         assert h_eq.shape == (n_trials, cfg.num_cells, cfg.num_users)
         assert traces.objective.shape == (n_trials, cfg.adam.max_iters)
-        for t, (ch1, b1, theta1, *_) in enumerate(drawn):
+        for t in range(n_trials):
+            h_ur, h_rv, h_uv, b1, theta1, *_ = (a[0] for a in sim._draw_block(cfg, [t]))
+            ch1 = ChannelSet(h_ur, h_rv, h_uv)
             one = sim._dephase(ch1, b1)
             one_op = build_rank_one_cache(one)
             theta, trace = sim._align(ch1, b1, theta1, cfg.adam)
@@ -288,6 +363,12 @@ _STOPS = replace(SMALL, eb_n0_grid_db=(-30.0, -22.0, -18.0), error_target=400,
 # the one-block full search, and K = 8, whose is the pruned search.
 _GOLDENS = {name: load_config(Path(__file__).parent / "data" / f"{name}.ini")
             for name in ("golden_ref_k3", "golden_detect_k8")}
+
+
+# A reference-shape batch: M = 36, N = 150, K = 3, 8 trials of 100 vectors.
+_REFERENCE = SimConfig(num_cells=36, num_elements=150, num_users=3, mod_order=4,
+                       eb_n0_grid_db=(-30.0, -28.0, -26.0, -24.0, -22.0), trials_per_point=8,
+                       symbols_per_trial=100, master_seed=1, error_target=None)
 
 
 class TestRunBer:
@@ -452,10 +533,10 @@ class TestRunBer:
         worker outlives the call."""
         draw_start = sim._draw_start
 
-        def failing_draw_start(cfg, t):
+        def failing_draw_start(cfg, t, *args):
             if t == 10:  # the second batch: drawn ahead on the pool
                 raise RuntimeError("draw failed")
-            return draw_start(cfg, t)
+            return draw_start(cfg, t, *args)
 
         monkeypatch.setattr(sim, "_draw_start", failing_draw_start)
         baseline = threading.active_count()
@@ -502,9 +583,9 @@ class TestRunBer:
         draw_start = sim._draw_start
         drawn = []
 
-        def counting_draw_start(cfg, t):
+        def counting_draw_start(cfg, t, *args):
             drawn.append(t)
-            return draw_start(cfg, t)
+            return draw_start(cfg, t, *args)
 
         monkeypatch.setattr(sim, "_draw_start", counting_draw_start)
         run_ber(replace(_STOPS, error_target=None, trials_per_point=20, trial_offset=3))
@@ -561,6 +642,92 @@ class TestRunBer:
         assert len(observations) == 3 and all(o == observations[0] for o in observations)
         assert [dtype for _, dtype in observations[0].values()] == [float, complex]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_drawing_a_block_holds_its_rows_and_one_scratch_per_thread(self, monkeypatch,
+                                                                          threads):
+        """Drawing a reference block (M = 36, N = 150, K = 3, 8 trials of
+        100 vectors) traces at most the block's stacked arrays, one path
+        scratch per drawing thread (``threads`` of them: the worker's and
+        the calling thread's, which draws the trials it takes back) and a
+        slack per thread of numpy's casting buffer (``np.getbufsize()``
+        complex entries) plus 64 KiB for the small draws.  With numpy 2.4
+        (buffer of 8192 entries) the draw traced 137 KB above the block
+        and scratch at one thread and 160 KB at two, against a slack of
+        192 KiB per thread; drawing each trial into its own arrays and
+        stacking them took about 2.53 MB at one thread, above this bound of
+        2.14 MB."""
+        cfg = replace(_REFERENCE, eb_n0_grid_db=(-24.0,))
+        peaks = []
+
+        def finish(cfg, const, lut, batch, scales):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return [np.zeros((len(batch[1]), len(cfg.detectors)), np.int64)] * len(scales)
+
+        run_ber(cfg, threads)  # numpy's and the pool's one-time allocations
+        monkeypatch.setattr(sim, "_finish_batch", finish)
+        tracemalloc.start()
+        try:
+            run_ber(cfg, threads)
+        finally:
+            tracemalloc.stop()
+        block = sum(a.nbytes for a in sim._new_block(cfg, 8))
+        scratch = sum(a.nbytes for a in sim._trial_workspace(cfg))
+        assert block + scratch > 1.9e6
+        slack = 16 * np.getbufsize() + (64 << 10)
+        assert peaks[0] <= block + threads * (scratch + slack)
+
+    def test_points_traced_peak_does_not_grow(self, monkeypatch):
+        """At the reference shape with all three detectors, each grid
+        point's traced peak above what the point starts with stays within
+        1/16 of one complex observation y of the first point's, and no
+        point keeps more than that: the points take their temporaries back
+        (with numpy 2.4 the rises spread by under 1 KB and each point kept
+        under 1 KB)."""
+        require_finite = sim._require_finite
+        marks = []
+
+        def marking_require_finite(**arrays):
+            if "h_eq" not in arrays:  # a point's observations: its loop starts
+                marks.append(tracemalloc.get_traced_memory())
+                tracemalloc.reset_peak()
+            require_finite(**arrays)
+
+        monkeypatch.setattr(sim, "_require_finite", marking_require_finite)
+        run_ber(_REFERENCE)
+        marks.clear()
+        tracemalloc.start()
+        try:
+            run_ber(_REFERENCE)
+            marks.append(tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(marks) == len(_REFERENCE.eb_n0_grid_db) + 1
+        (start, _), *ends = marks
+        rises = [peak - current for (current, _), (_, peak) in zip(marks, ends)]
+        observation = 16 * 8 * _REFERENCE.num_cells * _REFERENCE.symbols_per_trial
+        tolerance = observation / 16
+        assert all(abs(rise - rises[0]) < tolerance for rise in rises[1:-1]), rises
+        currents = [current for current, _ in marks[:-1]]
+        assert all(b - a < tolerance for a, b in zip(currents, currents[1:])), currents
+
+    def test_campaign_loop_records_no_trace_and_finds_the_traced_phases(self, monkeypatch):
+        """The campaign aligns each batch without a trace; its phases are
+        those ``run_convergence`` gives its first trial, bit for bit."""
+        align, aligned = sim._align, []
+
+        def recording_align(*args, **kwargs):
+            aligned.append((kwargs, align(*args, **kwargs)))
+            return aligned[-1][1]
+
+        cfg = replace(_REFERENCE, trial_offset=3, eb_n0_grid_db=(-24.0,))
+        monkeypatch.setattr(sim, "_align", recording_align)
+        run_ber(cfg)
+        monkeypatch.setattr(sim, "_align", align)
+        [(kwargs, (thetas, trace))] = aligned
+        assert kwargs == {"trace": False} and trace is None
+        _, theta, _ = run_convergence(cfg)
+        assert theta.tobytes() == thetas[0].tobytes()
+
     def test_early_abort_records_reason(self):
         cfg = replace(SMALL, eb_n0_grid_db=(-40.0,), error_target=5,
                       trials_per_point=40)
@@ -583,15 +750,13 @@ class TestRunBer:
         )
         # pin the channel to h_uv = 1 so the genie observation is s + n
         from atomris import sim as sim_mod
-        from atomris.channel import ChannelSet
 
-        def fixed_channels(cfg_inner, rng):
-            return ChannelSet(
-                h_ur=np.zeros((0, 1)), h_rv=np.zeros((1, 0)),
-                h_uv=np.ones((1, 1), dtype=complex),
-            )
+        def fixed_channels(cfg_inner, rng, mats, work):
+            h_ur, h_rv, h_uv = mats
+            assert h_ur.shape == (0, 1) and h_rv.shape == (1, 0)
+            h_uv[...] = 1.0
 
-        monkeypatch.setattr(sim_mod, "draw_channels", fixed_channels)
+        monkeypatch.setattr(sim_mod, "_draw_channels", fixed_channels)
         (rec,) = run_ber(cfg)
 
         sigma2 = 1.0 / (2 * 10 ** (db / 10.0))
