@@ -19,7 +19,9 @@ default the output is normalized to unit per-entry variance, which keeps
 desk-scale experiments on the same footing as the CN(0, 1) user-RIS
 links.
 
-All randomness flows through an explicit ``numpy.random.Generator``.
+All randomness flows through an explicit ``numpy.random.Generator``.  The
+draws write into arrays they are given (``_fill_user_ris``,
+``_fill_physical``); ``sim.draw_channels`` draws one realization.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ __all__ = [
     "PhysicalPathParams",
     "LOParams",
     "ChannelSet",
-    "gen_user_ris_channel",
-    "gen_physical_channel",
     "gen_lo_vector",
     "effective_channel",
 ]
@@ -185,19 +185,10 @@ def _carve(buf: np.ndarray, shape) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
-def gen_user_ris_channel(num_users: int, num_elements: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw the N x K user-to-RIS matrix with i.i.d. CN(0, 1) entries.
-    N = 0 (no RIS) is an empty draw that leaves ``rng`` untouched."""
-    if num_users < 1 or num_elements < 0:
-        raise ValueError("num_users must be >= 1 and num_elements >= 0")
-    out = np.empty((num_elements, num_users), dtype=complex)
-    _fill_user_ris(out, rng, _workspace(0, out.size))
-    return out
-
-
 def _fill_user_ris(out: np.ndarray, rng: np.random.Generator, work: tuple) -> None:
-    """``gen_user_ris_channel``'s draw, (re + j im) / sqrt(2), written into
-    ``out`` (N, K) through the scratch ``work``."""
+    """The user-to-RIS draw: i.i.d. CN(0, 1) entries (re + j im) / sqrt(2),
+    written into ``out`` (N, K) through the scratch ``work``.  N = 0 (no
+    RIS) is an empty draw that leaves ``rng`` untouched."""
     _fill_complex_normal(out, rng, work)
     out /= math.sqrt(2.0)
 
@@ -271,28 +262,14 @@ def _path_terms(span, rng: np.random.Generator, gain: float, amplitude: np.ndarr
     _uniform(rng, phase, 0.0, 2.0 * np.pi)
 
 
-def gen_physical_channel(
-    num_cells: int, num_cols: int, params: PhysicalPathParams, rng: np.random.Generator
-) -> np.ndarray:
-    """Generate an M x cols multipath channel matrix.
-
-    Entry (m, k) sums over paths l:
-    coupling_gain * cos(psi(m, k, l)) * path_loss(m, k, l)
-    * exp(j * phase(m, k, l)).  Zero columns (no RIS) is an empty draw
-    that leaves ``rng`` untouched.
-    """
-    if num_cells < 1 or num_cols < 0:
-        raise ValueError("num_cells must be >= 1 and num_cols >= 0")
-    out = np.empty((num_cells, num_cols), dtype=complex)
-    _fill_physical(out, params, rng, _workspace(out.size * params.num_paths))
-    return out
-
-
 def _fill_physical(out: np.ndarray, params: PhysicalPathParams, rng: np.random.Generator,
                    work: tuple) -> None:
-    """``gen_physical_channel``'s draw, written into ``out`` (M, cols)
+    """An M x cols multipath channel matrix, written into ``out`` (M, cols)
     through the scratch ``work``, whose three (M, cols, L) arrays hold the
-    path terms."""
+    path terms.  Entry (m, k) sums over paths l:
+    coupling_gain * cos(psi(m, k, l)) * path_loss(m, k, l)
+    * exp(j * phase(m, k, l)).  Zero columns (no RIS) is an empty draw
+    that leaves ``rng`` untouched."""
     shape = (*out.shape, params.num_paths)
     amplitude, phase, terms = (_carve(buf, shape) for buf in work)
     _path_terms(params.path_loss_span, rng, params.coupling_gain, amplitude, phase)

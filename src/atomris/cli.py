@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .config import default_config_text, load_config, write_manifest
+from .config import dump_config, load_config, write_manifest
 from .errors import BudgetExceededError, ConfigError, SingularMatrixError
 from .risopt import build_rank_one_cache, objective
 from .sim import SimConfig, run_ber, run_convergence, validate_config, write_records_csv
@@ -129,7 +129,7 @@ def cmd_ber(cfg: SimConfig, out_path: str, threads: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.dump_defaults:
-        sys.stdout.write(default_config_text())
+        sys.stdout.write(dump_config(SimConfig()))
         return EXIT_OK
     cfg = None
     try:

@@ -25,7 +25,6 @@ __all__ = [
     "parse_config_text",
     "load_config",
     "dump_config",
-    "default_config_text",
     "write_manifest",
     "load_manifest",
 ]
@@ -217,10 +216,6 @@ def dump_config(cfg: SimConfig) -> str:
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
-
-
-def default_config_text() -> str:
-    return dump_config(SimConfig())
 
 
 def write_manifest(cfg: SimConfig, path, outputs: list[str], version: str) -> None:

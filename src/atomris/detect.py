@@ -38,8 +38,8 @@ detector on z, so the two share one receiver; each ``detect_*_batch`` is
 that composition on one call.  A campaign builds each receiver once per
 batch of trials and calls it at every Eb/N0 point, where only the noise
 differs.  The least-squares receiver forms the Gram matrix, its
-condition number and the pseudo-inverse W once, so a call is one GEMM
-per trial: W (y - b) on a complex y, or, through the real map, on the
+condition number, the pseudo-inverse W and the real map once, so a call
+is one GEMM per trial: W (y - b) on a complex y, or the real map on the
 real z - |b|; the full search,
 when Q^K fits one block, forms every trial's candidate table once, so a
 call is one scoring GEMM per trial; the pruned search forms each trial's
@@ -79,7 +79,6 @@ from .modem import Constellation, slice_to_indices
 
 __all__ = [
     "front_end",
-    "ls_estimate",
     "detect_proposed_batch",
     "detect_exhaustive_batch",
     "detect_zf_batch",
@@ -98,7 +97,7 @@ _BLOCK_BYTES = 512 << 10
 # children takes about c (K + 6) words.
 _NODE_WORDS = _BLOCK_BYTES // 8
 
-# ``ls_estimate`` refuses a Gram matrix H^H H of larger condition number.
+# ``_least_squares`` refuses a Gram matrix H^H H of larger condition number.
 _COND_LIMIT = 1e12
 
 
@@ -127,38 +126,31 @@ def _front_end(h_eq: np.ndarray, s: np.ndarray, b: np.ndarray):
     return lambda awgn, out=None: np.add(clean, awgn, out=out)
 
 
-def ls_estimate(h_eq: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Pre-slicing least-squares estimate W rhs, W = (H^H H)^-1 H^H solved
-    from the normal equations after a condition check, and refused if not
-    finite.
+def _least_squares(h_eq: np.ndarray, phase: np.ndarray | None = None):
+    """The pre-slicing least-squares estimate W rhs, W = (H^H H)^-1 H^H
+    solved from the normal equations after a condition check, built once
+    per channel: the checks of ``h_eq``, its scaling, the Gram matrix, its
+    condition number and, for each trial before the first refused one, W.
+    The returned function maps a right-hand side (..., M, n) to the
+    estimate (..., K, n) in one batched GEMM, or to a refusal when the
+    estimate is not finite.
 
-    ``h_eq`` (..., M, K) and ``rhs`` (..., M, n) may carry the same leading
-    trial axes; the estimate is (..., K, n), each trial's the one a call on
-    that trial alone returns.  A refusal is the first refused trial's, with
-    its own condition number.  A non-finite ``h_eq`` is refused by name
-    before any Gram matrix is formed.
+    ``h_eq`` (..., M, K) and ``rhs`` may carry the same leading trial axes;
+    each trial's estimate is the one a call on that trial alone returns.
+    A refusal is the first refused trial's, with its own condition number.
+    A non-finite ``h_eq`` is refused by name before any Gram matrix is
+    formed.
 
     W is formed from each H scaled by the power of two 2^-e that brings
     its largest real or imaginary part into [1/2, 1), so its Gram matrix
     cannot underflow, and the estimate is scaled back by 2^-e.  Scaling by
     a power of two is exact, so in the normal range it changes no bit, and
     scaling H and rhs by one power of two leaves the estimate as it is.
-    It is ``_least_squares(h_eq)(rhs)``.
-    """
-    return _least_squares(h_eq)(rhs)
 
-
-def _least_squares(h_eq: np.ndarray):
-    """``ls_estimate`` built once per channel: the checks of ``h_eq``, its
-    scaling, the Gram matrix, its condition number and, for each trial
-    before the first refused one, the pseudo-inverse W = (H^H H)^-1 H^H of
-    the scaled H.  The returned function maps a right-hand side (..., M, n)
-    to the estimate, or to the refusal, that ``ls_estimate`` gives: one
-    batched GEMM W rhs, scaled back by 2^-e.
-
-    Given ``phase`` (..., M), it maps a real right-hand side x to the real
-    estimate Re(W diag(phase)) x instead, with the same scaling and
-    refusals; the real map costs K M products, against its GEMM's K M n.
+    Given ``phase`` (..., M), the real map Re(W diag(phase)) is formed here
+    too, and a real right-hand side x maps to the real estimate
+    Re(W diag(phase)) x, with the same scaling and refusals; a complex one
+    still reads W.  Without ``phase`` every right-hand side reads W.
     """
     h_eq = np.ascontiguousarray(h_eq, dtype=complex)
     if not np.isfinite(h_eq).all():
@@ -181,14 +173,16 @@ def _least_squares(h_eq: np.ndarray):
     solved = int(np.argmax(refused)) if refused.any() else trials
     pinv = np.linalg.solve(gram[:solved], h_adj[:solved])
     exp = exp[:solved]
+    real_map = None if phase is None else np.ascontiguousarray(
+        (pinv * np.reshape(phase, (trials, 1, m))[:solved]).real)
 
-    def solve(rhs: np.ndarray, phase: np.ndarray | None = None) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=complex if phase is None else float)
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        real = real_map is not None and not np.iscomplexobj(rhs)
+        rhs = np.asarray(rhs, dtype=float if real else complex)
         if rhs.shape[:-1] != (*lead, m):
             raise ValueError(f"rhs {rhs.shape} does not fit a {shape} channel")
         n = rhs.shape[-1]
-        w = pinv if phase is None else np.ascontiguousarray(
-            (pinv * np.reshape(phase, (trials, 1, m))[:solved]).real)
+        w = real_map if real else pinv
         # A huge rhs can take the estimate beyond the float range: refused next.
         with np.errstate(over="ignore", invalid="ignore"):
             s_hat = w @ rhs.reshape(trials, m, n)[:solved]
@@ -231,14 +225,14 @@ def _zero_forcing(h_eq: np.ndarray, b: np.ndarray, c: Constellation):
     y - b.  The genie reads it on a complex y, through W; the proposed
     detector on real magnitudes z, as if y were z e^{j angle(b)}:
     W (z e^{j angle(b)} - b) = W diag(e^{j angle(b)}) (z - |b|), read
-    through the real map Re(W diag(e^{j angle(b)}))."""
-    solve = _least_squares(h_eq)
-    phase, mag_b = np.exp(1j * np.angle(b)), np.abs(b)[..., None]
+    through the real map Re(W diag(e^{j angle(b)})), formed here once."""
+    solve = _least_squares(h_eq, np.exp(1j * np.angle(b)))
+    mag_b = np.abs(b)[..., None]
 
     def receive(obs: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(obs):
             return slice_to_indices(solve(obs - b[..., None]).real, c)
-        return slice_to_indices(solve(obs - mag_b, phase), c)
+        return slice_to_indices(solve(obs - mag_b), c)
 
     return receive
 

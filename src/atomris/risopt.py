@@ -211,8 +211,8 @@ def random_phases(num_elements: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def adam_optimize_batch(
-    theta0: np.ndarray, op: tuple, h_uv: np.ndarray, cfg: AdamConfig, *, _trace: bool = True
-) -> tuple[np.ndarray, ConvergenceTrace | None]:
+    theta0: np.ndarray, op: tuple, h_uv: np.ndarray, cfg: AdamConfig
+) -> tuple[np.ndarray, ConvergenceTrace]:
     """Momentum gradient descent with bias-corrected first/second moments,
     for all trials of the objective's arguments in one loop.
 
@@ -223,9 +223,8 @@ def adam_optimize_batch(
     bit-identical to running that trial alone.  Each evaluation after the
     first reads e^{j theta} as the previous one turned by the step (see
     the module docstring).  Returns the final phases (..., N) and one
-    trace recording J and ||grad||_2 at each evaluated point; with the
-    private ``_trace=False`` (a campaign reads only the phases) it records
-    nothing and returns None in place of the trace, with the same phases.
+    trace recording J and ||grad||_2 at each evaluated point (a campaign
+    reads only the phases).
     """
     theta0, op, q0, lead = _inputs(theta0, op, h_uv)
     evaluate, j_val, g = _evaluator(op, q0)
@@ -239,15 +238,13 @@ def adam_optimize_batch(
     v = np.zeros_like(theta)
     m_hat = np.empty_like(theta)
     tmp = np.empty_like(theta)
-    if _trace:
-        obj_hist = np.empty((cfg.max_iters, theta.shape[0]))
-        gsq_hist = np.empty_like(obj_hist)
-        gsq_rows = gsq_hist[:, :, None, None]
+    obj_hist = np.empty((cfg.max_iters, theta.shape[0]))
+    gsq_hist = np.empty_like(obj_hist)
+    gsq_rows = gsq_hist[:, :, None, None]
     for it in range(1, cfg.max_iters + 1):
         evaluate(phasor)
-        if _trace:
-            obj_hist[it - 1] = j_val
-            np.matmul(g_row, g_col, out=gsq_rows[it - 1])
+        obj_hist[it - 1] = j_val
+        np.matmul(g_row, g_col, out=gsq_rows[it - 1])
         # The arithmetic of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
         # theta -= step m_hat / (sqrt(v_hat) + eps), in place.
         m *= cfg.beta1
@@ -270,8 +267,5 @@ def adam_optimize_batch(
             np.sin(tmp, out=turn_im)
             np.multiply(phasor, turn, out=turned)  # not in place, as in _evaluator
             phasor, turned = turned, phasor
-    theta = theta.reshape(*lead, theta.shape[1])
-    if not _trace:
-        return theta, None
-    return theta, ConvergenceTrace(
+    return theta.reshape(*lead, theta.shape[1]), ConvergenceTrace(
         *(a.T.reshape(*lead, cfg.max_iters) for a in (obj_hist, np.sqrt(gsq_hist))))

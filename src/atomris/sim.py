@@ -29,15 +29,15 @@ with a leading trial axis, allocated once per batch (``_new_block``).
 Each drawing thread draws every trial through one scratch of (M, N, L)
 path terms.  No generator leaves it, and the batch's channels become one
 ``ChannelSet``, checked once.  Stage 2 aligns all of its trials in
-one batched optimizer loop, which records no trace, over the factored
-operand of the de-phased stack (h_rv as a real (B, M, 2N) array, and
-h_ur^T), and composes the aligned (B, M, K) channels in one
-``effective_channel`` call.  Stage 3 first does, once for the batch,
-the work that reads no noise: the front end's H s + b and each receiver
-a configured detector names (the ``detect`` kernels' channel halves:
-the least-squares Gram matrices,
-condition numbers and pseudo-inverses W, the full search's candidate
-tables, the pruned search's bounds and QRs).  ``proposed`` and
+one batched optimizer loop over the factored operand of the de-phased
+stack (h_rv as a real (B, M, 2N) array, and h_ur^T), the stack itself
+dropped before the loop, and composes the aligned (B, M, K) channels in
+one ``effective_channel`` call; the loop's trace is not read.  Stage 3
+first does, once for the batch, the work that reads no noise: the front
+end's H s + b and each receiver a configured detector names (the
+``detect`` kernels' channel halves: the least-squares Gram matrices,
+condition numbers, pseudo-inverses W and real maps, the full search's
+candidate tables, the pruned search's bounds and QRs).  ``proposed`` and
 ``zf_genie`` share one least-squares receiver, which the genie reads on
 y through W and ``proposed`` on the magnitudes z through the real map
 Re(W diag(e^{j angle(b)})).  Then, at each point that has not stopped, it
@@ -316,16 +316,17 @@ def _dephase(ch: ChannelSet, b: np.ndarray) -> ChannelSet:
     return ChannelSet(ch.h_ur, rot * ch.h_rv, rot * ch.h_uv)
 
 
-def _align(ch: ChannelSet, b: np.ndarray, theta0: np.ndarray, adam: AdamConfig,
-           trace: bool = True):
+def _align(ch: ChannelSet, b: np.ndarray, theta0: np.ndarray, adam: AdamConfig):
     """Align trials' channels and LO (..., M) from ``theta0`` (..., N) in
     one optimizer loop on their ``_dephase``d channels; returns
-    ``adam_optimize_batch``'s phases and trace (None without ``trace``:
-    the campaign reads only the phases).  The factored operand,
-    (..., M, 2N) and (..., K, N), lives only for the call."""
+    ``adam_optimize_batch``'s phases and trace.  The factored operand,
+    (..., M, 2N) and (..., K, N), lives only for the call, and the
+    de-phased (..., M, N) stack is dropped before the loop, which reads
+    only the operand and h_uv."""
     dephased = _dephase(ch, b)
-    return adam_optimize_batch(theta0, build_rank_one_cache(dephased), dephased.h_uv, adam,
-                               _trace=trace)
+    op, h_uv = build_rank_one_cache(dephased), dephased.h_uv
+    del dephased
+    return adam_optimize_batch(theta0, op, h_uv, adam)
 
 
 def optimize_aligned_phases(
@@ -404,7 +405,7 @@ def _draw_start(cfg: SimConfig, t: int, block: list, i: int, work: tuple) -> Non
 
 def _finish_batch(cfg: SimConfig, const, lut, batch: tuple, scales: list) -> list:
     """Stages 2 and 3 of a drawn batch: ``_align`` aligns all trials
-    in one batched Adam loop, recording no trace, and one
+    in one batched Adam loop, whose trace is not read, and one
     ``effective_channel`` call composes their channels.  The front end's
     H s + b and each receiver the configured detectors name (one
     ``_zero_forcing`` for ``proposed`` and ``zf_genie``) are then formed
@@ -415,7 +416,7 @@ def _finish_batch(cfg: SimConfig, const, lut, batch: tuple, scales: list) -> lis
     one batch record per scale: each trial's bit errors, an int array
     (trials, detectors) in ``cfg.detectors`` order."""
     ch, lo, theta0, sent, noise = batch
-    h_eq = effective_channel(ch, _align(ch, lo, theta0, cfg.adam, trace=False)[0])
+    h_eq = effective_channel(ch, _align(ch, lo, theta0, cfg.adam)[0])
     del batch, ch  # drop the stacked channels before the receivers' tables are built
     _require_finite(h_eq=h_eq, b=lo)
     observe = _front_end(h_eq, const.points[sent], lo)

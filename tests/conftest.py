@@ -1,8 +1,16 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
+
+import math
 
 import pytest
 
 from atomris import sim
+
+
+def standard_complex_normal(rng, shape):
+    """i.i.d. CN(0, 1) entries of ``shape``, (re + j im) / sqrt(2), the real
+    parts drawn first: bit for bit the user-to-RIS draw of that shape."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
 
 
 @pytest.fixture

@@ -27,8 +27,6 @@ from atomris.channel import (
     PhysicalPathParams,
     effective_channel,
     gen_lo_vector,
-    gen_physical_channel,
-    gen_user_ris_channel,
 )
 from atomris.detect import detect_proposed_batch, enumerate_symbol_vectors
 from atomris.modem import make_pam
@@ -42,11 +40,13 @@ from atomris.risopt import (
 )
 from atomris.sim import (
     SimConfig,
+    draw_channels,
     merge_records,
     optimize_aligned_phases,
     records_to_csv,
     run_ber,
 )
+from conftest import standard_complex_normal
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -55,9 +55,9 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 
 def random_channel_set(m, n, k, rng):
     return ChannelSet(
-        h_ur=gen_user_ris_channel(k, n, rng),
-        h_rv=gen_user_ris_channel(n, m, rng),
-        h_uv=gen_user_ris_channel(k, m, rng),
+        h_ur=standard_complex_normal(rng, (n, k)),
+        h_rv=standard_complex_normal(rng, (m, n)),
+        h_uv=standard_complex_normal(rng, (m, k)),
     )
 
 
@@ -160,11 +160,8 @@ def test_criterion_3_convergence_reproduction():
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        ch = ChannelSet(
-            gen_user_ris_channel(3, 150, rng),
-            gen_physical_channel(36, 150, params, rng),
-            gen_physical_channel(36, 3, params, rng),
-        )
+        ch = draw_channels(
+            SimConfig(num_cells=36, num_elements=150, num_users=3, channel=params), rng)
         _, trace = optimize_aligned_phases(ch, np.ones(36), AdamConfig(), rng)
         assert len(trace) == 100
         ratio = float(np.min(trace.objective) / trace.objective[0])
@@ -228,11 +225,7 @@ def test_criterion_5_noiseless_exactness():
     linearization |b + x| ~ |b| + Re(x e^{-j arg b}) fails."""
     rng = np.random.default_rng(505)
     params = PhysicalPathParams()
-    ch = ChannelSet(
-        gen_user_ris_channel(3, 150, rng),
-        gen_physical_channel(36, 150, params, rng),
-        gen_physical_channel(36, 3, params, rng),
-    )
+    ch = draw_channels(SimConfig(num_cells=36, num_elements=150, num_users=3, channel=params), rng)
     b = gen_lo_vector(36, LOParams(), rng)
     theta, _ = optimize_aligned_phases(ch, b, AdamConfig(), rng)
     h_eq = effective_channel(ch, theta)

@@ -15,13 +15,27 @@ from atomris.channel import (
     PhysicalPathParams,
     effective_channel,
     gen_lo_vector,
-    gen_physical_channel,
-    gen_user_ris_channel,
 )
+from atomris.sim import SimConfig, draw_channels, validate_config
+from conftest import standard_complex_normal
 
 
 def rng_for(seed):
     return np.random.default_rng(seed)
+
+
+def user_ris_draw(users, elements, rng):
+    """The N x K user-to-RIS draw: ``draw_channels``' h_ur, always its
+    first draw."""
+    cfg = SimConfig(num_cells=users, num_elements=elements, num_users=users)
+    return draw_channels(cfg, rng).h_ur
+
+
+def physical_draw(cells, cols, params, rng):
+    """An M x cols multipath draw: ``draw_channels``' h_uv, its first draw
+    when there is no RIS (N = 0)."""
+    cfg = SimConfig(num_cells=cells, num_elements=0, num_users=cols, channel=params)
+    return draw_channels(cfg, rng).h_uv
 
 
 def path_draws(shape, span, rng):
@@ -45,36 +59,37 @@ def closed_form_draw(m, cols, params, rng):
 class TestUserRisChannel:
     def test_reference_dimensions(self):
         """K=3 users through a 150-element surface gives a 150x3 matrix."""
-        h = gen_user_ris_channel(3, 150, rng_for(1))
+        h = user_ris_draw(3, 150, rng_for(1))
         assert h.shape == (150, 3)
         assert h.dtype == complex
 
     def test_deterministic_given_seed(self):
-        a = gen_user_ris_channel(1, 1, rng_for(7))
-        b = gen_user_ris_channel(1, 1, rng_for(7))
+        a = user_ris_draw(1, 1, rng_for(7))
+        b = user_ris_draw(1, 1, rng_for(7))
         assert a == b
 
     def test_unit_variance(self):
         """Mean |entry|^2 over 1e5 draws approaches 1 (Monte-Carlo oracle)."""
-        h = gen_user_ris_channel(10, 10_000, rng_for(3))
+        h = user_ris_draw(10, 10_000, rng_for(3))
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.02)
 
     def test_zero_mean(self):
-        h = gen_user_ris_channel(10, 10_000, rng_for(4))
+        h = user_ris_draw(10, 10_000, rng_for(4))
         assert abs(np.mean(h)) < 0.01
 
     @pytest.mark.parametrize("users,elements", [(0, 5), (0, 0), (5, -1)])
     def test_zero_dimensions_rejected(self, users, elements):
+        """A campaign refuses such dimensions before any draw."""
         with pytest.raises(ValueError):
-            gen_user_ris_channel(users, elements, rng_for(0))
+            validate_config(SimConfig(num_cells=5, num_elements=elements, num_users=users))
 
     def test_zero_elements_is_an_empty_draw(self):
-        """No RIS: an empty (0, K) matrix, and the generator is untouched."""
-        rng = rng_for(0)
-        state = rng.bit_generator.state
-        h = gen_user_ris_channel(5, 0, rng)
-        assert h.shape == (0, 5) and h.dtype == complex
-        assert rng.bit_generator.state == state
+        """No RIS: an empty (0, K) matrix, and the generator is untouched:
+        the direct channel drawn after it is the generator's first draw."""
+        params = PhysicalPathParams()
+        ch = draw_channels(SimConfig(num_cells=4, num_elements=0, num_users=5), rng_for(0))
+        assert ch.h_ur.shape == (0, 5) and ch.h_ur.dtype == complex
+        assert ch.h_uv.tobytes() == closed_form_draw(4, 5, params, rng_for(0)).tobytes()
 
 
 class TestPhysicalChannel:
@@ -86,7 +101,7 @@ class TestPhysicalChannel:
             num_paths=1, coupling_gain=1.5, path_loss_span=(1.0, 1.0), normalize=False,
         )
         rng, clone = rng_for(0), rng_for(0)
-        h = gen_physical_channel(4, 3, params, rng)
+        h = physical_draw(4, 3, params, rng)
         psi = clone.uniform(0.0, 2.0 * np.pi, (4, 3, 1))
         phi = clone.uniform(0.0, 2.0 * np.pi, (4, 3, 1))
         assert np.allclose(h, (1.5 * np.cos(psi) * np.exp(1j * phi))[..., 0], atol=1e-15)
@@ -101,7 +116,7 @@ class TestPhysicalChannel:
         params = PhysicalPathParams(
             num_paths=length, coupling_gain=gain, path_loss_span=(0.2, 2.0), normalize=False,
         )
-        h = gen_physical_channel(m, cols, params, rng_for(5))
+        h = physical_draw(m, cols, params, rng_for(5))
         psi, rho, phi = path_draws((m, cols, length), params.path_loss_span, rng_for(5))
         expected = np.zeros((m, cols), dtype=complex)
         for i in range(m):
@@ -118,7 +133,7 @@ class TestPhysicalChannel:
         draws' terms with the paths permuted gives the same matrix."""
         m, cols, length = 2, 3, 5
         params = PhysicalPathParams(num_paths=length, coupling_gain=0.8, normalize=False)
-        h = gen_physical_channel(m, cols, params, rng_for(6))
+        h = physical_draw(m, cols, params, rng_for(6))
         psi, rho, phi = path_draws((m, cols, length), params.path_loss_span, rng_for(6))
         terms = 0.8 * np.cos(psi) * rho * np.exp(1j * phi)
         perm = rng_for(7).permutation(length)
@@ -126,31 +141,32 @@ class TestPhysicalChannel:
 
     def test_normalized_unit_variance(self):
         """Default (normalized) draws have per-entry variance 1."""
-        h = gen_physical_channel(100, 400, PhysicalPathParams(), rng_for(8))
+        h = physical_draw(100, 400, PhysicalPathParams(), rng_for(8))
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.02)
 
     def test_zero_coupling_gain_draws_zero(self):
         """A dipole with no part perpendicular to the incidence axis has
         coupling_gain 0: every drawn entry is exactly 0."""
         params = PhysicalPathParams(coupling_gain=0.0, normalize=False)
-        h = gen_physical_channel(5, 5, params, rng_for(9))
+        h = physical_draw(5, 5, params, rng_for(9))
         assert np.all(h == 0.0)
 
     def test_zero_paths_rejected(self):
         with pytest.raises(ValueError):
-            gen_physical_channel(2, 2, PhysicalPathParams(num_paths=0), rng_for(0))
+            PhysicalPathParams(num_paths=0)
 
     @pytest.mark.parametrize("cells,cols", [(0, 3), (0, 0), (3, -1)])
     def test_bad_dimensions_rejected(self, cells, cols):
+        """A campaign refuses such an h_rv before any draw."""
         with pytest.raises(ValueError):
-            gen_physical_channel(cells, cols, PhysicalPathParams(), rng_for(0))
+            validate_config(SimConfig(num_cells=cells, num_elements=cols, num_users=1))
 
     @pytest.mark.parametrize("span", [(0.5, 1.0), (1.0, 1.0)])
     def test_zero_columns_is_an_empty_draw(self, span):
         """No RIS: an empty (M, 0) matrix, and the generator is untouched."""
         rng = rng_for(0)
         state = rng.bit_generator.state
-        h = gen_physical_channel(4, 0, PhysicalPathParams(path_loss_span=span), rng)
+        h = physical_draw(4, 0, PhysicalPathParams(path_loss_span=span), rng)
         assert h.shape == (4, 0) and h.dtype == complex
         assert rng.bit_generator.state == state
 
@@ -167,7 +183,7 @@ class TestFoldedCouplingDraw:
         for num_paths in (*range(1, 9), 64, 65, 130):
             params = PhysicalPathParams(num_paths=num_paths)
             rng_a, rng_b = rng_for(5), rng_for(5)
-            folded = gen_physical_channel(36, 150, params, rng_a)
+            folded = physical_draw(36, 150, params, rng_a)
             expected = closed_form_draw(36, 150, params, rng_b)
             assert folded.tobytes() == expected.tobytes(), num_paths
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -178,7 +194,7 @@ class TestFoldedCouplingDraw:
         sum returns +0.0 in every entry."""
         params = PhysicalPathParams(num_paths=num_paths, coupling_gain=0.0, normalize=False)
         rng_a, rng_b = rng_for(6), rng_for(6)
-        folded = gen_physical_channel(5, 7, params, rng_a)
+        folded = physical_draw(5, 7, params, rng_a)
         assert folded.tobytes() == closed_form_draw(5, 7, params, rng_b).tobytes()
         assert not np.signbit(folded.view(float)).any()
 
@@ -210,7 +226,7 @@ class TestFoldedCouplingDraw:
         params = PhysicalPathParams(coupling_gain=3.0)
         rng = rng_for(8)
         for _ in range(3):
-            gen_physical_channel(4, 5, params, rng)
+            physical_draw(4, 5, params, rng)
             gen_lo_vector(4, LOParams(), rng)
         assert calls == [params]
 
@@ -249,7 +265,7 @@ class TestPathLossDraw:
         span = (17.0, 17.000000000000004)
         assert math.log(span[0]) == math.log(span[1])
         assert channel._log_uniform_second_moment(span) == 17.0 * 17.000000000000004
-        h = gen_physical_channel(30, 40, PhysicalPathParams(path_loss_span=span), rng_for(2))
+        h = physical_draw(30, 40, PhysicalPathParams(path_loss_span=span), rng_for(2))
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.1)
 
     @pytest.mark.parametrize("lo", [1e-6, 0.1, 17.0, 1e6])
@@ -339,9 +355,9 @@ class TestEffectiveChannel:
     def make_set(self, m, n, k, seed):
         rng = rng_for(seed)
         return ChannelSet(
-            h_ur=gen_user_ris_channel(k, n, rng),
-            h_rv=gen_user_ris_channel(n, m, rng),
-            h_uv=gen_user_ris_channel(k, m, rng),
+            h_ur=standard_complex_normal(rng, (n, k)),
+            h_rv=standard_complex_normal(rng, (m, n)),
+            h_uv=standard_complex_normal(rng, (m, k)),
         )
 
     def test_zero_ris_path(self):

@@ -20,7 +20,6 @@ from atomris.channel import ChannelSet, LOParams, PhysicalPathParams, gen_lo_vec
 from atomris import cli, detect, sim
 from atomris.cli import main, save_phase_solution
 from atomris.config import (
-    default_config_text,
     dump_config,
     load_config,
     load_manifest,
@@ -209,7 +208,7 @@ class TestConfigParsing:
         assert parse_config_text(dump_config(cfg)) == cfg
 
     def test_dump_defaults_parses(self):
-        cfg = parse_config_text(default_config_text())
+        cfg = parse_config_text(dump_config(SimConfig()))
         assert cfg == SimConfig()
 
     def test_missing_required_field_named(self):
@@ -227,7 +226,7 @@ class TestConfigParsing:
             parse_config_text("cells = 8\n")  # option before any section header
 
     def test_default_text_is_pinned(self, capsys):
-        assert default_config_text() == DEFAULT_CONFIG_TEXT
+        assert dump_config(SimConfig()) == DEFAULT_CONFIG_TEXT
         assert main(["ber", "--dump-defaults"]) == 0
         assert capsys.readouterr().out == DEFAULT_CONFIG_TEXT
 
@@ -505,7 +504,7 @@ trials_per_point = 2
         out = tmp_path / "x.csv"
         assert main(["ber", "--config", write_config(tmp_path), "--out", str(out)]) == 2
         with pytest.raises(SingularMatrixError) as alone:
-            detect.ls_estimate(composed[3], np.ones((8, 1)))
+            detect._least_squares(composed[3])(np.ones((8, 1)))
         assert capsys.readouterr().err == f"error: {alone.value}\n"
         assert not out.exists()
 
@@ -840,26 +839,28 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("offset", [0, 5])
     def test_first_campaign_trial(self, tmp_path, monkeypatch, offset):
         """``optimize``'s phases are row 0 of the phases of the first batch
-        of 8 trials ``run_ber`` aligns (trial ``trial_offset``), which the
-        campaign's loop finds without a trace, and ``convergence``'s trace
-        is row 0 of that batch's traced loop."""
+        of 8 trials ``run_ber`` aligns (trial ``trial_offset``), and
+        ``convergence``'s trace is row 0 of that batch's trace; aligning
+        the batch again finds both bit for bit."""
         text = BASE_CONFIG.replace("trials_per_point = 6",
                                    f"trials_per_point = 8\ntrial_offset = {offset}")
         path = write_config(tmp_path, text)
         aligned = []
         align = sim._align
 
-        def recording_align(*args, **kwargs):
-            aligned.append((args, align(*args, **kwargs)))
+        def recording_align(*args):
+            aligned.append((args, align(*args)))
             return aligned[-1][1]
 
         with monkeypatch.context() as patch:
             patch.setattr(sim, "_align", recording_align)
             sim.run_ber(load_config(path))
-        args, (thetas, untraced) = aligned[0]
-        assert thetas.shape == (8, 16) and untraced is None
-        traced, trace = align(*args)
-        assert traced.tobytes() == thetas.tobytes()
+        args, (thetas, trace) = aligned[0]
+        assert thetas.shape == (8, 16) and trace.objective.shape == (8, 40)
+        again, again_trace = align(*args)
+        assert again.tobytes() == thetas.tobytes()
+        assert again_trace.objective.tobytes() == trace.objective.tobytes()
+        assert again_trace.grad_norm.tobytes() == trace.grad_norm.tobytes()
 
         phases, trace_csv = tmp_path / "phases.txt", tmp_path / "trace.csv"
         assert main(["optimize", "--config", path, "--out", str(phases)]) == 0

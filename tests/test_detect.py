@@ -11,19 +11,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from atomris import detect
-from atomris.channel import ChannelSet, effective_channel, gen_user_ris_channel
+from atomris.channel import effective_channel
 from atomris.detect import (
     detect_exhaustive_batch,
     detect_proposed_batch,
     detect_zf_batch,
     enumerate_symbol_vectors,
     front_end,
-    ls_estimate,
 )
 from atomris.errors import BudgetExceededError, SingularMatrixError
 from atomris.modem import make_pam, noise_sigma
 from atomris.risopt import AdamConfig
-from atomris.sim import SimConfig, _align, _draw_block, _seal, optimize_aligned_phases
+from atomris.sim import (SimConfig, _align, _draw_block, _seal, draw_channels,
+                         optimize_aligned_phases)
 
 
 def aligned_system(m, k, seed, lo_mag=500.0):
@@ -38,6 +38,12 @@ def aligned_system(m, k, seed, lo_mag=500.0):
 
 def complex_normal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def least_squares(h_eq, rhs):
+    """The least-squares estimate of ``rhs``: ``_least_squares`` built on
+    ``h_eq`` and read once."""
+    return detect._least_squares(h_eq)(rhs)
 
 
 def column(x):
@@ -173,7 +179,7 @@ class TestProposedDetector:
         rng = np.random.default_rng(11)
         h_eq = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
         rhs = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-        ours = ls_estimate(h_eq, rhs)
+        ours = least_squares(h_eq, rhs)
         oracle = np.linalg.lstsq(h_eq, rhs, rcond=None)[0]
         assert np.allclose(ours, oracle, atol=1e-10)
 
@@ -190,7 +196,7 @@ class TestProposedDetector:
         v = np.linalg.qr(complex_normal(rng, (k, k)))[0]
         h = (u * sv) @ v.conj().T
         s = complex_normal(rng, (k, 4))
-        got = ls_estimate(h, h @ s)
+        got = least_squares(h, h @ s)
         cond = (sv.max() / sv.min()) ** 2
         assert np.linalg.norm(got - s) <= 10 * k * np.finfo(float).eps * cond * np.linalg.norm(s)
 
@@ -212,7 +218,7 @@ class TestProposedDetector:
         oracle = np.linalg.lstsq(h, rhs, rcond=None)[0]
         cond = (sv.max() / sv.min()) ** 2
         scale = np.linalg.norm(oracle) + np.linalg.norm(rhs) / sv.min()
-        assert (np.linalg.norm(ls_estimate(h, rhs) - oracle)
+        assert (np.linalg.norm(least_squares(h, rhs) - oracle)
                 <= 10 * m * np.finfo(float).eps * cond * scale)
 
     @settings(deadline=None)
@@ -228,10 +234,10 @@ class TestProposedDetector:
         h = complex_normal(rng, (m, k)) * 10.0 ** rng.uniform(-3, 3, (m, k))
         rhs = complex_normal(rng, (m, 3)) * 10.0 ** rng.uniform(-3, 3, (m, 3))
         try:
-            s_hat = ls_estimate(h, rhs)
+            s_hat = least_squares(h, rhs)
         except SingularMatrixError:
             assume(False)
-        scaled = ls_estimate(np.ldexp(1.0, shift) * h, np.ldexp(1.0, shift) * rhs)
+        scaled = least_squares(np.ldexp(1.0, shift) * h, np.ldexp(1.0, shift) * rhs)
         assert scaled.tobytes() == s_hat.tobytes()
 
     @settings(deadline=None)
@@ -243,7 +249,7 @@ class TestProposedDetector:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
         h = complex_normal(rng, (m, r)) @ complex_normal(rng, (r, k))
         with pytest.raises(SingularMatrixError):
-            ls_estimate(h, complex_normal(rng, (m, 1)))
+            least_squares(h, complex_normal(rng, (m, 1)))
 
     def test_underflowing_gram_raises(self):
         """A well-conditioned H so small that its H^H H would underflow
@@ -251,7 +257,7 @@ class TestProposedDetector:
         the float range: refused."""
         h = complex_normal(np.random.default_rng(5), (4, 2)) * 1e-300
         with pytest.raises(SingularMatrixError, match="non-finite"):
-            ls_estimate(h, np.full((4, 1), 1e10, dtype=complex))
+            least_squares(h, np.full((4, 1), 1e10, dtype=complex))
 
     @settings(deadline=None)
     @given(m=st.integers(1, 8), shift=st.integers(-1000, 1000), data=st.data())
@@ -265,10 +271,10 @@ class TestProposedDetector:
         h = complex_normal(rng, (m, k)) * 10.0 ** rng.uniform(-3, 3, (m, k))
         rhs = complex_normal(rng, (m, 3))
         try:
-            s_hat = ls_estimate(h, rhs)
+            s_hat = least_squares(h, rhs)
         except SingularMatrixError:
             assume(False)
-        assert np.array_equal(ls_estimate(np.ldexp(1.0, shift) * h, rhs),
+        assert np.array_equal(least_squares(np.ldexp(1.0, shift) * h, rhs),
                               np.ldexp(1.0, -shift) * s_hat)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -278,7 +284,7 @@ class TestProposedDetector:
         h = np.ones((8, 2), dtype=complex)
         h[:, 1] = np.arange(8)
         with pytest.raises(SingularMatrixError, match="non-finite"):
-            ls_estimate(h, np.full((8, 1), 1e308, dtype=complex))
+            least_squares(h, np.full((8, 1), 1e308, dtype=complex))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(deadline=None)
@@ -292,17 +298,17 @@ class TestProposedDetector:
         h = data.draw(arrays(float, (m, 2 * k), elements=finite)).view(complex)
         rhs = data.draw(arrays(float, (m, 2), elements=finite)).view(complex)
         try:
-            assert np.isfinite(ls_estimate(h, rhs)).all()
+            assert np.isfinite(least_squares(h, rhs)).all()
         except SingularMatrixError:
             pass
 
     @settings(deadline=None, max_examples=60)
     @given(m=st.integers(1, 8), n_trials=st.sampled_from([None, 1, 3]),
            shift=st.sampled_from([-300, 300]), data=st.data())
-    def test_split_least_squares_is_ls_estimate(self, m, n_trials, shift, data):
+    def test_least_squares_built_once_is_built_per_call(self, m, n_trials, shift, data):
         """``_least_squares`` built once on channels scaled by 2^+-300 and
-        called on three right-hand sides gives, byte for byte, what
-        ``ls_estimate`` gives on each: the estimate, or the same refusal.
+        called on three right-hand sides gives, byte for byte, what one
+        built for each call gives: the estimate, or the same refusal.
         Entries of H lie between 1e-3 and 1e3 in magnitude before scaling."""
         k = data.draw(st.integers(1, m))
         lead = () if n_trials is None else (n_trials,)
@@ -313,7 +319,7 @@ class TestProposedDetector:
         for _ in range(3):
             rhs = complex_normal(rng, (*lead, m, 2)) * 10.0 ** rng.uniform(-3, 3)
             try:
-                want = ls_estimate(h, rhs)
+                want = least_squares(h, rhs)
             except SingularMatrixError as exc:
                 with pytest.raises(SingularMatrixError) as info:
                     solve(rhs)
@@ -332,7 +338,7 @@ class TestProposedDetector:
         h[:, 1] = np.arange(4)
         h[2, 0] = value
         with pytest.raises(ValueError, match="h_eq must be finite"):
-            ls_estimate(h, np.ones((4, 1)))
+            least_squares(h, np.ones((4, 1)))
 
     @pytest.mark.parametrize("entry", [0.0, 5e-324])
     def test_zero_or_subnormal_channel_refused(self, entry):
@@ -340,7 +346,7 @@ class TestProposedDetector:
         with an OverflowError from its scale (2^1074 for the smallest
         subnormal, which is not a float)."""
         with pytest.raises(SingularMatrixError, match="singular"):
-            ls_estimate(np.full((3, 2), entry, dtype=complex), np.ones((3, 1)))
+            least_squares(np.full((3, 2), entry, dtype=complex), np.ones((3, 1)))
 
     def test_rank_deficient_rejected(self):
         h_eq = np.ones((4, 2), dtype=complex)
@@ -707,7 +713,7 @@ class TestStackedTrials:
         rng = np.random.default_rng(k)
         s = c.points[rng.integers(0, c.order, (n_trials, k, z.shape[-1]))]
         assert_rows_are_single_trial_calls(front_end, (h, s, b, complex_normal(rng, y.shape)))
-        assert_rows_are_single_trial_calls(ls_estimate, (h, y - b[..., None]))
+        assert_rows_are_single_trial_calls(least_squares, (h, y - b[..., None]))
         assert_rows_are_single_trial_calls(detect_proposed_batch, (z, h, b), c)
         assert_rows_are_single_trial_calls(detect_zf_batch, (y, h, b), c)
         if k == 3:
@@ -734,10 +740,10 @@ class TestStackedTrials:
         b = complex_normal(rng, (n_trials, m))
         y = complex_normal(rng, (n_trials, m, n_obs))
         try:
-            ls_estimate(h, y)
+            least_squares(h, y)
         except SingularMatrixError:
             assume(False)
-        assert_rows_are_single_trial_calls(ls_estimate, (h, y))
+        assert_rows_are_single_trial_calls(least_squares, (h, y))
         assert_rows_are_single_trial_calls(detect_zf_batch, (y, h, b), c)
         assert_rows_are_single_trial_calls(detect_proposed_batch, (np.abs(y), h, b), c)
 
@@ -808,7 +814,7 @@ class TestStackedTrials:
             with pytest.raises(ValueError, match="do not fit"):
                 front_end(*args)
         with pytest.raises(ValueError, match="rhs"):
-            ls_estimate(h, y[:2] - b[:2, :, None])
+            least_squares(h, y[:2] - b[:2, :, None])
         with pytest.raises(ValueError, match="shape mismatch"):
             detect_exhaustive_batch(z[:2], h, b, c)
 
@@ -899,16 +905,36 @@ class TestZeroForcing:
         c = make_pam(4)
         h, b, sent, noise = campaign_batch(m, n, k, 8, n_obs=100, seed=11)
         phase = np.exp(1j * np.angle(b))
-        receive, solve = detect._zero_forcing(h, b, c), detect._least_squares(h)
+        receive, solve = detect._zero_forcing(h, b, c), detect._least_squares(h, phase)
         observe = detect._front_end(h, c.points[sent], b)
         for scale in TestReceiversBuiltOnce.SCALES:
             z = np.abs(observe(noise * scale))
             rephased = z * phase[..., None]
             assert np.array_equal(receive(z), receive(rephased))
-            got = solve(z - np.abs(b)[..., None], phase)
+            got = solve(z - np.abs(b)[..., None])
             want = solve(rephased - b[..., None]).real
             largest = np.abs(want).max(axis=(1, 2), keepdims=True)
             assert (np.abs(got - want) <= 1e-12 * largest).all()
+
+    def test_real_map_is_formed_when_built(self):
+        """Given a phase, ``_least_squares`` reads a complex right-hand side
+        through W, byte for byte as it does without one, and a real x
+        through the real map Re(W diag(phase)), which agrees with
+        Re(W (phase x)) to 1e-12 of the largest estimate.  The map is
+        formed when the receiver is built: changing the phase afterwards
+        changes no estimate."""
+        rng = np.random.default_rng(12)
+        h = complex_normal(rng, (3, 8, 2))
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (3, 8)))
+        y, x = complex_normal(rng, (3, 8, 5)), rng.standard_normal((3, 8, 5))
+        solve, plain = detect._least_squares(h, phase), detect._least_squares(h)
+        assert solve(y).tobytes() == plain(y).tobytes()
+        got = solve(x)
+        want = plain(x * phase[..., None]).real
+        assert got.dtype == float and got.shape == (3, 2, 5)
+        assert (np.abs(got - want) <= 1e-12 * np.abs(want).max()).all()
+        phase[...] = 1.0
+        assert solve(x).tobytes() == got.tobytes()
 
 
 class TestDetectorContract:
@@ -981,15 +1007,11 @@ class TestDetectorOrdering:
     def make_observations(self, sigma2, n_sym, seed):
         """One optimized channel realization and a batch of noisy
         observations (paired across detectors)."""
-        from atomris.channel import PhysicalPathParams, LOParams, gen_physical_channel, gen_lo_vector
+        from atomris.channel import LOParams, gen_lo_vector
 
         rng = np.random.default_rng(seed)
         m, n, k = 24, 64, 3
-        ch = ChannelSet(
-            gen_user_ris_channel(k, n, rng),
-            gen_physical_channel(m, n, PhysicalPathParams(), rng),
-            gen_physical_channel(m, k, PhysicalPathParams(), rng),
-        )
+        ch = draw_channels(SimConfig(num_cells=m, num_elements=n, num_users=k), rng)
         b = gen_lo_vector(m, LOParams(), rng)
         theta, _ = optimize_aligned_phases(ch, b, AdamConfig(), rng)
         h_eq = effective_channel(ch, theta)

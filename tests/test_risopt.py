@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomris.channel import ChannelSet, effective_channel, gen_lo_vector, gen_user_ris_channel
+from atomris.channel import ChannelSet, effective_channel, gen_lo_vector
 from atomris.risopt import (
     AdamConfig,
     adam_optimize_batch,
@@ -17,14 +17,15 @@ from atomris.risopt import (
     random_phases,
 )
 from atomris.sim import SimConfig, draw_channels, optimize_aligned_phases, trial_seed
+from conftest import standard_complex_normal
 
 
 def random_set(m, n, k, seed):
     rng = np.random.default_rng(seed)
     return ChannelSet(
-        h_ur=gen_user_ris_channel(k, n, rng),
-        h_rv=gen_user_ris_channel(n, m, rng),
-        h_uv=gen_user_ris_channel(k, m, rng),
+        h_ur=standard_complex_normal(rng, (n, k)),
+        h_rv=standard_complex_normal(rng, (m, n)),
+        h_uv=standard_complex_normal(rng, (m, k)),
     )
 
 

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -292,12 +293,13 @@ def _exact_bytes(arrays):
     return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
-class TestUntracedLoop:
-    """A campaign's Adam loop records no trace and finds the phases the
-    traced loop finds, bit for bit."""
+class TestAlign:
+    """``_align`` runs one Adam loop on a batch's de-phased operand: its
+    phases and trace are that loop's, bit for bit, and the de-phased
+    stack is gone before the loop starts."""
 
     @pytest.mark.parametrize("m, n, k", [(36, 150, 3), (16, 150, 8)], ids=["reference", "K8"])
-    def test_phases_equal_the_traced_loop(self, m, n, k):
+    def test_phases_and_trace_are_the_loops(self, m, n, k):
         from atomris.risopt import adam_optimize_batch, build_rank_one_cache
 
         cfg = SimConfig(num_cells=m, num_elements=n, num_users=k, trials_per_point=8,
@@ -305,13 +307,34 @@ class TestUntracedLoop:
         ch, b, theta0, *_ = sim._seal(sim._draw_block(cfg, range(8)))
         dephased = sim._dephase(ch, b)
         args = (theta0, build_rank_one_cache(dephased), dephased.h_uv, cfg.adam)
-        traced, trace = adam_optimize_batch(*args)
-        untraced, none = adam_optimize_batch(*args, _trace=False)
-        assert none is None and trace.objective.shape == (8, cfg.adam.max_iters)
-        assert untraced.shape == traced.shape == (8, n)
-        assert untraced.tobytes() == traced.tobytes()
-        thetas, none = sim._align(ch, b, theta0, cfg.adam, trace=False)
-        assert none is None and thetas.tobytes() == traced.tobytes()
+        looped, trace = adam_optimize_batch(*args)
+        assert trace.objective.shape == (8, cfg.adam.max_iters)
+        thetas, aligned_trace = sim._align(ch, b, theta0, cfg.adam)
+        assert thetas.shape == looped.shape == (8, n)
+        assert thetas.tobytes() == looped.tobytes()
+        assert aligned_trace.objective.tobytes() == trace.objective.tobytes()
+        assert aligned_trace.grad_norm.tobytes() == trace.grad_norm.tobytes()
+
+    def test_dephased_stack_dropped_before_the_loop(self, monkeypatch):
+        """A reference batch's de-phased (8, M, N) h_rv (691 KB) is freed
+        once its operand is built: no reference to it is left when the
+        Adam loop is entered."""
+        dephase, optimize = sim._dephase, sim.adam_optimize_batch
+        stacks, alive = [], []
+
+        def recording_dephase(ch, b):
+            dephased = dephase(ch, b)
+            stacks.append(weakref.ref(dephased.h_rv))
+            return dephased
+
+        def checking_optimize(*args):
+            alive.append(stacks[-1]() is not None)
+            return optimize(*args)
+
+        monkeypatch.setattr(sim, "_dephase", recording_dephase)
+        monkeypatch.setattr(sim, "adam_optimize_batch", checking_optimize)
+        run_ber(replace(_REFERENCE, eb_n0_grid_db=(-24.0,)))
+        assert alive == [False]
 
 
 class TestStackedChannels:
@@ -549,7 +572,6 @@ class TestRunBer:
         the campaign stops with trial 3's SingularMatrixError, its own
         condition number in the message, as a call on that trial alone
         stops."""
-        from atomris.detect import ls_estimate
         from atomris.errors import SingularMatrixError
 
         composed = rank_deficient(3, 6)
@@ -558,7 +580,7 @@ class TestRunBer:
         alone = []
         for t in (3, 6):
             with pytest.raises(SingularMatrixError) as info:
-                ls_estimate(composed[t], np.ones((SMALL.num_cells, 1)))
+                detect._least_squares(composed[t])(np.ones((SMALL.num_cells, 1)))
             alone.append(str(info.value))
         assert str(batch.value) == alone[0] != alone[1]
 
@@ -603,9 +625,9 @@ class TestRunBer:
         least_squares = detect._least_squares
         built = []
 
-        def counting_least_squares(h_eq):
+        def counting_least_squares(h_eq, *args):
             built.append(h_eq.shape)
-            return least_squares(h_eq)
+            return least_squares(h_eq, *args)
 
         monkeypatch.setattr(detect, "_least_squares", counting_least_squares)
         cfg = replace(_STOPS, error_target=None, trials_per_point=8)
@@ -710,23 +732,24 @@ class TestRunBer:
         currents = [current for current, _ in marks[:-1]]
         assert all(b - a < tolerance for a, b in zip(currents, currents[1:])), currents
 
-    def test_campaign_loop_records_no_trace_and_finds_the_traced_phases(self, monkeypatch):
-        """The campaign aligns each batch without a trace; its phases are
-        those ``run_convergence`` gives its first trial, bit for bit."""
+    def test_campaign_loop_finds_the_convergence_phases_and_trace(self, monkeypatch):
+        """Row 0 of the campaign's first batch, trial ``trial_offset``, has
+        the phases and trace ``run_convergence`` gives, bit for bit."""
         align, aligned = sim._align, []
 
-        def recording_align(*args, **kwargs):
-            aligned.append((kwargs, align(*args, **kwargs)))
-            return aligned[-1][1]
+        def recording_align(*args):
+            aligned.append(align(*args))
+            return aligned[-1]
 
         cfg = replace(_REFERENCE, trial_offset=3, eb_n0_grid_db=(-24.0,))
         monkeypatch.setattr(sim, "_align", recording_align)
         run_ber(cfg)
         monkeypatch.setattr(sim, "_align", align)
-        [(kwargs, (thetas, trace))] = aligned
-        assert kwargs == {"trace": False} and trace is None
-        _, theta, _ = run_convergence(cfg)
+        [(thetas, trace)] = aligned
+        _, theta, convergence = run_convergence(cfg)
         assert theta.tobytes() == thetas[0].tobytes()
+        assert convergence.objective.tobytes() == trace.objective[0].tobytes()
+        assert convergence.grad_norm.tobytes() == trace.grad_norm[0].tobytes()
 
     def test_early_abort_records_reason(self):
         cfg = replace(SMALL, eb_n0_grid_db=(-40.0,), error_target=5,
