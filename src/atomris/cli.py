@@ -54,13 +54,14 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="print the default configuration and exit")
         if name == "ber":
             cmd.add_argument("--threads", type=int, default=1,
-                             help="N >= 2, or 0 on a machine with two or more CPUs, starts one "
-                                  "worker that draws the next batch's trials while the calling "
-                                  "thread aligns and detects; the CSV does not depend on it.  It "
-                                  "gains 1.3-1.4x at M = 36, K = 3 over many batches, and nothing "
-                                  "on a call of one batch (8 trials) or at K = 8 (README, the "
-                                  "table under 'CLI').  For more cores, see README, 'Spreading a "
-                                  "campaign over processes'")
+                             help="N >= 2, or 0 when this process may use two or more CPUs, "
+                                  "starts one worker that drains each batch's row queue from the "
+                                  "front as the calling thread drains it from the back, then draws "
+                                  "the next batch while the calling thread aligns and detects; the "
+                                  "CSV does not depend on it.  It gains 1.4-1.5x at M = 36, K = 3 "
+                                  "over many batches, and nothing on a call of one batch "
+                                  "(8 trials) or at K = 8 (README, the table under 'CLI').  For "
+                                  "more cores, see README, 'Spreading a campaign over processes'")
     return parser
 
 

@@ -114,12 +114,13 @@ def _evaluator(op: tuple, q0: np.ndarray):
 
     ``op`` is the batch's (R, G), (B, M, 2N) and (B, K, N); ``q0`` is each
     trial's Im(h_uv), (B, M, K).  Returns a function of the phasors
-    e^{j theta} (B, 1, N), and the arrays J (B,) and gradient (B, N) that
-    each of its calls overwrites; every view it reads is taken here,
-    once.  Every product runs per trial (numpy's matmul loops GEMM over
-    the batch axis), and no complex product is written over one of its
-    operands (numpy computes a lone in-place element without FMA), so row
-    b is bit-identical to evaluating trial b alone.
+    e^{j theta} (B, 1, N) and of an array (B, 1, 1) it writes J into, and
+    the gradient (B, N) that each of its calls overwrites; every view it
+    reads is taken here, once.  Every product runs per trial (numpy's
+    matmul loops GEMM over the batch axis), and no complex product is
+    written over one of its operands (numpy computes a lone in-place
+    element without FMA), so row b is bit-identical to evaluating trial b
+    alone.
     """
     r, g = op
     b, k, n = g.shape
@@ -133,10 +134,9 @@ def _evaluator(op: tuple, q0: np.ndarray):
     terms_imag = terms.imag
     q = np.empty_like(q0t)
     q_row, q_col = q.reshape(b, 1, -1), q.reshape(b, -1, 1)
-    j_val = np.empty((b, 1, 1))
     grad = np.empty((b, n))
 
-    def evaluate(phasor: np.ndarray) -> None:
+    def evaluate(phasor: np.ndarray, j_val: np.ndarray) -> None:
         np.multiply(phasor, g, out=x)  # X^T
         np.matmul(x_real, r_t, out=q)
         np.add(q, q0t, out=q)  # Q^T = Im(H_eq)^T
@@ -147,7 +147,7 @@ def _evaluator(op: tuple, q0: np.ndarray):
         np.multiply(grad, 2.0, out=grad)
         np.matmul(q_row, q_col, out=j_val)
 
-    return evaluate, j_val[:, 0, 0], grad
+    return evaluate, grad
 
 
 def _phasor(theta: np.ndarray) -> np.ndarray:
@@ -186,8 +186,9 @@ def objective(theta: np.ndarray, op: tuple, h_uv: np.ndarray):
 def objective_and_gradient(theta: np.ndarray, op: tuple, h_uv: np.ndarray) -> tuple:
     """J (...) and its gradient (..., N) in one gradient evaluation."""
     theta, op, q0, lead = _inputs(theta, op, h_uv)
-    evaluate, j_val, grad = _evaluator(op, q0)
-    evaluate(_phasor(theta))
+    evaluate, grad = _evaluator(op, q0)
+    j_val = np.empty((theta.shape[0], 1, 1))
+    evaluate(_phasor(theta), j_val)
     return j_val.reshape(lead)[()], grad.reshape(*lead, theta.shape[1])
 
 
@@ -227,7 +228,7 @@ def adam_optimize_batch(
     reads only the phases).
     """
     theta0, op, q0, lead = _inputs(theta0, op, h_uv)
-    evaluate, j_val, g = _evaluator(op, q0)
+    evaluate, g = _evaluator(op, q0)
     g_row, g_col = g[:, None, :], g[:, :, None]
     theta = theta0.copy()
     phasor = _phasor(theta)
@@ -240,10 +241,9 @@ def adam_optimize_batch(
     tmp = np.empty_like(theta)
     obj_hist = np.empty((cfg.max_iters, theta.shape[0]))
     gsq_hist = np.empty_like(obj_hist)
-    gsq_rows = gsq_hist[:, :, None, None]
+    obj_rows, gsq_rows = obj_hist[:, :, None, None], gsq_hist[:, :, None, None]
     for it in range(1, cfg.max_iters + 1):
-        evaluate(phasor)
-        obj_hist[it - 1] = j_val
+        evaluate(phasor, obj_rows[it - 1])  # J straight into its trace row
         np.matmul(g_row, g_col, out=gsq_rows[it - 1])
         # The arithmetic of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
         # theta -= step m_hat / (sqrt(v_hat) + eps), in place.

@@ -52,15 +52,21 @@ change any output.
 The campaign's batches are numbered once: batch j (``_batch``) holds
 trials ``trial_offset + 8j`` on.  They run in turn until the last one,
 or until every point has stopped, so a campaign draws and aligns the
-trials of its longest-running point, once each.  With one
-thread a campaign holds one batch at a time.  With ``run_ber``'s
-``threads`` > 1, only the first stage runs on a worker thread, one batch
-ahead: once the calling thread takes batch j, the worker draws batch
-j + 1, trial by trial, while the calling thread aligns batch j and
-detects it at every point, so a campaign holds at most two batches.  The
+trials of its longest-running point, once each.  Stage 1 is one
+routine, ``_draw_rows``: it draws the rows a batch's row queue (a
+``deque`` of row numbers) hands out until the queue is empty.  With one
+thread the calling thread drains each queue from the front, in trial
+order, and a campaign holds one batch at a time.  With ``run_ber``'s
+``threads`` > 1, only the first stage runs on a worker thread as well,
+one pool task per batch that drains the queue from the front while the
+calling thread drains it from the back, so the two meet in the middle.
+Once batch j is drawn, its task is done and batch j + 1's is queued, so
+the worker draws ahead while the calling thread aligns batch j and
+detects it at every point, and a campaign holds at most two batches.  The
 draw is a few large ufuncs over (M, N, L) arrays, which release the GIL,
-and it touches no BLAS; each trial's generator is used by one thread in
-its usual order, so the outputs do not depend on the thread count.
+and it touches no BLAS; each row is taken by one thread, and each
+trial's generator is used by that thread in its usual order, so the
+outputs do not depend on the thread count.
 Stages 2 and 3 stay on the calling thread: the Adam loop and the
 detectors are many small numpy calls that hold the GIL, and threading
 them measured slower than one thread.  So did a second drawing worker:
@@ -76,6 +82,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -351,7 +358,8 @@ def run_convergence(cfg: SimConfig) -> tuple[ChannelSet, np.ndarray, Convergence
     aligned as ``run_ber`` does it.  Returns its de-phased channels, the
     final phases and the optimizer trace."""
     validate_config(cfg)
-    ch, b, theta0, *_ = _seal([a[0] for a in _draw_block(cfg, [cfg.trial_offset])])
+    h_ur, h_rv, h_uv, b, theta0, *_ = (a[0] for a in _draw_block(cfg, [cfg.trial_offset]))
+    ch = ChannelSet(h_ur, h_rv, h_uv)
     return _dephase(ch, b), *_align(ch, b, theta0, cfg.adam)
 
 
@@ -374,17 +382,24 @@ def _trial_workspace(cfg: SimConfig) -> tuple:
                       m * cfg.symbols_per_trial)
 
 
-def _seal(block: list) -> tuple:
-    """A drawn block as stage 2 reads it: one ``ChannelSet``, built and
-    checked once, and the other arrays."""
-    return ChannelSet(*block[:3]), *block[3:]
+def _draw_rows(cfg: SimConfig, trials, block: list, take, work: tuple) -> None:
+    """Stage 1 of the rows ``take`` hands out: draw row ``i = take()``,
+    trial ``trials[i]``, into ``block`` through the drawing thread's
+    scratch ``work`` (``_trial_workspace``), until ``take`` finds its row
+    queue empty (``IndexError``).  A worker and the calling thread drain
+    one queue from its two ends, so each row is drawn once."""
+    while True:
+        try:
+            i = take()
+        except IndexError:
+            return
+        _draw_start(cfg, trials[i], block, i, work)
 
 
 def _draw_block(cfg: SimConfig, trials) -> list:
-    """Stage 1 of ``trials`` on the calling thread, into a new block."""
-    block, work = _new_block(cfg, len(trials)), _trial_workspace(cfg)
-    for i, t in enumerate(trials):
-        _draw_start(cfg, t, block, i, work)
+    """Stage 1 of ``trials`` on the calling thread, in order, into a new block."""
+    block = _new_block(cfg, len(trials))
+    _draw_rows(cfg, trials, block, deque(range(len(trials))).popleft, _trial_workspace(cfg))
     return block
 
 
@@ -403,8 +418,10 @@ def _draw_start(cfg: SimConfig, t: int, block: list, i: int, work: tuple) -> Non
     _fill_complex_normal(noise, rng, work)
 
 
-def _finish_batch(cfg: SimConfig, const, lut, batch: tuple, scales: list) -> list:
-    """Stages 2 and 3 of a drawn batch: ``_align`` aligns all trials
+def _finish_batch(cfg: SimConfig, const, lut, block: list, scales: list) -> list:
+    """Stages 2 and 3 of a drawn ``block`` (``_new_block``), whose arrays
+    it takes over (it empties the list): its channels become one
+    ``ChannelSet``, built and checked once, ``_align`` aligns all trials
     in one batched Adam loop, whose trace is not read, and one
     ``effective_channel`` call composes their channels.  The front end's
     H s + b and each receiver the configured detectors name (one
@@ -415,9 +432,10 @@ def _finish_batch(cfg: SimConfig, const, lut, batch: tuple, scales: list) -> lis
     detector decides the whole batch's observations in one call.  Returns
     one batch record per scale: each trial's bit errors, an int array
     (trials, detectors) in ``cfg.detectors`` order."""
-    ch, lo, theta0, sent, noise = batch
+    ch, lo, theta0, sent, noise = ChannelSet(*block[:3]), *block[3:]
+    block.clear()
     h_eq = effective_channel(ch, _align(ch, lo, theta0, cfg.adam)[0])
-    del batch, ch  # drop the stacked channels before the receivers' tables are built
+    del ch  # drop the stacked channels before the receivers' tables are built
     _require_finite(h_eq=h_eq, b=lo)
     observe = _front_end(h_eq, const.points[sent], lo)
     rows = [_DETECTORS[det] for det in cfg.detectors]
@@ -426,11 +444,13 @@ def _finish_batch(cfg: SimConfig, const, lut, batch: tuple, scales: list) -> lis
     receivers = {k: k(h_eq, lo, const, *options[k]) for k in dict.fromkeys(k for _, k in rows)}
     y, z = np.empty_like(noise), np.empty(noise.shape)
     observed = {"y": y, "z": z}
+    # A finite |y| has a finite y: check z if a row reads it, else y.
+    checked = "z" if any(reads == "z" for reads, _ in rows) else "y"
 
     def record(scale: float) -> np.ndarray:
         observe(np.multiply(noise, scale, out=y), out=y)
         np.abs(y, out=z)
-        _require_finite(**{reads: observed[reads] for reads, _ in rows})
+        _require_finite(**{checked: observed[checked]})
         return np.stack([lut[sent, receivers[k](observed[reads])].sum(axis=(1, 2))
                          for reads, k in rows], axis=1)
 
@@ -462,17 +482,18 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
 
     Batches run in turn until the last one or until every point has
     stopped; each is drawn and aligned once and detected at every point
-    that has not stopped.  With any ``threads`` >= 2 (0:
-    ``os.cpu_count()``) and more than one trial per point, one worker
-    draws each batch while the calling thread aligns and detects the one
-    before it; one thread makes no pool.  With a pool, batch ``j + 1`` is
-    queued as one task per trial once batch ``j`` is taken.  Taking batch
-    ``j`` cancels every task of it the worker has not started and draws
-    those trials on the calling thread, last first, so the two meet in
-    the middle; it waits only for the running task.  A look-ahead that
-    the last point's stop made useless is cancelled, or discarded if
-    running.  So at most two batches are held.  The records do not depend
-    on ``threads`` (see the module docstring), and no worker outlives the
+    that has not stopped.  With any ``threads`` >= 2 (0: the CPUs this
+    process may run on) and more than one trial per point, one worker
+    helps draw each batch; one thread makes no pool.  A batch's rows wait
+    in one queue: with a pool, one task per batch drains it from the
+    front on the worker while the calling thread drains it from the back,
+    so the two meet in the middle, and the calling thread then waits for
+    that task and queues the next batch's task before it aligns and
+    detects; without one, the calling thread drains it from the front.
+    A look-ahead that the last point's stop made useless is dropped: its
+    queue is emptied, and the worker ends with the row it is drawing.
+    So at most two batches are held.  The records do not depend on
+    ``threads`` (see the module docstring), and no worker outlives the
     call.  To use more cores, run grid or trial slices in processes and
     combine them with ``merge_records``.  Since version 0.2.0 a grid
     slice draws and aligns every trial of the campaign (each point reads
@@ -486,53 +507,47 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
     lut = hamming_table(const)
     grid = cfg.eb_n0_grid_db
     scales = [math.sqrt(noise_sigma(db, cfg.mod_order).sigma2 / 2.0) for db in grid]
+    # 0 threads: one per CPU this process may run on.
+    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
     pool = None
-    if min(threads or os.cpu_count() or 1, cfg.trials_per_point) > 1:
+    if min(threads or len(cpus), cfg.trials_per_point) > 1:
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(1)
-    # With a pool: the block taken next and one future per trial drawing
-    # into it, all through one scratch of the worker's, which lives until
-    # the last of them has run.
-    queued: tuple = ()
 
-    def queue(j: int) -> None:
-        nonlocal queued
+    def queue(j: int) -> tuple:
+        # Batch j's trials, a new block and the queue of its rows, and with
+        # a pool the worker's task that drains the queue from the front.
+        # The calling thread makes the worker's scratch: glibc keeps what a
+        # worker allocates in that thread's own arena, and a scratch made on
+        # the worker raised the ref-2w benchmark's peak RSS 46.4 -> 47.5 MiB.
         trials = _batch(cfg, j)
-        block, work = _new_block(cfg, len(trials)), _trial_workspace(cfg) if trials else None
-        queued = block, [pool.submit(_draw_start, cfg, t, block, i, work)
-                         for i, t in enumerate(trials)]
-
-    def take(j: int) -> tuple:
-        trials = _batch(cfg, j)
-        if pool is None:
-            return _seal(_draw_block(cfg, trials))
-        block, futures = queued
-        work = _trial_workspace(cfg)  # the calling thread's, freed before it aligns
-        for i in reversed(range(len(trials))):  # one at a time, to meet the worker
-            if futures[i].cancel():
-                _draw_start(cfg, trials[i], block, i, work)
-        for f in futures:
-            if not f.cancelled():
-                f.result()
-        queue(j + 1)
-        return _seal(block)
+        block, rows = _new_block(cfg, len(trials)), deque(range(len(trials)))
+        return trials, block, rows, (pool.submit(_draw_rows, cfg, trials, block, rows.popleft,
+                                                 _trial_workspace(cfg)) if pool and rows else None)
 
     tallies = [(0, np.zeros(len(cfg.detectors), dtype=np.int64))] * len(grid)
     live = list(range(len(grid)))  # the points that have not stopped
+    # The batch queued last, the only one whose rows a worker may take.
+    ahead = queue(0) if pool else None
     try:
-        if pool is not None:
-            queue(0)
         j = 0
         while live and _batch(cfg, j):
-            records = _finish_batch(cfg, const, lut, take(j), [scales[p] for p in live])
+            trials, block, rows, task = ahead = ahead or queue(j)
+            _draw_rows(cfg, trials, block, rows.pop if task else rows.popleft,
+                       _trial_workspace(cfg))
+            if task:
+                task.result()
+            ahead = queue(j + 1) if pool else None
+            records = _finish_batch(cfg, const, lut, block, [scales[p] for p in live])
             for p, record in dict(zip(live, records)).items():
                 tallies[p], stop = _fold_point(cfg, tallies[p], record)
                 if stop:
                     live.remove(p)
             j += 1
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        if pool:
+            ahead[2].clear()  # the worker takes no further row
+            pool.shutdown()
     bits = cfg.num_users * const.bits_per_symbol * cfg.symbols_per_trial
     return [_make_record(db, det, trials * bits, int(e),
                          "trial_cap" if p in live else "error_target")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from atomris import detect
-from atomris.channel import effective_channel
+from atomris.channel import ChannelSet, effective_channel
 from atomris.detect import (
     detect_exhaustive_batch,
     detect_proposed_batch,
@@ -22,7 +22,7 @@ from atomris.detect import (
 from atomris.errors import BudgetExceededError, SingularMatrixError
 from atomris.modem import make_pam, noise_sigma
 from atomris.risopt import AdamConfig
-from atomris.sim import (SimConfig, _align, _draw_block, _seal, draw_channels,
+from atomris.sim import (SimConfig, _align, _draw_block, draw_channels,
                          optimize_aligned_phases)
 
 
@@ -825,7 +825,8 @@ def campaign_batch(m, n, k, n_trials, n_obs=24, seed=3):
     indices and unit noise."""
     cfg = SimConfig(num_cells=m, num_elements=n, num_users=k, symbols_per_trial=n_obs,
                     trials_per_point=n_trials, master_seed=seed)
-    ch, b, theta0, sent, noise = _seal(_draw_block(cfg, range(n_trials)))
+    h_ur, h_rv, h_uv, b, theta0, sent, noise = _draw_block(cfg, range(n_trials))
+    ch = ChannelSet(h_ur, h_rv, h_uv)
     return effective_channel(ch, _align(ch, b, theta0, cfg.adam)[0]), b, sent, noise
 
 

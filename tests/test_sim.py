@@ -1,9 +1,12 @@
 """Tests for the Monte-Carlo campaign engine."""
 
+import collections
 import functools
 import math
+import os
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -15,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atomris import detect, sim
-from atomris.channel import LOParams, PhysicalPathParams
+from atomris.channel import ChannelSet, LOParams, PhysicalPathParams
 from atomris.config import load_config
 from atomris.errors import BudgetExceededError, ConfigError
 from atomris.risopt import AdamConfig
@@ -230,22 +233,27 @@ class TestStageOne:
     def test_block_rows_are_lone_trials(self, monkeypatch, cfg, threads):
         """Every block ``run_ber`` takes, at ``threads`` 1 and 2 and for the
         short last block of 3 trials, holds in each row the lone trial's
-        draws bit for bit; the ``ChannelSet`` is built once per block."""
+        draws bit for bit; the ``ChannelSet`` of a block's own channels is
+        built once, by ``_finish_batch``."""
         from atomris.channel import ChannelSet
 
-        taken = []
-        monkeypatch.setattr(sim, "_finish_batch",
-                            lambda cfg, const, lut, batch, scales: taken.append(batch) or
-                            [np.zeros((len(batch[1]), len(cfg.detectors)), np.int64)] * len(scales))
+        taken, channels = [], []
+        finish = sim._finish_batch
+
+        def recording_finish(cfg, const, lut, block, scales):
+            taken.append([a.copy() for a in block])
+            channels.append(block[1])
+            return finish(cfg, const, lut, block, scales)
+
+        monkeypatch.setattr(sim, "_finish_batch", recording_finish)
         built = []
         post_init = ChannelSet.__post_init__
         monkeypatch.setattr(ChannelSet, "__post_init__",
-                            lambda ch: built.append(ch.h_rv.shape) or post_init(ch))
+                            lambda ch: built.append(ch.h_rv) or post_init(ch))
         run_ber(cfg, threads)
-        assert [len(batch[1]) for batch in taken] == [8, 3]
-        assert len(built) == 2
-        rows = [(ch.h_ur[i], ch.h_rv[i], ch.h_uv[i], *(a[i] for a in rest))
-                for ch, *rest in taken for i in range(len(rest[0]))]
+        assert [len(block[1]) for block in taken] == [8, 3]
+        assert [sum(h is h_rv for h in built) for h_rv in channels] == [1, 1]
+        rows = [[a[i] for a in block] for block in taken for i in range(len(block[1]))]
         for t, row in zip(range(cfg.trial_offset, cfg.trial_offset + 11), rows, strict=True):
             assert _exact_bytes(row) == _exact_bytes(lone_trial(cfg, t)), t
 
@@ -268,21 +276,19 @@ class TestStageOne:
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_no_generator_after_stage_one(self):
-        """A drawn batch holds arrays and one channel set only, and
-        finishing it twice gives the same batch records, one per noise
-        scale."""
-        from atomris.channel import ChannelSet
+        """A drawn batch holds arrays only, and finishing it twice (each
+        call takes over a copy of the block's list of arrays) gives the
+        same batch records, one per noise scale."""
         from atomris.modem import hamming_table, make_pam
 
-        batch = sim._seal(sim._draw_block(SMALL, range(5)))
-        ch, *arrays = batch
-        assert isinstance(ch, ChannelSet)
-        assert all(isinstance(a, np.ndarray) for a in arrays)
-        assert batch[0].h_rv.shape == (5, SMALL.num_cells, SMALL.num_elements)
-        assert all(len(a) == 5 for a in batch[1:])
+        block = sim._draw_block(SMALL, range(5))
+        assert all(isinstance(a, np.ndarray) for a in block)
+        assert block[1].shape == (5, SMALL.num_cells, SMALL.num_elements)
+        assert all(len(a) == 5 for a in block)
         const = make_pam(SMALL.mod_order)
         scales = [6.0, 10.0]  # about sqrt(sigma2 / 2) at -22 and -26 dB
-        first, second = (sim._finish_batch(SMALL, const, hamming_table(const), batch, scales)
+        first, second = (sim._finish_batch(SMALL, const, hamming_table(const), list(block),
+                                           scales)
                          for _ in range(2))
         assert [r.shape for r in first] == [(5, len(SMALL.detectors))] * 2
         assert 0 < first[0].sum() < first[1].sum()
@@ -304,7 +310,8 @@ class TestAlign:
 
         cfg = SimConfig(num_cells=m, num_elements=n, num_users=k, trials_per_point=8,
                         master_seed=5)
-        ch, b, theta0, *_ = sim._seal(sim._draw_block(cfg, range(8)))
+        h_ur, h_rv, h_uv, b, theta0, *_ = sim._draw_block(cfg, range(8))
+        ch = ChannelSet(h_ur, h_rv, h_uv)
         dephased = sim._dephase(ch, b)
         args = (theta0, build_rank_one_cache(dephased), dephased.h_uv, cfg.adam)
         looped, trace = adam_optimize_batch(*args)
@@ -352,7 +359,8 @@ class TestStackedChannels:
         from atomris.risopt import build_rank_one_cache, gradient_op_count, objective_and_gradient
 
         cfg = replace(SMALL, num_elements=n, adam=AdamConfig(max_iters=15))
-        ch, b, theta0, *_ = sim._seal(sim._draw_block(cfg, range(n_trials)))
+        h_ur, h_rv, h_uv, b, theta0, *_ = sim._draw_block(cfg, range(n_trials))
+        ch = ChannelSet(h_ur, h_rv, h_uv)
         dephased = sim._dephase(ch, b)
         r, g = build_rank_one_cache(dephased)
         assert r.flags.c_contiguous and g.flags.c_contiguous
@@ -514,7 +522,7 @@ class TestRunBer:
     def test_draw_threads_do_not_change_records(self):
         """Batches of 8 and 4 trials, drawn one batch ahead by the one
         worker that ``threads`` 0, 2, 3 and 5 each start, and by the
-        calling thread taking the trials it has not started, give the
+        calling thread taking rows from the back of each queue, give the
         one-thread records, also with more threads than cores switching
         every microsecond, and when points stop on the error target (after
         two and three batches, and at the cap of 4 + 1/2 batches) with their
@@ -548,6 +556,64 @@ class TestRunBer:
         assert rec.stop_reason == "error_target"
         assert rec.bits_sent == sim._BATCH_SIZE * 2 * 2 * SMALL.symbols_per_trial
         assert threading.active_count() == baseline
+
+    def test_two_ends_draw_every_trial_once(self, monkeypatch):
+        """At ``threads`` 2, a campaign of five batches with no error target
+        draws each of its trials exactly once, and both threads draw rows
+        of its first batch: the worker and the calling thread drain each
+        batch's row queue from its two ends and never take the same row.
+        Each draw sleeps 2 ms, so the two threads interleave."""
+        draw_start, lock = sim._draw_start, threading.Lock()
+        drawn = []
+
+        def counting_draw_start(cfg, t, *args):
+            with lock:
+                drawn.append((t, threading.get_ident()))
+            time.sleep(0.002)
+            return draw_start(cfg, t, *args)
+
+        monkeypatch.setattr(sim, "_draw_start", counting_draw_start)
+        run_ber(replace(SMALL, trials_per_point=36, trial_offset=5), 2)
+        assert collections.Counter(t for t, _ in drawn) == collections.Counter(range(5, 41))
+        assert len({ident for t, ident in drawn if t < 13}) == 2
+
+    def test_one_pool_task_per_batch(self, monkeypatch):
+        """A campaign of five batches submits at most five tasks to its
+        pool, one per batch, however many trials each holds."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        submit, submitted = ThreadPoolExecutor.submit, []
+
+        def counting_submit(pool, fn, *args, **kwargs):
+            submitted.append(fn)
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+        run_ber(replace(SMALL, trials_per_point=36), 2)
+        assert 1 <= len(submitted) <= 5
+
+    def test_threads_0_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        """``threads`` 0 counts the CPUs the process may run on, not the
+        machine's: pinned to one CPU of eight, a campaign submits no pool
+        task and starts no thread.  Where the platform cannot tell the
+        affinity, it counts ``os.cpu_count()`` and starts the one worker."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        submit, submitted = ThreadPoolExecutor.submit, []
+
+        def counting_submit(pool, fn, *args, **kwargs):
+            submitted.append(fn)
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        baseline = threading.active_count()
+        serial = run_ber(SMALL, 0)
+        assert submitted == [] and threading.active_count() == baseline
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert run_ber(SMALL, 0) == serial
+        assert submitted
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_a_raising_draw_stops_the_campaign(self, monkeypatch, threads):
@@ -641,28 +707,58 @@ class TestRunBer:
     def test_points_solve_nothing_and_reuse_the_batch_buffers(self, monkeypatch):
         """A one-batch, three-point campaign with both least-squares
         detectors calls ``np.linalg.solve`` once, for the batch's
-        pseudo-inverses, and at every point reads y (complex) and z (real)
-        from the same two arrays: no point solves normal equations or
-        allocates an observation, and none is re-phased."""
-        solve, require_finite = np.linalg.solve, sim._require_finite
+        pseudo-inverses, and at every point writes y (complex) and z (real)
+        into the same two arrays, of which it checks only z for
+        finiteness: no point solves normal equations or allocates an
+        observation, and none is re-phased."""
+        solve, require_finite, front_end = np.linalg.solve, sim._require_finite, sim._front_end
         solves, observations = [], []
 
         def counting_solve(*args):
             solves.append(args[0].shape)
             return solve(*args)
 
+        def recording_front_end(*args):
+            observe = front_end(*args)
+
+            def recording_observe(awgn, out=None):
+                observations.append({"y": (out.ctypes.data, out.dtype)})
+                return observe(awgn, out=out)
+
+            return recording_observe
+
         def recording_require_finite(**arrays):
             if "h_eq" not in arrays:
-                observations.append({name: (a.ctypes.data, a.dtype) for name, a in arrays.items()})
+                observations[-1].update({name: (a.ctypes.data, a.dtype)
+                                         for name, a in arrays.items()})
             require_finite(**arrays)
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(sim, "_front_end", recording_front_end)
         monkeypatch.setattr(sim, "_require_finite", recording_require_finite)
         cfg = replace(_STOPS, error_target=None, trials_per_point=8)
         run_ber(cfg)
         assert solves == [(8, 2, 2)]
         assert len(observations) == 3 and all(o == observations[0] for o in observations)
-        assert [dtype for _, dtype in observations[0].values()] == [float, complex]
+        assert [(name, dtype) for name, (_, dtype) in observations[0].items()] == [
+            ("y", complex), ("z", float)]
+
+    @pytest.mark.parametrize("detectors, checked", [
+        (("zf_genie",), "y"), (("zf_genie", "proposed"), "z"), (("exhaustive",), "z")])
+    def test_one_finiteness_check_per_point(self, monkeypatch, detectors, checked):
+        """A point checks one observation for finiteness: z = |y| when a
+        configured detector reads it (a finite |y| has a finite y), and y
+        when none does."""
+        require_finite, names = sim._require_finite, []
+
+        def recording_require_finite(**arrays):
+            if "h_eq" not in arrays:
+                names.append(list(arrays))
+            require_finite(**arrays)
+
+        monkeypatch.setattr(sim, "_require_finite", recording_require_finite)
+        run_ber(replace(SMALL, detectors=detectors, trials_per_point=4))
+        assert names == [[checked]] * len(SMALL.eb_n0_grid_db)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_drawing_a_block_holds_its_rows_and_one_scratch_per_thread(self, monkeypatch,
@@ -670,7 +766,7 @@ class TestRunBer:
         """Drawing a reference block (M = 36, N = 150, K = 3, 8 trials of
         100 vectors) traces at most the block's stacked arrays, one path
         scratch per drawing thread (``threads`` of them: the worker's and
-        the calling thread's, which draws the trials it takes back) and a
+        the calling thread's, which draws the rows it takes from the back) and a
         slack per thread of numpy's casting buffer (``np.getbufsize()``
         complex entries) plus 64 KiB for the small draws.  With numpy 2.4
         (buffer of 8192 entries) the draw traced 137 KB above the block
