@@ -402,6 +402,21 @@ _REFERENCE = SimConfig(num_cells=36, num_elements=150, num_users=3, mod_order=4,
                        symbols_per_trial=100, master_seed=1, error_target=None)
 
 
+@pytest.fixture
+def submitted(monkeypatch):
+    """The functions submitted to any ``ThreadPoolExecutor`` while the test runs."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    submit, calls = ThreadPoolExecutor.submit, []
+
+    def counting_submit(pool, fn, *args, **kwargs):
+        calls.append(fn)
+        return submit(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+    return calls
+
+
 class TestRunBer:
     def test_record_invariants(self):
         records = run_ber(SMALL)
@@ -577,35 +592,17 @@ class TestRunBer:
         assert collections.Counter(t for t, _ in drawn) == collections.Counter(range(5, 41))
         assert len({ident for t, ident in drawn if t < 13}) == 2
 
-    def test_one_pool_task_per_batch(self, monkeypatch):
+    def test_one_pool_task_per_batch(self, submitted):
         """A campaign of five batches submits at most five tasks to its
         pool, one per batch, however many trials each holds."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        submit, submitted = ThreadPoolExecutor.submit, []
-
-        def counting_submit(pool, fn, *args, **kwargs):
-            submitted.append(fn)
-            return submit(pool, fn, *args, **kwargs)
-
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
         run_ber(replace(SMALL, trials_per_point=36), 2)
         assert 1 <= len(submitted) <= 5
 
-    def test_threads_0_counts_the_cpus_this_process_may_use(self, monkeypatch):
+    def test_threads_0_counts_the_cpus_this_process_may_use(self, monkeypatch, submitted):
         """``threads`` 0 counts the CPUs the process may run on, not the
         machine's: pinned to one CPU of eight, a campaign submits no pool
         task and starts no thread.  Where the platform cannot tell the
         affinity, it counts ``os.cpu_count()`` and starts the one worker."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        submit, submitted = ThreadPoolExecutor.submit, []
-
-        def counting_submit(pool, fn, *args, **kwargs):
-            submitted.append(fn)
-            return submit(pool, fn, *args, **kwargs)
-
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         baseline = threading.active_count()
