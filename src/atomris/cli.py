@@ -55,12 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "ber":
             cmd.add_argument("--threads", type=int, default=1,
                              help="N >= 2, or 0 when this process may use two or more CPUs, "
-                                  "starts one worker that drains each batch's row queue from the "
-                                  "front as the calling thread drains it from the back, then draws "
-                                  "the next batch while the calling thread aligns and detects; the "
-                                  "CSV does not depend on it.  It gains 1.4-1.5x at M = 36, K = 3 "
-                                  "over many batches, and nothing on a call of one batch "
-                                  "(8 trials) or at K = 8 (README, the table under 'CLI').  For "
+                                  "starts one worker that drains each batch's row queue along "
+                                  "with the calling thread, then draws the next batch while the "
+                                  "calling thread aligns and detects; the CSV does not depend on "
+                                  "it.  It gains 1.4-1.5x at M = 36, K = 3 over many batches, "
+                                  "and nothing on a call of one batch (8 trials) or at K = 8 "
+                                  "(README, the table under 'CLI').  For "
                                   "more cores, see README, 'Spreading a campaign over processes'")
     return parser
 

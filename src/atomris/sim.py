@@ -54,13 +54,12 @@ trials ``trial_offset + 8j`` on.  They run in turn until the last one,
 or until every point has stopped, so a campaign draws and aligns the
 trials of its longest-running point, once each.  Stage 1 is one
 routine, ``_draw_rows``: it draws the rows a batch's row queue (a
-``deque`` of row numbers) hands out until the queue is empty.  With one
-thread the calling thread drains each queue from the front, in trial
+``deque`` of row numbers) hands out, from its front, until the queue is
+empty.  With one thread the calling thread drains each queue, in trial
 order, and a campaign holds one batch at a time.  With ``run_ber``'s
 ``threads`` > 1, only the first stage runs on a worker thread as well,
-one pool task per batch that drains the queue from the front while the
-calling thread drains it from the back, so the two meet in the middle.
-Once batch j is drawn, its task is done and batch j + 1's is queued, so
+one pool task per batch that drains the queue alongside the calling
+thread.  Once batch j is drawn, its task is done and batch j + 1's is queued, so
 the worker draws ahead while the calling thread aligns batch j and
 detects it at every point, and a campaign holds at most two batches.  The
 draw is a few large ufuncs over (M, N, L) arrays, which release the GIL,
@@ -382,15 +381,15 @@ def _trial_workspace(cfg: SimConfig) -> tuple:
                       m * cfg.symbols_per_trial)
 
 
-def _draw_rows(cfg: SimConfig, trials, block: list, take, work: tuple) -> None:
-    """Stage 1 of the rows ``take`` hands out: draw row ``i = take()``,
-    trial ``trials[i]``, into ``block`` through the drawing thread's
-    scratch ``work`` (``_trial_workspace``), until ``take`` finds its row
-    queue empty (``IndexError``).  A worker and the calling thread drain
-    one queue from its two ends, so each row is drawn once."""
+def _draw_rows(cfg: SimConfig, trials, block: list, rows: deque, work: tuple) -> None:
+    """Stage 1 of the rows queued in ``rows``: draw row ``i``, taken from
+    the queue's front, trial ``trials[i]``, into ``block`` through the
+    drawing thread's scratch ``work`` (``_trial_workspace``), until the
+    queue is empty.  ``popleft`` is atomic, so when a worker and the
+    calling thread drain one queue, each row is drawn once."""
     while True:
         try:
-            i = take()
+            i = rows.popleft()
         except IndexError:
             return
         _draw_start(cfg, trials[i], block, i, work)
@@ -399,7 +398,7 @@ def _draw_rows(cfg: SimConfig, trials, block: list, take, work: tuple) -> None:
 def _draw_block(cfg: SimConfig, trials) -> list:
     """Stage 1 of ``trials`` on the calling thread, in order, into a new block."""
     block = _new_block(cfg, len(trials))
-    _draw_rows(cfg, trials, block, deque(range(len(trials))).popleft, _trial_workspace(cfg))
+    _draw_rows(cfg, trials, block, deque(range(len(trials))), _trial_workspace(cfg))
     return block
 
 
@@ -485,11 +484,10 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
     that has not stopped.  With any ``threads`` >= 2 (0: the CPUs this
     process may run on) and more than one trial per point, one worker
     helps draw each batch; one thread makes no pool.  A batch's rows wait
-    in one queue: with a pool, one task per batch drains it from the
-    front on the worker while the calling thread drains it from the back,
-    so the two meet in the middle, and the calling thread then waits for
-    that task and queues the next batch's task before it aligns and
-    detects; without one, the calling thread drains it from the front.
+    in one queue, which the calling thread drains, and with a pool one
+    task per batch drains it on the worker too; the calling thread then
+    waits for that task and queues the next batch's task before it
+    aligns and detects.
     A look-ahead that the last point's stop made useless is dropped: its
     queue is emptied, and the worker ends with the row it is drawing.
     So at most two batches are held.  The records do not depend on
@@ -508,21 +506,22 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
     grid = cfg.eb_n0_grid_db
     scales = [math.sqrt(noise_sigma(db, cfg.mod_order).sigma2 / 2.0) for db in grid]
     # 0 threads: one per CPU this process may run on.
-    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
+    threads = threads or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                          else os.cpu_count() or 1)
     pool = None
-    if min(threads or len(cpus), cfg.trials_per_point) > 1:
+    if min(threads, cfg.trials_per_point) > 1:
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(1)
 
     def queue(j: int) -> tuple:
         # Batch j's trials, a new block and the queue of its rows, and with
-        # a pool the worker's task that drains the queue from the front.
+        # a pool the worker's task that drains the queue.
         # The calling thread makes the worker's scratch: glibc keeps what a
         # worker allocates in that thread's own arena, and a scratch made on
         # the worker raised the ref-2w benchmark's peak RSS 46.4 -> 47.5 MiB.
         trials = _batch(cfg, j)
         block, rows = _new_block(cfg, len(trials)), deque(range(len(trials)))
-        return trials, block, rows, (pool.submit(_draw_rows, cfg, trials, block, rows.popleft,
+        return trials, block, rows, (pool.submit(_draw_rows, cfg, trials, block, rows,
                                                  _trial_workspace(cfg)) if pool and rows else None)
 
     tallies = [(0, np.zeros(len(cfg.detectors), dtype=np.int64))] * len(grid)
@@ -533,8 +532,7 @@ def run_ber(cfg: SimConfig, threads: int = 1) -> list[BerRecord]:
         j = 0
         while live and _batch(cfg, j):
             trials, block, rows, task = ahead = ahead or queue(j)
-            _draw_rows(cfg, trials, block, rows.pop if task else rows.popleft,
-                       _trial_workspace(cfg))
+            _draw_rows(cfg, trials, block, rows, _trial_workspace(cfg))
             if task:
                 task.result()
             ahead = queue(j + 1) if pool else None

@@ -233,14 +233,16 @@ class TestStageOne:
     def test_block_rows_are_lone_trials(self, monkeypatch, cfg, threads):
         """Every block ``run_ber`` takes, at ``threads`` 1 and 2 and for the
         short last block of 3 trials, holds in each row the lone trial's
-        draws bit for bit; the ``ChannelSet`` of a block's own channels is
-        built once, by ``_finish_batch``."""
+        draws bit for bit; no ``ChannelSet`` is built while the rows are
+        drawn, each ``_finish_batch`` builds as many as the other, and the
+        one on a block's own channels is built once."""
         from atomris.channel import ChannelSet
 
-        taken, channels = [], []
+        taken, channels, entries = [], [], []
         finish = sim._finish_batch
 
         def recording_finish(cfg, const, lut, block, scales):
+            entries.append(len(built))
             taken.append([a.copy() for a in block])
             channels.append(block[1])
             return finish(cfg, const, lut, block, scales)
@@ -252,6 +254,7 @@ class TestStageOne:
                             lambda ch: built.append(ch.h_rv) or post_init(ch))
         run_ber(cfg, threads)
         assert [len(block[1]) for block in taken] == [8, 3]
+        assert entries == [0, len(built) // 2] and len(built) % 2 == 0
         assert [sum(h is h_rv for h in built) for h_rv in channels] == [1, 1]
         rows = [[a[i] for a in block] for block in taken for i in range(len(block[1]))]
         for t, row in zip(range(cfg.trial_offset, cfg.trial_offset + 11), rows, strict=True):
@@ -537,7 +540,7 @@ class TestRunBer:
     def test_draw_threads_do_not_change_records(self):
         """Batches of 8 and 4 trials, drawn one batch ahead by the one
         worker that ``threads`` 0, 2, 3 and 5 each start, and by the
-        calling thread taking rows from the back of each queue, give the
+        calling thread taking rows from the same queue, give the
         one-thread records, also with more threads than cores switching
         every microsecond, and when points stop on the error target (after
         two and three batches, and at the cap of 4 + 1/2 batches) with their
@@ -572,11 +575,11 @@ class TestRunBer:
         assert rec.bits_sent == sim._BATCH_SIZE * 2 * 2 * SMALL.symbols_per_trial
         assert threading.active_count() == baseline
 
-    def test_two_ends_draw_every_trial_once(self, monkeypatch):
+    def test_row_queue_draws_every_trial_once(self, monkeypatch):
         """At ``threads`` 2, a campaign of five batches with no error target
         draws each of its trials exactly once, and both threads draw rows
         of its first batch: the worker and the calling thread drain each
-        batch's row queue from its two ends and never take the same row.
+        batch's row queue together and never take the same row.
         Each draw sleeps 2 ms, so the two threads interleave."""
         draw_start, lock = sim._draw_start, threading.Lock()
         drawn = []
@@ -763,8 +766,8 @@ class TestRunBer:
         """Drawing a reference block (M = 36, N = 150, K = 3, 8 trials of
         100 vectors) traces at most the block's stacked arrays, one path
         scratch per drawing thread (``threads`` of them: the worker's and
-        the calling thread's, which draws the rows it takes from the back) and a
-        slack per thread of numpy's casting buffer (``np.getbufsize()``
+        the calling thread's, which draws the rows it takes) and a slack
+        per thread of numpy's casting buffer (``np.getbufsize()``
         complex entries) plus 64 KiB for the small draws.  With numpy 2.4
         (buffer of 8192 entries) the draw traced 137 KB above the block
         and scratch at one thread and 160 KB at two, against a slack of
