@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "starts one worker that drains each batch's row queue along "
                                   "with the calling thread, then draws the next batch while the "
                                   "calling thread aligns and detects; the CSV does not depend on "
-                                  "it.  It gains 1.4-1.5x at M = 36, K = 3 over many batches, "
+                                  "it.  It gains 1.3-1.5x at M = 36, K = 3 over many batches, "
                                   "and nothing on a call of one batch (8 trials) or at K = 8 "
                                   "(README, the table under 'CLI').  For "
                                   "more cores, see README, 'Spreading a campaign over processes'")
